@@ -4,7 +4,7 @@ IPPS 2003).
 
 The package simulates an SMP cluster (discrete-event, with real data
 movement) and implements the paper's SRM collectives plus the two MPI
-baselines on top of it.  See :mod:`repro.api` for the high-level interface.
+baselines on top of it.
 """
 
 from repro._version import __version__

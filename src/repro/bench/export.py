@@ -22,7 +22,7 @@ import json
 import typing
 
 from repro._version import __version__
-from repro.bench.runner import Measurement
+from repro.bench.runner import OPERATIONS, STACKS, Measurement
 from repro.bench.sweeps import measure, message_sizes, processor_configs, warm_cache
 from repro.core import SRMConfig
 from repro.machine import CostModel
@@ -137,8 +137,8 @@ def to_json(measurements: typing.Iterable[Measurement], indent: int = 2) -> str:
 
 
 def collect_sweep(
-    operations: typing.Sequence[str] = ("broadcast", "reduce", "allreduce", "barrier"),
-    stacks: typing.Sequence[str] = ("srm", "ibm", "mpich"),
+    operations: typing.Sequence[str] = OPERATIONS,
+    stacks: typing.Sequence[str] = STACKS,
     jobs: int = 1,
 ) -> list[Measurement]:
     """The full figure grid (sizes x processor counts x stacks x operations).

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import typing
 
-import numpy as np
-
 from repro.core import SRM, SRMConfig
+from repro.core.programs import PROGRAMS, program_for
 from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, CostModel, Machine
 from repro.mpi.collectives import IbmMpi, Mpich
@@ -34,7 +33,7 @@ __all__ = [
 STACKS = ("srm", "ibm", "mpich")
 
 #: The paper's common set, i.e. every operation the harness can time.
-OPERATIONS = ("broadcast", "reduce", "allreduce", "barrier")
+OPERATIONS = tuple(PROGRAMS)
 
 
 def build(
@@ -101,11 +100,6 @@ class Measurement:
         )
 
 
-def _element_count(nbytes: int) -> int:
-    """Reductions run on doubles (§3); round byte sizes to whole elements."""
-    return max(1, nbytes // 8)
-
-
 def operation_body(
     machine: Machine,
     stack: typing.Any,
@@ -116,42 +110,16 @@ def operation_body(
 ) -> typing.Callable:
     """The per-task generator body for one call of ``operation``.
 
-    Shared by :func:`time_operation` and the snapshot capture in
-    :mod:`repro.bench.snapshot`, so both time exactly the same workload
-    (buffers allocated once and reused call-to-call, sum over doubles).
+    Shared by :func:`time_operation`, the snapshot capture in
+    :mod:`repro.bench.snapshot`, the autotuner and the ``trace``/``profile``
+    commands, so all of them time exactly the same workload: the
+    :data:`~repro.core.programs.PROGRAMS` row, its buffers allocated once
+    and reused call-to-call.
     """
-    if operation not in OPERATIONS:
-        raise ConfigurationError(f"unknown operation {operation!r}")
-    total = machine.spec.total_tasks
+    run = program_for(operation)(machine.spec.total_tasks, nbytes, root, op)
 
-    if operation == "broadcast":
-        buffers = {rank: np.zeros(max(1, nbytes), dtype=np.uint8) for rank in range(total)}
-        buffers[root][:] = 7
-
-        def body(task, _iteration):
-            yield from stack.broadcast(task, buffers[task.rank], root=root)
-
-    elif operation == "reduce":
-        count = _element_count(nbytes)
-        sources = {rank: np.full(count, float(rank + 1)) for rank in range(total)}
-        destination = np.zeros(count)
-
-        def body(task, _iteration):
-            dst = destination if task.rank == root else None
-            yield from stack.reduce(task, sources[task.rank], dst, op, root=root)
-
-    elif operation == "allreduce":
-        count = _element_count(nbytes)
-        sources = {rank: np.full(count, float(rank + 1)) for rank in range(total)}
-        destinations = {rank: np.zeros(count) for rank in range(total)}
-
-        def body(task, _iteration):
-            yield from stack.allreduce(task, sources[task.rank], destinations[task.rank], op)
-
-    else:  # barrier
-
-        def body(task, _iteration):
-            yield from stack.barrier(task)
+    def body(task, _iteration):
+        yield from run.call(stack, task)
 
     return body
 

@@ -22,9 +22,6 @@ Commands
 ``bench --json-out BENCH_head.json [--label head] [--full] [--jobs N]``
     Run the snapshot grid and write one schema-versioned telemetry snapshot
     (latencies + metrics + critical-path breakdown per cell).
-``bench --self [--json-out KERNEL_selfbench.json]``
-    Measure the simulator kernel's wall-clock throughput (events/second)
-    and optionally record it as a JSON artifact.
 
 Grid-shaped commands (``bench``, ``regress`` fresh runs, ``tune``,
 ``export``, ``figures``) accept ``--jobs N`` to fan their independent grid
@@ -64,10 +61,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import typing
 
 from repro.bench import (
+    OPERATIONS,
     build,
     format_bytes,
     format_us,
@@ -80,11 +79,33 @@ from repro.bench import (
     time_operation,
 )
 from repro.bench.figures import ascii_chart
+from repro.bench.runner import looped_program, operation_body
 from repro.bench.trace import Tracer
 from repro.core import SRMConfig
 from repro.machine import ClusterSpec, CostModel
 
 __all__ = ["main"]
+
+
+def _csv(text: str, cast: typing.Callable[[str], typing.Any] = str) -> tuple:
+    """A comma-separated option value as a tuple, blank items dropped."""
+    return tuple(cast(item.strip()) for item in text.split(",") if item.strip())
+
+
+def _progress(
+    args: argparse.Namespace, command: str, out: str | None = None
+) -> typing.Callable[[str], None] | None:
+    """A per-cell progress printer; None under ``--quiet`` or when the
+    command's document itself goes to stdout (``out == "-"``)."""
+    if args.quiet or out == "-":
+        return None
+    return lambda text: print(f"  {command} {text}", flush=True)
+
+
+def _use_full_grid(args: argparse.Namespace) -> None:
+    """``--full``: widen the sweep grids to the paper's (see ``repro.bench.sweeps``)."""
+    if args.full:
+        os.environ["REPRO_BENCH_FULL"] = "1"
 
 
 def _cmd_info(_args: argparse.Namespace) -> int:
@@ -147,10 +168,7 @@ def _resolve_policy(args: argparse.Namespace, name: str | None = None):
         return TunedPolicy.load(args.tuned_table)
     if name == "fixed":
         choices: dict[str, str] = {}
-        for pair in (args.fixed or "").split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
+        for pair in _csv(args.fixed or ""):
             op, _, variant = pair.partition("=")
             choices[op.strip()] = variant.strip()
         if not choices:
@@ -166,33 +184,11 @@ def _run_collective(args: argparse.Namespace, policy: typing.Any = None):
     and the :class:`~repro.machine.cluster.LaunchResult`.  ``policy``
     overrides the SRM dispatch policy (MPI stacks ignore it).
     """
-    import numpy as np
-
-    from repro.mpi.ops import SUM
-
     spec = ClusterSpec(nodes=args.nodes, tasks_per_node=args.tasks)
     machine, stack = build(args.stack, spec, policy=policy)
     tracer = Tracer(machine)
-    traced = tracer.wrap(stack)
-    total = spec.total_tasks
-    count = max(1, args.bytes // 8)
-    buffers = {r: np.zeros(max(1, args.bytes), np.uint8) for r in range(total)}
-    sources = {r: np.full(count, float(r + 1)) for r in range(total)}
-    outs = {r: np.zeros(count) for r in range(total)}
-    destination = np.zeros(count)
-
-    def program(task):
-        if args.op == "broadcast":
-            yield from traced.broadcast(task, buffers[task.rank], root=0)
-        elif args.op == "reduce":
-            dst = destination if task.rank == 0 else None
-            yield from traced.reduce(task, sources[task.rank], dst, SUM, root=0)
-        elif args.op == "allreduce":
-            yield from traced.allreduce(task, sources[task.rank], outs[task.rank], SUM)
-        else:
-            yield from traced.barrier(task)
-
-    result = machine.launch(program)
+    body = operation_body(machine, tracer.wrap(stack), args.op, args.bytes)
+    result = machine.launch(looped_program(body, 1))
     return machine, tracer, result
 
 
@@ -221,8 +217,6 @@ def _profile_diff(args: argparse.Namespace, machine, result) -> int:
     compare) or a ``BENCH_*.json`` snapshot path (its matching cell becomes
     the baseline and a fresh apples-to-apples capture the candidate).
     """
-    import os
-
     from repro.obs.diff import capture_profile, diff_cells, diff_profiles, format_diff
 
     target = args.diff
@@ -360,78 +354,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
-    if args.self_bench:
-        return _cmd_bench_self(args)
-
     from repro.bench.snapshot import collect_snapshot, write_snapshot
 
-    if args.full:
-        os.environ["REPRO_BENCH_FULL"] = "1"
-    json_out = args.json_out or "BENCH_head.json"
-    operations = tuple(op.strip() for op in args.ops.split(",") if op.strip())
-    progress = None
-    if not args.quiet and json_out != "-":
-        progress = lambda text: print(f"  bench {text}", flush=True)  # noqa: E731
+    _use_full_grid(args)
     snapshot = collect_snapshot(
-        label=args.label, operations=operations, progress=progress,
-        jobs=args.jobs,
+        label=args.label, operations=_csv(args.ops),
+        progress=_progress(args, "bench", args.json_out), jobs=args.jobs,
     )
-    write_snapshot(json_out, snapshot)
-    if json_out != "-":
+    write_snapshot(args.json_out, snapshot)
+    if args.json_out != "-":
         print(
-            f"wrote {len(snapshot['cells'])} cells to {json_out} "
+            f"wrote {len(snapshot['cells'])} cells to {args.json_out} "
             f"(schema v{snapshot['schema_version']}, identity {snapshot['fingerprint']})"
         )
     return 0
 
 
-def _cmd_bench_self(args: argparse.Namespace) -> int:
-    """``bench --self``: kernel events/second, tracked instead of folklore."""
-    import json
-
-    from repro.bench.selfbench import kernel_selfbench
-
-    document = kernel_selfbench(compiled_replay=not args.no_replay)
-    print(
-        f"kernel throughput: {document['events_per_second']:,.0f} events/s "
-        f"(best of {document['workload']['repeats']} runs, "
-        f"{document['events']} events each)"
-    )
-    replay = document["persistent_replay"]
-    print(
-        f"persistent replay: {replay['replay_ns_per_start']:,.0f} ns/start vs "
-        f"{replay['blocking_ns_per_start']:,.0f} ns blocking setup "
-        f"({replay['amortization_speedup']:.1f}x amortization, "
-        f"{replay['starts']} starts of {replay['nbytes']} B broadcasts)"
-    )
-    compiled = document["compiled_replay"]
-    if compiled is None:
-        print("compiled replay: skipped (--no-replay)")
-    else:
-        drift = "identical" if compiled["cells_identical"] else "DRIFT DETECTED"
-        print(
-            f"compiled replay: {compiled['events_per_second_effective']:,.0f} "
-            f"effective events/s vs {compiled['events_per_second_slow']:,.0f} slow "
-            f"({compiled['speedup']:.1f}x, {compiled['replay_hits']} hits / "
-            f"{compiled['replay_misses']} misses, "
-            f"{compiled['nbytes']} B allreduce windows, digests {drift})"
-        )
-    if args.json_out:
-        text = json.dumps(document, indent=1, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote kernel self-benchmark to {args.json_out}")
-    return 0
-
-
 def _write_regression_trace(cell, path: str) -> None:
     """Re-run the worst regressed cell and write its Perfetto trace."""
-    from repro.bench.runner import looped_program, operation_body
     from repro.bench.snapshot import cell_seed
     from repro.obs.export import chrome_trace, write_json
 
@@ -488,16 +428,12 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.bench.tune import TUNABLE_OPERATIONS, run_tune
 
-    operations = tuple(op.strip() for op in args.ops.split(",") if op.strip())
-    progress = None
-    if not args.quiet:
-        progress = lambda text: print(f"  tune {text}", flush=True)  # noqa: E731
     document = run_tune(
         out=args.out,
         dry_run=args.dry_run,
-        operations=operations or TUNABLE_OPERATIONS,
+        operations=_csv(args.ops) or TUNABLE_OPERATIONS,
         label=args.label,
-        progress=progress,
+        progress=_progress(args, "tune"),
         jobs=args.jobs,
     )
     decided = sum(
@@ -522,16 +458,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.bench.figures import calibration_scatter
     from repro.obs.calib import run_calibrate
 
-    operations = tuple(op.strip() for op in args.ops.split(",") if op.strip())
-    progress = None
-    if not args.quiet and args.out != "-":
-        progress = lambda text: print(f"  calibrate {text}", flush=True)  # noqa: E731
     document = run_calibrate(
         out=args.out,
         quick=args.quick,
-        operations=operations or None,
+        operations=_csv(args.ops) or None,
         label=args.label,
-        progress=progress,
+        progress=_progress(args, "calibrate", args.out),
         jobs=args.jobs,
         tuned_table=args.tuned_table,
     )
@@ -552,10 +484,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import build_report, run_mutation_smoke, run_verify, write_report
     from repro.verify.runner import VERIFY_OPERATIONS, default_grid, quick_grid
 
-    progress = None
-    if not args.quiet:
-        progress = lambda text: print(f"  verify {text}", flush=True)  # noqa: E731
-
+    progress = _progress(args, "verify")
     if args.smoke:
         body = run_mutation_smoke(seed=args.seed, progress=progress)
         report = build_report(body, label=args.label)
@@ -570,7 +499,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 0 if body["ok"] else 1
 
-    operations = tuple(op.strip() for op in args.ops.split(",") if op.strip())
+    operations = _csv(args.ops)
     for operation in operations:
         if operation not in VERIFY_OPERATIONS:
             print(f"unknown operation {operation!r}", file=sys.stderr)
@@ -578,10 +507,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.quick:
         cells = [cell for cell in quick_grid() if cell.operation in operations]
     else:
-        node_counts = tuple(int(n) for n in args.nodes.split(",") if n.strip())
-        proc_counts = tuple(int(p) for p in args.procs.split(",") if p.strip())
         cells = default_grid(
-            node_counts=node_counts, proc_counts=proc_counts, operations=operations
+            node_counts=_csv(args.nodes, int),
+            proc_counts=_csv(args.procs, int),
+            operations=operations,
         )
     metrics = MetricsRegistry()
     body = run_verify(
@@ -711,12 +640,9 @@ def _figure_specs(wanted: typing.Sequence[int]) -> list[tuple]:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    import os
-
     from repro.bench import warm_cache
 
-    if args.full:
-        os.environ["REPRO_BENCH_FULL"] = "1"
+    _use_full_grid(args)
     wanted = [args.fig] if args.fig else [6, 7, 8, 9, 10, 11, 12]
     if args.jobs != 1:
         # Fan the figures' grid points over the pool first; the renderers
@@ -738,14 +664,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    import os
-
     from repro.bench.export import collect_sweep, to_csv, to_json
 
-    if args.full:
-        os.environ["REPRO_BENCH_FULL"] = "1"
-    operations = tuple(op.strip() for op in args.ops.split(",") if op.strip())
-    measurements = collect_sweep(operations=operations, jobs=args.jobs)
+    _use_full_grid(args)
+    measurements = collect_sweep(operations=_csv(args.ops), jobs=args.jobs)
     text = to_csv(measurements) if args.format == "csv" else to_json(measurements)
     if args.out == "-":
         print(text, end="")
@@ -793,7 +715,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     figures.set_defaults(handler=_cmd_figures)
 
     compare = commands.add_parser("compare", help="one data point across all stacks")
-    compare.add_argument("--op", default="broadcast", choices=["broadcast", "reduce", "allreduce", "barrier"])
+    compare.add_argument("--op", default="broadcast", choices=OPERATIONS)
     compare.add_argument("--bytes", type=int, default=16384)
     compare.add_argument("--nodes", type=int, default=8)
     compare.add_argument("--tasks", type=int, default=16)
@@ -801,7 +723,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     compare.set_defaults(handler=_cmd_compare)
 
     trace = commands.add_parser("trace", help="run one collective and print its timeline")
-    trace.add_argument("--op", default="broadcast", choices=["broadcast", "reduce", "allreduce", "barrier"])
+    trace.add_argument("--op", default="broadcast", choices=OPERATIONS)
     trace.add_argument("--bytes", type=int, default=8192)
     trace.add_argument("--nodes", type=int, default=2)
     trace.add_argument("--tasks", type=int, default=4)
@@ -816,7 +738,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     profile = commands.add_parser(
         "profile", help="run one collective and print its critical-path breakdown"
     )
-    profile.add_argument("--op", default="allreduce", choices=["broadcast", "reduce", "allreduce", "barrier"])
+    profile.add_argument("--op", default="allreduce", choices=OPERATIONS)
     profile.add_argument("--bytes", type=int, default=16384)
     profile.add_argument("--nodes", type=int, default=8)
     profile.add_argument("--tasks", type=int, default=16)
@@ -841,24 +763,13 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         "bench", help="run the snapshot grid and write a telemetry snapshot"
     )
     bench.add_argument(
-        "--json-out", default=None,
-        help="output path ('-' = stdout; default BENCH_head.json, "
-        "or nothing for --self)",
+        "--json-out", default="BENCH_head.json",
+        help="output path ('-' = stdout; default BENCH_head.json)",
     )
     bench.add_argument("--label", default="head", help="label stored in the snapshot")
-    bench.add_argument("--ops", default="broadcast,reduce,allreduce,barrier")
+    bench.add_argument("--ops", default=",".join(OPERATIONS))
     bench.add_argument("--full", action="store_true", help="use the full paper grid")
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
-    bench.add_argument(
-        "--self", dest="self_bench", action="store_true",
-        help="measure kernel wall-clock throughput (events/second) instead "
-        "of running the grid",
-    )
-    bench.add_argument(
-        "--no-replay", dest="no_replay", action="store_true",
-        help="escape hatch: skip the compiled-schedule replay scenario "
-        "(with --self)",
-    )
     add_jobs(bench)
     bench.set_defaults(handler=_cmd_bench)
 
@@ -900,7 +811,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     )
     tune.add_argument("-o", "--out", default="TUNED.json", help="decision-table path")
     tune.add_argument("--label", default="tuned", help="label stored in the table")
-    tune.add_argument("--ops", default="broadcast,reduce,allreduce,allgather")
+    tune.add_argument(
+        "--ops", default="", help="comma-separated operations (default: every tunable one)"
+    )
     tune.add_argument(
         "--dry-run", action="store_true",
         help="sweep a micro-grid, validate the document round-trips, write nothing",
@@ -918,7 +831,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         help="calibration-report path ('-' = stdout)",
     )
     calibrate.add_argument("--label", default="calibration", help="label stored in the report")
-    calibrate.add_argument("--ops", default="broadcast,reduce,allreduce,allgather")
+    calibrate.add_argument(
+        "--ops", default="", help="comma-separated operations (default: every tunable one)"
+    )
     calibrate.add_argument(
         "--quick", action="store_true",
         help="CI-sized micro-grid that still spans the 8KB/16KB §2.4 switch points",
@@ -942,7 +857,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         "--procs", default="2,3",
         help="comma-separated tasks-per-node counts (default 2,3)",
     )
-    verify.add_argument("--ops", default="broadcast,reduce,allreduce,barrier")
+    verify.add_argument("--ops", default=",".join(OPERATIONS))
     verify.add_argument(
         "--schedules", type=int, default=56,
         help="distinct-schedule target per cell (default 56)",
@@ -982,7 +897,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     export = commands.add_parser("export", help="write the sweep grid as CSV/JSON")
     export.add_argument("--format", default="csv", choices=["csv", "json"])
     export.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    export.add_argument("--ops", default="broadcast,reduce,allreduce,barrier")
+    export.add_argument("--ops", default=",".join(OPERATIONS))
     export.add_argument("--full", action="store_true", help="use the full paper grid")
     add_jobs(export)
     export.set_defaults(handler=_cmd_export)

@@ -694,7 +694,14 @@ class TunedPolicy(SelectionPolicy):
             raise ConfigurationError("tuned-policy document has no decision table")
         for op, rows_by_nodes in table.items():
             for nodes_key, rows in rows_by_nodes.items():
-                int(nodes_key)  # keys are stringified node counts (JSON)
+                # Keys are stringified node counts (JSON); select() takes
+                # their log2 and falls back to the last row of the list.
+                if int(nodes_key) < 1:
+                    raise ConfigurationError(
+                        f"tuned table {op}@{nodes_key}: node count must be >= 1"
+                    )
+                if not rows:
+                    raise ConfigurationError(f"tuned table {op}@{nodes_key}: no rows")
                 for row in rows:
                     nbytes, name = row[0], row[1]
                     if nbytes < 0:

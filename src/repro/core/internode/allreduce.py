@@ -35,29 +35,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.mpi.ops import ReduceOp
 
-__all__ = ["srm_allreduce", "reserve_allreduce", "allreduce_body"]
+__all__ = ["reserve_allreduce", "allreduce_body"]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
 
 def _bytes(buffer: np.ndarray) -> np.ndarray:
     return buffer.reshape(-1).view(np.uint8)
-
-
-def srm_allreduce(
-    ctx: SRMContext,
-    task: "Task",
-    src: np.ndarray,
-    dst: np.ndarray,
-    op: "ReduceOp",
-) -> ProcessGenerator:
-    """One rank's part of an SRM allreduce (result in every ``dst``)."""
-    ctx.validate("allreduce", src.nbytes, task.rank)
-    if dst.nbytes != src.nbytes:
-        raise ValueError(f"allreduce dst ({dst.nbytes} B) must match src ({src.nbytes} B)")
-    decision = ctx.dispatch("allreduce", src.nbytes, task)
-    invocation = reserve_allreduce(ctx, task, decision, src.nbytes)
-    yield from allreduce_body(ctx, task, src, dst, op, decision, invocation)
 
 
 def _pipeline_chunks(ctx: SRMContext, decision: "Decision", nbytes: int) -> list[tuple[int, int]]:

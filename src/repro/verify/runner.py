@@ -29,9 +29,9 @@ import typing
 import numpy as np
 
 from repro.core import SRM, SRMConfig
+from repro.core.programs import PROGRAMS, Program, program_for
 from repro.errors import ReproError, VerificationError
 from repro.machine import ClusterSpec, CostModel, Machine
-from repro.mpi.ops import SUM
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.scheduler import Scheduler
 from repro.verify.explorer import ScheduleOutcome, explore_cell
@@ -48,8 +48,8 @@ __all__ = [
     "run_mutation_smoke",
 ]
 
-#: Operations covered by the verification grid (the paper's common set).
-VERIFY_OPERATIONS = ("broadcast", "reduce", "allreduce", "barrier")
+#: Operations covered by the verification grid: every row of the table.
+VERIFY_OPERATIONS = tuple(PROGRAMS)
 
 #: One representative size per protocol regime (see module docstring).
 REGIME_SIZES: dict[str, int] = {"small": 2048, "pipelined": 16384, "large": 81920}
@@ -90,15 +90,16 @@ def default_grid(
 ) -> list[Cell]:
     """The standard grid: 2–4 nodes × 2–4 procs × all ops × all regimes.
 
-    Barrier moves no data, so it contributes one cell per shape regardless
-    of the regime list.
+    An operation that moves no data (barrier) contributes one cell per
+    shape regardless of the regime list.
     """
+    moves_data = {operation: program_for(operation).moves_data for operation in operations}
     cells: list[Cell] = []
     for nodes in node_counts:
         for procs in proc_counts:
             for operation in operations:
-                if operation == "barrier":
-                    cells.append(Cell(nodes, procs, "barrier", "none", 0))
+                if not moves_data[operation]:
+                    cells.append(Cell(nodes, procs, operation, "none", 0))
                     continue
                 for regime in regimes:
                     cells.append(Cell(nodes, procs, operation, regime, REGIME_SIZES[regime]))
@@ -106,11 +107,13 @@ def default_grid(
     # grid, every operation, both overlap modes — two outstanding invocations
     # of one persistent plan, and two plans in flight on one group.
     nodes, procs = node_counts[0], proc_counts[-1]
+    small = {
+        operation: ("small", REGIME_SIZES["small"]) if moves_data[operation] else ("none", 0)
+        for operation in operations
+    }
     for operation in operations:
-        regime = "none" if operation == "barrier" else "small"
-        nbytes = 0 if operation == "barrier" else REGIME_SIZES["small"]
         for overlap in ("plan2", "plans"):
-            cells.append(Cell(nodes, procs, operation, regime, nbytes, overlap))
+            cells.append(Cell(nodes, procs, operation, *small[operation], overlap))
     # Compiled-replay windows (the trace cache): repeated persistent starts
     # driven from outside the engine, where the reference run replays the
     # recorded schedule while every explored schedule re-drives the slow
@@ -118,11 +121,9 @@ def default_grid(
     # ``replay-rebind`` variant rebinds the plans to fresh buffers midway,
     # exercising trace invalidation (barrier has no buffers to rebind).
     for operation in operations:
-        regime = "none" if operation == "barrier" else "small"
-        nbytes = 0 if operation == "barrier" else REGIME_SIZES["small"]
-        cells.append(Cell(nodes, procs, operation, regime, nbytes, "replay"))
-        if operation != "barrier":
-            cells.append(Cell(nodes, procs, operation, regime, nbytes, "replay-rebind"))
+        cells.append(Cell(nodes, procs, operation, *small[operation], "replay"))
+        if moves_data[operation]:
+            cells.append(Cell(nodes, procs, operation, *small[operation], "replay-rebind"))
     return cells
 
 
@@ -150,237 +151,25 @@ def quick_grid() -> list[Cell]:
 # ---------------------------------------------------------------------------
 
 
-def _expected_sum(total_tasks: int, count: int) -> np.ndarray:
-    """Analytic truth for sum-reductions of ``full(count, rank + 1)``."""
-    return np.full(count, float(total_tasks * (total_tasks + 1) // 2))
-
-
-def _digest(arrays: typing.Iterable[np.ndarray]) -> str:
-    hasher = hashlib.blake2b(digest_size=16)
-    for array in arrays:
-        hasher.update(np.ascontiguousarray(array).tobytes())
-    return hasher.hexdigest()
-
-
 #: Windows per replay cell and the window index at which ``replay-rebind``
 #: swaps every plan onto fresh buffers.  Six windows cover the record, the
 #: self-healing re-record, and steady-state replays of both slot parities.
 REPLAY_WINDOWS = 6
 REPLAY_REBIND_AT = 3
 
-
-def _run_replay_windows(
-    cell: Cell,
-    machine: Machine,
-    srm: SRM,
-    verifier: Verifier,
-    scheduler: Scheduler | None,
-    fault_plan: FaultPlan | None,
-    total: int,
-    count: int,
-) -> ScheduleOutcome:
-    """Drive a replay cell: repeated persistent windows from outside the engine.
-
-    Unlike the launch-driven cells, each window issues every rank's
-    ``start()`` while the engine is idle and then runs to quiescence — the
-    shape under which the compiled-schedule cache engages.  The reference
-    run (no scheduler, no faults) replays recorded traces; explored
-    schedules re-drive the slow path, so the cell's digest-invariance check
-    doubles as a replay-vs-slow-path differential.  ``replay-rebind``
-    additionally rebinds every plan to fresh buffers mid-sequence, which
-    must invalidate the cached traces (the ``stale-compiled-schedule``
-    mutation breaks exactly that and must be caught here).
-    """
-    engine = machine.engine
-    nbytes = max(1, cell.nbytes)
-
-    def allocate() -> tuple[dict, dict, dict, np.ndarray]:
-        buffers = {r: np.zeros(nbytes, dtype=np.uint8) for r in range(total)}
-        sources = {r: np.full(count, float(r + 1)) for r in range(total)}
-        destinations = {r: np.zeros(count) for r in range(total)}
-        return buffers, sources, destinations, np.zeros(count)
-
-    def build_plans(buffers, sources, destinations, reduce_dst) -> dict:
-        plans = {}
-        for rank in range(total):
-            task = machine.task(rank)
-            if cell.operation == "broadcast":
-                plans[rank] = srm.plan_broadcast(task, buffers[rank], root=0)
-            elif cell.operation == "reduce":
-                dst = reduce_dst if rank == 0 else None
-                plans[rank] = srm.plan_reduce(task, sources[rank], dst, SUM, root=0)
-            elif cell.operation == "allreduce":
-                plans[rank] = srm.plan_allreduce(
-                    task, sources[rank], destinations[rank], SUM
-                )
-            elif cell.operation == "barrier":
-                plans[rank] = srm.plan_barrier(task)
-            else:
-                raise VerificationError(f"unknown operation {cell.operation!r}")
-        return plans
-
-    def rebind_plans(plans, buffers, sources, destinations, reduce_dst) -> None:
-        for rank in range(total):
-            if cell.operation == "broadcast":
-                plans[rank].rebind(buffers[rank])
-            elif cell.operation == "reduce":
-                plans[rank].rebind(sources[rank], reduce_dst if rank == 0 else None)
-            elif cell.operation == "allreduce":
-                plans[rank].rebind(sources[rank], destinations[rank])
-
-    buffers, sources, destinations, reduce_dst = allocate()
-    plans = build_plans(buffers, sources, destinations, reduce_dst)
-    rebind_at = REPLAY_REBIND_AT if cell.overlap == "replay-rebind" else None
-
-    error: str | None = None
-    start = engine.now
-    violations: list[dict] = []
-    hasher = hashlib.blake2b(digest_size=16)
-    try:
-        for window in range(REPLAY_WINDOWS):
-            if rebind_at is not None and window == rebind_at:
-                buffers, sources, destinations, reduce_dst = allocate()
-                rebind_plans(plans, buffers, sources, destinations, reduce_dst)
-            fill = (7 + 31 * window) % 251
-            if cell.operation == "broadcast":
-                buffers[0][:] = fill
-            elif cell.operation in ("reduce", "allreduce"):
-                sources[0][:] = float(window + 1)
-            requests = [plans[rank].start() for rank in range(total)]
-            engine.run()
-            for request in requests:
-                if not request.completed:
-                    raise VerificationError(
-                        f"window {window}: {request.describe()} incomplete "
-                        "after the engine drained"
-                    )
-            if cell.operation == "broadcast":
-                results = [buffers[r] for r in range(total)]
-                truth_ok = all(np.all(buf == fill) for buf in results)
-            elif cell.operation == "reduce":
-                expected = _expected_sum(total, count) + float(window)
-                results = [reduce_dst]
-                truth_ok = bool(np.array_equal(reduce_dst, expected))
-            elif cell.operation == "allreduce":
-                expected = _expected_sum(total, count) + float(window)
-                results = [destinations[r] for r in range(total)]
-                truth_ok = all(np.array_equal(dst, expected) for dst in results)
-            else:  # barrier: completion is the result
-                results = []
-                truth_ok = True
-            for array in results:
-                hasher.update(np.ascontiguousarray(array).tobytes())
-            if not truth_ok:
-                violations.append(
-                    {
-                        "rule": "result-mismatch",
-                        "subject": cell.cell_id,
-                        "time": engine.now - start,
-                        "detail": (
-                            f"window {window} data disagrees with the analytic "
-                            "truth"
-                        ),
-                    }
-                )
-    except ReproError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed = engine.now - start
-
-    manager = engine.trace
-    if (
-        error is None
-        and scheduler is None
-        and fault_plan is None
-        and srm.config.compiled_replay
-        and (manager is None or manager.hit_count == 0)
-    ):
-        # A replay cell whose reference run never replayed is vacuous —
-        # flag it rather than silently verifying only the slow path.
-        violations.append(
-            {
-                "rule": "replay-not-engaged",
-                "subject": cell.cell_id,
-                "time": elapsed,
-                "detail": "no compiled-schedule cache hit across the window sequence",
-            }
-        )
-    violations.extend(violation.as_dict() for violation in verifier.violations)
-    digest = hasher.hexdigest() if error is None and cell.operation != "barrier" else ""
-    signature = scheduler.signature() if scheduler is not None else "default"
-    return ScheduleOutcome(
-        explorer=scheduler.name if scheduler is not None else "default",
-        signature=signature,
-        digest=digest,
-        elapsed=elapsed,
-        violations=violations,
-        error=error,
-        injected=dict(fault_plan.injected) if fault_plan is not None else None,
-    )
+#: What running a cell yields: each finished window's index and the run
+#: holding that window's results.
+Windows = typing.Iterator[tuple[int, Program]]
 
 
-def run_cell_once(
-    cell: Cell,
-    scheduler: Scheduler | None,
-    fault_plan: FaultPlan | None = None,
-    srm_config: SRMConfig | None = None,
-) -> ScheduleOutcome:
-    """Execute ``cell`` once under ``scheduler`` (+ optional faults).
-
-    Returns the outcome: the schedule signature, the result digest, every
-    invariant violation the attached :class:`Verifier` recorded, and — when
-    the run ended in a deadlock or protocol error — the error text.  A
-    ``result-mismatch`` pseudo-violation is appended when the final data
-    disagrees with the analytic truth.
-    """
-    spec = ClusterSpec(nodes=cell.nodes, tasks_per_node=cell.procs)
-    machine = Machine(spec, cost=CostModel.ibm_sp_colony(), seed=0, scheduler=scheduler)
-    verifier = Verifier()
-    machine.engine.verifier = verifier
-    if fault_plan is not None:
-        fault_plan.reset()
-        machine.engine.faults = fault_plan
-    srm = SRM(machine, config=srm_config)
-    total = spec.total_tasks
-    count = max(1, cell.nbytes // 8)
-
-    if cell.overlap in ("replay", "replay-rebind"):
-        return _run_replay_windows(
-            cell, machine, srm, verifier, scheduler, fault_plan, total, count
-        )
-
-    bcast_buffers = {r: np.zeros(max(1, cell.nbytes), dtype=np.uint8) for r in range(total)}
-    bcast_buffers[0][:] = 7
-    sources = {r: np.full(count, float(r + 1)) for r in range(total)}
-    destinations = {r: np.zeros(count) for r in range(total)}
-    reduce_dst = np.zeros(count)
-
-    def body(task) -> typing.Any:
-        if cell.operation == "broadcast":
-            yield from srm.broadcast(task, bcast_buffers[task.rank], root=0)
-        elif cell.operation == "reduce":
-            dst = reduce_dst if task.rank == 0 else None
-            yield from srm.reduce(task, sources[task.rank], dst, SUM, root=0)
-        elif cell.operation == "allreduce":
-            yield from srm.allreduce(task, sources[task.rank], destinations[task.rank], SUM)
-        elif cell.operation == "barrier":
-            yield from srm.barrier(task)
-        else:
-            raise VerificationError(f"unknown operation {cell.operation!r}")
-
-    def make_plan(task) -> typing.Any:
-        if cell.operation == "broadcast":
-            return srm.plan_broadcast(task, bcast_buffers[task.rank], root=0)
-        if cell.operation == "reduce":
-            dst = reduce_dst if task.rank == 0 else None
-            return srm.plan_reduce(task, sources[task.rank], dst, SUM, root=0)
-        if cell.operation == "allreduce":
-            return srm.plan_allreduce(task, sources[task.rank], destinations[task.rank], SUM)
-        if cell.operation == "barrier":
-            return srm.plan_barrier(task)
-        raise VerificationError(f"unknown operation {cell.operation!r}")
+def _launch_windows(
+    cell: Cell, machine: Machine, srm: SRM, run: Program, fault_plan: FaultPlan | None
+) -> Windows:
+    """Drive a launch cell as one window: :data:`ITERATIONS` blocking calls
+    per rank, or two overlapping plan starts per rank (``plan2``/``plans``)."""
 
     def overlapped(task) -> typing.Any:
-        plan = make_plan(task)
+        plan = run.plan(srm, task)
         if cell.overlap == "plan2":
             # Two outstanding invocations of one plan before either wait.
             first, second = plan.start(), plan.start()
@@ -401,17 +190,98 @@ def run_cell_once(
             yield from overlapped(task)
             return
         for _ in range(ITERATIONS):
-            yield from body(task)
+            yield from run.call(srm, task)
 
+    machine.launch(program)
+    yield 0, run
+
+
+def _replay_windows(cell: Cell, machine: Machine, srm: SRM, run: Program) -> Windows:
+    """Drive a replay cell: repeated persistent windows from outside the engine.
+
+    Unlike the launch-driven cells, each window issues every rank's
+    ``start()`` while the engine is idle and then runs to quiescence — the
+    shape under which the compiled-schedule cache engages.  The reference
+    run (no scheduler, no faults) replays recorded traces; explored
+    schedules re-drive the slow path, so the cell's digest-invariance check
+    doubles as a replay-vs-slow-path differential.  ``replay-rebind``
+    additionally rebinds every plan to fresh buffers mid-sequence, which
+    must invalidate the cached traces (the ``stale-compiled-schedule``
+    mutation breaks exactly that and must be caught here).
+    """
+    engine = machine.engine
+    total = machine.spec.total_tasks
+    plans = [run.plan(srm, machine.task(rank)) for rank in range(total)]
+    for window in range(REPLAY_WINDOWS):
+        if cell.overlap == "replay-rebind" and window == REPLAY_REBIND_AT:
+            run = type(run)(total, cell.nbytes)
+            for plan in plans:
+                run.rebind(plan)
+        run.refill(window)
+        requests = [plan.start() for plan in plans]
+        engine.run()
+        for request in requests:
+            if not request.completed:
+                raise VerificationError(
+                    f"window {window}: {request.describe()} incomplete "
+                    "after the engine drained"
+                )
+        yield window, run
+
+
+def run_cell_once(
+    cell: Cell,
+    scheduler: Scheduler | None,
+    fault_plan: FaultPlan | None = None,
+    srm_config: SRMConfig | None = None,
+) -> ScheduleOutcome:
+    """Execute ``cell`` once under ``scheduler`` (+ optional faults).
+
+    Returns the outcome: the schedule signature, the result digest, every
+    invariant violation the attached :class:`Verifier` recorded, and — when
+    the run ended in a deadlock or protocol error — the error text.  A
+    ``result-mismatch`` pseudo-violation is appended for every window whose
+    data disagrees with the analytic truth.
+    """
+    spec = ClusterSpec(nodes=cell.nodes, tasks_per_node=cell.procs)
+    machine = Machine(spec, cost=CostModel.ibm_sp_colony(), seed=0, scheduler=scheduler)
+    engine = machine.engine
+    verifier = Verifier()
+    engine.verifier = verifier
+    if fault_plan is not None:
+        fault_plan.reset()
+        engine.faults = fault_plan
+    srm = SRM(machine, config=srm_config)
+    run = program_for(cell.operation)(spec.total_tasks, cell.nbytes)
+    replay = cell.overlap in ("replay", "replay-rebind")
+
+    if replay:
+        windows = _replay_windows(cell, machine, srm, run)
+    else:
+        windows = _launch_windows(cell, machine, srm, run, fault_plan)
+
+    start = engine.now
+    hasher = hashlib.blake2b(digest_size=16)
+    mismatches: list[dict] = []
     error: str | None = None
-    start = machine.engine.now
     try:
-        machine.launch(program)
+        for window, finished in windows:
+            for array in finished.results():
+                hasher.update(np.ascontiguousarray(array).tobytes())
+            if not finished.truth(window):
+                mismatches.append(
+                    {
+                        "rule": "result-mismatch",
+                        "subject": cell.cell_id,
+                        "time": engine.now - start,
+                        "detail": f"window {window} data disagrees with the analytic truth",
+                    }
+                )
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
     except RecursionError as exc:  # pragma: no cover - mutant safety net
         error = f"RecursionError: {exc}"
-    elapsed = machine.engine.now - start
+    elapsed = engine.now - start
 
     violations = [violation.as_dict() for violation in verifier.violations]
     if verifier.dropped:
@@ -423,35 +293,33 @@ def run_cell_once(
                 "detail": f"{verifier.dropped} further violation(s) not recorded",
             }
         )
+    violations.extend(mismatches)
+    manager = engine.trace
+    if (
+        replay
+        and error is None
+        and scheduler is None
+        and fault_plan is None
+        and srm.config.compiled_replay
+        and (manager is None or manager.hit_count == 0)
+    ):
+        # A replay cell whose reference run never replayed is vacuous —
+        # flag it rather than silently verifying only the slow path.
+        violations.append(
+            {
+                "rule": "replay-not-engaged",
+                "subject": cell.cell_id,
+                "time": elapsed,
+                "detail": "no compiled-schedule cache hit across the window sequence",
+            }
+        )
+    # Replay windows of an operation without data carry no digest at all.
     digest = ""
-    if error is None:
-        if cell.operation == "broadcast":
-            results = [bcast_buffers[r] for r in range(total)]
-            truth_ok = all(np.all(buf == 7) for buf in results)
-        elif cell.operation == "reduce":
-            results = [reduce_dst]
-            truth_ok = bool(np.array_equal(reduce_dst, _expected_sum(total, count)))
-        elif cell.operation == "allreduce":
-            expected = _expected_sum(total, count)
-            results = [destinations[r] for r in range(total)]
-            truth_ok = all(np.array_equal(dst, expected) for dst in results)
-        else:  # barrier: completion is the result
-            results = []
-            truth_ok = True
-        digest = _digest(results)
-        if not truth_ok:
-            violations.append(
-                {
-                    "rule": "result-mismatch",
-                    "subject": cell.cell_id,
-                    "time": elapsed,
-                    "detail": "final data disagrees with the analytic truth",
-                }
-            )
-    signature = scheduler.signature() if scheduler is not None else "default"
+    if error is None and (run.moves_data or not replay):
+        digest = hasher.hexdigest()
     return ScheduleOutcome(
         explorer=scheduler.name if scheduler is not None else "default",
-        signature=signature,
+        signature=scheduler.signature() if scheduler is not None else "default",
         digest=digest,
         elapsed=elapsed,
         violations=violations,
@@ -493,7 +361,7 @@ def run_cell(
         violations.extend(outcome.violations)
         if outcome.error is not None:
             errors += 1
-        elif cell.operation != "barrier" and outcome.digest != reference.digest:
+        elif outcome.digest != reference.digest:
             divergences += 1
             violations.append(
                 {

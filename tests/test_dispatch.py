@@ -268,6 +268,18 @@ def test_tuned_policy_validates_document():
         TunedPolicy(_tuned_document({"broadcast": {"4": [[1024, "telepathy"]]}}))
 
 
+def test_tuned_policy_rejects_zero_node_count_at_load():
+    # select() would take log2(0) at the first dispatch.
+    with pytest.raises(ConfigurationError, match="broadcast@0"):
+        TunedPolicy(_tuned_document({"broadcast": {"0": [[1024, "small"]]}}))
+
+
+def test_tuned_policy_rejects_empty_row_list_at_load():
+    # select() would index the last row of an empty list at the first dispatch.
+    with pytest.raises(ConfigurationError, match="allreduce@4"):
+        TunedPolicy(_tuned_document({"allreduce": {"4": []}}))
+
+
 def test_tuned_policy_load_round_trip(tmp_path):
     path = tmp_path / "tuned.json"
     path.write_text(

@@ -3,10 +3,10 @@
 The contract under test (:mod:`repro.core.replay`):
 
 * a persistent plan's repeated ``start()``/``run()`` windows are recorded
-  once and then replayed by the vectorized kernel — with buffers, engine
-  clock, and event outcomes **byte-identical** to re-driving the slow path
-  (the differential property test randomizes op, dtype, size, shape, root,
-  and invalidation interleavings);
+  once and then replayed by the vectorized kernel — with buffers and event
+  outcomes **byte-identical** to re-driving the slow path, and the engine
+  clock equal within float rounding (the differential property test
+  randomizes op, dtype, size, shape, root, and invalidation interleavings);
 * ``replay.hits`` / ``replay.misses`` count the cache decisions, and
   ``SRMConfig(compiled_replay=False)`` — the ``--no-replay`` escape hatch —
   keeps the engine untouched;
@@ -59,7 +59,8 @@ def drive_window(machine, plans):
 @given(
     op=st.sampled_from(["broadcast", "reduce", "allreduce", "barrier"]),
     dtype=st.sampled_from([np.uint8, np.float64]),
-    nbytes=st.sampled_from([16, 512, 4096]),
+    # 16 KB runs the pipelined regime; 64 KB is the largest pipelined size.
+    nbytes=st.sampled_from([16, 512, 4096, 16384, 65536]),
     procs=st.integers(min_value=2, max_value=3),
     root_seed=st.integers(min_value=0, max_value=7),
     invalidate_at=st.sampled_from([None, 2]),

@@ -1,5 +1,7 @@
 """Unit tests for the verification harness (invariants, faults, explorer)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,20 @@ def test_alias_invocation_slot_mutation_detected_on_overlap_cell():
         entry = run_cell(overlap, schedules=4, seed=0, faults=False)
     assert clean.error is None and not clean.violations
     assert entry["violation_count"] > 0 or entry["errors"] > 0
+
+
+def test_replay_cell_reports_violations_the_cap_dropped(monkeypatch):
+    """Replay cells assemble their outcome like launch cells: violations
+    past the verifier's recording cap are reported as truncated."""
+    monkeypatch.setattr(
+        "repro.verify.runner.Verifier", functools.partial(Verifier, max_violations=1)
+    )
+    cell = Cell(2, 3, "broadcast", "small", 2048, overlap="replay")
+    with apply_mutation("skip-ready-wait"):
+        outcome = run_cell_once(cell, scheduler=None)
+    rules = [violation["rule"] for violation in outcome.violations]
+    assert rules.count("read-before-ready") == 1
+    assert "violations-truncated" in rules
 
 
 def test_mutations_unpatch_cleanly():
