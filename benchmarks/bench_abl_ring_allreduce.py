@@ -12,7 +12,7 @@ sizes (latency-bound), the ring takes over for multi-megabyte payloads.
 import numpy as np
 
 from repro.bench import build, format_bytes, format_us, print_table, time_operation
-from repro.core import SRMConfig
+from repro.core import FixedPolicy
 from repro.machine import ClusterSpec
 
 NODES = 16
@@ -21,9 +21,7 @@ SIZES = (64 * 1024, 512 * 1024, 2 * 1024 * 1024, 8 * 1024 * 1024)
 
 def _timed(algorithm: str, nbytes: int) -> float:
     spec = ClusterSpec(nodes=NODES, tasks_per_node=16)
-    machine, srm = build(
-        "srm", spec, srm_config=SRMConfig(allreduce_algorithm=algorithm)
-    )
+    machine, srm = build("srm", spec, policy=FixedPolicy({"allreduce": algorithm}))
     return time_operation(machine, srm, "allreduce", nbytes, repeats=2, warmup=1).seconds
 
 

@@ -12,11 +12,11 @@ binomial for tiny latency-bound messages (the postal-model regime, since a
 LAPI put's origin overhead is far below the wire latency).  The paper's
 empirical preference for binomial on the real SP is therefore asserted here
 in its defensible form: binomial is always within 30% of the best family,
-i.e. a safe universal default — and the family remains a config knob.
+i.e. a safe universal default — and the family remains a policy choice.
 """
 
 from repro.bench import build, format_bytes, format_us, print_table, time_operation
-from repro.core import SRMConfig
+from repro.core import FixedPolicy
 from repro.machine import ClusterSpec
 
 FAMILIES = ("binomial", "binary", "fibonacci")
@@ -26,7 +26,7 @@ NODES = 16
 
 def _time(family: str, operation: str, nbytes: int) -> float:
     spec = ClusterSpec(nodes=NODES, tasks_per_node=16)
-    machine, srm = build("srm", spec, srm_config=SRMConfig(inter_family=family))
+    machine, srm = build("srm", spec, policy=FixedPolicy({"inter-tree": family}))
     return time_operation(machine, srm, operation, nbytes, repeats=3, warmup=1).seconds
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.machine.cluster import Machine, Task
 from repro.sim.process import ProcessGenerator
 
@@ -185,6 +186,8 @@ class Tracer:
         max_lanes: int = 32,
     ) -> str:
         """ASCII gantt: one lane per rank, one block per active span."""
+        if width < 1:
+            raise ConfigurationError(f"timeline width must be >= 1 column, got {width}")
         spans = self.calls(operation)
         if not spans:
             return "(no spans recorded)"

@@ -18,6 +18,12 @@ staging capacity raised to the probe size), so the sweep explores choices
 the paper's thresholds would never make; candidates with no such hook that
 stay inapplicable (the ring families on one node) are skipped.
 
+:func:`race` is the one measurement of variants: ``tune`` turns its winners
+into the decision table, and ``calibrate`` (:mod:`repro.obs.calib`) scores
+the same race against the cost model and the dispatch policies.  A cell's
+winner is the lowest raw time; exact ties go to the variant registered
+first.
+
 The artifact reuses the ``bench.snapshot`` serialization discipline —
 sorted keys, the same cost-model identity fingerprint — so a tuned table
 records *which machine* it was measured on, and a later ``TunedPolicy``
@@ -46,12 +52,22 @@ from repro.core.dispatch import (
     FixedPolicy,
     SelectionEnv,
     TunedPolicy,
+    Variant,
+    lookup_variant,
     variants_for,
 )
 from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, CostModel, Machine
 
-__all__ = ["TUNABLE_OPERATIONS", "tune_cell", "collect_table", "run_tune"]
+__all__ = [
+    "TUNABLE_OPERATIONS",
+    "probe_config",
+    "tune_cell",
+    "race",
+    "decision_table",
+    "collect_table",
+    "run_tune",
+]
 
 #: Operations with more than one registered variant worth racing.  The
 #: single-variant ops (scatter/gather/alltoall/scan/barrier) have nothing to
@@ -77,6 +93,15 @@ def _allgather_body(machine: Machine, stack: SRM, nbytes: int) -> typing.Callabl
     return body
 
 
+def probe_config(entry: Variant, nbytes: int) -> SRMConfig:
+    """The config a probe of ``entry`` at ``nbytes`` runs (and is predicted) under:
+    the defaults, evolved by the variant's ``tune_config`` hook if it has one."""
+    config = SRMConfig()
+    if entry.tune_config is not None:
+        config = entry.tune_config(config, nbytes)
+    return config
+
+
 def tune_cell(
     operation: str,
     variant_name: str,
@@ -95,14 +120,8 @@ def tune_cell(
     and persistent plan caches never leak between probes.
     """
     base_cost = cost if cost is not None else CostModel.ibm_sp_colony()
-    entry = next(
-        (v for v in variants_for(operation) if v.name == variant_name), None
-    )
-    if entry is None:
-        raise ConfigurationError(f"unknown variant {operation}/{variant_name}")
-    config = SRMConfig()
-    if entry.tune_config is not None:
-        config = entry.tune_config(config, nbytes)
+    entry = lookup_variant(operation, variant_name)
+    config = probe_config(entry, nbytes)
     env = SelectionEnv(
         op=operation, nbytes=nbytes, nodes=nodes, ppn=tasks_per_node,
         config=config, cost=base_cost,
@@ -136,6 +155,79 @@ def _tune_worker(spec: tuple) -> float | None:
     )
 
 
+def race(
+    operations: typing.Sequence[str],
+    sizes: typing.Sequence[int],
+    nodes_axis: typing.Sequence[int],
+    tasks_per_node: int = 16,
+    repeats: int = 2,
+    progress: typing.Callable[[str], None] | None = None,
+    jobs: int = 1,
+) -> list[dict]:
+    """Time every registered variant at every (operation, nodes, size) cell.
+
+    Each probe runs :func:`tune_cell` under its :func:`probe_config` on a
+    fresh machine, so the race fans out over ``jobs`` workers and the result
+    is identical at any ``jobs`` setting.  Returns one entry per cell with
+    at least one runnable variant, in (sorted operation, nodes, size) order:
+    ``microseconds`` maps every registered variant, in registration order,
+    to its raw time (``None`` when it cannot run), and ``winner`` is the
+    lowest time, the first-registered variant on an exact tie.
+    """
+    for operation in operations:
+        if operation not in TUNABLE_OPERATIONS:
+            raise ConfigurationError(
+                f"operation {operation!r} is not tunable; "
+                f"choose from {TUNABLE_OPERATIONS}"
+            )
+    grid = [
+        (operation, nodes, nbytes)
+        for operation in sorted(operations)
+        for nodes in nodes_axis
+        for nbytes in sizes
+    ]
+    probes = [
+        (operation, entry.name, nbytes, nodes, tasks_per_node, repeats)
+        for operation, nodes, nbytes in grid
+        for entry in variants_for(operation)
+    ]
+    pool_progress = None
+    if progress is not None:
+
+        def pool_progress(spec: tuple, done: int, total: int) -> None:
+            operation, variant_name, nbytes, nodes = spec[:4]
+            progress(f"{operation}/{variant_name} {nbytes}B x{nodes} nodes")
+
+    measured = iter(run_grid(probes, _tune_worker, jobs=jobs, progress=pool_progress))
+    cells: list[dict] = []
+    for operation, nodes, nbytes in grid:
+        micros = {entry.name: next(measured) for entry in variants_for(operation)}
+        timed = {name: us for name, us in micros.items() if us is not None}
+        if not timed:
+            continue
+        cells.append(
+            {
+                "operation": operation,
+                "nodes": nodes,
+                "nbytes": nbytes,
+                "microseconds": micros,
+                # min() keeps the first of equal keys: registration order.
+                "winner": min(timed, key=timed.__getitem__),
+            }
+        )
+    return cells
+
+
+def decision_table(cells: typing.Sequence[dict]) -> dict[str, dict[str, list]]:
+    """``op -> nodes -> [[nbytes, winner, winner us], ...]`` from race cells."""
+    table: dict[str, dict[str, list]] = {}
+    for cell in cells:
+        rows = table.setdefault(cell["operation"], {}).setdefault(str(cell["nodes"]), [])
+        winner = cell["winner"]
+        rows.append([cell["nbytes"], winner, round(cell["microseconds"][winner], 3)])
+    return table
+
+
 def collect_table(
     operations: typing.Sequence[str] = TUNABLE_OPERATIONS,
     sizes: typing.Sequence[int] | None = None,
@@ -146,74 +238,19 @@ def collect_table(
     progress: typing.Callable[[str], None] | None = None,
     jobs: int = 1,
 ) -> dict:
-    """Sweep the grid and assemble one tuned-policy document.
+    """Race the grid and assemble one tuned-policy document.
 
-    Every candidate probe runs on its own fresh machine, so the race is
-    embarrassingly parallel: ``jobs`` fans the probes out over a worker
-    pool and the resulting decision table is byte-identical at any ``jobs``
-    setting (winners are decided from the same deterministic timings).
+    The decision table is byte-identical at any ``jobs`` setting (winners
+    are decided from the same deterministic timings).
     """
-    for operation in operations:
-        if operation not in TUNABLE_OPERATIONS:
-            raise ConfigurationError(
-                f"operation {operation!r} is not tunable; "
-                f"choose from {TUNABLE_OPERATIONS}"
-            )
     if sizes is None:
         sizes = bench_sizes()
     if nodes_axis is None:
         nodes_axis = bench_nodes()
-
-    probes: list[tuple] = []
-    for operation in sorted(operations):
-        for nodes in nodes_axis:
-            for nbytes in sizes:
-                for entry in variants_for(operation):
-                    probes.append(
-                        (operation, entry.name, nbytes, nodes, tasks_per_node, repeats)
-                    )
-    pool_progress = None
-    if progress is not None:
-
-        def pool_progress(spec: tuple, done: int, total: int) -> None:
-            operation, variant_name, nbytes, nodes = spec[:4]
-            progress(f"{operation}/{variant_name} {nbytes}B x{nodes} nodes")
-
-    measured = run_grid(probes, _tune_worker, jobs=jobs, progress=pool_progress)
-    micros_by_probe = {probe[:4]: micros for probe, micros in zip(probes, measured)}
-
-    table: dict[str, dict[str, list]] = {}
-    cells: list[dict] = []
-    for operation in sorted(operations):
-        rows_by_nodes: dict[str, list] = {}
-        for nodes in nodes_axis:
-            rows: list[list] = []
-            for nbytes in sizes:
-                timings: dict[str, float] = {}
-                for entry in variants_for(operation):
-                    micros = micros_by_probe[(operation, entry.name, nbytes, nodes)]
-                    if micros is not None:
-                        timings[entry.name] = micros
-                if not timings:
-                    continue
-                winner = min(timings, key=lambda name: timings[name])
-                rows.append([nbytes, winner, round(timings[winner], 3)])
-                cells.append(
-                    {
-                        "operation": operation,
-                        "nbytes": nbytes,
-                        "nodes": nodes,
-                        "winner": winner,
-                        "microseconds": {
-                            name: round(micros, 3)
-                            for name, micros in sorted(timings.items())
-                        },
-                    }
-                )
-            if rows:
-                rows_by_nodes[str(nodes)] = rows
-        if rows_by_nodes:
-            table[operation] = rows_by_nodes
+    cells = race(
+        operations, sizes, nodes_axis, tasks_per_node=tasks_per_node,
+        repeats=repeats, progress=progress, jobs=jobs,
+    )
     identity = bench_identity(tasks_per_node=tasks_per_node)
     return {
         "kind": TUNED_TABLE_KIND,
@@ -228,8 +265,21 @@ def collect_table(
             "tasks_per_node": tasks_per_node,
             "full": full_grid(),
         },
-        "table": table,
-        "cells": cells,
+        "table": decision_table(cells),
+        "cells": [
+            {
+                "operation": cell["operation"],
+                "nbytes": cell["nbytes"],
+                "nodes": cell["nodes"],
+                "winner": cell["winner"],
+                "microseconds": {
+                    name: round(micros, 3)
+                    for name, micros in sorted(cell["microseconds"].items())
+                    if micros is not None
+                },
+            }
+            for cell in cells
+        ],
     }
 
 

@@ -12,6 +12,11 @@ Defaults follow the paper exactly where it gives numbers:
 The large-message streaming chunk and the put window are implementation
 parameters (the paper tunes them implicitly through LAPI); both are exposed
 for the pipeline ablation (bench A4).
+
+Which algorithm variant runs (the ring allreduce, a tree family) is not a
+config field but the dispatch policy's choice:
+:class:`~repro.core.dispatch.PaperPolicy` applies the thresholds above, and
+:class:`~repro.core.dispatch.FixedPolicy` forces a variant.
 """
 
 from __future__ import annotations
@@ -45,15 +50,6 @@ class SRMConfig:
     #: optimal) to the hierarchical master ring (bandwidth-optimal) once the
     #: concatenated result exceeds this many bytes.
     allgather_ring_min: int = 64 * KB
-    #: Large-message allreduce algorithm: "pipeline" (the paper's Fig. 5
-    #: reduce+broadcast overlap) or "ring" (hierarchical reduce-scatter +
-    #: allgather over the masters — a future-work alternative; see
-    #: bench_abl_ring_allreduce.py for the trade-off).
-    allreduce_algorithm: str = "pipeline"
-    #: Tree family between node masters (§2.1 found binomial best).
-    inter_family: str = "binomial"
-    #: Tree family for the intra-node reduce.
-    intra_reduce_family: str = "binomial"
     #: Disable LAPI interrupts while inside a small-message collective (§2.3).
     manage_interrupts: bool = True
     #: Record persistent-plan windows as compiled schedules and replay
@@ -78,23 +74,6 @@ class SRMConfig:
             raise ConfigurationError("allreduce_exchange_max must be >= 0")
         if self.allgather_ring_min < 0:
             raise ConfigurationError("allgather_ring_min must be >= 0")
-        if self.allreduce_algorithm not in ("pipeline", "ring"):
-            raise ConfigurationError(
-                f"allreduce_algorithm must be 'pipeline' or 'ring', "
-                f"got {self.allreduce_algorithm!r}"
-            )
-        # Tree families are consumed by repro.trees at plan-build time;
-        # reject bad names here so misconfiguration fails at construction
-        # with the field name, not deep inside the embedding builder.
-        from repro.trees.embedding import TREE_FAMILIES
-
-        for field_name in ("inter_family", "intra_reduce_family"):
-            family = getattr(self, field_name)
-            if family not in TREE_FAMILIES:
-                raise ConfigurationError(
-                    f"{field_name} must be one of {sorted(TREE_FAMILIES)}, "
-                    f"got {family!r}"
-                )
 
     @property
     def shared_buffer_bytes(self) -> int:

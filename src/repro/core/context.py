@@ -602,8 +602,3 @@ class SRMContext:
                 counters=counters,
             )
         return self._barrier_plan
-
-    def validate_message(self, nbytes: int) -> None:
-        """Size-only guard (kept for compatibility; prefer :meth:`validate`)."""
-        if nbytes < 0:
-            raise ConfigurationError(f"message size must be >= 0, got {nbytes}")

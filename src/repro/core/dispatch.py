@@ -71,6 +71,7 @@ __all__ = [
     "FixedPolicy",
     "Dispatcher",
     "lookup_variant",
+    "resolve_variant",
     "predict_terms",
     "TUNED_TABLE_KIND",
     "TUNED_TABLE_SCHEMA_VERSION",
@@ -567,8 +568,9 @@ class SelectionPolicy:
 class PaperPolicy(SelectionPolicy):
     """The paper's §2.4 switch points, verbatim (the default policy).
 
-    Selections are byte-for-byte identical to the pre-dispatch ``if``-chains
-    (asserted across the whole bench grid by ``tests/test_dispatch.py``).
+    Reads only the four size thresholds of the config.  Selections are
+    byte-for-byte identical to the pre-dispatch ``if``-chains (asserted
+    across the whole bench grid by ``tests/test_dispatch.py``).
     """
 
     name = "paper"
@@ -584,18 +586,13 @@ class PaperPolicy(SelectionPolicy):
         if env.op == "allreduce":
             if env.nbytes <= config.allreduce_exchange_max:
                 return "exchange"
-            if config.allreduce_algorithm == "ring" and env.nodes > 1:
-                return "ring"
             return "pipeline"
         if env.op == "allgather":
             if env.nbytes > config.allgather_ring_min and env.nodes > 1:
                 return "ring"
             return "gather-bcast"
-        if env.op == "inter-tree":
-            return config.inter_family
-        if env.op == "intra-reduce-tree":
-            return config.intra_reduce_family
-        # Single-variant operations: the first (only) registered variant.
+        # Single-variant operations and the §2.1 tree families: the first
+        # registered variant (binomial, the family §2.1 found best).
         return variants_for(env.op)[0].name
 
 
@@ -636,7 +633,8 @@ class FixedPolicy(SelectionPolicy):
     """Force named variants per operation; everything else falls through.
 
     ``FixedPolicy({"allreduce": "ring"})`` is the tuner's probe and the
-    ablation benchmarks' lever.
+    ablation benchmarks' lever (``{"inter-tree": "fibonacci"}`` picks a
+    tree family).  Unknown names raise at construction.
     """
 
     name = "fixed"
@@ -768,6 +766,22 @@ class TunedPolicy(SelectionPolicy):
         return rows[-1][1]
 
 
+def resolve_variant(
+    policy: SelectionPolicy, env: SelectionEnv
+) -> tuple[Variant, Variant | None]:
+    """The variant that runs when ``policy`` selects for ``env``.
+
+    Returns ``(entry, overridden)``: the policy's pick with ``None`` when it
+    is structurally applicable; otherwise the :class:`PaperPolicy` pick
+    (``policy`` itself when it is one) and the inapplicable first choice.
+    """
+    entry = lookup_variant(env.op, policy.select(env))
+    if entry.applicable(env):
+        return entry, None
+    paper = policy if isinstance(policy, PaperPolicy) else PaperPolicy()
+    return lookup_variant(env.op, paper.select(env)), entry
+
+
 # ---------------------------------------------------------------------------
 # the dispatcher
 # ---------------------------------------------------------------------------
@@ -779,13 +793,12 @@ class Dispatcher:
     Selection is pure in ``(op, nbytes)`` once a context exists (the node
     count, per-node member counts, and config are fixed), so decisions are
     cached and the per-call overhead is one dict lookup plus a counter
-    increment — the ``tune-check`` CI step holds the perf gate to that.
+    increment — the ``perf-gate`` CI job holds the regress gate to that.
     """
 
     def __init__(self, ctx: "SRMContext", policy: SelectionPolicy | None = None) -> None:
         self.ctx = ctx
         self.policy = policy if policy is not None else PaperPolicy()
-        self._paper = self.policy if isinstance(self.policy, PaperPolicy) else PaperPolicy()
         self._cache: dict[
             tuple[str, int], tuple[Decision, typing.Any, DecisionRecord | None]
         ] = {}
@@ -827,17 +840,11 @@ class Dispatcher:
             return decision
 
         env = self.env(op, nbytes)
-        chosen = self.policy.select(env)
-        entry = lookup_variant(op, chosen)
-        fallback = False
-        fallback_from: str | None = None
-        reason = ""
-        if not entry.applicable(env):
-            fallback_from = chosen
-            reason = entry.requires or "structurally inapplicable"
-            chosen = self._paper.select(env)
-            entry = lookup_variant(op, chosen)
-            fallback = True
+        entry, overridden = resolve_variant(self.policy, env)
+        chosen = entry.name
+        fallback = overridden is not None
+        fallback_from = None if overridden is None else overridden.name
+        if overridden is not None:
             self._fallbacks.inc()
         decision = Decision(
             op=op,
@@ -891,8 +898,9 @@ class Dispatcher:
         # the profiler show which protocol ran without perturbing attribution.
         if task is not None:
             detail = f"{op}/{chosen}:{nbytes}B"
-            if fallback_from is not None:
-                detail += f" <- {fallback_from} inapplicable: {reason}"
+            if overridden is not None:
+                reason = overridden.requires or "structurally inapplicable"
+                detail += f" <- {overridden.name} inapplicable: {reason}"
             with task.phase(DISPATCH, detail=detail):
                 pass
         self._cache[key] = (decision, counter, record)

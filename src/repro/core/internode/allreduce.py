@@ -44,16 +44,7 @@ def _bytes(buffer: np.ndarray) -> np.ndarray:
     return buffer.reshape(-1).view(np.uint8)
 
 
-def _pipeline_chunks(ctx: SRMContext, decision: "Decision", nbytes: int) -> list[tuple[int, int]]:
-    """The pipelined variant's chunking (shared by reserve and body)."""
-    if decision.chunks is not None:
-        return list(decision.chunks)
-    return ctx.config.chunks(nbytes)
-
-
-def reserve_allreduce(
-    ctx: SRMContext, task: "Task", decision: "Decision", nbytes: int
-) -> InvocationState:
+def reserve_allreduce(ctx: SRMContext, task: "Task", decision: "Decision") -> InvocationState:
     """Claim this invocation's sequence windows at this rank (at start).
 
     The pipelined variant carries both its reduce-stage and broadcast-stage
@@ -74,7 +65,7 @@ def reserve_allreduce(
         else:
             invocation.bcast_base = state.reserve_bcast(me, 1)
     elif decision.variant != "ring":
-        chunks = _pipeline_chunks(ctx, decision, nbytes)
+        chunks = list(decision.chunks)
         root = ctx.group_root
         reduce_window = reserve_reduce(ctx.reduce_plan(root), state, task, chunks)
         bcast_window = reserve_broadcast(ctx.bcast_plan(root), state, task, chunks, large=True)
@@ -110,8 +101,9 @@ def allreduce_body(
 
         yield from srm_allreduce_ring(ctx, task, src, dst, op)
     else:
-        chunks = _pipeline_chunks(ctx, decision, src.nbytes)
-        yield from _allreduce_pipelined(ctx, task, src, dst, op, chunks, invocation)
+        yield from _allreduce_pipelined(
+            ctx, task, src, dst, op, list(decision.chunks), invocation
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +234,6 @@ def _allreduce_pipelined(
             root=pipeline_root,
             chunks=chunks,
             root_chunk_done=root_events,
-            manage=False,
             invocation=invocation,
         ),
         name=f"ar-reduce[{task.rank}]",

@@ -49,43 +49,25 @@ def srm_reduce(
     src: np.ndarray,
     dst: np.ndarray | None,
     op: "ReduceOp",
-    root: int = 0,
-    chunks: list[tuple[int, int]] | None = None,
-    root_chunk_done: list[Event] | None = None,
-    manage: bool | None = None,
-    invocation: InvocationState | None = None,
+    root: int,
+    chunks: list[tuple[int, int]],
+    root_chunk_done: list[Event] | None,
+    invocation: InvocationState,
 ) -> ProcessGenerator:
     """One rank's part of an SRM reduce of ``src`` to ``root``'s ``dst``.
 
-    ``chunks`` / ``root_chunk_done`` parameterize the pipelined allreduce
-    (Fig. 5): explicit chunking shared with the broadcast stage, and
-    per-chunk completion events the root fires as results materialize.
-    ``manage`` overrides the interrupt-management default (the pipelined
-    allreduce passes False because its broadcast stage runs concurrently on
-    the same task).  ``invocation``: a pre-reserved sequence window (the
-    pipelined allreduce reserves both of its stages before spawning them);
-    when ``None`` the window is reserved here.
+    The reduce stage of the pipelined allreduce (Fig. 5): ``chunks`` is the
+    chunking shared with the broadcast stage, ``root_chunk_done`` holds the
+    per-chunk events the root fires as results materialize, and
+    ``invocation`` is the window the allreduce reserved for both stages.
+    Interrupts stay on because the broadcast stage runs concurrently on the
+    same task.
     """
     ctx.validate("reduce", src.nbytes, task.rank, root=root)
-    plan = ctx.reduce_plan(root)
-    state = ctx.node_state(task)
-    if chunks is None or manage is None:
-        decision = ctx.dispatch("reduce", src.nbytes, task)
-        if chunks is None:
-            chunks = list(decision.chunks)
-        if manage is None:
-            manage = decision.manage_interrupts
-    if invocation is None:
-        invocation = reserve_reduce(plan, state, task, chunks)
-    if manage:
-        task.lapi.set_interrupts(False)
-    try:
-        yield from reduce_body(
-            ctx, plan, state, task, src, dst, op, chunks, root_chunk_done, invocation
-        )
-    finally:
-        if manage:
-            task.lapi.set_interrupts(True)
+    yield from reduce_body(
+        ctx, ctx.reduce_plan(root), ctx.node_state(task), task, src, dst, op,
+        chunks, root_chunk_done, invocation,
+    )
 
 
 def reserve_reduce(

@@ -17,8 +17,7 @@ a ring allgather over the node masters**, with shared-memory ends —
 Inter-node traffic per master is ``2 (k-1)/k`` of the message — optimal —
 versus the pipeline's up-and-down tree traversal; the pipeline wins on
 latency (log k rounds vs 2(k-1)).  This module is the registered ``ring``
-variant of the allreduce in :mod:`repro.core.dispatch`: select it with
-``SRMConfig(allreduce_algorithm="ring")`` (the paper policy's knob), a
+variant of the allreduce in :mod:`repro.core.dispatch`: force it with
 ``FixedPolicy({"allreduce": "ring"})``, or let a tuned/cost-model policy
 pick it where its bandwidth optimality wins; the ablation benchmark
 ``bench_abl_ring_allreduce.py`` maps the crossover.

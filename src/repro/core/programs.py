@@ -50,6 +50,10 @@ class Program:
     moves_data = True
 
     def __init__(self, total: int, nbytes: int = 0, root: int = 0, op: ReduceOp = SUM) -> None:
+        # Rows size their buffers with max(1, ...): zero bytes runs on
+        # one-element buffers, but a negative size is a caller error.
+        if nbytes < 0:
+            raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
         self.total = total
         self.root = root
         self.op = op

@@ -301,7 +301,6 @@ class CompiledSchedule:
         plans: list["PersistentCollective"],
         duration: float,
         ops: list[tuple],
-        op_meta: np.ndarray,
         state_entries: list[tuple],
         metric_deltas: list[tuple],
         hist_events: list[tuple],
@@ -316,8 +315,6 @@ class CompiledSchedule:
         self.duration = duration
         #: Capture-order op tape: (kind, dst, a, b, operator) with live views.
         self.ops = ops
-        #: Structured metadata columns (kind, nbytes) for the op tape.
-        self.op_meta = op_meta
         #: (cell, pre, post, is_delta) — int/int cells replay as deltas.
         self.state_entries = state_entries
         #: (metric kind, name, help, delta) for counters and gauges.
@@ -706,10 +703,6 @@ class _Recording:
                         )
                     )
 
-        op_meta = np.empty(len(self.ops), dtype=[("kind", np.int8), ("nbytes", np.int64)])
-        for i, (kind, dst, _a, _b, _op) in enumerate(self.ops):
-            op_meta[i] = (kind, dst.nbytes)
-
         completions = [
             (self.completions[i][0] - t0, self.completions[i][1])
             for i in range(len(self.starts))
@@ -719,7 +712,6 @@ class _Recording:
             plans=[start.plan for start in self.starts],
             duration=duration,
             ops=self.ops,
-            op_meta=op_meta,
             state_entries=state_entries,
             metric_deltas=metric_deltas,
             hist_events=hist_events,

@@ -428,7 +428,7 @@ def prepare_allreduce(
     decision = ctx.dispatch("allreduce", src.nbytes, task, persistent=persistent)
 
     def reserve() -> InvocationState:
-        return reserve_allreduce(ctx, task, decision, src.nbytes)
+        return reserve_allreduce(ctx, task, decision)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
         return allreduce_body(ctx, task, src, dst, op, decision, invocation)

@@ -15,9 +15,10 @@ cache-hit accounting.  Recording is passive — one ``is None`` test when
 observability is off, no metrics side effects, and the benchmark snapshots
 stay byte-identical with recording live.
 
-**Calibration** — :func:`collect_calibration` reuses the ``tune`` race
-machinery to pair each candidate's *predicted* cost with its *measured*
-latency across the bench grid, yielding
+**Calibration** — :func:`collect_calibration` scores the ``tune`` race
+(:func:`repro.bench.tune.race`, the one measurement of variants), pairing
+each candidate's *predicted* cost with its *measured* latency across the
+bench grid, yielding
 
 * per-(op, variant, size, nodes) model error (``log2(predicted/measured)``),
 * per-term error attribution — a least-squares fit of measured latency
@@ -206,41 +207,22 @@ class DecisionLog:
 
 
 # ---------------------------------------------------------------------------
-# calibration grid runner
+# calibration report
 # ---------------------------------------------------------------------------
 
 
-def _calibration_worker(spec: tuple) -> float | None:
-    """Spawn-safe worker: measure one (op, variant, size, nodes) candidate.
-
-    Reuses the autotuner's probe exactly (fresh machine per candidate,
-    ``tune_config``-evolved capacities, fallback-free forced variant), so a
-    calibration pairs predictions with the same measurements ``tune`` races.
-    """
-    from repro.bench.tune import tune_cell
-
-    operation, variant_name, nbytes, nodes, tasks_per_node, repeats = spec
-    return tune_cell(
-        operation, variant_name, nbytes, nodes,
-        tasks_per_node=tasks_per_node, repeats=repeats,
-    )
-
-
 def _predicted_terms_us(
-    entry: typing.Any, operation: str, nbytes: int, nodes: int, ppn: int
+    entry: typing.Any, nbytes: int, nodes: int, ppn: int
 ) -> tuple[dict[str, float], float]:
     """Predicted per-term microseconds for one candidate, under the same
-    (``tune_config``-evolved) configuration the measurement runs with."""
-    from repro.core import SRMConfig
+    (``tune_config``-evolved) configuration the race measured it with."""
+    from repro.bench.tune import probe_config
     from repro.core.dispatch import SelectionEnv, predict_terms
     from repro.machine.costmodel import CostModel
 
-    config = SRMConfig()
-    if entry.tune_config is not None:
-        config = entry.tune_config(config, nbytes)
     env = SelectionEnv(
-        op=operation, nbytes=nbytes, nodes=nodes, ppn=ppn,
-        config=config, cost=CostModel.ibm_sp_colony(),
+        op=entry.op, nbytes=nbytes, nodes=nodes, ppn=ppn,
+        config=probe_config(entry, nbytes), cost=CostModel.ibm_sp_colony(),
     )
     terms_seconds, total_seconds = predict_terms(entry, env)
     return (
@@ -308,37 +290,6 @@ def _dominant_drift(scales: dict[str, float]) -> dict | None:
     return worst
 
 
-def _emulated_selection(policy: typing.Any, paper: typing.Any, env: typing.Any) -> str:
-    """What the dispatcher would run: the policy's pick, or the paper
-    fallback when that pick is structurally inapplicable (mirrors
-    :meth:`repro.core.dispatch.Dispatcher.decide`)."""
-    from repro.core.dispatch import lookup_variant
-
-    chosen = policy.select(env)
-    if not lookup_variant(env.op, chosen).applicable(env):
-        chosen = paper.select(env)
-    return chosen
-
-
-def _winners_table(cells: list[dict], label: str) -> dict:
-    """A tuned-policy document built from this calibration's own winners
-    (the best-in-hindsight table — its regret on this grid is zero by
-    construction, which is exactly the property the scorecard states)."""
-    from repro.core.dispatch import TUNED_TABLE_KIND, TUNED_TABLE_SCHEMA_VERSION
-
-    table: dict[str, dict[str, list]] = {}
-    for cell in cells:
-        rows_by_nodes = table.setdefault(cell["operation"], {})
-        rows = rows_by_nodes.setdefault(str(cell["nodes"]), [])
-        rows.append([cell["nbytes"], cell["best"], cell["best_us"]])
-    return {
-        "kind": TUNED_TABLE_KIND,
-        "schema_version": TUNED_TABLE_SCHEMA_VERSION,
-        "label": label,
-        "table": table,
-    }
-
-
 def collect_calibration(
     operations: typing.Sequence[str] | None = None,
     sizes: typing.Sequence[int] | None = None,
@@ -350,111 +301,85 @@ def collect_calibration(
     jobs: int = 1,
     tuned_document: typing.Mapping[str, typing.Any] | None = None,
 ) -> dict:
-    """Race the grid, pair predictions with measurements, assemble the report.
+    """Score the ``tune`` race on the grid against predictions and policies.
 
-    Every candidate probe runs on its own fresh machine (the ``tune``
-    discipline), so the race fans out over ``jobs`` workers and the report is
-    byte-identical at any ``jobs`` setting.  ``tuned_document`` scores an
-    external decision table; by default the ``tuned`` scorecard row uses the
-    best-in-hindsight table of this very grid (zero regret by construction).
+    The race's probes each run on a fresh machine, so they fan out over
+    ``jobs`` workers and the report is byte-identical at any ``jobs``
+    setting.  A cell's ``best`` is the race's winner.  ``tuned_document``
+    scores an external decision table; by default the ``tuned`` scorecard
+    row scores the table ``tune`` builds from this very race (zero regret
+    by construction).
     """
     from repro.bench.export import bench_identity, identity_fingerprint
-    from repro.bench.pool import run_grid
     from repro.bench.snapshot import bench_nodes, bench_sizes
     from repro.bench.sweeps import full_grid
-    from repro.bench.tune import TUNABLE_OPERATIONS
+    from repro.bench.tune import TUNABLE_OPERATIONS, decision_table, race
     from repro.core import SRMConfig
     from repro.core.dispatch import (
+        TUNED_TABLE_KIND,
+        TUNED_TABLE_SCHEMA_VERSION,
         CostModelPolicy,
         FixedPolicy,
         PaperPolicy,
         SelectionEnv,
         TunedPolicy,
-        variants_for,
+        lookup_variant,
+        resolve_variant,
     )
     from repro.machine.costmodel import COST_TERMS, CostModel
 
     if operations is None:
         operations = TUNABLE_OPERATIONS
-    for operation in operations:
-        if operation not in TUNABLE_OPERATIONS:
-            raise ConfigurationError(
-                f"operation {operation!r} is not calibratable; "
-                f"choose from {TUNABLE_OPERATIONS}"
-            )
     if sizes is None:
         sizes = bench_sizes()
     if nodes_axis is None:
         nodes_axis = bench_nodes()
     sizes = sorted(sizes)
-
-    probes: list[tuple] = []
-    for operation in sorted(operations):
-        for nodes in nodes_axis:
-            for nbytes in sizes:
-                for entry in variants_for(operation):
-                    probes.append(
-                        (operation, entry.name, nbytes, nodes, tasks_per_node, repeats)
-                    )
-    pool_progress = None
-    if progress is not None:
-
-        def pool_progress(spec: tuple, done: int, total: int) -> None:
-            operation, variant_name, nbytes, nodes = spec[:4]
-            progress(f"{operation}/{variant_name} {nbytes}B x{nodes} nodes")
-
-    measured = run_grid(probes, _calibration_worker, jobs=jobs, progress=pool_progress)
-    measured_by_probe = {probe[:4]: micros for probe, micros in zip(probes, measured)}
+    raced = race(
+        operations, sizes, nodes_axis, tasks_per_node=tasks_per_node,
+        repeats=repeats, progress=progress, jobs=jobs,
+    )
 
     default_config = SRMConfig()
     default_cost = CostModel.ibm_sp_colony()
 
     # -- cells: measured + predicted (per term) per candidate ---------------
     cells: list[dict] = []
-    for operation in sorted(operations):
-        for nodes in nodes_axis:
-            for nbytes in sizes:
-                variants: dict[str, dict] = {}
-                for entry in variants_for(operation):
-                    micros = measured_by_probe[(operation, entry.name, nbytes, nodes)]
-                    terms_us, total_us = _predicted_terms_us(
-                        entry, operation, nbytes, nodes, tasks_per_node
-                    )
-                    default_env = SelectionEnv(
-                        op=operation, nbytes=nbytes, nodes=nodes,
-                        ppn=tasks_per_node, config=default_config,
-                        cost=default_cost,
-                    )
-                    log2_error = None
-                    if micros is not None and micros > 0 and total_us > 0:
-                        log2_error = round(math.log2(total_us / micros), 4)
-                    variants[entry.name] = {
-                        "applicable": bool(entry.applicable(default_env)),
-                        "measured_us": None if micros is None else round(micros, 3),
-                        "predicted_us": round(total_us, 3),
-                        "predicted_terms_us": {
-                            term: round(us, 4) for term, us in sorted(terms_us.items())
-                        },
-                        "log2_error": log2_error,
-                    }
-                timed = {
-                    name: entry["measured_us"]
-                    for name, entry in variants.items()
-                    if entry["measured_us"] is not None
-                }
-                if not timed:
-                    continue
-                best = min(timed, key=lambda name: (timed[name], name))
-                cells.append(
-                    {
-                        "operation": operation,
-                        "nodes": nodes,
-                        "nbytes": nbytes,
-                        "best": best,
-                        "best_us": timed[best],
-                        "variants": variants,
-                    }
-                )
+    for raced_cell in raced:
+        operation, nodes, nbytes = (
+            raced_cell["operation"], raced_cell["nodes"], raced_cell["nbytes"]
+        )
+        default_env = SelectionEnv(
+            op=operation, nbytes=nbytes, nodes=nodes, ppn=tasks_per_node,
+            config=default_config, cost=default_cost,
+        )
+        variants: dict[str, dict] = {}
+        for name, micros in raced_cell["microseconds"].items():
+            entry = lookup_variant(operation, name)
+            terms_us, total_us = _predicted_terms_us(entry, nbytes, nodes, tasks_per_node)
+            log2_error = None
+            if micros is not None and micros > 0 and total_us > 0:
+                log2_error = round(math.log2(total_us / micros), 4)
+            variants[name] = {
+                "applicable": bool(entry.applicable(default_env)),
+                "measured_us": None if micros is None else round(micros, 3),
+                "predicted_us": round(total_us, 3),
+                "predicted_terms_us": {
+                    term: round(us, 4) for term, us in sorted(terms_us.items())
+                },
+                "log2_error": log2_error,
+            }
+        best = raced_cell["winner"]
+        cells.append(
+            {
+                "operation": operation,
+                "nodes": nodes,
+                "nbytes": nbytes,
+                "best": best,
+                "best_us": variants[best]["measured_us"],
+                "variants": variants,
+            }
+        )
 
     # -- model error + per-term attribution ---------------------------------
     model_error: list[dict] = []
@@ -514,7 +439,12 @@ def collect_calibration(
     tuned_source = tuned_document
     trained_on_grid = tuned_source is None
     if tuned_source is None:
-        tuned_source = _winners_table(cells, label=f"{label}-winners")
+        tuned_source = {
+            "kind": TUNED_TABLE_KIND,
+            "schema_version": TUNED_TABLE_SCHEMA_VERSION,
+            "label": f"{label}-winners",
+            "table": decision_table(raced),
+        }
     policies = {
         "paper": paper,
         "cost": CostModelPolicy(),
@@ -537,7 +467,7 @@ def collect_calibration(
                 op=cell["operation"], nbytes=cell["nbytes"], nodes=cell["nodes"],
                 ppn=tasks_per_node, config=default_config, cost=default_cost,
             )
-            selected = _emulated_selection(policy, paper, env)
+            selected = resolve_variant(policy, env)[0].name
             cell.setdefault("selections", {})[name] = selected
             entry = cell["variants"].get(selected)
             if entry is None or entry["measured_us"] is None:

@@ -70,6 +70,17 @@ def test_time_operation_validates_input():
         time_operation(machine, stack, "broadcast", 8, repeats=0)
 
 
+def test_programs_reject_negative_sizes():
+    from repro.core.programs import PROGRAMS
+
+    for operation, row in PROGRAMS.items():
+        with pytest.raises(ConfigurationError, match="-8"):
+            row(4, -8)
+        # Zero bytes still runs, on one-element buffers.
+        for result in row(4, 0).results():
+            assert result.size == 1, operation
+
+
 def test_warmup_reaches_steady_state():
     # Repeated measurement passes on one machine stay in the same regime
     # (launch boundaries flush stalled acknowledgements, so perfect equality

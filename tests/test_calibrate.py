@@ -149,6 +149,34 @@ def test_external_tuned_table_is_scored_instead_of_grid_winners(report):
         assert tuned["total_regret_us"] > 0
 
 
+def test_calibration_scores_the_tune_race_and_ties_go_to_registration_order():
+    from repro.bench.tune import collect_table
+    from repro.core.dispatch import variants_for
+
+    grid = dict(
+        operations=("broadcast",), sizes=[8, 8 * KB], nodes_axis=[1, 2],
+        tasks_per_node=2, repeats=1,
+    )
+    winners = {
+        (cell["operation"], cell["nodes"], cell["nbytes"]): cell["winner"]
+        for cell in collect_table(**grid)["cells"]
+    }
+    report = collect_calibration(**grid)
+    assert {
+        (cell["operation"], cell["nodes"], cell["nbytes"]): cell["best"]
+        for cell in report["cells"]
+    } == winners
+    # On one node an 8 B broadcast never leaves the node, so all three
+    # variants run the same steps and tie exactly; the tie goes to the
+    # variant registered first, in the race and in the report alike.
+    from repro.bench.tune import race
+
+    (tied,) = race(("broadcast",), [8], [1], tasks_per_node=2, repeats=1)
+    assert len(set(tied["microseconds"].values())) == 1
+    first = variants_for("broadcast")[0].name
+    assert tied["winner"] == first == winners[("broadcast", 1, 8)]
+
+
 def test_validation_rejects_malformed_documents(report):
     with pytest.raises(ConfigurationError):
         validate_calibration_report({"kind": "something-else"})

@@ -88,6 +88,20 @@ def test_cli_trace(capsys):
     assert "makespan" in out
 
 
+def test_cli_trace_rejects_negative_size():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="message size"):
+        main(["trace", "--bytes", "-8", "--nodes", "2", "--tasks", "2"])
+
+
+def test_cli_trace_rejects_zero_width():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="width"):
+        main(["trace", "--width", "0", "--nodes", "2", "--tasks", "2"])
+
+
 def test_cli_trace_mpi_stack(capsys):
     assert main(["trace", "--op", "barrier", "--stack", "ibm", "--nodes", "2", "--tasks", "2"]) == 0
     assert "MPI sends" in capsys.readouterr().out

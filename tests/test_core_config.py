@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SRMConfig
+from repro.core import FixedPolicy, SRMConfig
 from repro.errors import ConfigurationError
 
 KB = 1024
@@ -14,7 +14,6 @@ def test_paper_defaults():
     assert config.pipeline_min == 8 * KB
     assert config.pipeline_chunk == 4 * KB
     assert config.allreduce_exchange_max == 16 * KB
-    assert config.inter_family == "binomial"
 
 
 def test_is_large_boundary():
@@ -101,29 +100,36 @@ def test_evolve():
 
 
 # -- construction-time validation of families and allgather_ring_min --------
+#
+# A tree family is a dispatch choice, not a config field: FixedPolicy makes
+# it and rejects a bad name when it is built (not deep inside the embedding
+# builder), naming the tree operation.
 
 
 def test_bad_inter_family_rejected_at_construction():
-    with pytest.raises(ConfigurationError, match="inter_family"):
-        SRMConfig(inter_family="bogus")
+    with pytest.raises(ConfigurationError, match="inter-tree"):
+        FixedPolicy({"inter-tree": "bogus"})
 
 
 def test_bad_intra_reduce_family_rejected_at_construction():
-    with pytest.raises(ConfigurationError, match="intra_reduce_family"):
-        SRMConfig(intra_reduce_family="kary")  # needs explicit arity: not valid here
+    with pytest.raises(ConfigurationError, match="intra-reduce-tree"):
+        FixedPolicy({"intra-reduce-tree": "kary"})  # needs explicit arity: not valid here
 
 
 def test_family_error_lists_valid_choices():
     with pytest.raises(ConfigurationError, match="binomial"):
-        SRMConfig(inter_family="")
+        FixedPolicy({"inter-tree": ""})
 
 
 def test_all_registered_families_accepted():
+    from repro.core.dispatch import SelectionEnv
     from repro.trees.embedding import TREE_FAMILIES
 
     for family in TREE_FAMILIES:
-        config = SRMConfig(inter_family=family, intra_reduce_family=family)
-        assert config.inter_family == family
+        policy = FixedPolicy({"inter-tree": family, "intra-reduce-tree": family})
+        for op in ("inter-tree", "intra-reduce-tree"):
+            env = SelectionEnv(op=op, nbytes=0, nodes=4, ppn=2, config=SRMConfig())
+            assert policy.select(env) == family
 
 
 def test_negative_allgather_ring_min_rejected():

@@ -171,12 +171,3 @@ def test_barrier_plan_rounds():
     assert plan.rounds == 3  # ceil(log2 6)
     assert len(plan.counters) == 6
     assert all(len(counters) == 3 for counters in plan.counters.values())
-
-
-def test_validate_message():
-    machine = make_machine()
-    ctx = SRMContext(machine)
-    ctx.validate_message(0)
-    ctx.validate_message(10_000_000)
-    with pytest.raises(ConfigurationError):
-        ctx.validate_message(-1)

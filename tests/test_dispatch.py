@@ -76,11 +76,12 @@ def _legacy_reduce(config, nbytes):
     return chunks, manage
 
 
-def _legacy_allreduce(config, nbytes, nodes):
-    """allreduce.py lines 57-71 before the refactor."""
+def _legacy_allreduce(algorithm, config, nbytes, nodes):
+    """allreduce.py lines 57-71 before the refactor (``algorithm`` was the
+    retired ``SRMConfig.allreduce_algorithm`` knob)."""
     if nbytes <= config.allreduce_exchange_max:
         return "exchange", None, config.manage_interrupts
-    if config.allreduce_algorithm == "ring" and nodes > 1:
+    if algorithm == "ring" and nodes > 1:
         return "ring", None, False
     return "pipeline", config.chunks(nbytes), False
 
@@ -123,14 +124,22 @@ def test_paper_policy_matches_legacy_broadcast_and_reduce(nodes):
 @pytest.mark.parametrize("algorithm", ["pipeline", "ring"])
 @pytest.mark.parametrize("nodes", sorted(set(_bench_nodes()) | {1, 2, 3}))
 def test_paper_policy_matches_legacy_allreduce(nodes, algorithm):
-    policy = PaperPolicy()
-    config = SRMConfig(allreduce_algorithm=algorithm)
-    from repro.core.dispatch import _manage_interrupts
+    """``pipeline``: PaperPolicy at every size.  ``ring``: the retired knob's
+    ring mode is ``FixedPolicy({"allreduce": "ring"})`` now; above the 16 KB
+    exchange cutoff it resolves exactly as the legacy chain did (at or below
+    it the knob's exchange mode is gone with the knob)."""
+    from repro.core.dispatch import _manage_interrupts, resolve_variant
 
-    for nbytes in _grid_sizes():
-        variant = policy.select(_env("allreduce", nbytes, nodes, config))
+    config = SRMConfig()
+    policy = PaperPolicy()
+    sizes = _grid_sizes()
+    if algorithm == "ring":
+        policy = FixedPolicy({"allreduce": "ring"})
+        sizes = [n for n in sizes if n > config.allreduce_exchange_max]
+    for nbytes in sizes:
+        variant = resolve_variant(policy, _env("allreduce", nbytes, nodes, config))[0].name
         legacy_variant, legacy_chunks, legacy_manage = _legacy_allreduce(
-            config, nbytes, nodes
+            algorithm, config, nbytes, nodes
         )
         assert variant == legacy_variant, (nbytes, nodes, algorithm)
         if legacy_chunks is not None:
@@ -151,10 +160,14 @@ def test_paper_policy_matches_legacy_allgather(nodes):
 
 
 def test_paper_policy_tree_families_follow_config():
-    policy = PaperPolicy()
-    config = SRMConfig(inter_family="flat", intra_reduce_family="binary")
-    assert policy.select(_env("inter-tree", 0, 4, config)) == "flat"
-    assert policy.select(_env("intra-reduce-tree", 0, 4, config)) == "binary"
+    # The paper's §2.1 choice is binomial; another family is a FixedPolicy
+    # choice, since the config holds sizes only.
+    paper = PaperPolicy()
+    assert paper.select(_env("inter-tree", 0, 4)) == "binomial"
+    assert paper.select(_env("intra-reduce-tree", 0, 4)) == "binomial"
+    policy = FixedPolicy({"inter-tree": "flat", "intra-reduce-tree": "binary"})
+    assert policy.select(_env("inter-tree", 0, 4)) == "flat"
+    assert policy.select(_env("intra-reduce-tree", 0, 4)) == "binary"
 
 
 def test_paper_policy_single_variant_ops():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bench import build
-from repro.core import SRMConfig
+from repro.core import FixedPolicy, SRMConfig
 from repro.machine import ClusterSpec
 
 KB = 1024
@@ -248,14 +248,14 @@ def test_barrier_counters_return_to_zero():
 # ring allreduce (alternative large-message algorithm)
 # ---------------------------------------------------------------------------
 
+RING = {"allreduce": "ring"}
+
 
 def test_ring_allreduce_correct_and_repeatable():
     from repro.mpi.ops import SUM
 
     machine, srm = build(
-        "srm",
-        ClusterSpec(nodes=4, tasks_per_node=3),
-        srm_config=SRMConfig(allreduce_algorithm="ring"),
+        "srm", ClusterSpec(nodes=4, tasks_per_node=3), policy=FixedPolicy(RING)
     )
     total = 12
     rng = np.random.default_rng(5)
@@ -277,19 +277,21 @@ def test_ring_allreduce_small_messages_still_use_exchange():
     from repro.mpi.ops import SUM
 
     machine, srm = build(
-        "srm",
-        ClusterSpec(nodes=2, tasks_per_node=2),
-        srm_config=SRMConfig(allreduce_algorithm="ring"),
+        "srm", ClusterSpec(nodes=2, tasks_per_node=2), policy=FixedPolicy(RING)
     )
-    sources = {r: np.full(16, 1.0) for r in range(4)}
-    outs = {r: np.zeros(16) for r in range(4)}
+    # One double cannot be split into a segment per node: the forced ring is
+    # inapplicable, so dispatch falls back to the paper's exchange.
+    sources = {r: np.full(1, 1.0) for r in range(4)}
+    outs = {r: np.zeros(1) for r in range(4)}
 
     def program(task):
         yield from srm.allreduce(task, sources[task.rank], outs[task.rank], SUM)
 
     machine.launch(program)
     assert all(np.all(outs[r] == 4) for r in range(4))
-    # Ring plan never built for sub-cutoff messages.
+    assert srm.ctx.dispatch("allreduce", 8).variant == "exchange"
+    assert machine.obs.metrics.summary()["dispatch.fallbacks"] == 1
+    # Ring plan never built for messages it cannot segment.
     assert getattr(srm.ctx, "_ring_allreduce_plan", None) is None
 
 
@@ -300,7 +302,7 @@ def test_ring_allreduce_group():
 
     machine = Machine(ClusterSpec(nodes=4, tasks_per_node=4))
     members = [0, 1, 5, 9, 13, 14]
-    srm = SRM(machine, group=members, config=SRMConfig(allreduce_algorithm="ring"))
+    srm = SRM(machine, group=members, policy=FixedPolicy(RING))
     sources = {r: np.full(30_000, float(r + 1)) for r in members}
     outs = {r: np.zeros(30_000) for r in members}
 
@@ -318,5 +320,5 @@ def test_ring_allreduce_config_validation():
 
     from repro.errors import ConfigurationError
 
-    with _pytest.raises(ConfigurationError):
-        SRMConfig(allreduce_algorithm="tree")
+    with _pytest.raises(ConfigurationError, match="allreduce"):
+        FixedPolicy({"allreduce": "tree"})

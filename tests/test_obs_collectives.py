@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import build
-from repro.core import SRMConfig
+from repro.core import FixedPolicy, SRMConfig
 from repro.machine import ClusterSpec
 from repro.mpi.ops import SUM
 from repro.obs.critical import critical_path
@@ -21,9 +21,10 @@ from repro.obs.taxonomy import (
 )
 
 
-def launch(program, nodes=2, tasks=2, srm_config=None):
+def launch(program, nodes=2, tasks=2, srm_config=None, policy=None):
     machine, stack = build(
-        "srm", ClusterSpec(nodes=nodes, tasks_per_node=tasks), srm_config=srm_config
+        "srm", ClusterSpec(nodes=nodes, tasks_per_node=tasks),
+        srm_config=srm_config, policy=policy,
     )
     result = machine.launch(lambda task: program(stack, task))
     return machine, result
@@ -87,10 +88,7 @@ def run_ring_allreduce(nbytes=65536, nodes=4, **kw):
         yield from stack.allreduce(task, src, np.zeros(count), SUM)
 
     return launch(
-        program,
-        nodes=nodes,
-        srm_config=SRMConfig(allreduce_algorithm="ring"),
-        **kw,
+        program, nodes=nodes, policy=FixedPolicy({"allreduce": "ring"}), **kw
     )
 
 

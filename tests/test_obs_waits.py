@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import build, looped_program, operation_body
-from repro.core import SRMConfig
+from repro.core import FixedPolicy
 from repro.machine import ClusterSpec
 from repro.mpi.ops import SUM
 from repro.obs.critical import critical_path
@@ -240,10 +240,9 @@ def test_interval_key_and_duration():
 # ---------------------------------------------------------------------------
 
 
-def run_allreduce(nodes=2, tasks=2, nbytes=4096, srm_config=None):
+def run_allreduce(nodes=2, tasks=2, nbytes=4096, policy=None):
     machine, stack = build(
-        "srm", ClusterSpec(nodes=nodes, tasks_per_node=tasks),
-        srm_config=srm_config,
+        "srm", ClusterSpec(nodes=nodes, tasks_per_node=tasks), policy=policy
     )
     total = machine.spec.total_tasks
     count = max(1, nbytes // 8)
@@ -280,8 +279,7 @@ def test_allreduce_waits_fully_classified():
 
 def test_ring_allreduce_waits_are_attributed():
     machine, result = run_allreduce(
-        nodes=4, tasks=2, nbytes=65536,
-        srm_config=SRMConfig(allreduce_algorithm="ring"),
+        nodes=4, tasks=2, nbytes=65536, policy=FixedPolicy({"allreduce": "ring"})
     )
     report = classify(machine, result)
     ring_waits = [i for i in report.intervals if i.context == RING_STEP]

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import SRM, SRMConfig
+from repro.core import SRM, FixedPolicy, SRMConfig
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import MAX, MIN, PROD, SUM
 
 
-def make(nodes=2, tasks=4, config=None, **kwargs):
+def make(nodes=2, tasks=4, config=None, policy=None, **kwargs):
     machine = Machine(ClusterSpec(nodes=nodes, tasks_per_node=tasks), **kwargs)
-    return machine, SRM(machine, config=config)
+    return machine, SRM(machine, config=config, policy=policy)
 
 
 def run_broadcast(machine, srm, nbytes, root):
@@ -346,8 +346,8 @@ def test_custom_chunk_sizes_still_correct():
 
 
 def test_fibonacci_inter_tree_still_correct():
-    config = SRMConfig(inter_family="fibonacci")
-    machine, srm = make(nodes=5, tasks=3, config=config)
+    policy = FixedPolicy({"inter-tree": "fibonacci"})
+    machine, srm = make(nodes=5, tasks=3, policy=policy)
     buffers, reference, _ = run_broadcast(machine, srm, 5000, root=0)
     for buffer in buffers.values():
         assert np.array_equal(buffer, reference)

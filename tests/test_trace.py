@@ -147,6 +147,19 @@ def test_timeline_empty():
     assert tracer.timeline() == "(no spans recorded)"
 
 
+def test_timeline_width_must_be_positive():
+    from repro.errors import ConfigurationError
+
+    machine, tracer, traced = traced_machine()
+    run_broadcast(machine, traced)
+    for width in (0, -3):
+        with pytest.raises(ConfigurationError, match="width"):
+            tracer.timeline("broadcast", width=width)
+    lanes = [line for line in tracer.timeline("broadcast", width=1).splitlines()
+             if line.startswith("rank")]
+    assert lanes and all(len(line) == len("rank    0 ") + 1 for line in lanes)
+
+
 def test_timeline_lane_cap():
     machine, tracer, traced = traced_machine(nodes=2, tasks=4)
     run_broadcast(machine, traced)
