@@ -41,9 +41,6 @@ class MovementCounts:
     #: For message passing: per-edge data movements (send+recv pairs).
     messages: int = 0
 
-    def copies_per_task(self) -> float:
-        return self.copies / self.tasks
-
 
 def smp_reduce_analytic(tasks: int, tree: Tree | None = None) -> MovementCounts:
     """Fig. 2 left: copies = leaves of the binomial tree; ops = edges.

@@ -146,37 +146,6 @@ class Tracer:
         keys = ("copies", "bytes_copied", "reduce_ops", "puts", "mpi_sends", "interrupts", "yields")
         return {key: sum(getattr(span, key) for span in self.spans) for key in keys}
 
-    def to_chrome_trace(self) -> list[dict]:
-        """Spans as Chrome ``chrome://tracing`` / Perfetto JSON events.
-
-        Load the dumped list (``json.dump``) in the browser's tracing UI:
-        one row per rank, one complete event per collective call, with the
-        substrate counters attached as event args.
-        """
-        events = []
-        for span in self.spans:
-            events.append(
-                {
-                    "name": f"{span.operation}[{span.call_index}]",
-                    "cat": span.operation,
-                    "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": span.duration * 1e6,
-                    "pid": 0,
-                    "tid": span.rank,
-                    "args": {
-                        "copies": span.copies,
-                        "bytes_copied": span.bytes_copied,
-                        "reduce_ops": span.reduce_ops,
-                        "puts": span.puts,
-                        "mpi_sends": span.mpi_sends,
-                        "interrupts": span.interrupts,
-                        "yields": span.yields,
-                    },
-                }
-            )
-        return events
-
     # -- rendering -------------------------------------------------------------
 
     def timeline(

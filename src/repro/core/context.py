@@ -54,6 +54,8 @@ __all__ = [
     "BarrierPlan",
 ]
 
+_Plan = typing.TypeVar("_Plan")
+
 
 @dataclass
 class InvocationState:
@@ -385,6 +387,8 @@ class SRMContext:
         self._reduce_plans: dict[int, ReducePlan] = {}
         self._allreduce_plan: AllreducePlan | None = None
         self._barrier_plan: BarrierPlan | None = None
+        #: (plan class, *key) -> plan, for the extension operations.
+        self._extension_plans: dict[tuple, typing.Any] = {}
         #: Protocol-dispatch layer: every algorithm choice routes through
         #: here (the default policy reproduces the paper's §2.4 thresholds).
         self.dispatcher = Dispatcher(self, policy)
@@ -426,10 +430,10 @@ class SRMContext:
     def validate(self, op: str, nbytes: int, rank: int, root: int | None = None) -> None:
         """Validate one collective call's arguments, synchronously.
 
-        Every entry path — blocking facades, ``i*`` one-shots, persistent
-        plan construction, and the direct ``srm_*`` generators — routes
-        through here, so membership/root/size errors raise at ``start()``
-        (or plan init), never from inside a half-started schedule.
+        Every entry path — blocking calls, ``i*`` one-shots and persistent
+        plan construction — routes through here, so membership/root/size
+        errors raise at ``start()`` (or plan init), never from inside a
+        half-started schedule.
         """
         self.check_member(rank)
         if root is not None:
@@ -451,6 +455,15 @@ class SRMContext:
         return self.dispatcher.decide(op, nbytes, task, persistent=persistent)
 
     # -- plan construction (cached per root) --------------------------------
+
+    def extension_plan(self, factory: typing.Callable[..., _Plan], *key: typing.Any) -> _Plan:
+        """The extension operations' plan ``factory(self, *key)``, built at
+        first use and cached per ``(factory, *key)`` for the context's life."""
+        cache_key = (factory, *key)
+        plan = self._extension_plans.get(cache_key)
+        if plan is None:
+            plan = self._extension_plans[cache_key] = factory(self, *key)
+        return plan
 
     def bcast_plan(self, root: int) -> BcastPlan:
         self.check_member(root)

@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.core.context import InvocationState, SRMContext
 from repro.core.internode.broadcast import _broadcast_large, reserve_broadcast
-from repro.core.internode.reduce import reserve_reduce, srm_reduce
-from repro.core.smp.broadcast import fill_slot, smp_broadcast_chunk
+from repro.core.internode.reduce import reduce_body, reserve_reduce
+from repro.core.internode.ring import smp_pieces, srm_allreduce_ring
+from repro.core.smp.broadcast import fan_out_offsets, fill_slot, smp_broadcast_chunk
 from repro.core.smp.reduce import smp_reduce_chunk
 from repro.obs.taxonomy import EXCHANGE_ROUND
 from repro.sim.events import Event
@@ -44,18 +45,24 @@ def _bytes(buffer: np.ndarray) -> np.ndarray:
     return buffer.reshape(-1).view(np.uint8)
 
 
-def reserve_allreduce(ctx: SRMContext, task: "Task", decision: "Decision") -> InvocationState:
+def reserve_allreduce(
+    ctx: SRMContext, task: "Task", decision: "Decision", src: np.ndarray
+) -> InvocationState:
     """Claim this invocation's sequence windows at this rank (at start).
 
     The pipelined variant carries both its reduce-stage and broadcast-stage
-    windows in one :class:`InvocationState` (the field sets are disjoint);
-    the ring variant keeps its legacy self-advancing plan cursors — safe
-    because per-rank request chaining serializes a rank's invocations.
+    windows in one :class:`InvocationState` (the field sets are disjoint).
+    The ring variant claims its SMP-reduce pieces and its result fan-out,
+    counted by the same :func:`~repro.core.internode.ring.smp_pieces` and
+    :func:`~repro.core.smp.broadcast.fan_out_offsets` its body runs.
     """
     invocation = InvocationState(op="allreduce")
     state = ctx.node_state(task)
     me = state.index_of(task)
-    if decision.variant == "exchange":
+    if decision.variant == "ring":
+        invocation.reduce_base = state.reserve_reduce(me, len(smp_pieces(ctx, src)))
+        invocation.bcast_base = state.reserve_bcast(me, len(fan_out_offsets(state, src.nbytes)))
+    elif decision.variant == "exchange":
         invocation.reduce_base = state.reserve_reduce(me, 1)
         if state.is_master(task):
             plan = ctx.allreduce_plan()
@@ -64,7 +71,7 @@ def reserve_allreduce(ctx: SRMContext, task: "Task", decision: "Decision") -> In
                 invocation.bcast_base = state.reserve_bcast(me, 1)
         else:
             invocation.bcast_base = state.reserve_bcast(me, 1)
-    elif decision.variant != "ring":
+    else:
         chunks = list(decision.chunks)
         root = ctx.group_root
         reduce_window = reserve_reduce(ctx.reduce_plan(root), state, task, chunks)
@@ -97,9 +104,7 @@ def allreduce_body(
             if manage:
                 task.lapi.set_interrupts(True)
     elif decision.variant == "ring":
-        from repro.core.internode.ring import srm_allreduce_ring
-
-        yield from srm_allreduce_ring(ctx, task, src, dst, op)
+        yield from srm_allreduce_ring(ctx, task, src, dst, op, invocation)
     else:
         yield from _allreduce_pipelined(
             ctx, task, src, dst, op, list(decision.chunks), invocation
@@ -225,16 +230,17 @@ def _allreduce_pipelined(
     )
 
     reduce_stage = task.engine.process(
-        srm_reduce(
+        reduce_body(
             ctx,
+            ctx.reduce_plan(pipeline_root),
+            ctx.node_state(task),
             task,
             src,
             dst if is_global_root else None,
             op,
-            root=pipeline_root,
-            chunks=chunks,
-            root_chunk_done=root_events,
-            invocation=invocation,
+            chunks,
+            root_events,
+            invocation,
         ),
         name=f"ar-reduce[{task.rank}]",
     )

@@ -22,16 +22,9 @@ from repro.sim.process import ProcessGenerator
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
 
-__all__ = ["srm_barrier", "barrier_body"]
+__all__ = ["barrier_body"]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
-
-
-def srm_barrier(ctx: SRMContext, task: "Task") -> ProcessGenerator:
-    """One rank's part of an SRM barrier."""
-    ctx.validate("barrier", 0, task.rank)
-    decision = ctx.dispatch("barrier", 0, task)
-    yield from barrier_body(ctx, task, decision.manage_interrupts)
 
 
 def barrier_body(ctx: SRMContext, task: "Task", manage: bool) -> ProcessGenerator:

@@ -44,7 +44,7 @@ from repro.sim.process import ProcessGenerator
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
 
-__all__ = ["srm_broadcast", "reserve_broadcast", "broadcast_body"]
+__all__ = ["reserve_broadcast", "broadcast_body", "in_order_signal"]
 
 #: Zero-byte put payload used for pure counter signals.
 _SIGNAL = np.zeros(0, dtype=np.uint8)
@@ -52,20 +52,6 @@ _SIGNAL = np.zeros(0, dtype=np.uint8)
 
 def _bytes(buffer: np.ndarray) -> np.ndarray:
     return buffer.reshape(-1).view(np.uint8)
-
-
-def srm_broadcast(ctx: SRMContext, task: "Task", buffer: np.ndarray, root: int = 0) -> ProcessGenerator:
-    """One rank's part of an SRM broadcast of ``buffer`` from ``root``."""
-    ctx.validate("broadcast", buffer.nbytes, task.rank, root=root)
-    plan = ctx.bcast_plan(root)
-    state = ctx.node_state(task)
-    decision = ctx.dispatch("broadcast", buffer.nbytes, task)
-    chunks = list(decision.chunks)
-    large = decision.variant == "large"
-    invocation = reserve_broadcast(plan, state, task, chunks, large)
-    yield from broadcast_body(
-        ctx, plan, state, task, buffer, chunks, large, decision.manage_interrupts, invocation
-    )
 
 
 def reserve_broadcast(
@@ -320,7 +306,7 @@ def _stream_to_child(
             # its predecessor.
             signal = Event(task.engine, name=f"fifo:{child_rank}:{index}")
             task.engine.process(
-                _in_order_signal(delivery, previous_signal, child_arrival, signal),
+                in_order_signal(delivery, previous_signal, child_arrival, signal),
                 name=f"fifo-signal->{child_rank}",
             )
             previous_signal = signal
@@ -329,9 +315,21 @@ def _stream_to_child(
     window_depth.observe(0)
 
 
-def _in_order_signal(delivery, previous_signal: Event | None, counter, signal: Event) -> ProcessGenerator:
+def in_order_signal(
+    delivery, previous_signal: Event | None, counter, signal: Event, flow=None
+) -> ProcessGenerator:
+    """Bump ``counter`` once ``delivery`` landed *and* the previous signal
+    on the same route fired, then fire ``signal``.
+
+    The SP switch delivers one route's puts in FIFO order, but the fluid
+    network model can land a later, smaller put first; chaining the
+    signals restores send order.  ``flow`` (optional) records the causal
+    link at increment time (see :func:`repro.core.internode.ring.ring_signal_flow`).
+    """
     yield delivery
     if previous_signal is not None and not previous_signal.processed:
         yield previous_signal
     counter.increment()
+    if flow is not None:
+        flow()
     signal.succeed()

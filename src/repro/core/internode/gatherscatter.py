@@ -28,6 +28,11 @@ ARMCI/Global-Arrays line of work (the authors' own software) built them:
 Block layout follows MPI: member *j*'s block occupies
 ``[position_j * block, (position_j + 1) * block)`` where ``position_j`` is
 the member's index in the group's sorted member list.
+
+Each operation enters as an inline request (:mod:`repro.core.requests`):
+``prepare_*`` validates and dispatches at start, and the body runs after
+the chain gate, with its sub-collectives reserved through
+:func:`~repro.core.requests.run_nested`.
 """
 
 from __future__ import annotations
@@ -37,18 +42,19 @@ import typing
 import numpy as np
 
 from repro.core.context import SRMContext
-from repro.core.internode.broadcast import srm_broadcast
-from repro.core.smp.broadcast import smp_broadcast_chunk
+from repro.core.internode.broadcast import in_order_signal
+from repro.core.internode.ring import ring_signal_flow
+from repro.core.requests import (
+    Prepared,
+    prepare_barrier,
+    prepare_broadcast,
+    run_nested,
+    unreserved,
+)
+from repro.core.smp.broadcast import fan_out_offsets, smp_fan_out
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
-from repro.obs.taxonomy import (
-    BLOCK_REGISTER,
-    BLOCK_TRANSFER,
-    FLOW_RING_SIGNAL,
-    PIPELINE_CHUNK,
-    RING_STEP,
-    STREAM_JOIN,
-)
+from repro.obs.taxonomy import BLOCK_REGISTER, BLOCK_TRANSFER, RING_STEP, STREAM_JOIN
 from repro.shmem.flags import SharedFlag
 from repro.sim.process import ProcessGenerator
 
@@ -56,10 +62,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
 
 __all__ = [
-    "srm_scatter",
-    "srm_gather",
-    "srm_allgather",
-    "srm_alltoall",
+    "prepare_scatter",
+    "prepare_gather",
+    "prepare_allgather",
+    "prepare_alltoall",
     "BlockPlan",
     "AllgatherPlan",
 ]
@@ -94,32 +100,44 @@ class BlockPlan:
         self.epoch = np.zeros(1, dtype=np.uint8)
 
 
-def _block_plan(ctx: SRMContext, root: int) -> BlockPlan:
-    plans = getattr(ctx, "_block_plans", None)
-    if plans is None:
-        plans = {}
-        ctx._block_plans = plans  # type: ignore[attr-defined]
-    if root not in plans:
-        ctx.check_member(root)
-        plans[root] = BlockPlan(ctx, root)
-    return plans[root]
-
-
 def _positions(ctx: SRMContext) -> dict[int, int]:
     return {rank: index for index, rank in enumerate(ctx.members)}
 
 
-def srm_scatter(
+def prepare_scatter(
     ctx: SRMContext,
     task: "Task",
     sendbuf: np.ndarray | None,
     recvbuf: np.ndarray,
     root: int = 0,
-) -> ProcessGenerator:
+) -> Prepared:
     """Scatter ``sendbuf`` blocks from ``root`` into every member's ``recvbuf``."""
     ctx.validate("scatter", recvbuf.nbytes, task.rank, root=root)
-    ctx.dispatch("scatter", recvbuf.nbytes, task)
-    plan = _block_plan(ctx, root)
+    decision = ctx.dispatch("scatter", recvbuf.nbytes, task)
+    plan = ctx.extension_plan(BlockPlan, root)
+    if task.rank == root:
+        if sendbuf is None:
+            raise ConfigurationError("the scatter root needs a send buffer")
+        if sendbuf.nbytes != recvbuf.nbytes * len(ctx.members):
+            raise ConfigurationError(
+                f"scatter send buffer is {sendbuf.nbytes} B; "
+                f"expected {len(ctx.members)} blocks of {recvbuf.nbytes} B"
+            )
+    return (
+        decision,
+        unreserved("scatter", root),
+        lambda _invocation: _scatter(ctx, plan, task, sendbuf, recvbuf, root),
+    )
+
+
+def _scatter(
+    ctx: SRMContext,
+    plan: BlockPlan,
+    task: "Task",
+    sendbuf: np.ndarray | None,
+    recvbuf: np.ndarray,
+    root: int,
+) -> ProcessGenerator:
     members = ctx.members
     block = recvbuf.nbytes
 
@@ -132,13 +150,7 @@ def srm_scatter(
             yield from task.lapi.waitcntr(plan.scatter_arrival[task.rank], 1)
         return
 
-    if sendbuf is None:
-        raise ConfigurationError("the scatter root needs a send buffer")
-    if sendbuf.nbytes != block * len(members):
-        raise ConfigurationError(
-            f"scatter send buffer is {sendbuf.nbytes} B; "
-            f"expected {len(members)} blocks of {block} B"
-        )
+    assert sendbuf is not None
     data = _bytes(sendbuf)
     positions = _positions(ctx)
     # Wait for every member's registration, then stream the blocks.
@@ -163,33 +175,49 @@ def srm_scatter(
             yield delivery
 
 
-def srm_gather(
+def prepare_gather(
     ctx: SRMContext,
     task: "Task",
     sendbuf: np.ndarray,
     recvbuf: np.ndarray | None,
     root: int = 0,
-) -> ProcessGenerator:
+) -> Prepared:
     """Gather every member's ``sendbuf`` block into ``root``'s ``recvbuf``."""
     ctx.validate("gather", sendbuf.nbytes, task.rank, root=root)
-    ctx.dispatch("gather", sendbuf.nbytes, task)
-    plan = _block_plan(ctx, root)
+    decision = ctx.dispatch("gather", sendbuf.nbytes, task)
+    plan = ctx.extension_plan(BlockPlan, root)
+    if task.rank == root:
+        if recvbuf is None:
+            raise ConfigurationError("the gather root needs a receive buffer")
+        if recvbuf.nbytes != sendbuf.nbytes * len(ctx.members):
+            raise ConfigurationError(
+                f"gather receive buffer is {recvbuf.nbytes} B; "
+                f"expected {len(ctx.members)} blocks of {sendbuf.nbytes} B"
+            )
+    return (
+        decision,
+        unreserved("gather", root),
+        lambda _invocation: _gather(ctx, plan, task, sendbuf, recvbuf, root),
+    )
+
+
+def _gather(
+    ctx: SRMContext,
+    plan: BlockPlan,
+    task: "Task",
+    sendbuf: np.ndarray,
+    recvbuf: np.ndarray | None,
+    root: int,
+) -> ProcessGenerator:
     members = ctx.members
     block = sendbuf.nbytes
     positions = _positions(ctx)
 
     if task.rank == root:
-        if recvbuf is None:
-            raise ConfigurationError("the gather root needs a receive buffer")
-        if recvbuf.nbytes != block * len(members):
-            raise ConfigurationError(
-                f"gather receive buffer is {recvbuf.nbytes} B; "
-                f"expected {len(members)} blocks of {block} B"
-            )
         plan.root_buffer = recvbuf
     # Window-open epoch rides the SRM broadcast tree (log depth).
     with task.phase(BLOCK_REGISTER):
-        yield from srm_broadcast(ctx, task, plan.epoch, root)
+        yield from run_nested(prepare_broadcast(ctx, task, plan.epoch, root))
 
     data = _bytes(plan.root_buffer)  # type: ignore[arg-type]
     my_slice = data[positions[task.rank] * block : (positions[task.rank] + 1) * block]
@@ -204,12 +232,12 @@ def srm_gather(
         )
 
 
-def srm_allgather(
+def prepare_allgather(
     ctx: SRMContext,
     task: "Task",
     sendbuf: np.ndarray,
     recvbuf: np.ndarray,
-) -> ProcessGenerator:
+) -> Prepared:
     """Every member's block, concatenated, delivered to every member."""
     ctx.validate("allgather", recvbuf.nbytes, task.rank)
     if recvbuf.nbytes != sendbuf.nbytes * len(ctx.members):
@@ -218,12 +246,17 @@ def srm_allgather(
             f"{len(ctx.members)} blocks of {sendbuf.nbytes} B"
         )
     decision = ctx.dispatch("allgather", recvbuf.nbytes, task)
-    if decision.variant == "ring":
-        yield from _allgather_ring(ctx, task, sendbuf, recvbuf)
-        return
-    root = ctx.group_root
-    yield from srm_gather(ctx, task, sendbuf, recvbuf if task.rank == root else None, root)
-    yield from srm_broadcast(ctx, task, recvbuf, root)
+
+    def body(_invocation) -> ProcessGenerator:
+        if decision.variant == "ring":
+            yield from _allgather_ring(ctx, task, sendbuf, recvbuf)
+            return
+        root = ctx.group_root
+        mine = recvbuf if task.rank == root else None
+        yield from run_nested(prepare_gather(ctx, task, sendbuf, mine, root))
+        yield from run_nested(prepare_broadcast(ctx, task, recvbuf, root))
+
+    return decision, unreserved("allgather"), body
 
 
 class AlltoallPlan:
@@ -237,12 +270,12 @@ class AlltoallPlan:
         self.registry: dict[int, np.ndarray] = {}
 
 
-def srm_alltoall(
+def prepare_alltoall(
     ctx: SRMContext,
     task: "Task",
     sendbuf: np.ndarray,
     recvbuf: np.ndarray,
-) -> ProcessGenerator:
+) -> Prepared:
     """Personalized exchange: my block *j* lands in member *j*'s buffer at
     my position.
 
@@ -251,22 +284,32 @@ def srm_alltoall(
     block crosses the network exactly once, all transfers in parallel — and
     waits for its own ``size - 1`` arrivals.
     """
-    from repro.core.internode.barrier import srm_barrier
-
     ctx.validate("alltoall", sendbuf.nbytes, task.rank)
-    ctx.dispatch("alltoall", sendbuf.nbytes, task)
-    members = ctx.members
-    size = len(members)
+    decision = ctx.dispatch("alltoall", sendbuf.nbytes, task)
+    size = len(ctx.members)
     if sendbuf.nbytes != recvbuf.nbytes or sendbuf.nbytes % size:
         raise ConfigurationError(
             f"alltoall buffers must both hold {size} equal blocks "
             f"(got send={sendbuf.nbytes} B, recv={recvbuf.nbytes} B)"
         )
+    plan = ctx.extension_plan(AlltoallPlan)
+    return (
+        decision,
+        unreserved("alltoall"),
+        lambda _invocation: _alltoall(ctx, plan, task, sendbuf, recvbuf),
+    )
+
+
+def _alltoall(
+    ctx: SRMContext,
+    plan: AlltoallPlan,
+    task: "Task",
+    sendbuf: np.ndarray,
+    recvbuf: np.ndarray,
+) -> ProcessGenerator:
+    members = ctx.members
+    size = len(members)
     block = sendbuf.nbytes // size
-    plan = getattr(ctx, "_alltoall_plan", None)
-    if plan is None:
-        plan = AlltoallPlan(ctx)
-        ctx._alltoall_plan = plan  # type: ignore[attr-defined]
     positions = _positions(ctx)
     my_position = positions[task.rank]
     send_data = _bytes(sendbuf)
@@ -276,7 +319,7 @@ def srm_alltoall(
     # every member's buffer reference is current for this call.
     plan.registry[task.rank] = recvbuf
     with task.phase(BLOCK_REGISTER):
-        yield from srm_barrier(ctx, task)
+        yield from run_nested(prepare_barrier(ctx, task))
 
     with task.phase(BLOCK_TRANSFER):
         # My own block moves locally.
@@ -340,22 +383,19 @@ class AllgatherPlan:
         self.calls: dict[int, int] = {rank: 0 for rank in ctx.members}
 
 
-def _allgather_plan(ctx: SRMContext) -> AllgatherPlan:
-    plan = getattr(ctx, "_allgather_ring_plan", None)
-    if plan is None:
-        plan = AllgatherPlan(ctx)
-        ctx._allgather_ring_plan = plan  # type: ignore[attr-defined]
-    return plan
-
-
 def _allgather_ring(
     ctx: SRMContext,
     task: "Task",
     sendbuf: np.ndarray,
     recvbuf: np.ndarray,
 ) -> ProcessGenerator:
-    plan = _allgather_plan(ctx)
+    plan = ctx.extension_plan(AllgatherPlan)
     state = ctx.node_state(task)
+    # Claim the local fan-out's sequences now: the body runs after the
+    # chain gate, so this rank's earlier requests hold theirs already.
+    fan_out_base = state.reserve_bcast(
+        state.index_of(task), len(fan_out_offsets(state, recvbuf.nbytes))
+    )
     node = task.node.index
     block = sendbuf.nbytes
     ring_size = len(plan.node_order)
@@ -385,7 +425,7 @@ def _allgather_ring(
                 _bytes(sendbuf),
                 target_counter=plan.member_arrival[node],
             )
-        yield from _fan_out(ctx, state, task, data)
+        yield from smp_fan_out(state, task, data, fan_out_base)
         return
 
     # Master: open the window, register with my writer (the left neighbour
@@ -425,9 +465,9 @@ def _allgather_ring(
             # counter strictly in send order, as the FIFO switch route would.
             signal = task.engine.event(name=f"ag-fifo:{node}:{step}")
             task.engine.process(
-                _ring_signal(
+                in_order_signal(
                     delivery, previous_signal, plan.ring_arrival[right], signal,
-                    flow=_signal_flow(task, issue_ts, right_master),
+                    flow=ring_signal_flow(task, issue_ts, right_master),
                 ),
                 name=f"ag-signal:{node}->{right}",
             )
@@ -438,50 +478,4 @@ def _allgather_ring(
     with task.phase(STREAM_JOIN):
         for delivery in deliveries:
             yield delivery
-    yield from _fan_out(ctx, state, task, data)
-
-
-def _ring_signal(delivery, previous_signal, counter, signal, flow=None) -> ProcessGenerator:
-    yield delivery
-    if previous_signal is not None and not previous_signal.processed:
-        yield previous_signal
-    counter.increment()
-    if flow is not None:
-        flow()
-    signal.succeed()
-
-
-def _signal_flow(task: "Task", issue_ts: float, dst_rank: int):
-    """A callback recording the ``ring-signal`` flow link at increment time.
-
-    FIFO-chained ring signals increment the neighbour's arrival counter from
-    a helper process, invisible to the put-level flow links; this records the
-    causal edge the wait-state classifier and critical-path walker need —
-    issued when the put was injected, delivered when the signal lands.
-    Purely passive (an append on the recorder), so simulation timing is
-    untouched.
-    """
-    obs, engine = task.obs, task.engine
-
-    def record() -> None:
-        obs.flow(FLOW_RING_SIGNAL, task.rank, issue_ts, dst_rank, engine.now)
-
-    return record
-
-
-def _fan_out(ctx: SRMContext, state, task: "Task", data: np.ndarray) -> ProcessGenerator:
-    """Local distribution of the assembled result through the Fig. 3 buffers."""
-    if state.size == 1:
-        return
-    chunk = ctx.config.shared_buffer_bytes
-    is_master = state.is_master(task)
-    for offset in range(0, data.nbytes, chunk):
-        view = data[offset : offset + min(chunk, data.nbytes - offset)]
-        with task.phase(PIPELINE_CHUNK):
-            yield from smp_broadcast_chunk(
-                state,
-                task,
-                is_source=is_master,
-                src_chunk=view if is_master else None,
-                dst_chunk=None if is_master else view,
-            )
+    yield from smp_fan_out(state, task, data, fan_out_base)

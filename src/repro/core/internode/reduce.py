@@ -33,7 +33,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.mpi.ops import ReduceOp
 
-__all__ = ["srm_reduce", "reserve_reduce", "reduce_body"]
+__all__ = ["reserve_reduce", "reduce_body"]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
@@ -41,33 +41,6 @@ _SIGNAL = np.zeros(0, dtype=np.uint8)
 def _flat(buffer: np.ndarray) -> np.ndarray:
     """Flatten without copying, keeping the dtype (operators need it)."""
     return buffer.reshape(-1)
-
-
-def srm_reduce(
-    ctx: SRMContext,
-    task: "Task",
-    src: np.ndarray,
-    dst: np.ndarray | None,
-    op: "ReduceOp",
-    root: int,
-    chunks: list[tuple[int, int]],
-    root_chunk_done: list[Event] | None,
-    invocation: InvocationState,
-) -> ProcessGenerator:
-    """One rank's part of an SRM reduce of ``src`` to ``root``'s ``dst``.
-
-    The reduce stage of the pipelined allreduce (Fig. 5): ``chunks`` is the
-    chunking shared with the broadcast stage, ``root_chunk_done`` holds the
-    per-chunk events the root fires as results materialize, and
-    ``invocation`` is the window the allreduce reserved for both stages.
-    Interrupts stay on because the broadcast stage runs concurrently on the
-    same task.
-    """
-    ctx.validate("reduce", src.nbytes, task.rank, root=root)
-    yield from reduce_body(
-        ctx, ctx.reduce_plan(root), ctx.node_state(task), task, src, dst, op,
-        chunks, root_chunk_done, invocation,
-    )
 
 
 def reserve_reduce(
@@ -100,7 +73,12 @@ def reduce_body(
     root_chunk_done: list[Event] | None,
     invocation: InvocationState,
 ) -> ProcessGenerator:
-    """The reduce proper, over a pre-reserved invocation window."""
+    """The reduce proper, over a pre-reserved invocation window.
+
+    ``root_chunk_done`` (the Fig. 5 pipelined allreduce): per-chunk events
+    the root fires as results materialize, feeding the concurrent broadcast
+    stage that shares ``chunks`` and ``invocation``.
+    """
     src_data = _flat(src)
     dtype = src_data.dtype
     itemsize = dtype.itemsize

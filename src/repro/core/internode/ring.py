@@ -21,6 +21,9 @@ variant of the allreduce in :mod:`repro.core.dispatch`: force it with
 ``FixedPolicy({"allreduce": "ring"})``, or let a tuned/cost-model policy
 pick it where its bandwidth optimality wins; the ablation benchmark
 ``bench_abl_ring_allreduce.py`` maps the crossover.
+
+Its shared-memory stages use reserved sequences only: ``reserve_allreduce``
+claims the SMP-reduce pieces (:func:`smp_pieces`) and the fan-out at start.
 """
 
 from __future__ import annotations
@@ -29,12 +32,19 @@ import typing
 
 import numpy as np
 
-from repro.core.context import SRMContext
-from repro.core.internode.gatherscatter import _fan_out, _ring_signal, _signal_flow
+from repro.core.context import InvocationState, SRMContext
+from repro.core.internode.broadcast import in_order_signal
+from repro.core.smp.broadcast import smp_fan_out
 from repro.core.smp.reduce import smp_reduce_chunk
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
-from repro.obs.taxonomy import BLOCK_REGISTER, PIPELINE_CHUNK, RING_STEP, STREAM_JOIN
+from repro.obs.taxonomy import (
+    BLOCK_REGISTER,
+    FLOW_RING_SIGNAL,
+    PIPELINE_CHUNK,
+    RING_STEP,
+    STREAM_JOIN,
+)
 from repro.shmem.segment import SharedSegment
 from repro.sim.process import ProcessGenerator
 
@@ -42,7 +52,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.mpi.ops import ReduceOp
 
-__all__ = ["srm_allreduce_ring", "RingAllreducePlan"]
+__all__ = ["srm_allreduce_ring", "smp_pieces", "ring_signal_flow", "RingAllreducePlan"]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
@@ -81,12 +91,34 @@ class RingAllreducePlan:
         self.rs_combined: dict[int, int] = {node: 0 for node in self.node_order}
 
 
-def _ring_plan(ctx: SRMContext) -> RingAllreducePlan:
-    plan = getattr(ctx, "_ring_allreduce_plan", None)
-    if plan is None:
-        plan = RingAllreducePlan(ctx)
-        ctx._ring_allreduce_plan = plan  # type: ignore[attr-defined]
-    return plan
+def smp_pieces(ctx: SRMContext, src: np.ndarray) -> range:
+    """Element offsets of the SMP-reduce pieces, one shared slot each.
+
+    The one source of the piece count ``reserve_allreduce`` claims and of
+    the SMP stage's chunking; the step is also the staging sub-chunk size.
+    """
+    capacity = ctx.config.shared_buffer_bytes // src.dtype.itemsize
+    if capacity < 1:
+        raise ConfigurationError("staging capacity below one element")
+    return range(0, src.size, capacity)
+
+
+def ring_signal_flow(task: "Task", issue_ts: float, dst_rank: int):
+    """A callback recording the ``ring-signal`` flow link at increment time.
+
+    FIFO-chained ring signals increment the neighbour's arrival counter from
+    a helper process, invisible to the put-level flow links; this records the
+    causal edge the wait-state classifier and critical-path walker need —
+    issued when the put was injected, delivered when the signal lands.
+    Purely passive (an append on the recorder), so simulation timing is
+    untouched.
+    """
+    obs, engine = task.obs, task.engine
+
+    def record() -> None:
+        obs.flow(FLOW_RING_SIGNAL, task.rank, issue_ts, dst_rank, engine.now)
+
+    return record
 
 
 def srm_allreduce_ring(
@@ -95,33 +127,35 @@ def srm_allreduce_ring(
     src: np.ndarray,
     dst: np.ndarray,
     op: "ReduceOp",
+    invocation: InvocationState,
 ) -> ProcessGenerator:
-    """One rank's part of the hierarchical ring allreduce."""
-    ctx.validate("allreduce", src.nbytes, task.rank)
+    """One rank's part of the hierarchical ring allreduce, over the
+    invocation's reserved SMP-reduce and fan-out windows."""
     state = ctx.node_state(task)
     dtype = src.dtype
     src_data = src.reshape(-1)
     dst_data = dst.reshape(-1)
     intra_tree = ctx.reduce_plan(ctx.group_root).trees.intra[task.node.index]
-
-    capacity = ctx.config.shared_buffer_bytes // dtype.itemsize
+    pieces = smp_pieces(ctx, src)
+    capacity = pieces.step
 
     def smp_stage(target: np.ndarray | None) -> ProcessGenerator:
         # The SMP reduce flows chunk-wise through the shared slots.
-        for low in range(0, src_data.shape[0], capacity):
+        for index, low in enumerate(pieces):
             high = min(low + capacity, src_data.shape[0])
             piece_target = target[low:high] if target is not None else None
             with task.phase(PIPELINE_CHUNK):
                 yield from smp_reduce_chunk(
-                    state, task, intra_tree, src_data[low:high], op, target=piece_target
+                    state, task, intra_tree, src_data[low:high], op, target=piece_target,
+                    sequence=invocation.reduce_base + index,
                 )
 
     if not state.is_master(task):
         yield from smp_stage(None)
-        yield from _fan_out(ctx, state, task, dst_data.view(np.uint8))
+        yield from smp_fan_out(state, task, dst_data.view(np.uint8), invocation.bcast_base)
         return
 
-    plan = _ring_plan(ctx)
+    plan = ctx.extension_plan(RingAllreducePlan)
     ring_size = len(plan.node_order)
     node = task.node.index
     my_position = plan.position[node]
@@ -132,20 +166,13 @@ def srm_allreduce_ring(
         )
     base = elements // ring_size
     starts = [index * base for index in range(ring_size)] + [elements]
-    #: Staging sub-chunk capacity in elements.
-    capacity_elements = ctx.config.shared_buffer_bytes // dtype.itemsize
-    if capacity_elements < 1:
-        raise ConfigurationError("staging capacity below one element")
 
     def segment(buffer: np.ndarray, index: int) -> np.ndarray:
         index %= ring_size
         return buffer[starts[index] : starts[index + 1]]
 
     def sub_chunks(length: int) -> list[tuple[int, int]]:
-        return [
-            (low, min(low + capacity_elements, length))
-            for low in range(0, length, capacity_elements)
-        ]
+        return [(low, min(low + capacity, length)) for low in range(0, length, capacity)]
 
     # Stage 1: node partial straight into my destination buffer.
     yield from smp_stage(dst_data)
@@ -194,9 +221,9 @@ def srm_allreduce_ring(
                         )
                         signal = task.engine.event(name=f"ringrs:{node}")
                         task.engine.process(
-                            _ring_signal(
+                            in_order_signal(
                                 delivery, rs_signal_chain, plan.rs_arrival[right], signal,
-                                flow=_signal_flow(task, issue_ts, right_master),
+                                flow=ring_signal_flow(task, issue_ts, right_master),
                             ),
                             name=f"ringrs-signal:{node}",
                         )
@@ -232,9 +259,9 @@ def srm_allreduce_ring(
                 deliveries.append(delivery)
                 signal = task.engine.event(name=f"ringag:{node}:{step}")
                 task.engine.process(
-                    _ring_signal(
+                    in_order_signal(
                         delivery, previous_signal, plan.ag_arrival[right], signal,
-                        flow=_signal_flow(task, issue_ts, right_master),
+                        flow=ring_signal_flow(task, issue_ts, right_master),
                     ),
                     name=f"ringag-signal:{node}",
                 )
@@ -245,4 +272,4 @@ def srm_allreduce_ring(
                 yield delivery
 
     # Stage 4: local fan-out of the complete result.
-    yield from _fan_out(ctx, state, task, dst_data.view(np.uint8))
+    yield from smp_fan_out(state, task, dst_data.view(np.uint8), invocation.bcast_base)

@@ -19,6 +19,9 @@ element-wise, so chunks are independent): chunk *c+1*'s SMP chain overlaps
 chunk *c*'s network hop.  Every shared slot is double-buffered with
 cumulative written/consumed flags, so producers run at most two chunks
 ahead of their slowest consumer — the same discipline as the SMP reduce.
+
+A scan enters as an inline request (:mod:`repro.core.requests`): its chunk
+cursors advance in the body, after the chain gate, so in started order.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import typing
 import numpy as np
 
 from repro.core.context import SRMContext
+from repro.core.requests import Prepared, unreserved
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
 from repro.obs.taxonomy import SCAN_CHUNK
@@ -39,7 +43,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.mpi.ops import ReduceOp
 
-__all__ = ["srm_scan", "ScanPlan"]
+__all__ = ["prepare_scan", "ScanPlan"]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
@@ -93,27 +97,34 @@ class ScanPlan:
         self.chain_received: dict[int, int] = {node: 0 for node in self.node_order}
 
 
-def _scan_plan(ctx: SRMContext) -> ScanPlan:
-    plan = getattr(ctx, "_scan_plan", None)
-    if plan is None:
-        plan = ScanPlan(ctx)
-        ctx._scan_plan = plan  # type: ignore[attr-defined]
-    return plan
-
-
-def srm_scan(
+def prepare_scan(
     ctx: SRMContext,
     task: "Task",
     src: np.ndarray,
     dst: np.ndarray,
     op: "ReduceOp",
-) -> ProcessGenerator:
+) -> Prepared:
     """One rank's part of an inclusive SRM scan."""
     ctx.validate("scan", src.nbytes, task.rank)
     if dst.nbytes != src.nbytes:
         raise ConfigurationError("scan buffers must match in size")
-    ctx.dispatch("scan", src.nbytes, task)
-    plan = _scan_plan(ctx)
+    decision = ctx.dispatch("scan", src.nbytes, task)
+    plan = ctx.extension_plan(ScanPlan)
+    return (
+        decision,
+        unreserved("scan"),
+        lambda _invocation: _scan(ctx, plan, task, src, dst, op),
+    )
+
+
+def _scan(
+    ctx: SRMContext,
+    plan: ScanPlan,
+    task: "Task",
+    src: np.ndarray,
+    dst: np.ndarray,
+    op: "ReduceOp",
+) -> ProcessGenerator:
     state = ctx.node_state(task)
     node = task.node.index
     my_position = plan.position[node]

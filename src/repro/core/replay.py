@@ -19,10 +19,10 @@ tap slot as the verifier, fault plan, and monitor).  The next plain
 ``engine.run()`` flushes them:
 
 * **replay** — the window's key (per-plan identity + generation + invocation
-  slot parities + the context's legacy cursor parities) matches a committed
-  trace and every recorded precondition holds → the trace is applied at the
-  flush instant and per-request completion events are scheduled at the
-  recorded relative times.  ``replay.hits`` increments.
+  slot parities) matches a committed trace and every recorded precondition
+  holds → the trace is applied at the flush instant and per-request
+  completion events are scheduled at the recorded relative times.
+  ``replay.hits`` increments.
 * **record** — no usable trace: the requests are materialized as ordinary
   progress processes and a recording is armed.  When the run loop drains the
   queue (quiescence) with every member request complete, the trace commits.
@@ -161,7 +161,6 @@ def _dict_cells(d: dict) -> typing.Iterator[tuple]:
 
 def _context_cells(ctx: "SRMContext") -> typing.Iterator[tuple]:
     for state in ctx.nodes.values():
-        yield ("attr", state.bcast_buf, "cursor")
         for bank in state.bcast_buf.ready:
             yield from _flag_cells(bank)
         for i in range(len(state.bcast_seq)):
@@ -224,29 +223,12 @@ def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> di
     return snapshot
 
 
-def _context_cursor_parity(ctx: "SRMContext") -> tuple:
-    """Parity signature of the context's legacy (non-reserved) cursors.
-
-    Direct-generator paths (e.g. the ring allreduce ablation) advance node
-    cursors mid-body instead of reserving windows up front; their slot
-    choices depend on these parities, so the window key must include them.
-    """
-    parts = []
-    for node in sorted(ctx.nodes):
-        state = ctx.nodes[node]
-        parts.append(
-            (
-                node,
-                state.bcast_buf.cursor & 1,
-                tuple(s & 1 for s in state.bcast_seq),
-                tuple(s & 1 for s in state.reduce_seq),
-            )
-        )
-    return tuple(parts)
-
-
 def _invocation_parity(invocation) -> tuple:
-    """The slot-parity signature of one reserved invocation window."""
+    """The slot-parity signature of one reserved invocation window.
+
+    Every persistent body reads its slots from these reserved bases only,
+    so together with plan identity and generation they key a window.
+    """
     return (
         invocation.op,
         invocation.root,
@@ -861,16 +843,10 @@ class ReplayManager:
     # -- internals -----------------------------------------------------------
 
     def _window_key(self, starts: list) -> tuple:
-        contexts = {id(s.plan.ctx): s.plan.ctx for s in starts}
-        context_sig = tuple(
-            _context_cursor_parity(ctx)
-            for _ctx_id, ctx in sorted(contexts.items())
-        )
-        start_sig = tuple(
+        return tuple(
             (id(s.plan), s.plan._generation, _invocation_parity(s.invocation))
             for s in starts
         )
-        return (context_sig, start_sig)
 
     def _materialize(self, starts: list, record_key: tuple | None) -> None:
         for start in starts:

@@ -27,9 +27,14 @@ Across contexts there is no ordering: requests on disjoint groups progress
 concurrently.  Overlap within one context comes from cross-rank skew (rank 0
 can be two invocations ahead of rank 7's wait).
 
-A blocking call is an *inline* request: ``start()`` reserves, ``wait()``
-runs the body in the calling process via ``yield from`` — zero extra events,
-so the blocking operations are byte-identical to the pre-request code paths.
+This is the only way into an SRM collective.  A blocking call
+(:func:`run_blocking`) is an *inline* request: ``start()`` reserves,
+``wait()`` runs the body in the calling process via ``yield from`` — zero
+extra events when the chain is idle.  The extension operations (scatter,
+gather, allgather, alltoall, scan; their ``prepare_*`` live beside their
+protocols) claim no window at start (:func:`unreserved`); the windows of
+their sub-collectives and SMP fan-outs are reserved inside the body, after
+the chain gate, through :func:`run_nested`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CollectiveRequest",
     "PersistentCollective",
+    "run_blocking",
+    "run_nested",
+    "unreserved",
     "start_broadcast",
     "start_reduce",
     "start_allreduce",
@@ -104,8 +112,6 @@ class CollectiveRequest:
         self,
         ctx: SRMContext,
         task: "Task",
-        op: str,
-        root: int | None,
         invocation: InvocationState,
         body: ProcessGenerator,
         inline: bool,
@@ -113,8 +119,8 @@ class CollectiveRequest:
     ) -> None:
         self.ctx = ctx
         self.task = task
-        self.op = op
-        self.root = root
+        self.op = invocation.op
+        self.root = invocation.root
         self.invocation = invocation
         self._body = body
         self._inline = inline
@@ -299,14 +305,11 @@ class PersistentCollective:
             manager = manager_for(self.task.engine)
             if manager.accepts(self):
                 request = CollectiveRequest(
-                    self.ctx, self.task, self.op, self.root, invocation, body,
-                    inline=False, deferred=True,
+                    self.ctx, self.task, invocation, body, inline=False, deferred=True
                 )
                 manager.defer(self, invocation, request)
                 return request
-        return CollectiveRequest(
-            self.ctx, self.task, self.op, self.root, invocation, body, inline=False
-        )
+        return CollectiveRequest(self.ctx, self.task, invocation, body, inline=False)
 
     def invalidate(self) -> None:
         """Drop every compiled schedule recorded against this plan.
@@ -428,12 +431,23 @@ def prepare_allreduce(
     decision = ctx.dispatch("allreduce", src.nbytes, task, persistent=persistent)
 
     def reserve() -> InvocationState:
-        return reserve_allreduce(ctx, task, decision)
+        return reserve_allreduce(ctx, task, decision, src)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
         return allreduce_body(ctx, task, src, dst, op, decision, invocation)
 
     return decision, reserve, body
+
+
+def unreserved(op: str, root: int | None = None) -> typing.Callable[[], InvocationState]:
+    """The reserve closure of an operation that claims no window at start.
+
+    Barrier needs none (binary check-in flags, consumed dissemination
+    counters).  The extension operations claim theirs inside the body,
+    which runs after the chain gate.  Either way the gate alone orders
+    their invocations.
+    """
+    return lambda: InvocationState(op=op, root=root)
 
 
 def prepare_barrier(
@@ -442,41 +456,49 @@ def prepare_barrier(
     ctx.validate("barrier", 0, task.rank)
     decision = ctx.dispatch("barrier", 0, task, persistent=persistent)
 
-    def reserve() -> InvocationState:
-        # Barrier needs no sequence window (binary check-in flags, consumed
-        # dissemination counters); the chain gate alone orders invocations.
-        return InvocationState(op="barrier")
-
     def body(invocation: InvocationState) -> ProcessGenerator:
         return barrier_body(ctx, task, decision.manage_interrupts)
 
-    return decision, reserve, body
+    return decision, unreserved("barrier"), body
 
 
 # ---------------------------------------------------------------------------
-# start (one-shot request) / persistent constructors
+# start (blocking, one-shot, nested) / persistent constructors
 # ---------------------------------------------------------------------------
 
 
 def _start(
-    ctx: SRMContext,
-    task: "Task",
-    op: str,
-    root: int | None,
-    prepared: Prepared,
-    inline: bool,
+    ctx: SRMContext, task: "Task", prepared: Prepared, inline: bool = False
 ) -> CollectiveRequest:
     _decision, reserve, body = prepared
     invocation = reserve()
     invocation.sequence = ctx.next_invocation(task.rank)
-    return CollectiveRequest(ctx, task, op, root, invocation, body(invocation), inline)
+    return CollectiveRequest(ctx, task, invocation, body(invocation), inline)
+
+
+def run_blocking(ctx: SRMContext, task: "Task", prepared: Prepared) -> ProcessGenerator:
+    """Start one blocking call as an inline request on ``task``'s chain;
+    the returned generator completes it in the calling process."""
+    return _start(ctx, task, prepared, inline=True).wait()
+
+
+def run_nested(prepared: Prepared) -> ProcessGenerator:
+    """Reserve a sub-collective's window now and return its body, to run
+    inside the parent request's body.
+
+    The parent already passed the chain gate, so reserving now keeps this
+    rank's windows in started order.  Starting the sub-collective as a
+    request instead would chain it behind its own parent — a deadlock.
+    """
+    _decision, reserve, body = prepared
+    return body(reserve())
 
 
 def start_broadcast(
-    ctx: SRMContext, task: "Task", buffer: np.ndarray, root: int = 0, inline: bool = False
+    ctx: SRMContext, task: "Task", buffer: np.ndarray, root: int = 0
 ) -> CollectiveRequest:
-    """Start a (non)blocking broadcast; errors raise here, never mid-schedule."""
-    return _start(ctx, task, "broadcast", root, prepare_broadcast(ctx, task, buffer, root), inline)
+    """Start a nonblocking broadcast; errors raise here, never mid-schedule."""
+    return _start(ctx, task, prepare_broadcast(ctx, task, buffer, root))
 
 
 def start_reduce(
@@ -486,10 +508,9 @@ def start_reduce(
     dst: np.ndarray | None,
     op: "ReduceOp",
     root: int = 0,
-    inline: bool = False,
 ) -> CollectiveRequest:
-    """Start a (non)blocking reduce; errors raise here, never mid-schedule."""
-    return _start(ctx, task, "reduce", root, prepare_reduce(ctx, task, src, dst, op, root), inline)
+    """Start a nonblocking reduce; errors raise here, never mid-schedule."""
+    return _start(ctx, task, prepare_reduce(ctx, task, src, dst, op, root))
 
 
 def start_allreduce(
@@ -498,15 +519,14 @@ def start_allreduce(
     src: np.ndarray,
     dst: np.ndarray,
     op: "ReduceOp",
-    inline: bool = False,
 ) -> CollectiveRequest:
-    """Start a (non)blocking allreduce; errors raise here, never mid-schedule."""
-    return _start(ctx, task, "allreduce", None, prepare_allreduce(ctx, task, src, dst, op), inline)
+    """Start a nonblocking allreduce; errors raise here, never mid-schedule."""
+    return _start(ctx, task, prepare_allreduce(ctx, task, src, dst, op))
 
 
-def start_barrier(ctx: SRMContext, task: "Task", inline: bool = False) -> CollectiveRequest:
-    """Start a (non)blocking barrier."""
-    return _start(ctx, task, "barrier", None, prepare_barrier(ctx, task), inline)
+def start_barrier(ctx: SRMContext, task: "Task") -> CollectiveRequest:
+    """Start a nonblocking barrier."""
+    return _start(ctx, task, prepare_barrier(ctx, task))
 
 
 def persistent_broadcast(

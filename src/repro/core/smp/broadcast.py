@@ -14,6 +14,14 @@ Three primitives compose every use:
   by the network (§2.4: "avoids unnecessary data copies"): just set flags;
 * :func:`drain_slot` — reader-side: wait own flag, timed copy out, clear.
 
+Which buffer a chunk uses is the parity of its chunk sequence, and every
+sequence is claimed up front through
+:meth:`~repro.core.context.NodeState.reserve_bcast`: the callers pass it in,
+so two invocations in flight never pick the same slot for different data.
+:func:`smp_fan_out` distributes a whole assembled result chunk-wise (the
+ring collectives' last stage); :func:`fan_out_offsets` is the one source of
+its chunk count, which callers reserve.
+
 :func:`tree_smp_broadcast_chunk` implements the tree-structured alternative
 the paper found slower ("Surprisingly, experiments showed..."), kept for the
 A2 ablation benchmark.  :func:`barrier_synced_smp_broadcast_chunk` implements
@@ -30,7 +38,7 @@ import typing
 import numpy as np
 
 from repro.core.context import NodeState
-from repro.obs.taxonomy import SLOT_ANNOUNCE, SLOT_DRAIN, SLOT_FILL
+from repro.obs.taxonomy import PIPELINE_CHUNK, SLOT_ANNOUNCE, SLOT_DRAIN, SLOT_FILL
 from repro.shmem.flags import FlagArray
 from repro.shmem.segment import SharedSegment
 from repro.sim.process import ProcessGenerator
@@ -43,6 +51,8 @@ __all__ = [
     "announce_slot",
     "drain_slot",
     "smp_broadcast_chunk",
+    "fan_out_offsets",
+    "smp_fan_out",
     "tree_smp_broadcast_chunk",
     "barrier_synced_smp_broadcast_chunk",
 ]
@@ -91,22 +101,16 @@ def smp_broadcast_chunk(
     is_source: bool,
     src_chunk: np.ndarray | None,
     dst_chunk: np.ndarray | None,
-    sequence: int | None = None,
+    sequence: int,
 ) -> ProcessGenerator:
     """One chunk of a flat SMP broadcast.
 
     ``is_source``: this task provides the data (from ``src_chunk``).
     Readers pass their ``dst_chunk``.  Single-task nodes are a no-op.
-
-    ``sequence``: a pre-reserved chunk sequence (see
-    :meth:`~repro.core.context.NodeState.reserve_bcast`); when ``None`` the
-    task's cursor is read and advanced here — the legacy single-invocation
-    discipline still used by the extension collectives and ablations.
+    ``sequence``: the chunk sequence reserved through
+    :meth:`~repro.core.context.NodeState.reserve_bcast`; its parity picks
+    the buffer.
     """
-    me = state.index_of(task)
-    if sequence is None:
-        sequence = state.bcast_seq[me]
-        state.bcast_seq[me] = sequence + 1
     if state.size == 1:
         return
     slot = sequence % 2
@@ -116,6 +120,39 @@ def smp_broadcast_chunk(
     else:
         assert dst_chunk is not None
         yield from drain_slot(state, task, slot, dst_chunk)
+
+
+def fan_out_offsets(state: NodeState, nbytes: int) -> range:
+    """Byte offsets of :func:`smp_fan_out`'s chunks, one shared buffer each.
+
+    The one source of the fan-out's chunk count, which its callers reserve
+    with :meth:`~repro.core.context.NodeState.reserve_bcast`.
+    """
+    return range(0, nbytes, state.config.shared_buffer_bytes)
+
+
+def smp_fan_out(state: NodeState, task: "Task", data: np.ndarray, base: int) -> ProcessGenerator:
+    """Distribute the master's assembled ``data`` (bytes) to its node.
+
+    The whole buffer flows chunk-wise through the Fig. 3 buffers, chunk
+    *i* under the reserved sequence ``base + i``.  Single-task nodes are a
+    no-op.
+    """
+    if state.size == 1:
+        return
+    chunk = state.config.shared_buffer_bytes
+    is_master = state.is_master(task)
+    for index, offset in enumerate(fan_out_offsets(state, data.nbytes)):
+        view = data[offset : offset + chunk]
+        with task.phase(PIPELINE_CHUNK):
+            yield from smp_broadcast_chunk(
+                state,
+                task,
+                is_source=is_master,
+                src_chunk=view if is_master else None,
+                dst_chunk=None if is_master else view,
+                sequence=base + index,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +257,7 @@ def barrier_synced_smp_broadcast_chunk(
     """
     from repro.core.smp.barrier import smp_barrier
 
-    me = state.index_of(task)
-    sequence = state.bcast_seq[me]
-    state.bcast_seq[me] = sequence + 1
+    sequence = state.reserve_bcast(state.index_of(task), 1)
     if state.size == 1:
         return
     slot = sequence % 2

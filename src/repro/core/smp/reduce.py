@@ -43,7 +43,8 @@ def smp_reduce_chunk(
     src_chunk: np.ndarray,
     op: "ReduceOp",
     target: np.ndarray | None = None,
-    sequence: int | None = None,
+    *,
+    sequence: int,
 ) -> typing.Generator[typing.Any, typing.Any, np.ndarray | None]:
     """One chunk of the SMP reduce; returns the node-result view at the
     intra root (None elsewhere).
@@ -52,10 +53,9 @@ def smp_reduce_chunk(
     omitted, the root accumulates in its own shared slot — or, on a
     single-task node, returns its source chunk directly (zero copies).
 
-    ``sequence``: a pre-reserved chunk sequence (see
-    :meth:`~repro.core.context.NodeState.reserve_reduce`); when ``None`` the
-    task's cursor is read and advanced here — the legacy single-invocation
-    discipline still used by the extension collectives and ablations.
+    ``sequence``: the chunk sequence reserved through
+    :meth:`~repro.core.context.NodeState.reserve_reduce`; its parity picks
+    the slot generation and its successor is the flag threshold.
     """
     with task.phase(SMP_REDUCE):
         result = yield from _smp_reduce_chunk(state, task, tree, src_chunk, op, target, sequence)
@@ -69,12 +69,9 @@ def _smp_reduce_chunk(
     src_chunk: np.ndarray,
     op: "ReduceOp",
     target: np.ndarray | None,
-    sequence: int | None = None,
+    sequence: int,
 ) -> typing.Generator[typing.Any, typing.Any, np.ndarray | None]:
     me = state.index_of(task)
-    if sequence is None:
-        sequence = state.reduce_seq[me]
-        state.reduce_seq[me] = sequence + 1
     children = tree.children_of(task.rank)
     is_root = tree.parent_of(task.rank) is None
     nbytes = src_chunk.nbytes

@@ -2,8 +2,9 @@
 
 One :class:`SRM` instance per machine owns the persistent shared-memory and
 counter state (:class:`~repro.core.context.SRMContext`) and exposes the four
-operations of the paper as per-rank generators, mirroring the baseline
-stacks' interface so benchmarks can swap implementations.
+operations of the paper, plus the block-data, scan and reduce-scatter
+extensions, as per-rank generators, mirroring the baseline stacks' interface
+so benchmarks can swap implementations.
 
 Usage inside a simulated program::
 
@@ -16,14 +17,15 @@ Usage inside a simulated program::
 
     machine.launch(program)
 
-Every collective also exists in **nonblocking** (``ibcast`` et al., returning
+The paper's four also exist in **nonblocking** (``ibcast`` et al., returning
 a :class:`~repro.core.requests.CollectiveRequest` whose progress runs in its
 own process) and **persistent** (``plan_broadcast`` et al., returning a
 :class:`~repro.core.requests.PersistentCollective` whose dispatch decision
-and buffer bindings are pinned once and replayed per ``start()``) form.  The
-blocking methods are themselves implemented as ``start(inline=True)`` +
-``wait()`` over the same request layer — one code path, byte-identical to
-the historical blocking behaviour.
+and buffer bindings are pinned once and replayed per ``start()``) form.
+Every blocking method is an inline request on the rank's started-order
+chain (:func:`~repro.core.requests.run_blocking`) — one way in for all ten
+operations, so a blocking call issued while requests are in flight runs
+after them.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from repro.core.config import SRMConfig
 from repro.core.context import SRMContext
 from repro.core.dispatch import SelectionPolicy
 from repro.core.internode.gatherscatter import (
-    srm_allgather,
-    srm_alltoall,
-    srm_gather,
-    srm_scatter,
+    prepare_allgather,
+    prepare_alltoall,
+    prepare_gather,
+    prepare_scatter,
 )
-from repro.core.internode.scan import srm_scan
-from repro.core.requests import CollectiveRequest, PersistentCollective
+from repro.core.internode.scan import prepare_scan
+from repro.core.requests import CollectiveRequest, PersistentCollective, run_blocking
 from repro.machine.cluster import Machine
 from repro.mpi.ops import SUM, ReduceOp
 from repro.sim.process import ProcessGenerator
@@ -96,8 +98,8 @@ class SRM:
 
     def broadcast(self, task: "Task", buffer: np.ndarray, root: int = 0) -> ProcessGenerator:
         """Broadcast ``buffer`` from ``root`` to every member (in place)."""
-        request = _requests.start_broadcast(self.ctx, task, buffer, root, inline=True)
-        yield from request.wait()
+        prepared = _requests.prepare_broadcast(self.ctx, task, buffer, root)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def reduce(
         self,
@@ -108,8 +110,8 @@ class SRM:
         root: int = 0,
     ) -> ProcessGenerator:
         """Combine every member's ``src`` with ``op`` into ``root``'s ``dst``."""
-        request = _requests.start_reduce(self.ctx, task, src, dst, op, root, inline=True)
-        yield from request.wait()
+        prepared = _requests.prepare_reduce(self.ctx, task, src, dst, op, root)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def allreduce(
         self,
@@ -119,13 +121,13 @@ class SRM:
         op: ReduceOp = SUM,
     ) -> ProcessGenerator:
         """Combine every member's ``src`` into every member's ``dst``."""
-        request = _requests.start_allreduce(self.ctx, task, src, dst, op, inline=True)
-        yield from request.wait()
+        prepared = _requests.prepare_allreduce(self.ctx, task, src, dst, op)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def barrier(self, task: "Task") -> ProcessGenerator:
         """Synchronize all members."""
-        request = _requests.start_barrier(self.ctx, task, inline=True)
-        yield from request.wait()
+        prepared = _requests.prepare_barrier(self.ctx, task)
+        yield from run_blocking(self.ctx, task, prepared)
 
     # -- nonblocking one-shots (MPI_I* shape) ------------------------------
 
@@ -204,7 +206,8 @@ class SRM:
         root: int = 0,
     ) -> ProcessGenerator:
         """Distribute ``root``'s blocks: member *i* receives block *i*."""
-        yield from srm_scatter(self.ctx, task, sendbuf, recvbuf, root)
+        prepared = prepare_scatter(self.ctx, task, sendbuf, recvbuf, root)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def gather(
         self,
@@ -214,7 +217,8 @@ class SRM:
         root: int = 0,
     ) -> ProcessGenerator:
         """Collect every member's block into ``root``'s ``recvbuf``."""
-        yield from srm_gather(self.ctx, task, sendbuf, recvbuf, root)
+        prepared = prepare_gather(self.ctx, task, sendbuf, recvbuf, root)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def allgather(
         self,
@@ -223,7 +227,8 @@ class SRM:
         recvbuf: np.ndarray,
     ) -> ProcessGenerator:
         """Every member's block, concatenated, delivered to every member."""
-        yield from srm_allgather(self.ctx, task, sendbuf, recvbuf)
+        prepared = prepare_allgather(self.ctx, task, sendbuf, recvbuf)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def alltoall(
         self,
@@ -232,7 +237,8 @@ class SRM:
         recvbuf: np.ndarray,
     ) -> ProcessGenerator:
         """Personalized exchange: my block *j* reaches member *j*."""
-        yield from srm_alltoall(self.ctx, task, sendbuf, recvbuf)
+        prepared = prepare_alltoall(self.ctx, task, sendbuf, recvbuf)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def scan(
         self,
@@ -242,7 +248,8 @@ class SRM:
         op: ReduceOp = SUM,
     ) -> ProcessGenerator:
         """Inclusive prefix reduction in group-member order."""
-        yield from srm_scan(self.ctx, task, src, dst, op)
+        prepared = prepare_scan(self.ctx, task, src, dst, op)
+        yield from run_blocking(self.ctx, task, prepared)
 
     def reduce_scatter(
         self,
@@ -252,7 +259,7 @@ class SRM:
         op: ReduceOp = SUM,
     ) -> ProcessGenerator:
         """Block-regular reduce-scatter: ``dst`` gets my block of the sum
-        (composed from reduce + the RMA-native scatter)."""
+        (two chained calls: reduce, then the RMA-native scatter)."""
         members = self.ctx.members
         if src.nbytes != dst.nbytes * len(members):
             raise ValueError("reduce_scatter src must hold one block per member")

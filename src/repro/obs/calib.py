@@ -195,10 +195,6 @@ class DecisionLog:
                 return record
         return None
 
-    def to_dicts(self) -> list[dict]:
-        """Every record, JSON-ready, in emission order."""
-        return [record.to_dict() for record in self.records]
-
     def __len__(self) -> int:
         return len(self.records)
 

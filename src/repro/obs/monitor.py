@@ -90,13 +90,6 @@ class ResourceTimeline:
         """The recorded transitions, chronologically."""
         return list(self._samples)
 
-    def state_at(self, time: float) -> ResourceSample | None:
-        """The sample in effect at ``time`` (None before the first sample)."""
-        index = bisect.bisect_right(self._times, time) - 1
-        if index < 0:
-            return None
-        return self._samples[index]
-
     def seconds_matching(
         self,
         start: float,

@@ -210,19 +210,6 @@ class PhaseRecorder:
 
     # -- queries -------------------------------------------------------------
 
-    def closed_spans(self, start: float | None = None, end: float | None = None) -> list[PhaseSpan]:
-        """Closed spans overlapping ``[start, end]`` (default: all closed)."""
-        out = []
-        for span in self.spans:
-            if span.end is None:
-                continue
-            if start is not None and span.end < start:
-                continue
-            if end is not None and span.start > end:
-                continue
-            out.append(span)
-        return out
-
     def ranks(self) -> list[int]:
         return sorted({span.rank for span in self.spans})
 

@@ -10,9 +10,10 @@ root's fill of one buffer overlaps the readers' drains of the other.
 
 :class:`DoubleBuffer` packages exactly that: two data regions carved from a
 :class:`~repro.shmem.segment.SharedSegment` plus two
-:class:`~repro.shmem.flags.FlagArray` banks, and an alternation cursor that
-persists across calls (the paper alternates buffers between *consecutive
-broadcast operations* too, "to improve concurrency").
+:class:`~repro.shmem.flags.FlagArray` banks.  It keeps no cursor: protocols
+pick a buffer by the parity of a chunk sequence they reserved, which keeps
+alternating across consecutive calls too (the paper alternates buffers
+between *consecutive broadcast operations*, "to improve concurrency").
 """
 
 from __future__ import annotations
@@ -55,19 +56,7 @@ class DoubleBuffer:
             FlagArray(node, flags_per_buffer, name=f"{name}-readyA", kind="ready"),
             FlagArray(node, flags_per_buffer, name=f"{name}-readyB", kind="ready"),
         )
-        #: Number of buffer selections made so far; parity picks A or B.
-        self.cursor = 0
         self.engine = node.machine.engine
-
-    def next_slot(self) -> int:
-        """Advance the alternation cursor and return the chosen slot (0/1)."""
-        slot = self.cursor % 2
-        self.cursor += 1
-        return slot
-
-    def peek_slot(self) -> int:
-        """The slot the next :meth:`next_slot` call would return."""
-        return self.cursor % 2
 
     def data(self, slot: int, nbytes: int) -> np.ndarray:
         """A view of the first ``nbytes`` of buffer ``slot``."""
@@ -107,6 +96,5 @@ class DoubleBuffer:
 
     def __repr__(self) -> str:
         return (
-            f"<DoubleBuffer {self.name!r} node={self.node.index} "
-            f"2x{self.buffer_bytes} B cursor={self.cursor}>"
+            f"<DoubleBuffer {self.name!r} node={self.node.index} 2x{self.buffer_bytes} B>"
         )

@@ -250,10 +250,6 @@ class Gate:
                 self.engine.now, 1 if self._open else 0, len(self._waiting), False
             )
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def wait(self) -> Event:
         """Event that fires when the gate is (or becomes) open."""
         passed = Event(self.engine, name=f"gate:{self.name}")

@@ -24,6 +24,16 @@ def node_setup(tasks=4):
     return machine, srm, srm.ctx.nodes[0]
 
 
+def bcast_seq(state, task):
+    """Reserve one SMP-broadcast chunk sequence for ``task``."""
+    return state.reserve_bcast(state.index_of(task), 1)
+
+
+def reduce_seq(state, task):
+    """Reserve one SMP-reduce chunk sequence for ``task``."""
+    return state.reserve_reduce(state.index_of(task), 1)
+
+
 # ---------------------------------------------------------------------------
 # flat broadcast primitives
 # ---------------------------------------------------------------------------
@@ -79,11 +89,13 @@ def test_smp_broadcast_chunk_single_task_noop():
     machine, srm, state = node_setup(1)
 
     def program(task):
-        yield from smp_broadcast_chunk(state, task, True, np.ones(8, np.uint8), None)
+        yield from smp_broadcast_chunk(
+            state, task, True, np.ones(8, np.uint8), None, bcast_seq(state, task)
+        )
 
     elapsed = machine.launch(program).elapsed
     assert elapsed == 0.0
-    assert state.bcast_seq[0] == 1  # sequence still advances
+    assert state.bcast_seq[0] == 1  # the reservation still advances
 
 
 def test_smp_broadcast_chunk_alternates_slots():
@@ -93,13 +105,13 @@ def test_smp_broadcast_chunk_alternates_slots():
 
     def program(task):
         for _ in range(4):
+            sequence = bcast_seq(state, task)
             if task.rank == 0:
-                yield from smp_broadcast_chunk(state, task, True, source, None)
+                yield from smp_broadcast_chunk(state, task, True, source, None, sequence)
             else:
-                yield from smp_broadcast_chunk(state, task, False, None, sink)
+                yield from smp_broadcast_chunk(state, task, False, None, sink, sequence)
 
     machine.launch(program)
-    assert state.bcast_buf.cursor == 0  # cursor untouched: seq-based parity
     assert state.bcast_seq == [4, 4]
     assert np.all(sink == 3)
 
@@ -140,7 +152,9 @@ def test_tree_broadcast_slower_than_flat():
             src = source if task.rank == 0 else None
             dst = None if task.rank == 0 else sinks[task.rank]
             if flavor == "flat":
-                yield from smp_broadcast_chunk(state, task, task.rank == 0, src, dst)
+                yield from smp_broadcast_chunk(
+                    state, task, task.rank == 0, src, dst, bcast_seq(state, task)
+                )
             else:
                 yield from tree_smp_broadcast_chunk(state, task, tree, src, dst)
 
@@ -164,7 +178,8 @@ def test_smp_reduce_chunk_correct(tasks):
     def program(task):
         out = target if task.rank == 0 else None
         result = yield from smp_reduce_chunk(
-            state, task, tree, sources[task.rank], SUM, target=out
+            state, task, tree, sources[task.rank], SUM, target=out,
+            sequence=reduce_seq(state, task),
         )
         return result is not None
 
@@ -179,7 +194,10 @@ def test_smp_reduce_zero_copy_single_task():
     source = np.full(10, 5.0)
 
     def program(task):
-        result = yield from smp_reduce_chunk(state, task, srm.ctx.reduce_plan(0).trees.intra[0], source, SUM)
+        result = yield from smp_reduce_chunk(
+            state, task, srm.ctx.reduce_plan(0).trees.intra[0], source, SUM,
+            sequence=reduce_seq(state, task),
+        )
         return result
 
     result = machine.launch(program).results[0]
@@ -194,7 +212,8 @@ def test_smp_reduce_root_copies_when_alone_with_target():
 
     def program(task):
         yield from smp_reduce_chunk(
-            state, task, srm.ctx.reduce_plan(0).trees.intra[0], source, SUM, target=target
+            state, task, srm.ctx.reduce_plan(0).trees.intra[0], source, SUM, target=target,
+            sequence=reduce_seq(state, task),
         )
 
     machine.launch(program)
@@ -209,7 +228,10 @@ def test_smp_reduce_leaf_copy_count_matches_fig2():
 
     def program(task):
         out = target if task.rank == 0 else None
-        yield from smp_reduce_chunk(state, task, tree, sources[task.rank], SUM, target=out)
+        yield from smp_reduce_chunk(
+            state, task, tree, sources[task.rank], SUM, target=out,
+            sequence=reduce_seq(state, task),
+        )
 
     machine.launch(program)
     total_copies = sum(t.stats.copies for t in machine.tasks)
@@ -224,7 +246,10 @@ def test_smp_reduce_operators(tasks=4):
 
     def program(task):
         out = target if task.rank == 0 else None
-        yield from smp_reduce_chunk(state, task, tree, sources[task.rank], MAX, target=out)
+        yield from smp_reduce_chunk(
+            state, task, tree, sources[task.rank], MAX, target=out,
+            sequence=reduce_seq(state, task),
+        )
 
     machine.launch(program)
     assert np.all(target == tasks - 1)
@@ -242,11 +267,16 @@ def test_smp_reduce_pipelines_two_chunks_ahead():
     def program(task):
         for chunk in range(4):
             if task.rank == 1:
-                yield from smp_reduce_chunk(state, task, tree, source, SUM)
+                yield from smp_reduce_chunk(
+                    state, task, tree, source, SUM, sequence=reduce_seq(state, task)
+                )
                 leaf_progress.append((chunk, task.engine.now))
             else:
                 yield from task.compute(100e-6)  # root is slow
-                yield from smp_reduce_chunk(state, task, tree, source, SUM, target=target)
+                yield from smp_reduce_chunk(
+                    state, task, tree, source, SUM, target=target,
+                    sequence=reduce_seq(state, task),
+                )
 
     machine.launch(program)
     # Leaf finished chunks 0 and 1 before the slow root consumed anything.
@@ -337,7 +367,9 @@ def test_barrier_synced_broadcast_slower_than_flags():
             src = source if task.rank == 0 else None
             dst = None if task.rank == 0 else sinks[task.rank]
             if flavor == "flags":
-                yield from smp_broadcast_chunk(state, task, task.rank == 0, src, dst)
+                yield from smp_broadcast_chunk(
+                    state, task, task.rank == 0, src, dst, bcast_seq(state, task)
+                )
             else:
                 yield from barrier_synced_smp_broadcast_chunk(
                     state, task, task.rank == 0, src, dst

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bench import build
 from repro.core import SRM
+from repro.core.internode.gatherscatter import AllgatherPlan
 from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, Machine
 
@@ -263,7 +264,7 @@ def test_allgather_large_uses_ring_and_is_correct():
     for rank in range(total):
         assert np.array_equal(outs[rank], expected), f"rank {rank}"
     # The ring plan was actually engaged.
-    assert getattr(stack.ctx, "_allgather_ring_plan", None) is not None
+    assert (AllgatherPlan,) in stack.ctx._extension_plans
 
 
 def test_allgather_small_stays_on_gather_bcast():
@@ -274,7 +275,7 @@ def test_allgather_small_stays_on_gather_bcast():
         yield from stack.allgather(task, np.full(64, task.rank, np.uint8), outs[task.rank])
 
     machine.launch(program)
-    assert getattr(stack.ctx, "_allgather_ring_plan", None) is None
+    assert (AllgatherPlan,) not in stack.ctx._extension_plans
 
 
 def test_allgather_ring_repeated_calls():

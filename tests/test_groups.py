@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SRM
+from repro.core import SRM, FixedPolicy
 from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
@@ -219,6 +219,29 @@ def test_group_repeated_mixed_operations():
 
         machine.launch(program, ranks=members)
         assert all(np.array_equal(buffers[r], payload) for r in members)
+
+
+@pytest.mark.parametrize("ring_op", ["allgather", "allreduce"])
+def test_ring_fan_out_keeps_a_single_member_node_in_step(ring_op):
+    """Every member reserves the ring's local fan-out, a single-member node
+    included, so the node masters' broadcast sequences stay in step and a
+    small broadcast after the ring finds its slots."""
+    machine = Machine(ClusterSpec(nodes=2, tasks_per_node=2))
+    members = [0, 1, 2]  # node 1 hosts one member
+    srm = SRM(machine, group=members, policy=FixedPolicy({ring_op: "ring"}))
+    payload = np.arange(1024, dtype=np.uint8)
+    buffers = {r: (payload.copy() if r == 0 else np.zeros_like(payload)) for r in members}
+
+    def program(task):
+        if ring_op == "allgather":
+            out = np.zeros(64 * len(members), np.uint8)
+            yield from srm.allgather(task, np.full(64, task.rank, np.uint8), out)
+        else:
+            yield from srm.allreduce(task, np.ones(64), np.zeros(64), SUM)
+        yield from srm.broadcast(task, buffers[task.rank], root=0)
+
+    machine.launch(program, ranks=members)
+    assert all(np.array_equal(buffers[r], payload) for r in members)
 
 
 @given(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import build
 from repro.core import FixedPolicy, SRMConfig
+from repro.core.internode.ring import RingAllreducePlan
 from repro.machine import ClusterSpec
 
 KB = 1024
@@ -292,7 +293,7 @@ def test_ring_allreduce_small_messages_still_use_exchange():
     assert srm.ctx.dispatch("allreduce", 8).variant == "exchange"
     assert machine.obs.metrics.summary()["dispatch.fallbacks"] == 1
     # Ring plan never built for messages it cannot segment.
-    assert getattr(srm.ctx, "_ring_allreduce_plan", None) is None
+    assert (RingAllreducePlan,) not in srm.ctx._extension_plans
 
 
 def test_ring_allreduce_group():

@@ -7,6 +7,8 @@ Covers the contract :mod:`repro.core.requests` promises:
   request semantics);
 * nonblocking requests (``ibcast`` et al.) overlap across disjoint groups
   and complete with correct data;
+* the extension operations join the same chain: a blocking extension call
+  made while broadcasts are in flight runs after them;
 * persistent plans pin their dispatch decision once (``persistent=True`` in
   the telemetry), replay correctly, and allow multiple in-flight starts;
 * validation is a single choke point that raises at ``start()``/plan init,
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SRM, CollectiveRequest, PersistentCollective
+from repro.core import SRM, CollectiveRequest, FixedPolicy, PersistentCollective
 from repro.errors import ConfigurationError, DeadlockError
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
@@ -211,6 +213,102 @@ def test_start_claims_windows_before_the_engine_runs():
     assert second.invocation.sequence == first.invocation.sequence + 1
     assert machine.engine.events_processed == 0
     assert not first.completed and not second.completed
+
+
+# ---------------------------------------------------------------------------
+# extension operations join the chain
+# ---------------------------------------------------------------------------
+
+#: 16 KB of doubles: four pipelined chunks through the broadcast slots.
+INFLIGHT_COUNT = 2048
+BLOCK = 64
+
+
+def _extension_call(op, srm, task, total, sources, outs):
+    """One blocking extension call at ``task`` and its NumPy truth."""
+    rank = task.rank
+    stacked = np.stack([sources[r] for r in range(total)])
+    if op == "scatter":
+        send = stacked[:, :BLOCK].reshape(-1) if rank == 0 else None
+        return srm.scatter(task, send, outs[rank], root=0), stacked[:, :BLOCK][rank]
+    if op == "gather":
+        recv = outs[rank] if rank == 0 else None
+        truth = stacked[:, :BLOCK].reshape(-1) if rank == 0 else None
+        return srm.gather(task, sources[rank][:BLOCK], recv, root=0), truth
+    if op == "allgather":
+        truth = stacked[:, :BLOCK].reshape(-1)
+        return srm.allgather(task, sources[rank][:BLOCK], outs[rank]), truth
+    if op == "alltoall":
+        blocks = stacked[:, : BLOCK * total].reshape(total, total, BLOCK)
+        return srm.alltoall(task, sources[rank][: BLOCK * total], outs[rank]), blocks[:, rank].reshape(-1)
+    if op == "scan":
+        return srm.scan(task, sources[rank], outs[rank], SUM), stacked[: rank + 1].sum(axis=0)
+    if op == "reduce_scatter":
+        total_sum = stacked[:, : BLOCK * total].sum(axis=0)
+        truth = total_sum[rank * BLOCK : (rank + 1) * BLOCK]
+        return srm.reduce_scatter(task, sources[rank][: BLOCK * total], outs[rank], SUM), truth
+    assert op == "allreduce"
+    return srm.allreduce(task, sources[rank], outs[rank], SUM), stacked.sum(axis=0)
+
+
+def _extension_out(op, total):
+    if op in ("scatter", "reduce_scatter"):
+        return np.zeros(BLOCK)
+    if op in ("gather", "allgather", "alltoall"):
+        return np.zeros(BLOCK * total)
+    return np.zeros(INFLIGHT_COUNT)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("inflight", ["ibcast", "two-ibcasts", "plan-start"])
+@pytest.mark.parametrize(
+    "op,policy",
+    [
+        pytest.param("scatter", None, id="scatter"),
+        pytest.param("gather", None, id="gather"),
+        pytest.param("allgather", None, id="allgather"),
+        pytest.param("allgather", {"allgather": "ring"}, id="allgather-ring"),
+        pytest.param("alltoall", None, id="alltoall"),
+        pytest.param("scan", None, id="scan"),
+        pytest.param("reduce_scatter", None, id="reduce_scatter"),
+        pytest.param("allreduce", {"allreduce": "ring"}, id="allreduce-ring"),
+    ],
+)
+def test_extension_ops_after_in_flight_requests(op, policy, inflight, shape):
+    """A blocking extension call made while 16 KB broadcasts are still in
+    flight runs after them on the rank's chain: every broadcast buffer and
+    every result equals the NumPy truth."""
+    nodes, procs = shape
+    machine = make_machine(nodes, procs)
+    srm = SRM(machine, policy=FixedPolicy(policy) if policy else None)
+    total = nodes * procs
+    rounds = 2 if inflight == "two-ibcasts" else 1
+    payloads = [np.arange(INFLIGHT_COUNT) + 1000.0 * (k + 1) for k in range(rounds)]
+    bcast = {
+        r: [payload.copy() if r == 0 else np.zeros(INFLIGHT_COUNT) for payload in payloads]
+        for r in range(total)
+    }
+    sources = {r: np.arange(INFLIGHT_COUNT) * 0.5 + 7.0 * r for r in range(total)}
+    outs = {r: _extension_out(op, total) for r in range(total)}
+    truths = {}
+
+    def program(task):
+        buffers = bcast[task.rank]
+        if inflight == "plan-start":
+            pending = [srm.plan_broadcast(task, buffers[0], root=0).start()]
+        else:
+            pending = [srm.ibcast(task, buffer, root=0) for buffer in buffers]
+        call, truths[task.rank] = _extension_call(op, srm, task, total, sources, outs)
+        yield from call
+        for request in pending:
+            yield from request.wait()
+
+    machine.launch(program)
+    for r in range(total):
+        for k, payload in enumerate(payloads):
+            assert np.array_equal(bcast[r][k], payload), f"rank {r}: broadcast {k} corrupted"
+        if truths[r] is not None:
+            assert np.array_equal(outs[r], truths[r]), f"rank {r}: {op} result wrong"
 
 
 # ---------------------------------------------------------------------------

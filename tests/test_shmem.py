@@ -218,13 +218,6 @@ def test_flag_array_needs_at_least_one(machine):
 # ---------------------------------------------------------------------------
 
 
-def test_double_buffer_alternation(machine):
-    dbuf = DoubleBuffer(machine.nodes[0], 1024, flags_per_buffer=4)
-    slots = [dbuf.next_slot() for _ in range(5)]
-    assert slots == [0, 1, 0, 1, 0]
-    assert dbuf.peek_slot() == 1
-
-
 def test_double_buffer_views_and_flags(machine):
     dbuf = DoubleBuffer(machine.nodes[0], 1024, flags_per_buffer=4)
     view = dbuf.data(0, 100)

@@ -165,18 +165,3 @@ def test_timeline_lane_cap():
     run_broadcast(machine, traced)
     art = tracer.timeline("broadcast", width=30, max_lanes=3)
     assert "more lanes" in art
-
-
-def test_chrome_trace_export():
-    import json
-
-    machine, tracer, traced = traced_machine()
-    run_broadcast(machine, traced, repeats=2)
-    events = tracer.to_chrome_trace()
-    assert len(events) == len(tracer.spans)
-    first = events[0]
-    assert first["ph"] == "X"
-    assert first["tid"] in range(4)
-    assert first["dur"] >= 0
-    assert "copies" in first["args"]
-    json.dumps(events)  # must be serializable
