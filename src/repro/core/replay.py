@@ -45,9 +45,10 @@ What a trace holds
   (``reduce_last_write``'s ``None``, buffer-address registrations) must
   match exactly.  Every precondition is checked before anything mutates —
   a mismatch is a clean miss and the window re-records;
-* the **observability tail**: phase spans, flow links, resource-monitor
-  samples, histogram observations (all window-relative, re-emitted shifted
-  so profiles, critical paths, and wait-state classification of a replayed
+* the **observability tail**: phase spans, flow links and resource-monitor
+  samples in the recorder's own column format (:mod:`repro.obs.columns`),
+  histogram observations (all window-relative, re-emitted shifted so
+  profiles, critical paths, and wait-state classification of a replayed
   window match the recorded one), and metric counter deltas;
 * per-request **completion times and values**, plus the window duration, so
   ``engine.now`` advances through a replayed window exactly as recorded.
@@ -66,8 +67,6 @@ import numpy as np
 
 from repro.machine.memops import apply_batch
 from repro.obs.metrics import Histogram, TimeWeightedHistogram, _bucket_index
-from repro.obs.monitor import ResourceSample
-from repro.obs.spans import FlowLink, PhaseSpan
 from repro.obs.taxonomy import REQUEST
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -287,7 +286,8 @@ class CompiledSchedule:
         metric_deltas: list[tuple],
         hist_events: list[tuple],
         span_tail: dict | None,
-        flow_tail: list[tuple],
+        span_members: list[tuple[int, int]],
+        flow_tail: dict | None,
         monitor_tail: list[tuple],
         completions: list[tuple[float, typing.Any]],
     ) -> None:
@@ -303,11 +303,16 @@ class CompiledSchedule:
         self.metric_deltas = metric_deltas
         #: (hub attr, instrument kind, rel_times, values) observation tapes.
         self.hist_events = hist_events
-        #: Columnar span tail (rel times as float64 arrays) or None.
+        #: Span rows as :meth:`ColumnTable.tail` columns (window-relative
+        #: times, ``parent`` as an offset into the tail or -1), or None.
         self.span_tail = span_tail
-        #: (kind, src_rank, rel_src, dst_rank, rel_dst, detail) links.
+        #: (tail offset, start index) of each ``request`` span, whose detail
+        #: names the replaying window's request instead.
+        self.span_members = span_members
+        #: Flow-link rows as tail columns (window-relative times), or None.
         self.flow_tail = flow_tail
-        #: (name, resource kind, [(rel, occupancy, queued, saturated)]).
+        #: (name, resource kind, first sample, the rest as tail columns);
+        #: the first sample is (rel time, occupancy, queued, saturated).
         self.monitor_tail = monitor_tail
         #: Per deferred start, in window order: (rel completion time, value).
         self.completions = completions
@@ -348,24 +353,6 @@ class CompiledSchedule:
                 )
             else:
                 self._hist_rows.append((attr, kind, tuple(zip(rel_times, values))))
-        #: Replay-ready row cache derived from the columnar span tail once
-        #: (Python scalars, positional order) — the apply loop's hot input.
-        self._span_rows: list[tuple] | None = None
-        if span_tail is not None:
-            self._span_rows = list(
-                zip(
-                    span_tail["names"],
-                    span_tail["rel_start"].tolist(),
-                    span_tail["rel_end"].tolist(),
-                    span_tail["ranks"].tolist(),
-                    span_tail["depths"].tolist(),
-                    span_tail["parent_offsets"].tolist(),
-                    span_tail["tracks"].tolist(),
-                    span_tail["details"],
-                    span_tail["request_members"].tolist(),
-                )
-            )
-
     @property
     def op_count(self) -> int:
         return len(self.ops)
@@ -443,50 +430,31 @@ class CompiledSchedule:
                         if value > instrument.max:
                             instrument.max = value
 
-        # 4. Observability tails, time-shifted to this window.
+        # 4. Observability tails, time-shifted to this window: one bulk
+        #    extend per column.
         recorder = obs.recorder
-        if recorder.enabled and self._span_rows is not None:
-            span_list = recorder.spans
-            base = len(span_list)
-            append_span = span_list.append
-            index = base
-            for name, rel_start, rel_end, rank, depth, parent_off, track, detail, member in self._span_rows:
-                if member >= 0:
-                    detail = starts[member].request.describe()
-                span = PhaseSpan(
-                    index,
-                    rank,
-                    name,
-                    t0 + rel_start,
-                    depth,
-                    (base + parent_off) if parent_off >= 0 else -1,
-                    track,
-                    detail,
-                )
-                span.end = t0 + rel_end
-                append_span(span)
-                index += 1
-            append_flow = recorder.flows.append
-            for kind, src_rank, rel_src, dst_rank, rel_dst, detail in self.flow_tail:
-                append_flow(
-                    FlowLink(kind, src_rank, t0 + rel_src, dst_rank, t0 + rel_dst, detail)
-                )
+        if recorder.enabled and self.span_tail is not None:
+            spans = recorder.spans
+            base = len(spans)
+            parent = self.span_tail["parent"]
+            spans.extend(
+                {**self.span_tail, "parent": np.where(parent >= 0, parent + base, -1)}, t0
+            )
+            details = spans.detail
+            for offset, member in self.span_members:
+                details[base + offset] = starts[member].request.describe()
+            recorder.flows.extend(self.flow_tail, t0)
         monitor = obs.monitor
         if monitor is not None:
-            for name, kind, samples in self.monitor_tail:
+            for name, kind, first, rest in self.monitor_tail:
                 timeline = monitor.register(name, kind)
                 # Boundary sample goes through record() (it may coalesce with
                 # the pre-window state); the rest of the tail is already
-                # coalesced and strictly time-increasing, so direct appends
-                # replicate record() exactly.
-                rel, occupancy, queued, saturated = samples[0]
+                # coalesced and strictly time-increasing, so appending it
+                # replicates record() exactly.
+                rel, occupancy, queued, saturated = first
                 timeline.record(t0 + rel, occupancy, queued, saturated)
-                series = timeline._samples
-                times = timeline._times
-                for rel, occupancy, queued, saturated in samples[1:]:
-                    when = t0 + rel
-                    series.append(ResourceSample(when, occupancy, queued, saturated))
-                    times.append(when)
+                timeline.table.extend(rest, t0)
 
         # 5. Completion events at the recorded relative times, plus a final
         #    quiescence timeout so the clock traverses the whole window.
@@ -537,7 +505,7 @@ class _Recording:
         self.monitor_marks: dict[str, int] = {}
         if obs.monitor is not None:
             for name, timeline in obs.monitor.timelines.items():
-                self.monitor_marks[name] = len(timeline._samples)
+                self.monitor_marks[name] = len(timeline.table)
 
         self.pre_metrics: dict[str, float] = {}
         registry = obs.metrics
@@ -620,70 +588,40 @@ class _Recording:
             kind = "histogram" if isinstance(tape.real, Histogram) else "time_histogram"
             hist_events.append((attr, kind, rel_times, values))
 
-        # Span tail: window-relative columns with parents remapped.
+        # Span tail: window-relative columns with parents as tail offsets.
         recorder = obs.recorder
         span_tail: dict | None = None
-        flow_tail: list[tuple] = []
+        span_members: list[tuple[int, int]] = []
+        flow_tail: dict | None = None
         if recorder.enabled:
-            tail_spans = recorder.spans[self.span_mark :]
+            mark = self.span_mark
+            span_tail = recorder.spans.tail(mark, t0)
+            parent = span_tail["parent"]
+            if np.isnan(span_tail["end"]).any() or ((parent >= 0) & (parent < mark)).any():
+                return None  # a span leaked across the window boundary
+            span_tail["parent"] = np.where(parent >= 0, parent - mark, -1)
             describe_map = {
                 start.request.describe(): index
                 for index, start in enumerate(self.starts)
             }
-            count = len(tail_spans)
-            rel_start = np.empty(count, dtype=np.float64)
-            rel_end = np.empty(count, dtype=np.float64)
-            ranks = np.empty(count, dtype=np.int32)
-            depths = np.empty(count, dtype=np.int32)
-            tracks = np.empty(count, dtype=np.int32)
-            parent_offsets = np.empty(count, dtype=np.int32)
-            request_members = np.empty(count, dtype=np.int32)
-            names: list[str] = []
-            details: list[str] = []
-            for i, span in enumerate(tail_spans):
-                if span.end is None or (span.parent >= 0 and span.parent < self.span_mark):
-                    return None  # a span leaked across the window boundary
-                rel_start[i] = span.start - t0
-                rel_end[i] = span.end - t0
-                ranks[i] = span.rank
-                depths[i] = span.depth
-                tracks[i] = span.track
-                parent_offsets[i] = span.parent - self.span_mark if span.parent >= 0 else -1
-                member = -1
-                if span.name == REQUEST:
-                    member = describe_map.get(span.detail, -1)
-                request_members[i] = member
-                names.append(span.name)
-                details.append(span.detail)
-            span_tail = {
-                "rel_start": rel_start,
-                "rel_end": rel_end,
-                "ranks": ranks,
-                "depths": depths,
-                "tracks": tracks,
-                "parent_offsets": parent_offsets,
-                "request_members": request_members,
-                "names": names,
-                "details": details,
-            }
-            for link in recorder.flows[self.flow_mark :]:
-                flow_tail.append(
-                    (link.kind, link.src_rank, link.src_ts - t0, link.dst_rank, link.dst_ts - t0, link.detail)
-                )
+            for offset, (name, detail) in enumerate(zip(span_tail["name"], span_tail["detail"])):
+                if name == REQUEST and detail in describe_map:
+                    span_members.append((offset, describe_map[detail]))
+            flow_tail = recorder.flows.tail(self.flow_mark, t0)
 
         monitor_tail: list[tuple] = []
         if obs.monitor is not None:
             for name, timeline in obs.monitor.timelines.items():
                 mark = self.monitor_marks.get(name, 0)
-                samples = timeline._samples[mark:]
-                if samples:
-                    monitor_tail.append(
-                        (
-                            name,
-                            timeline.kind,
-                            [(s.time - t0, s.occupancy, s.queued, s.saturated) for s in samples],
-                        )
+                table = timeline.table
+                if len(table) > mark:
+                    first = (
+                        table.time[mark] - t0,
+                        table.occupancy[mark],
+                        table.queued[mark],
+                        table.saturated[mark],
                     )
+                    monitor_tail.append((name, timeline.kind, first, table.tail(mark + 1, t0)))
 
         completions = [
             (self.completions[i][0] - t0, self.completions[i][1])
@@ -698,6 +636,7 @@ class _Recording:
             metric_deltas=metric_deltas,
             hist_events=hist_events,
             span_tail=span_tail,
+            span_members=span_members,
             flow_tail=flow_tail,
             monitor_tail=monitor_tail,
             completions=completions,

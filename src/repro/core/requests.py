@@ -150,6 +150,9 @@ class CollectiveRequest:
         """Complete this request from a compiled-schedule replay."""
         self._done = True
         self._value = value
+        # Passed the gate: holding the predecessor would chain every
+        # replayed request of this rank into one ever-growing list.
+        self._predecessor = None
         if self._completion is not None:
             self._completion.succeed(value)
 

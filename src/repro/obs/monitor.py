@@ -31,10 +31,12 @@ from __future__ import annotations
 import bisect
 import typing
 
+from repro.obs.columns import ColumnTable
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
-__all__ = ["ResourceSample", "ResourceTimeline", "ResourceMonitor"]
+__all__ = ["ResourceSample", "SampleTable", "ResourceTimeline", "ResourceMonitor"]
 
 
 class ResourceSample(typing.NamedTuple):
@@ -46,49 +48,67 @@ class ResourceSample(typing.NamedTuple):
     saturated: bool
 
 
+class SampleTable(ColumnTable):
+    """Samples as columns; indexing builds :class:`ResourceSample` values."""
+
+    FIELDS = (("time", "d"), ("occupancy", "i"), ("queued", "i"), ("saturated", "B"))
+    CLOCKS = ("time",)
+
+    __slots__ = ("time", "occupancy", "queued", "saturated")
+
+    def _record(self, index: int, values: tuple) -> ResourceSample:
+        time, occupancy, queued, saturated = values
+        return ResourceSample(time, occupancy, queued, bool(saturated))
+
+
 class ResourceTimeline:
     """The piecewise-constant occupancy history of one resource.
 
     Each sample holds from its timestamp until the next sample; the last
     sample holds forever.  Consecutive identical states are coalesced and a
     same-timestamp re-record replaces the previous sample, so the series is
-    strictly increasing in time with no redundant points.
+    strictly increasing in time.  (A same-time re-record back to the state
+    before leaves two equal samples in a row.)  The samples are stored as
+    columns in :attr:`table`.
     """
 
-    __slots__ = ("name", "kind", "_times", "_samples")
+    __slots__ = ("name", "kind", "table")
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
         #: ``"bandwidth"`` | ``"fifo"`` | ``"gate"``.
         self.kind = kind
-        self._times: list[float] = []
-        self._samples: list[ResourceSample] = []
+        self.table = SampleTable()
 
     def record(
         self, time: float, occupancy: int, queued: int, saturated: bool = False
     ) -> None:
         """Append one transition (coalescing no-ops and same-time updates)."""
-        samples = self._samples
-        if samples:
-            last = samples[-1]
+        table = self.table
+        times = table.time
+        if times:
             if (
-                last.occupancy == occupancy
-                and last.queued == queued
-                and last.saturated == saturated
+                table.occupancy[-1] == occupancy
+                and table.queued[-1] == queued
+                and table.saturated[-1] == saturated
             ):
                 return
-            if last.time == time:
-                samples[-1] = ResourceSample(time, occupancy, queued, saturated)
+            if times[-1] == time:
+                table.occupancy[-1] = occupancy
+                table.queued[-1] = queued
+                table.saturated[-1] = saturated
                 return
-        samples.append(ResourceSample(time, occupancy, queued, saturated))
-        self._times.append(time)
+        times.append(time)
+        table.occupancy.append(occupancy)
+        table.queued.append(queued)
+        table.saturated.append(saturated)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def samples(self) -> list[ResourceSample]:
         """The recorded transitions, chronologically."""
-        return list(self._samples)
+        return list(self.table)
 
     def seconds_matching(
         self,
@@ -101,18 +121,18 @@ class ResourceTimeline:
         Time before the first sample counts as not matching (the resource
         did not exist / was idle).
         """
-        if end <= start or not self._samples:
+        table = self.table
+        times = table.time
+        count = len(times)
+        if end <= start or not count:
             return 0.0
         total = 0.0
-        index = max(0, bisect.bisect_right(self._times, start) - 1)
-        times, samples = self._times, self._samples
-        count = len(samples)
+        index = max(0, bisect.bisect_right(times, start) - 1)
         while index < count:
-            sample = samples[index]
-            seg_start = max(sample.time, start)
+            seg_start = max(times[index], start)
             seg_end = times[index + 1] if index + 1 < count else end
             seg_end = min(seg_end, end)
-            if seg_end > seg_start and predicate(sample):
+            if seg_end > seg_start and predicate(table[index]):
                 total += seg_end - seg_start
             if seg_end >= end:
                 break
@@ -130,17 +150,18 @@ class ResourceTimeline:
         return self.seconds_matching(start, end, lambda s: s.queued >= 1)
 
     def max_occupancy(self) -> int:
-        return max((s.occupancy for s in self._samples), default=0)
+        return max(self.table.occupancy, default=0)
 
     def max_queued(self) -> int:
-        return max((s.queued for s in self._samples), default=0)
+        return max(self.table.queued, default=0)
 
     def to_dict(self, until: float) -> dict:
         """Summary stats over ``[first sample, until]`` (JSON-ready)."""
-        first = self._samples[0].time if self._samples else until
+        times = self.table.time
+        first = times[0] if times else until
         return {
             "kind": self.kind,
-            "samples": len(self._samples),
+            "samples": len(times),
             "max_occupancy": self.max_occupancy(),
             "max_queued": self.max_queued(),
             "contended_seconds": self.contended_seconds(first, until),
@@ -150,7 +171,7 @@ class ResourceTimeline:
     def __repr__(self) -> str:
         return (
             f"<ResourceTimeline {self.name!r} kind={self.kind} "
-            f"samples={len(self._samples)}>"
+            f"samples={len(self.table)}>"
         )
 
 

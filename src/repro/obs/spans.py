@@ -10,10 +10,18 @@ by every layer of the stack:
   pipelined chunk phase contains the flag waits and copies it performs, and
   concurrent helper processes of the same rank (put deliveries, large-message
   forwarders, the Fig. 5 stage processes) get their own span stacks and
-  their own export tracks, so sibling processes never mis-nest.
+  their own export tracks, so sibling processes never mis-nest.  Stacks are
+  keyed on the engine's process serial, and a process takes the lowest
+  track on its rank that no live process holds: tracks depend on the
+  simulation alone, and there are only as many as there are overlapping
+  helpers.
 * substrates record **flow links** — put → remote counter increment,
   flag store → waiter wakeup — giving the cross-rank causal edges that the
   critical-path walker follows and that Perfetto draws as flow arrows.
+
+Both are stored as columns (:class:`SpanTable`, :class:`FlowTable`; see
+:mod:`repro.obs.columns`), not as one object per record; reading builds
+:class:`PhaseSpan` and :class:`FlowLink` values on demand.
 
 Recording never touches the event queue and never advances the clock, so an
 instrumented run is bit-identical to an uninstrumented one (asserted by
@@ -22,14 +30,19 @@ instrumented run is bit-identical to an uninstrumented one (asserted by
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
+
+from repro.obs.columns import ColumnTable
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.sim.engine import Engine
 
-__all__ = ["PhaseSpan", "FlowLink", "PhaseRecorder"]
+__all__ = ["PhaseSpan", "FlowLink", "SpanTable", "FlowTable", "PhaseRecorder"]
+
+NAN = math.nan
 
 
 class PhaseSpan:
@@ -58,8 +71,9 @@ class PhaseSpan:
         self.depth = depth
         #: Index of the enclosing span, or -1 for a root span.
         self.parent = parent
-        #: Per-rank sub-track: 0 for the first process that recorded a phase
-        #: on this rank (the program generator), 1.. for helper processes.
+        #: Per-rank export sub-track: the lowest track on this rank that no
+        #: live process held when this span's process first recorded here —
+        #: 0 for the program generator, 1.. for concurrent helper processes.
         self.track = track
         #: Free-form attribute (e.g. the dispatch layer's ``op/variant``).
         self.detail = detail
@@ -92,10 +106,76 @@ class FlowLink:
     detail: str = ""
 
 
+class SpanTable(ColumnTable):
+    """Phase spans as columns; indexing builds :class:`PhaseSpan` values.
+
+    ``end`` is NaN while a span is open.
+    """
+
+    FIELDS = (
+        ("rank", "i"),
+        ("name", ""),
+        ("start", "d"),
+        ("end", "d"),
+        ("depth", "i"),
+        ("parent", "q"),
+        ("track", "i"),
+        ("detail", ""),
+    )
+    CLOCKS = ("start", "end")
+
+    __slots__ = ("rank", "name", "start", "end", "depth", "parent", "track", "detail")
+
+    def _record(self, index: int, values: tuple) -> PhaseSpan:
+        rank, name, start, end, depth, parent, track, detail = values
+        span = PhaseSpan(index, rank, name, start, depth, parent, track, detail)
+        if end == end:  # NaN, while open, is unequal to itself
+            span.end = end
+        return span
+
+    def _values(self, record: PhaseSpan) -> list:
+        values = super()._values(record)
+        if record.end is None:
+            values[3] = NAN
+        return values
+
+
+class FlowTable(ColumnTable):
+    """Flow links as columns; indexing builds :class:`FlowLink` values."""
+
+    FIELDS = (
+        ("kind", ""),
+        ("src_rank", "i"),
+        ("src_ts", "d"),
+        ("dst_rank", "i"),
+        ("dst_ts", "d"),
+        ("detail", ""),
+    )
+    CLOCKS = ("src_ts", "dst_ts")
+
+    __slots__ = ("kind", "src_rank", "src_ts", "dst_rank", "dst_ts", "detail")
+
+    def _record(self, index: int, values: tuple) -> FlowLink:
+        return FlowLink(*values)
+
+
+class _Lane:
+    """One process's open spans and export track on one rank."""
+
+    __slots__ = ("process", "track", "open")
+
+    def __init__(self, process: typing.Any, track: int) -> None:
+        #: The process recording here (None: code outside any process).
+        self.process = process
+        self.track = track
+        #: Row indices of this process's open spans, innermost last.
+        self.open: list[int] = []
+
+
 class _PhaseContext:
     """Context manager opening/closing one span around a ``yield from``."""
 
-    __slots__ = ("_recorder", "_rank", "_name", "_detail", "_span")
+    __slots__ = ("_recorder", "_rank", "_name", "_detail", "_ends", "_index", "_open")
 
     def __init__(
         self, recorder: "PhaseRecorder", rank: int, name: str, detail: str = ""
@@ -104,15 +184,36 @@ class _PhaseContext:
         self._rank = rank
         self._name = name
         self._detail = detail
-        self._span: PhaseSpan | None = None
 
-    def __enter__(self) -> PhaseSpan:
-        self._span = self._recorder._open_span(self._rank, self._name, self._detail)
-        return self._span
+    def __enter__(self) -> None:
+        recorder = self._recorder
+        lane = recorder._lane(self._rank)
+        stack = lane.open
+        spans = recorder.spans
+        index = len(spans.start)
+        spans.rank.append(self._rank)
+        spans.name.append(self._name)
+        spans.start.append(recorder.engine.now)
+        spans.end.append(NAN)
+        spans.depth.append(len(stack))
+        spans.parent.append(stack[-1] if stack else -1)
+        spans.track.append(lane.track)
+        spans.detail.append(self._detail)
+        stack.append(index)
+        # The close writes into the table the span opened in, even after a
+        # clear() swapped in a new one.
+        self._ends = spans.end
+        self._index = index
+        self._open = stack
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        assert self._span is not None
-        self._recorder._close_span(self._rank, self._span)
+        index = self._index
+        self._ends[index] = self._recorder.engine.now
+        stack = self._open
+        if stack and stack[-1] == index:
+            stack.pop()
+        elif index in stack:  # pragma: no cover - defensive
+            stack.remove(index)
         return None
 
 
@@ -132,67 +233,52 @@ _NULL_CONTEXT = _NullContext()
 
 
 class PhaseRecorder:
-    """Phase spans + flow links for one machine."""
+    """Phase spans + flow links for one machine, recorded as columns."""
 
     def __init__(self, engine: "Engine", enabled: bool = True) -> None:
         self.engine = engine
         self.enabled = enabled
-        self.spans: list[PhaseSpan] = []
-        self.flows: list[FlowLink] = []
-        #: Open-span stacks keyed by (rank, process identity).
-        self._stacks: dict[tuple[int, int], list[PhaseSpan]] = {}
-        #: Export sub-track per (rank, process identity).
-        self._tracks: dict[tuple[int, int], int] = {}
-        self._next_track: dict[int, int] = {}
+        self.spans = SpanTable()
+        self.flows = FlowTable()
+        #: (rank, process serial) -> that process's lane on that rank.
+        self._lanes: dict[tuple[int, int], _Lane] = {}
+        #: Per rank: track -> the lane holding it.
+        self._held: dict[int, dict[int, _Lane]] = {}
 
     # -- recording -----------------------------------------------------------
 
-    def _process_key(self, rank: int) -> tuple[int, int]:
-        active = self.engine.active_process
-        return (rank, id(active) if active is not None else 0)
+    def _lane(self, rank: int) -> _Lane:
+        process = self.engine.active_process
+        key = (rank, process.serial if process is not None else 0)
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = _Lane(process, self._claim_track(rank))
+            self._lanes[key] = lane
+            self._held[rank][lane.track] = lane
+        return lane
+
+    def _claim_track(self, rank: int) -> int:
+        """The lowest track on ``rank`` that no live process holds.
+
+        Lanes of finished processes are released here, leftover open spans
+        included, so their tracks go to the processes that come after.
+        """
+        held = self._held.setdefault(rank, {})
+        for track, lane in list(held.items()):
+            process = lane.process
+            if process is not None and not process.is_alive:
+                del held[track]
+                del self._lanes[(rank, process.serial)]
+        track = 0
+        while track in held:
+            track += 1
+        return track
 
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
         """A context manager recording one phase of ``task``."""
         if not self.enabled:
             return _NULL_CONTEXT
         return _PhaseContext(self, task.rank, name, detail)
-
-    def _open_span(self, rank: int, name: str, detail: str = "") -> PhaseSpan:
-        key = self._process_key(rank)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = []
-            self._stacks[key] = stack
-        track = self._tracks.get(key)
-        if track is None:
-            track = self._next_track.get(rank, 0)
-            self._next_track[rank] = track + 1
-            self._tracks[key] = track
-        parent = stack[-1].index if stack else -1
-        span = PhaseSpan(
-            index=len(self.spans),
-            rank=rank,
-            name=name,
-            start=self.engine.now,
-            depth=len(stack),
-            parent=parent,
-            track=track,
-            detail=detail,
-        )
-        self.spans.append(span)
-        stack.append(span)
-        return span
-
-    def _close_span(self, rank: int, span: PhaseSpan) -> None:
-        span.end = self.engine.now
-        key = self._process_key(rank)
-        stack = self._stacks.get(key)
-        if stack and stack[-1] is span:
-            stack.pop()
-            if not stack:
-                del self._stacks[key]
-        elif stack and span in stack:  # pragma: no cover - defensive
-            stack.remove(span)
 
     def flow(
         self,
@@ -206,26 +292,37 @@ class PhaseRecorder:
         """Record a causal edge (no-op when disabled)."""
         if not self.enabled:
             return
-        self.flows.append(FlowLink(kind, src_rank, src_ts, dst_rank, dst_ts, detail))
+        flows = self.flows
+        flows.kind.append(kind)
+        flows.src_rank.append(src_rank)
+        flows.src_ts.append(src_ts)
+        flows.dst_rank.append(dst_rank)
+        flows.dst_ts.append(dst_ts)
+        flows.detail.append(detail)
 
     # -- queries -------------------------------------------------------------
 
     def ranks(self) -> list[int]:
-        return sorted({span.rank for span in self.spans})
+        return sorted(set(self.spans.rank))
 
     def by_phase(self) -> dict[str, float]:
         """Total closed-span seconds per phase name (inclusive of children)."""
         totals: dict[str, float] = {}
-        for span in self.spans:
-            if span.end is None:
+        spans = self.spans
+        for name, start, end in zip(spans.name, spans.start, spans.end):
+            if end != end:  # NaN: still open
                 continue
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
+            totals[name] = totals.get(name, 0.0) + (end - start)
         return totals
 
     def clear(self) -> None:
-        """Drop all recorded spans and flows (open stacks survive)."""
-        self.spans = []
-        self.flows = []
+        """Start new span and flow tables.
+
+        Open spans survive on their processes' stacks: they still parent
+        and deepen the spans opened under them, but close into the old table.
+        """
+        self.spans = SpanTable()
+        self.flows = FlowTable()
 
     def __repr__(self) -> str:
         return (

@@ -70,6 +70,7 @@ class Engine:
         # deadlock can name who is still blocked and on what.
         self._processes: list[weakref.ref] = []
         self._process_prune_at = 64
+        self._process_serials = itertools.count(1)
 
     # -- clock -----------------------------------------------------------
 

@@ -31,7 +31,7 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 class Process(Event):
     """A running simulated process; fires when its generator returns."""
 
-    __slots__ = ("_generator", "_waiting_on", "waiting_request", "__weakref__")
+    __slots__ = ("_generator", "_waiting_on", "waiting_request", "serial", "__weakref__")
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str | None = None) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -46,6 +46,9 @@ class Process(Event):
         #: any — set by the request layer so deadlock reports can say *which*
         #: outstanding collective a blocked program was waiting to finish.
         self.waiting_request: typing.Any = None
+        #: Creation-order number on this engine (1, 2, ...): a stable
+        #: identity, where ``id()`` may be reused once a process is freed.
+        self.serial = next(engine._process_serials)
         # Weak registration so deadlock reports can name blocked processes.
         engine._register_process(self)
         # Kick the generator off at the current simulation time, but through

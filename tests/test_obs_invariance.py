@@ -139,10 +139,18 @@ def _window_spans(recorder, t0, t1):
     return normalized
 
 
+def _record_counts(machine):
+    """Flow links recorded so far, and samples per resource timeline."""
+    obs = machine.obs
+    samples = {name: len(t.samples) for name, t in obs.monitor.timelines.items()}
+    return len(obs.recorder.flows), samples
+
+
 def test_replayed_window_reemits_recorded_observability():
-    """Phase spans, critical-path breakdown, and wait classification of a
-    replayed window match the recorded run it was compiled from (shifted to
-    the replay window's start; invocation numbers normalized)."""
+    """Phase spans, flow links, resource samples, critical-path breakdown,
+    and wait classification of a replayed window match the recorded run it
+    was compiled from (shifted to the replay window's start; invocation
+    numbers normalized)."""
     from repro.core import SRMConfig
     from repro.obs.critical import critical_path
     from repro.obs.waits import classify_waits
@@ -154,25 +162,28 @@ def test_replayed_window_reemits_recorded_observability():
     plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
 
     manager = None
-    windows = []  # (t0, t1, was_hit)
+    windows = []  # (t0, t1, was_hit, counts at start, counts at end)
     for window in range(8):
         buffers[0][:] = window + 1
         t0 = machine.engine.now
+        counts = _record_counts(machine)
         hits_before = machine.engine.trace.hit_count if machine.engine.trace else 0
         for plan in plans:
             plan.start()
         machine.engine.run()
         manager = machine.engine.trace
-        windows.append((t0, machine.engine.now, manager.hit_count > hits_before))
+        windows.append(
+            (t0, machine.engine.now, manager.hit_count > hits_before, counts, _record_counts(machine))
+        )
 
     # Pick a recorded (miss) window and a replayed (hit) window of the same
     # slot parity — the replay applied exactly that recorded trace.
-    recorded = max(i for i, (_, _, hit) in enumerate(windows) if not hit)
+    recorded = max(i for i, (_, _, hit, _, _) in enumerate(windows) if not hit)
     replayed = max(
-        i for i, (_, _, hit) in enumerate(windows) if hit and i % 2 == recorded % 2
+        i for i, (_, _, hit, _, _) in enumerate(windows) if hit and i % 2 == recorded % 2
     )
-    rec_t0, rec_t1, _ = windows[recorded]
-    rep_t0, rep_t1, _ = windows[replayed]
+    rec_t0, rec_t1, _, rec_from, rec_to = windows[recorded]
+    rep_t0, rep_t1, _, rep_from, rep_to = windows[replayed]
 
     # Same wall of phase spans, time-shifted.
     recorder = machine.obs.recorder
@@ -180,6 +191,38 @@ def test_replayed_window_reemits_recorded_observability():
     rep_spans = _window_spans(recorder, rep_t0, rep_t1)
     assert rec_spans, "recorded window produced no spans"
     assert rec_spans == rep_spans
+
+    # Same flow links, time-shifted, in the same order.
+    def flow_rows(start, stop, t0):
+        return [
+            (link.kind, link.src_rank, round(link.src_ts - t0, 9), link.dst_rank,
+             round(link.dst_ts - t0, 9), link.detail)
+            for link in recorder.flows[start:stop]
+        ]
+
+    rec_flows = flow_rows(rec_from[0], rec_to[0], rec_t0)
+    assert rec_flows, "recorded window produced no flow links"
+    assert rec_flows == flow_rows(rep_from[0], rep_to[0], rep_t0)
+
+    # Same occupancy signal on every resource, time-shifted.  A replayed
+    # window's first sample goes through record() and may coalesce into the
+    # state the window began in, so compare the changes of state.
+    def state_changes(name, start, stop, t0):
+        samples = machine.obs.monitor.timelines[name].samples
+        first = start.get(name, 0)
+        state = samples[first - 1][1:] if first else None
+        changes = []
+        for sample in samples[first : stop[name]]:
+            if sample[1:] != state:
+                state = sample[1:]
+                changes.append((round(sample.time - t0, 9), *state))
+        return changes
+
+    rec_changes = {name: state_changes(name, rec_from[1], rec_to[1], rec_t0) for name in rec_to[1]}
+    assert any(rec_changes.values()), "recorded window changed no resource state"
+    assert rec_changes == {
+        name: state_changes(name, rep_from[1], rep_to[1], rep_t0) for name in rep_to[1]
+    }
 
     # Same critical-path breakdown over the window...
     rec_path = critical_path(recorder, start=rec_t0, end=rec_t1)
@@ -214,3 +257,41 @@ def test_replayed_window_reemits_recorded_observability():
         )
 
     assert wait_rows(rec_waits, rec_t0) == wait_rows(rep_waits, rep_t0)
+
+
+def test_replayed_windows_keep_no_object_per_record():
+    """Spans, flow links and resource samples are stored as columns, so the
+    records of replayed windows add (almost) nothing for the cyclic garbage
+    collector to walk: at most 1% of the records as tracked objects."""
+    import gc
+
+    from repro.core import SRMConfig
+
+    machine = Machine(ClusterSpec(nodes=2, tasks_per_node=2))
+    srm = SRM(machine, config=SRMConfig(compiled_replay=True))
+    total = machine.spec.total_tasks
+    buffers = [np.zeros(65536, np.uint8) for _ in range(total)]
+    plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+
+    def window():
+        for plan in plans:
+            plan.start()
+        machine.engine.run()
+
+    def records():
+        obs = machine.obs
+        flows, samples = _record_counts(machine)
+        return len(obs.recorder.spans) + flows + sum(samples.values())
+
+    for _ in range(4):  # record both slot parities, then replay
+        window()
+    hits = machine.engine.trace.hit_count
+    gc.collect()
+    objects, recorded = len(gc.get_objects()), records()
+    for _ in range(10):
+        window()
+    gc.collect()
+    grown, recorded = len(gc.get_objects()) - objects, records() - recorded
+    assert machine.engine.trace.hit_count == hits + 10
+    assert recorded > 5000
+    assert grown <= 0.01 * recorded

@@ -8,7 +8,8 @@ import pytest
 from repro.bench import build
 from repro.bench.trace import Tracer
 from repro.cli import main
-from repro.machine import ClusterSpec
+from repro.core import SRM, SRMConfig
+from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
 from repro.obs.critical import critical_path
 from repro.obs.export import chrome_trace, metrics_dump, write_json
@@ -64,6 +65,59 @@ def test_by_phase_totals_are_positive():
     totals = machine.obs.recorder.by_phase()
     assert totals
     assert all(seconds >= 0 for seconds in totals.values())
+
+
+def test_finished_processes_hand_their_tracks_on():
+    """A process takes the lowest track on its rank that no live process
+    holds.  Every request is kept alive, so no process address is reused
+    and an address-keyed recorder would open new tracks every window."""
+    machine = Machine(ClusterSpec(nodes=2, tasks_per_node=2))
+    srm = SRM(machine, config=SRMConfig(compiled_replay=False))
+    total = machine.spec.total_tasks
+    buffers = [np.zeros(2048, np.uint8) for _ in range(total)]
+    plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+
+    def max_tracks():
+        tracks: dict[int, int] = {}
+        for span in machine.obs.recorder.spans:
+            tracks[span.rank] = max(tracks.get(span.rank, 0), span.track)
+        return tracks
+
+    kept = []
+    for window in range(8):
+        kept.append([plan.start() for plan in plans])
+        machine.engine.run()
+        if window == 1:
+            after_two = max_tracks()
+    assert max_tracks() == after_two
+
+
+def test_clear_with_an_open_span_keeps_it_out_of_the_new_table():
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=1))
+    engine, task = machine.engine, machine.task(0)
+
+    def program():
+        with task.phase("outer"):
+            yield engine.timeout(1.0)
+            with task.phase("inner"):
+                yield engine.timeout(1.0)
+        with task.phase("after"):
+            yield engine.timeout(1.0)
+
+    engine.process(program())
+    engine.run(until=0.5)
+    recorder = machine.obs.recorder
+    old = recorder.spans
+    recorder.clear()
+    engine.run()
+    inner, after = recorder.spans
+    # The open span still deepens and parents (by its old row) what opens
+    # under it, but closes into the table it was opened in.
+    assert (inner.name, inner.depth, inner.parent) == ("inner", 1, 0)
+    assert (inner.start, inner.end) == (1.0, 2.0)
+    assert (after.name, after.depth, after.parent) == ("after", 0, -1)
+    assert (after.start, after.end) == (2.0, 3.0)
+    assert [(s.name, s.end) for s in old] == [("outer", 2.0)]
 
 
 # -- flow links -------------------------------------------------------------
