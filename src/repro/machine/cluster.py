@@ -7,7 +7,10 @@ A :class:`Machine` instantiates the cluster described by a
   intra-node copies and NIC DMA contend) and a pair of NIC links (in/out);
 * each **task** (MPI rank) gets a LAPI endpoint (RMA substrate) and an MPI
   endpoint (point-to-point substrate), plus timed data-movement helpers that
-  really move NumPy bytes when the simulated operation completes.
+  really move NumPy bytes when the simulated operation completes.  Each
+  helper pays a start-up and then shares the bus in one link call
+  (:meth:`~repro.sim.resources.SharedBandwidth.transfer_after`), so the
+  calling process resumes once, at completion.
 
 Programs are generators taking a :class:`Task`; :meth:`Machine.launch` runs
 one program instance per rank and reports per-rank results and the makespan.
@@ -128,8 +131,9 @@ class Task:
             )
         nbytes = dst.nbytes
         with self.phase(SHM_COPY):
-            yield self.engine.timeout(self.cost.sm_copy_latency)
-            yield self.node.bus.transfer(nbytes, max_rate=self.cost.sm_copy_bandwidth)
+            yield self.node.bus.transfer_after(
+                self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
+            )
         raw_copyto(dst, src)
         trace = self.engine.trace
         if trace is not None:
@@ -155,8 +159,9 @@ class Task:
             )
         nbytes = dst.nbytes
         with self.phase(REDUCE_APPLY):
-            yield self.engine.timeout(self.cost.sm_copy_latency)
-            yield self.node.bus.transfer(nbytes, max_rate=self.cost.reduce_op_bandwidth)
+            yield self.node.bus.transfer_after(
+                self.cost.sm_copy_latency, nbytes, max_rate=self.cost.reduce_op_bandwidth
+            )
         op(dst, src)
         trace = self.engine.trace
         if trace is not None:
@@ -181,8 +186,9 @@ class Task:
             )
         nbytes = dst.nbytes
         with self.phase(REDUCE_APPLY):
-            yield self.engine.timeout(self.cost.sm_copy_latency)
-            yield self.node.bus.transfer(nbytes, max_rate=self.cost.reduce_op_bandwidth)
+            yield self.node.bus.transfer_after(
+                self.cost.sm_copy_latency, nbytes, max_rate=self.cost.reduce_op_bandwidth
+            )
         op.combine_into(dst, a, b)
         trace = self.engine.trace
         if trace is not None:
@@ -268,8 +274,7 @@ class Machine:
             steal_bytes = self.cost.daemon_duration * self.cost.memory_bus_bandwidth
             while True:
                 interval = float(self.rng.exponential(self.cost.daemon_interval))
-                yield self.engine.timeout(interval)
-                yield node.bus.transfer(steal_bytes)
+                yield node.bus.transfer_after(interval, steal_bytes)
 
         for node in self.nodes:
             self.engine.process(daemon(node), name=f"daemon[{node.index}]")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigurationError
 
@@ -283,6 +283,12 @@ class CostModel:
     daemon_duration: float = 200.0 * US
 
     def __post_init__(self) -> None:
+        # Every number must be finite: the range checks below let NaN
+        # through, and a NaN or infinite cost stalls or corrupts the run.
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ConfigurationError(f"{entry.name} must be finite, got {value!r}")
         positive_fields = (
             "sm_copy_bandwidth",
             "memory_bus_bandwidth",

@@ -153,11 +153,14 @@ class MpiEndpoint:
         envelope = Envelope("eager", self.task.rank, tag, nbytes, data=snapshot)
         if dest_task.node is self.task.node:
             # First of the two intra-node copies: user buffer -> bounce.
-            yield self.engine.timeout(self.cost.sm_copy_latency)
             if nbytes > 0:
-                yield self.task.node.bus.transfer(nbytes, max_rate=self.cost.sm_copy_bandwidth)
+                yield self.task.node.bus.transfer_after(
+                    self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
+                )
                 self.task.stats.copies += 1
                 self.task.stats.bytes_copied += nbytes
+            else:
+                yield self.engine.timeout(self.cost.sm_copy_latency)
             yield self.engine.timeout(self.cost.flag_set_cost)
 
             def announce_local() -> ProcessGenerator:
@@ -216,16 +219,18 @@ class MpiEndpoint:
         if same_node:
             # Copy one: user buffer -> shared bounce (charged to the sender).
             snapshot = np.array(_bytes_of(buffer), copy=True)
-            yield self.engine.timeout(self.cost.sm_copy_latency)
-            yield self.task.node.bus.transfer(nbytes, max_rate=self.cost.sm_copy_bandwidth)
+            yield self.task.node.bus.transfer_after(
+                self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
+            )
             self.task.stats.copies += 1
             self.task.stats.bytes_copied += nbytes
 
             def drain_local() -> ProcessGenerator:
                 # Copy two: bounce -> user buffer (the receiver's timeline
                 # advances when `done` fires).
-                yield self.engine.timeout(self.cost.sm_copy_latency)
-                yield dest_task.node.bus.transfer(nbytes, max_rate=self.cost.sm_copy_bandwidth)
+                yield dest_task.node.bus.transfer_after(
+                    self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
+                )
                 _bytes_of(posted.buffer)[:nbytes] = snapshot
                 dest_task.stats.copies += 1
                 dest_task.stats.bytes_copied += nbytes
@@ -343,14 +348,17 @@ class MpiEndpoint:
                 f"eager message of {envelope.nbytes} B into a {buffer.nbytes} B buffer"
             )
         nbytes = envelope.nbytes
-        yield self.engine.timeout(self.cost.sm_copy_latency)
         if nbytes > 0:
-            yield self.task.node.bus.transfer(nbytes, max_rate=self.cost.sm_copy_bandwidth)
+            yield self.task.node.bus.transfer_after(
+                self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
+            )
             assert envelope.data is not None
             _bytes_of(buffer)[:nbytes] = envelope.data
             self.task.stats.copies += 1
             self.task.stats.bytes_copied += nbytes
             self.eager_pool.release(nbytes)
+        else:
+            yield self.engine.timeout(self.cost.sm_copy_latency)
         return Status(envelope.source, envelope.tag, nbytes)
 
     def _grant_cts(self, envelope: Envelope, posted: PostedRecv) -> None:

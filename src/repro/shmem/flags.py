@@ -19,8 +19,16 @@ The cost model here:
   counted in :class:`~repro.machine.cluster.TaskStats` (this is what makes
   "spin forever" configurations measurably bad, the effect §2.4 describes).
 
+A waiter that blocks resumes once: it waits on a
+:class:`~repro.sim.events.Chain` that the flag's wake-up event schedules one
+detection delay later, from its own callback — where the resumed waiter
+used to create that delay's timeout, so every event keeps its time and
+sequence number.  The delay stays a separate event after the wake-up rather
+than being folded into the store: folding would give the waiter a sequence
+number ahead of events the writer schedules right after the store.
+
 Flags are single-writer in all SRM protocols (each flag has a well-defined
-owner for each phase), so observing the value after the wake-up event is
+owner for each phase), so observing the value after the detection delay is
 race-free; the implementation still re-checks the predicate for safety.
 """
 
@@ -30,7 +38,7 @@ import typing
 
 from repro.errors import ProtocolError
 from repro.obs.taxonomy import FLAG_SET, FLAG_WAIT, FLOW_FLAG_WAKEUP
-from repro.sim.events import Event
+from repro.sim.events import Chain, Event
 from repro.sim.process import ProcessGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -149,9 +157,10 @@ class SharedFlag:
         start = self.engine.now
         with task.phase(FLAG_WAIT):
             pending = self._event_when(predicate, waiter_rank=task.rank)
-            if pending is not None:
-                yield pending
-            yield self.engine.timeout(self._detection_delay(task, start))
+            if pending is None:
+                yield self.engine.timeout(self._detection_delay(task, start))
+            else:
+                yield Chain(pending, lambda: self._detection_delay(task, start))
         self.obs.flag_wait_seconds.observe(self.engine.now - start)
         if not predicate(self._value):  # pragma: no cover - single-writer protocols
             raise ProtocolError(f"flag {self.name!r} changed under a waiter")
@@ -235,8 +244,10 @@ class FlagArray:
                 for event in [flag._event_when(predicate, waiter_rank=task.rank)]
                 if event is not None
             ]
-            if pending:
-                yield self.engine.all_of(pending)
             # Reuse the single-flag detection model for the final observation.
-            yield self.engine.timeout(self.flags[0]._detection_delay(task, start))
+            detection_delay = self.flags[0]._detection_delay
+            if pending:
+                yield Chain(self.engine.all_of(pending), lambda: detection_delay(task, start))
+            else:
+                yield self.engine.timeout(detection_delay(task, start))
         self.node.machine.obs.flag_wait_seconds.observe(self.engine.now - start)

@@ -151,25 +151,9 @@ class Engine:
     # -- scheduling -------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {event!r} {delay!r}s in the past")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule {event!r} after delay {delay!r}")
         heapq.heappush(self._queue, (self._now + delay, next(self._sequence), event))
-
-    def call_at(self, when: float, callback: typing.Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute time ``when`` (>= now).
-
-        Returns the underlying timeout event; the callback runs when it is
-        processed.  Used by fluid-flow resources to (re)schedule completions.
-        """
-        if when < self._now:
-            # Tolerate floating-point residue from rate arithmetic; anything
-            # beyond rounding noise is a real causality bug.
-            if self._now - when > 1e-12 * max(1.0, abs(self._now)):
-                raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
-            when = self._now
-        timer = self.timeout(when - self._now, name="call_at")
-        timer.add_callback(lambda _event: callback())
-        return timer
 
     # -- main loop ---------------------------------------------------------
 
@@ -261,8 +245,8 @@ class Engine:
                 trace.on_quiescent()
             return None
         deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline!r}) is in the past")
+        if not deadline >= self._now:  # also rejects NaN
+            raise SimulationError(f"run(until={deadline!r}) is not at or after now ({self._now!r})")
         while queue and queue[0][0] <= deadline:
             when, _seq, event = pop(queue)
             if when < self._now:
@@ -282,8 +266,8 @@ class Engine:
         carry a later sequence number and land in a later batch, exactly as
         in the default loops.
         """
-        if deadline is not None and deadline < self._now:
-            raise SimulationError(f"run(until={deadline!r}) is in the past")
+        if deadline is not None and not deadline >= self._now:  # also rejects NaN
+            raise SimulationError(f"run(until={deadline!r}) is not at or after now ({self._now!r})")
         queue = self._queue
         pop = heapq.heappop
         scheduler = self.scheduler

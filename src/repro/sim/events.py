@@ -16,6 +16,7 @@ FIFO order of scheduling, never re-entrantly inside ``succeed()``.
 
 from __future__ import annotations
 
+import heapq
 import typing
 
 from repro.errors import SimulationError
@@ -23,7 +24,7 @@ from repro.errors import SimulationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
-__all__ = ["PENDING", "Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["PENDING", "Event", "Timeout", "Chain", "AllOf", "AnyOf"]
 
 
 #: Sentinel stored as an event's value while the event has not triggered.
@@ -103,11 +104,15 @@ class Event:
 
     def succeed(self, value: typing.Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value`` after ``delay``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule {self!r} after delay {delay!r}")
         self._ok = True
         self._value = value
-        self.engine._schedule(self, delay)
+        # Engine._schedule, inlined: every wake-up in the simulator passes here.
+        engine = self.engine
+        heapq.heappush(engine._queue, (engine._now + delay, next(engine._sequence), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -182,13 +187,53 @@ class Timeout(Event):
         value: typing.Any = None,
         name: str | None = None,
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(engine, name=name)
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
+        # Event.__init__ and Engine._schedule, inlined: timeouts are the most
+        # frequently created events.
+        self.engine = engine
+        self.name = name
         self._value = value
-        engine._schedule(self, delay)
+        self._ok = True
+        self._defused = False
+        self._processed = False
+        self._cb0 = None
+        self._cbs = None
+        self.delay = delay
+        heapq.heappush(engine._queue, (engine._now + delay, next(engine._sequence), self))
+
+
+class Chain(Event):
+    """Fires ``delay()`` seconds after ``source`` fires, with its value.
+
+    The chained wait: ``delay`` is computed, and the chain scheduled, from
+    ``source``'s callback — the instant and queue position at which a process
+    resumed by ``source`` would have created the equivalent :class:`Timeout`.
+    A process that yields the chain resumes once instead of twice, and every
+    event keeps its time and sequence number.  A failed ``source`` fails the
+    chain at once.  While ``source`` is pending the chain reports as
+    ``source``, so a deadlock report names what the process really awaits.
+    """
+
+    __slots__ = ("source", "_delay")
+
+    def __init__(self, source: Event, delay: typing.Callable[[], float]) -> None:
+        super().__init__(source.engine, name=source.name)
+        self.source = source
+        self._delay = delay
+        source.add_callback(self._follow)
+
+    def _follow(self, source: Event) -> None:
+        if source._ok:
+            self.succeed(source._value, delay=self._delay())
+        else:
+            source._defused = True
+            self.fail(typing.cast(BaseException, source._value))
+
+    def __repr__(self) -> str:
+        if not self.source._processed:
+            return repr(self.source)
+        return super().__repr__()
 
 
 class _Condition(Event):

@@ -70,13 +70,16 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator by one step with ``event``'s outcome."""
         self._waiting_on = None
-        self.engine._active_process = self
+        engine = self.engine
+        engine._active_process = self
+        # ``event`` has fired, so its slots are set: read them directly
+        # rather than through the checking properties.
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                event.defuse()
-                target = self._generator.throw(typing.cast(BaseException, event.value))
+                event._defused = True
+                target = self._generator.throw(typing.cast(BaseException, event._value))
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -84,7 +87,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.engine._active_process = None
+            engine._active_process = None
 
         if not isinstance(target, Event):
             error = SimulationError(
@@ -94,15 +97,15 @@ class Process(Event):
             # Surface at the process level so joiners see it.
             self.fail(error)
             return
-        if target.processed:
+        if target._processed:
             # Joining something already finished (e.g. an isend that completed
             # before the matching recv returned): mirror its outcome through a
             # fresh zero-delay event so the generator resumes next tick.
-            mirror = Event(self.engine, name=f"join:{target.name}")
-            if target.ok:
-                mirror.succeed(target.value)
+            mirror = Event(engine, name=f"join:{target.name}")
+            if target._ok:
+                mirror.succeed(target._value)
             else:
-                mirror.fail(typing.cast(BaseException, target.value))
+                mirror.fail(typing.cast(BaseException, target._value))
             target = mirror
         self._waiting_on = target
         target.add_callback(self._resume)

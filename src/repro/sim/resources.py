@@ -10,7 +10,10 @@ Two resource families model the hardware domains of an SMP cluster:
   a single CPU cannot stream faster than its own copy bandwidth even on an
   idle memory bus).  This is the standard fluid approximation for memory-bus
   and switch-port contention and is what makes simultaneous-reader SMP
-  broadcast contention (paper §2.2) come out right.
+  broadcast contention (paper §2.2) come out right.  The link cancels a
+  superseded wake-up in place, and :meth:`SharedBandwidth.transfer_after`
+  joins it from a start-up timeout's callback, so a copy costs its waiter
+  one process resume.
 
 :class:`Gate` is a resettable broadcast condition used for interrupt-mode
 modelling ("wait until the target enters a LAPI call").
@@ -18,13 +21,15 @@ modelling ("wait until the target enters a LAPI call").
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import typing
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 __all__ = ["FifoResource", "SharedBandwidth", "Gate"]
 
@@ -94,13 +99,22 @@ class FifoResource:
 
 
 class _Transfer:
-    __slots__ = ("size", "remaining", "cap", "event")
+    __slots__ = ("size", "remaining", "cap", "event", "arrival", "rate")
 
     def __init__(self, nbytes: float, cap: float, event: Event) -> None:
         self.size = float(nbytes)
         self.remaining = float(nbytes)
         self.cap = cap
         self.event = event
+        #: Join order on the link, taken when the transfer joins (after any
+        #: start-up): completions at one instant fire in this order.
+        self.arrival = 0
+        #: Water-filling share, recomputed at each membership change.
+        self.rate = 0.0
+
+
+_cap = operator.attrgetter("cap")
+_arrival = operator.attrgetter("arrival")
 
 
 class SharedBandwidth:
@@ -110,6 +124,13 @@ class SharedBandwidth:
     water-filling share of the link rate, never exceeding its own per-transfer
     cap.  Membership changes (a transfer joining or completing) re-divide the
     rate instantly.
+
+    The active transfers are kept in water-filling order (cap, then arrival)
+    as they join and leave, and their shares are computed once per
+    membership change; the next settle reuses them.  One wake-up is armed
+    for the earliest completion.  A membership change cancels the armed
+    wake-up instead of leaving it to find itself stale: its queue entry
+    stays, with its sequence number, but runs nothing when popped.
     """
 
     #: Residual-byte tolerance when deciding a transfer has completed.
@@ -121,10 +142,13 @@ class SharedBandwidth:
         self.engine = engine
         self.rate = float(rate)
         self.name = name
-        self._active: dict[int, _Transfer] = {}
-        self._ids = itertools.count()
+        self._done_name = f"xfer:{name}"
+        #: Active transfers in water-filling order: cap first, then arrival.
+        self._active: list[_Transfer] = []
+        self._arrivals = itertools.count()
         self._last_settled = engine.now
-        self._wake_version = 0
+        #: The armed wake-up for the earliest completion, if any.
+        self._wakeup: Event | None = None
         #: Total bytes ever completed through this link (for audits/tests).
         self.bytes_transferred = 0.0
         monitor = engine.monitor
@@ -142,84 +166,115 @@ class SharedBandwidth:
 
         ``max_rate`` caps this transfer's share (e.g. one CPU's copy speed).
         """
-        if nbytes < 0:
-            raise SimulationError(f"cannot transfer {nbytes} bytes")
-        done = Event(self.engine, name=f"xfer:{self.name}")
-        if nbytes == 0:
-            done.succeed()
-            return done
-        cap = float("inf") if max_rate is None else float(max_rate)
-        if cap <= 0:
-            raise SimulationError(f"max_rate must be positive, got {max_rate}")
-        self._settle()
-        self._active[next(self._ids)] = _Transfer(nbytes, cap, done)
-        self._reschedule()
-        return done
+        transfer = self._new_transfer(nbytes, max_rate)
+        self._start(transfer)
+        return transfer.event
+
+    def transfer_after(self, startup: float, nbytes: float, max_rate: float | None = None) -> Event:
+        """:meth:`transfer`, joining the link ``startup`` seconds from now.
+
+        One call for a start-up cost followed by a transfer (a copy's
+        software start-up, say): the transfer joins from the start-up
+        timeout's callback, so a process waiting on the returned completion
+        event resumes once.  A zero-byte transfer completes at the end of
+        its start-up.
+        """
+        transfer = self._new_transfer(nbytes, max_rate)
+        Timeout(self.engine, startup, transfer).add_callback(self._on_startup)
+        return transfer.event
 
     # -- fluid-flow internals ---------------------------------------------
 
-    def _allocations(self) -> dict[int, float]:
-        """Water-filling rate allocation over the active transfers."""
-        allocations: dict[int, float] = {}
-        budget = self.rate
-        # Process in increasing cap order: once the tightest caps are paid
-        # out, the rest share the remainder equally.
-        pending = sorted(self._active.items(), key=lambda item: item[1].cap)
-        count = len(pending)
-        for transfer_id, transfer in pending:
-            share = budget / count
-            allocation = min(transfer.cap, share)
-            allocations[transfer_id] = allocation
-            budget -= allocation
-            count -= 1
-        return allocations
+    def _new_transfer(self, nbytes: float, max_rate: float | None) -> _Transfer:
+        if not nbytes >= 0:
+            raise SimulationError(f"cannot transfer {nbytes} bytes")
+        cap = float("inf") if max_rate is None else float(max_rate)
+        if not cap > 0:
+            raise SimulationError(f"max_rate must be positive, got {max_rate}")
+        return _Transfer(nbytes, cap, Event(self.engine, name=self._done_name))
+
+    def _on_startup(self, startup: Event) -> None:
+        self._start(startup._value)
+
+    def _start(self, transfer: _Transfer) -> None:
+        if transfer.size == 0:
+            transfer.event.succeed()
+            return
+        self._settle()
+        transfer.arrival = next(self._arrivals)
+        bisect.insort(self._active, transfer, key=_cap)
+        self._reschedule()
 
     def _settle(self) -> None:
         """Advance every active transfer's progress to the current time."""
-        now = self.engine.now
+        now = self.engine._now
         elapsed = now - self._last_settled
         self._last_settled = now
         if elapsed <= 0 or not self._active:
             return
-        allocations = self._allocations()
-        for transfer_id, transfer in self._active.items():
-            transfer.remaining -= allocations[transfer_id] * elapsed
+        for transfer in self._active:
+            transfer.remaining -= transfer.rate * elapsed
 
     def _complete_finished(self) -> None:
-        finished = [
-            transfer_id
-            for transfer_id, transfer in self._active.items()
-            if transfer.remaining <= self.EPSILON
-        ]
-        for transfer_id in finished:
-            transfer = self._active.pop(transfer_id)
+        epsilon = self.EPSILON
+        finished = [transfer for transfer in self._active if transfer.remaining <= epsilon]
+        if not finished:
+            return
+        self._active = [transfer for transfer in self._active if not transfer.remaining <= epsilon]
+        finished.sort(key=_arrival)
+        for transfer in finished:
             self.bytes_transferred += transfer.size
             transfer.event.succeed()
 
     def _reschedule(self) -> None:
-        """(Re)arm the wake-up for the earliest upcoming completion."""
-        self._wake_version += 1
+        """Share the rate out again and arm the wake-up for the earliest
+        completion, cancelling the one armed before."""
+        wakeup = self._wakeup
+        if wakeup is not None:
+            # Superseded: drop its one callback so the queued entry fires
+            # as a bare event.
+            wakeup._cb0 = None
+            self._wakeup = None
+        engine = self.engine
+        now = engine._now
+        active = self._active
         timeline = self._timeline
-        if not self._active:
+        if not active:
             if timeline is not None:
-                timeline.record(self.engine.now, 0, 0, False)
+                timeline.record(now, 0, 0, False)
             return
-        allocations = self._allocations()
+        # Water-filling in increasing cap order: once the tightest caps are
+        # paid out, the rest share the remainder equally.
+        budget = self.rate
+        count = len(active)
+        for transfer in active:
+            share = budget / count
+            cap = transfer.cap
+            allocation = share if share < cap else cap  # min(cap, share)
+            transfer.rate = allocation
+            budget -= allocation
+            count -= 1
         if timeline is not None:
             # Saturated: the water-filling pass spent the whole link rate,
             # so at least one transfer's share is squeezed below its cap.
-            saturated = sum(allocations.values()) >= self.rate * (1.0 - 1e-9)
-            timeline.record(self.engine.now, len(self._active), 0, saturated)
-        next_completion = min(
-            transfer.remaining / allocations[transfer_id]
-            for transfer_id, transfer in self._active.items()
-        )
-        version = self._wake_version
-        self.engine.call_at(self.engine.now + next_completion, lambda: self._wake(version))
+            saturated = sum([transfer.rate for transfer in active]) >= self.rate * (1.0 - 1e-9)
+            timeline.record(now, len(active), 0, saturated)
+        when = now + min([transfer.remaining / transfer.rate for transfer in active])
+        if when < now:
+            # A transfer settled by a join at its own completion instant may
+            # hold a residue just below zero; tolerate rounding noise, but
+            # anything more is a real causality bug.
+            if now - when > 1e-12 * max(1.0, abs(now)):
+                raise SimulationError(
+                    f"link {self.name!r} wake-up at {when!r} is in the past (now={now!r})"
+                )
+            when = now
+        wakeup = Timeout(engine, when - now)
+        wakeup.add_callback(self._wake)
+        self._wakeup = wakeup
 
-    def _wake(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # membership changed since this wake-up was armed
+    def _wake(self, _event: Event) -> None:
+        self._wakeup = None
         self._settle()
         self._complete_finished()
         self._reschedule()

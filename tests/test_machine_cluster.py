@@ -163,3 +163,33 @@ def test_compute_models_pure_cpu_time():
         yield from t.compute(5e-6)
 
     assert machine.launch(program, ranks=[0]).elapsed == pytest.approx(5e-6)
+
+
+def test_copy_on_idle_bus_resumes_once(monkeypatch):
+    # Start-up and bus transfer are one link call: the copying process
+    # resumes once, at completion, and the engine still processes the same
+    # five events (start, start-up, wake-up, completion, process end).
+    from repro.sim.process import Process
+
+    stamps = []
+    resume = Process._resume
+
+    def counting(self, event):
+        if self.name == "copier":
+            stamps.append(self.engine.now)
+        return resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counting)
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=1))
+    task = machine.task(0)
+    src = np.arange(4096, dtype=np.uint8)
+    dst = np.zeros_like(src)
+
+    def program():
+        yield from task.copy(dst, src)
+
+    machine.engine.process(program(), name="copier")
+    machine.engine.run()
+    assert np.array_equal(dst, src)
+    assert stamps == [0.0, machine.cost.copy_time(4096)]
+    assert machine.engine.events_processed == 5

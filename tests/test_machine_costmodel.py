@@ -1,5 +1,7 @@
 """Unit tests for the cost model, eager-limit table, and term breakdown."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -61,6 +63,24 @@ def test_validation_rejects_bad_values():
         CostModel(spin_yield_threshold=0)
     with pytest.raises(ConfigurationError):
         CostModel(eager_pool_bytes=-1)
+
+
+NUMERIC_FIELDS = [
+    entry.name for entry in dataclasses.fields(CostModel) if entry.name != "eager_limits"
+]
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_validation_rejects_non_finite_values(name):
+    # NaN slips past every range check (all comparisons are false); a NaN
+    # copy bandwidth used to hang a 1 KB SRM broadcast.
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError, match=name):
+            CostModel(**{name: value})
+
+
+def test_zero_still_switches_daemon_noise_off():
+    assert CostModel(daemon_interval=0.0).daemon_interval == 0.0
 
 
 def test_presets_are_valid_and_distinct():

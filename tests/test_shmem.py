@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import DeadlockError, ProtocolError
 from repro.machine import ClusterSpec, CostModel, Machine
 from repro.shmem import DoubleBuffer, FlagArray, SharedFlag, SharedSegment
 
@@ -237,3 +237,61 @@ def test_double_buffer_bounds(machine):
         dbuf.flags(3)
     with pytest.raises(ProtocolError):
         DoubleBuffer(machine.nodes[0], 0, flags_per_buffer=1)
+
+
+def count_resumes(monkeypatch):
+    """Record, per process name, the simulated time of every resume."""
+    from repro.sim.process import Process
+
+    stamps: dict[str, list[float]] = {}
+    resume = Process._resume
+
+    def counting(self, event):
+        stamps.setdefault(self.name, []).append(self.engine.now)
+        return resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counting)
+    return stamps
+
+
+def test_blocked_flag_wait_resumes_once(monkeypatch):
+    # The waiter blocks, the writer sets the flag at 5.5 us, and the waiter
+    # resumes once, after the detection delay; the event stream is the one a
+    # resume at the wake-up followed by a detection timeout produces (8).
+    stamps = count_resumes(monkeypatch)
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=2))
+    engine = machine.engine
+    flag = SharedFlag(machine.nodes[0], name="ready")
+
+    def waiter():
+        return (yield from flag.wait_value(machine.task(0), 1))
+
+    def writer():
+        yield engine.timeout(5e-6)
+        yield from flag.set(machine.task(1), 1)
+
+    waiting = engine.process(waiter(), name="waiter")
+    engine.process(writer(), name="writer")
+    engine.run()
+    assert waiting.value == 1
+    set_at = 5e-6 + machine.cost.flag_set_cost
+    assert stamps["waiter"] == [0.0, set_at + machine.cost.flag_poll_interval]
+    assert engine.events_processed == 8
+
+
+def test_blocked_flag_waits_name_what_they_wait_on_in_deadlocks():
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=2))
+    flag = SharedFlag(machine.nodes[0], name="never")
+    bank = FlagArray(machine.nodes[0], 3, name="bank")
+
+    def program(task):
+        if task.rank == 0:
+            yield from flag.wait_value(task, 1)
+        else:
+            yield from bank.wait_all(task, lambda value: value == 1, skip=task.local_index)
+
+    with pytest.raises(DeadlockError) as excinfo:
+        machine.launch(program)
+    message = str(excinfo.value)
+    assert "rank0 blocked on <Event 'flag:never' pending at t=0>" in message
+    assert "rank1 blocked on <AllOf pending at t=0>" in message

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, FifoScheduler
 
 
 def test_clock_starts_at_zero():
@@ -60,6 +60,34 @@ def test_negative_timeout_rejected():
         engine.timeout(-0.1)
 
 
+def test_nan_timeout_rejected():
+    # A NaN key would break the heap order of everything queued after it.
+    engine = Engine()
+    with pytest.raises(SimulationError):
+        engine.timeout(float("nan"))
+    assert engine.peek() == float("inf")
+
+
+def test_nan_succeed_and_fail_delays_rejected():
+    engine = Engine()
+    event = engine.event()
+    with pytest.raises(SimulationError):
+        event.succeed(delay=float("nan"))
+    assert not event.triggered
+    with pytest.raises(SimulationError):
+        engine.event().fail(RuntimeError("late"), delay=float("nan"))
+    assert engine.peek() == float("inf")
+
+
+@pytest.mark.parametrize("scheduler", [None, FifoScheduler()], ids=["fifo-lane", "scheduled"])
+def test_run_until_nan_rejected(scheduler):
+    engine = Engine(scheduler=scheduler)
+    engine.timeout(1.0)
+    with pytest.raises(SimulationError):
+        engine.run(until=float("nan"))
+    assert engine.now == 0.0
+
+
 def test_run_until_event_returns_value():
     engine = Engine()
 
@@ -94,20 +122,6 @@ def test_peek_reports_next_event_time():
     assert engine.peek() == float("inf")
     engine.timeout(4.0)
     assert engine.peek() == 4.0
-
-
-def test_call_at_runs_callback_at_time():
-    engine = Engine()
-    stamps = []
-    engine.call_at(2.0, lambda: stamps.append(engine.now))
-    engine.run()
-    assert stamps == [2.0]
-
-
-def test_call_at_in_past_raises():
-    engine = Engine(start_time=10.0)
-    with pytest.raises(SimulationError):
-        engine.call_at(5.0, lambda: None)
 
 
 def test_events_processed_counter():

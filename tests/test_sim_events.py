@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
+from repro.sim.events import Chain
 
 
 class Boom(Exception):
@@ -257,3 +258,91 @@ def test_process_waiting_on_introspection():
     gate.succeed()
     engine.run()
     assert not process.is_alive
+
+
+# ---------------------------------------------------------------------------
+# Chained waits
+# ---------------------------------------------------------------------------
+
+
+def test_chain_fires_delay_after_source_with_its_value():
+    engine = Engine()
+    source = engine.event(name="flag:x")
+    seen = []
+
+    def waiter():
+        value = yield Chain(source, lambda: 2.0)
+        seen.append((engine.now, value))
+
+    def writer():
+        yield engine.timeout(1.0)
+        source.succeed("set")
+
+    engine.process(waiter())
+    engine.process(writer())
+    engine.run()
+    assert seen == [(3.0, "set")]
+
+
+def test_chain_keeps_the_order_of_the_timeout_it_replaces():
+    # A waiter that resumes at the source and then sleeps, and one that
+    # yields a chain, must interleave with a same-instant rival identically:
+    # the chain takes its sequence number where the sleep's timeout did.
+    def run(chained):
+        engine = Engine()
+        source = engine.event()
+        order = []
+
+        def waiter():
+            if chained:
+                yield Chain(source, lambda: 1.0)
+            else:
+                yield source
+                yield engine.timeout(1.0)
+            order.append("waiter")
+
+        def rival():
+            source.succeed()
+            yield engine.timeout(1.0)
+            order.append("rival")
+
+        def late_rival():
+            yield engine.timeout(0.0)
+            yield engine.timeout(1.0)
+            order.append("late-rival")
+
+        engine.process(waiter())
+        engine.process(rival())
+        engine.process(late_rival())
+        engine.run()
+        return order, engine.events_processed
+
+    assert run(chained=True) == run(chained=False)
+
+
+def test_chain_fails_at_once_with_its_source():
+    engine = Engine()
+    source = engine.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield Chain(source, lambda: 5.0)
+        except Boom:
+            caught.append(engine.now)
+
+    engine.process(waiter())
+    source.fail(Boom(), delay=1.0)
+    engine.run()
+    assert caught == [1.0]
+
+
+def test_chain_reports_as_its_source_until_the_source_fires():
+    engine = Engine()
+    source = engine.all_of([engine.event(name="a")])
+    chain = Chain(source, lambda: 1.0)
+    assert repr(chain) == repr(source)
+    assert chain.name is None
+    named = Chain(engine.event(name="flag:x"), lambda: 1.0)
+    assert named.name == "flag:x"
+    assert "flag:x" in repr(named)

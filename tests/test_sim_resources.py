@@ -1,8 +1,14 @@
 """Unit tests for FIFO and fluid-flow bandwidth resources."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.machine import CostModel
 from repro.obs.monitor import ResourceMonitor, ResourceSample
 from repro.sim import Engine, FifoResource, Gate, SharedBandwidth
 
@@ -199,26 +205,38 @@ def test_sequential_transfers_reuse_link_cleanly():
     assert end == pytest.approx(2.0)
 
 
+def finish_times(engine, link, joins):
+    """Start ``(nbytes, max_rate)`` transfers together; their finish times.
+
+    A transfer of ``share`` bytes that is given ``share`` B/s finishes at
+    t=1, so equal finish times of 1 s read back each water-filling share.
+    """
+    finished = []
+    for nbytes, max_rate in joins:
+        link.transfer(nbytes, max_rate=max_rate).add_callback(
+            lambda _event: finished.append(engine.now)
+        )
+    engine.run()
+    return finished
+
+
 def test_water_filling_fairness_under_mixed_caps():
     # Rate 100 split over caps [10, inf, inf]: the capped transfer takes its
     # 10, the two uncapped ones share the remaining 90 equally.
     engine = Engine()
     link = SharedBandwidth(engine, rate=100.0)
-    link.transfer(1000.0, max_rate=10.0)
-    link.transfer(1000.0)
-    link.transfer(1000.0)
-    assert sorted(link._allocations().values()) == pytest.approx([10.0, 45.0, 45.0])
+    shares = finish_times(engine, link, [(10.0, 10.0), (45.0, None), (45.0, None)])
+    assert shares == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_water_filling_pays_tight_caps_first():
     engine = Engine()
     link = SharedBandwidth(engine, rate=100.0)
-    link.transfer(1000.0, max_rate=10.0)
-    link.transfer(1000.0, max_rate=20.0)
-    link.transfer(1000.0)
     # Caps below the equal share are paid out in full; the uncapped transfer
-    # absorbs everything they leave on the table (not just 100/3).
-    assert sorted(link._allocations().values()) == pytest.approx([10.0, 20.0, 70.0])
+    # absorbs everything they leave on the table (not just 100/3).  The
+    # uncapped transfer joins first, so cap order is not arrival order.
+    shares = finish_times(engine, link, [(70.0, None), (20.0, 20.0), (10.0, 10.0)])
+    assert shares == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_mixed_cap_transfers_complete_at_fair_share_times():
@@ -231,6 +249,228 @@ def test_mixed_cap_transfers_complete_at_fair_share_times():
     ]
     engine.run(until=engine.all_of(done))
     assert engine.now == pytest.approx(2.0)
+
+
+def test_wake_up_handler_runs_once_per_completion(monkeypatch):
+    # Three overlapping transfers: each join supersedes the armed wake-up.
+    # A superseded wake-up keeps its queue entry but runs no handler, so the
+    # handler runs once per real completion (three), not five times.
+    handled = []
+    wake = SharedBandwidth._wake
+
+    def counting_wake(self, *args):
+        handled.append(self.engine.now)
+        return wake(self, *args)
+
+    monkeypatch.setattr(SharedBandwidth, "_wake", counting_wake)
+    engine = Engine()
+    link = SharedBandwidth(engine, rate=100.0)
+    finished = []
+
+    def join(at, nbytes):
+        yield engine.timeout(at)
+        yield link.transfer(nbytes)
+        finished.append(engine.now)
+
+    for at, nbytes in ((0.0, 100.0), (0.25, 100.0), (0.5, 150.0)):
+        engine.process(join(at, nbytes))
+    engine.run()
+    assert len(finished) == 3
+    assert handled == finished
+    # The two superseded wake-ups are still popped, as before.
+    assert engine.events_processed == 17
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the water-filling link as first written
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBandwidth:
+    """The fluid link as first written, kept as an oracle.
+
+    It sorts the transfers by cap on every allocation, settles with freshly
+    computed allocations, and lets superseded wake-ups run and find their
+    version stale.  :class:`SharedBandwidth` must match it exactly.
+    """
+
+    EPSILON = 1e-6
+
+    def __init__(self, engine, rate, name=None):
+        self.engine = engine
+        self.rate = float(rate)
+        self.name = name
+        self._active = {}
+        self._ids = itertools.count()
+        self._last_settled = engine.now
+        self._wake_version = 0
+        self.bytes_transferred = 0.0
+        monitor = engine.monitor
+        self._timeline = monitor.register(name, "bandwidth") if monitor is not None else None
+
+    def transfer(self, nbytes, max_rate=None):
+        done = self.engine.event(name=f"xfer:{self.name}")
+        if nbytes == 0:
+            done.succeed()
+            return done
+        cap = float("inf") if max_rate is None else float(max_rate)
+        self._settle()
+        self._active[next(self._ids)] = [float(nbytes), float(nbytes), cap, done]
+        self._reschedule()
+        return done
+
+    def _allocations(self):
+        allocations = {}
+        budget = self.rate
+        pending = sorted(self._active.items(), key=lambda item: item[1][2])
+        count = len(pending)
+        for transfer_id, transfer in pending:
+            share = budget / count
+            allocation = min(transfer[2], share)
+            allocations[transfer_id] = allocation
+            budget -= allocation
+            count -= 1
+        return allocations
+
+    def _settle(self):
+        now = self.engine.now
+        elapsed = now - self._last_settled
+        self._last_settled = now
+        if elapsed <= 0 or not self._active:
+            return
+        allocations = self._allocations()
+        for transfer_id, transfer in self._active.items():
+            transfer[1] -= allocations[transfer_id] * elapsed
+
+    def _complete_finished(self):
+        finished = [
+            transfer_id
+            for transfer_id, transfer in self._active.items()
+            if transfer[1] <= self.EPSILON
+        ]
+        for transfer_id in finished:
+            transfer = self._active.pop(transfer_id)
+            self.bytes_transferred += transfer[0]
+            transfer[3].succeed()
+
+    def _reschedule(self):
+        self._wake_version += 1
+        now = self.engine.now
+        if not self._active:
+            if self._timeline is not None:
+                self._timeline.record(now, 0, 0, False)
+            return
+        allocations = self._allocations()
+        if self._timeline is not None:
+            saturated = sum(allocations.values()) >= self.rate * (1.0 - 1e-9)
+            self._timeline.record(now, len(self._active), 0, saturated)
+        when = now + min(
+            transfer[1] / allocations[transfer_id]
+            for transfer_id, transfer in self._active.items()
+        )
+        if when < now:
+            assert now - when <= 1e-12 * max(1.0, abs(now))
+            when = now
+        version = self._wake_version
+        timer = self.engine.timeout(when - now)
+        timer.add_callback(lambda _event: self._wake(version))
+
+    def _wake(self, version):
+        if version != self._wake_version:
+            return
+        self._settle()
+        self._complete_finished()
+        self._reschedule()
+
+
+COST = CostModel()
+#: Per-transfer caps drawn by the oracle property: uncapped, one CPU's copy
+#: and reduce rates, and a cap so tight its transfer outlives the rest.
+CAPS = (None, COST.sm_copy_bandwidth, COST.reduce_op_bandwidth, 1e3)
+#: Join instants, few enough that several joins often share one.
+JOIN_TIMES = (0.0, 1e-6, 2.5e-6, 1e-4, 3e-4, 2e-3)
+#: Start-up before a join: none (a bare transfer), zero, and a copy's.
+STARTUPS = (None, 0.0, COST.sm_copy_latency)
+
+joins_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(JOIN_TIMES),
+        st.integers(1, 1 << 20),
+        st.sampled_from(CAPS),
+        st.sampled_from(STARTUPS),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def run_link(link_class, joins):
+    """Run ``joins`` on a monitored ``link_class`` link; what it produced."""
+    engine = Engine()
+    engine.monitor = ResourceMonitor(engine)
+    link = link_class(engine, COST.memory_bus_bandwidth, name="bus")
+    finished = []
+
+    def join(index, at, nbytes, cap, startup):
+        yield engine.timeout(at)
+        if startup is None:
+            yield link.transfer(nbytes, max_rate=cap)
+        elif link_class is SharedBandwidth:
+            yield link.transfer_after(startup, nbytes, max_rate=cap)
+        else:
+            yield engine.timeout(startup)
+            yield link.transfer(nbytes, max_rate=cap)
+        finished.append((index, engine.now))
+
+    for index, spec in enumerate(joins):
+        engine.process(join(index, *spec))
+    engine.run()
+    return {
+        "finished": finished,
+        "bytes_transferred": link.bytes_transferred,
+        "samples": engine.monitor.get("bus").samples,
+        "events": engine.events_processed,
+    }
+
+
+@given(joins=joins_strategy)
+# Same-instant joins through start-ups, the tight cap among them.
+@example(
+    joins=[(0.0, 1 << 20, None, None), (0.0, 4096, 1e3, COST.sm_copy_latency), (0.0, 1, None, 0.0)]
+)
+# A start-up issued first but joining second: it must complete second.
+@example(joins=[(0.0, 1, COST.sm_copy_bandwidth, 0.0), (0.0, 1, COST.sm_copy_bandwidth, None)])
+@settings(max_examples=150, deadline=None)
+def test_shared_bandwidth_matches_reference_exactly(joins):
+    """Completion order and times, bytes and monitor samples equal the
+    reference link's bit for bit, with every start-up joining from its
+    timeout's callback instead of a resumed process."""
+    got = run_link(SharedBandwidth, joins)
+    want = run_link(ReferenceBandwidth, joins)
+    assert got == want
+    assert len(got["finished"]) == len(joins)
+    assert all(math.isfinite(at) for _index, at in got["finished"])
+
+
+def test_transfer_after_zero_bytes_pays_start_up():
+    engine = Engine()
+    link = SharedBandwidth(engine, rate=100.0)
+    done = link.transfer_after(2.0, 0)
+    assert not done.triggered
+    engine.run(until=done)
+    assert engine.now == 2.0
+    assert link.bytes_transferred == 0.0
+
+
+def test_transfer_after_validates_at_call_time():
+    engine = Engine()
+    link = SharedBandwidth(engine, rate=100.0)
+    with pytest.raises(SimulationError):
+        link.transfer_after(1.0, -1.0)
+    with pytest.raises(SimulationError):
+        link.transfer_after(1.0, 1.0, max_rate=0.0)
+    with pytest.raises(SimulationError):
+        link.transfer_after(float("nan"), 1.0)
 
 
 # ---------------------------------------------------------------------------
