@@ -30,11 +30,14 @@ import typing
 from dataclasses import dataclass
 
 from repro.bench.report import format_bytes
+from repro.obs.calib import PAPER_SWITCH_POINTS
 
 __all__ = ["ShapeResult", "check_shapes", "format_shape_results", "SMALL_MAX"]
 
+#: The paper's broadcast switch points: ``SRMConfig`` field -> bytes.
+_BROADCAST_SWITCHES = {s: n for op, s, n, _, _ in PAPER_SWITCH_POINTS if op == "broadcast"}
 #: The paper's small-message band (and broadcast protocol switch): 64 KB.
-SMALL_MAX = 64 * 1024
+SMALL_MAX = _BROADCAST_SWITCHES["small_protocol_max"]
 
 #: Slack for the monotonicity checks: simulated curves are deterministic,
 #: but buffer-alternation effects allow a hair of non-monotone jitter.
@@ -235,15 +238,11 @@ def _broadcast_protocol_switch(grid: _Grid, snapshot: dict) -> ShapeResult | Non
         return None
     violations = []
     config = snapshot.get("identity", {}).get("srm_config", {})
-    if config.get("small_protocol_max") != SMALL_MAX:
-        violations.append(
-            f"small_protocol_max moved off the paper's 64KB: "
-            f"{config.get('small_protocol_max')}"
-        )
-    if config.get("pipeline_min") != 8 * 1024:
-        violations.append(
-            f"pipeline_min moved off the paper's 8KB: {config.get('pipeline_min')}"
-        )
+    for switch, paper_bytes in _BROADCAST_SWITCHES.items():
+        if config.get(switch) != paper_bytes:
+            violations.append(
+                f"{switch} moved off the paper's {format_bytes(paper_bytes)}: {config.get(switch)}"
+            )
     top = grid.nodes[-1]
     sizes = grid.sizes("broadcast", "srm", top)
     small = [nbytes for nbytes in sizes if nbytes <= 1024]

@@ -79,9 +79,9 @@ from repro.bench import (
     time_operation,
 )
 from repro.bench.figures import ascii_chart
-from repro.bench.runner import looped_program, operation_body
-from repro.bench.trace import Tracer
+from repro.bench.trace import timeline, totals, trace_call
 from repro.core import SRMConfig
+from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, CostModel
 
 __all__ = ["main"]
@@ -178,52 +178,78 @@ def _resolve_policy(args: argparse.Namespace, name: str | None = None):
 
 
 def _run_collective(args: argparse.Namespace, policy: typing.Any = None):
-    """Build a machine + traced stack and run one collective call.
+    """Build a fresh machine + stack and trace one collective call.
 
-    Shared by ``trace`` and ``profile``; returns the machine, the tracer,
-    and the :class:`~repro.machine.cluster.LaunchResult`.  ``policy``
+    Shared by ``trace`` and ``profile``; returns the machine and the
+    :class:`~repro.machine.cluster.LaunchResult` of
+    :func:`~repro.bench.trace.trace_call`, the call record.  ``policy``
     overrides the SRM dispatch policy (MPI stacks ignore it).
     """
     spec = ClusterSpec(nodes=args.nodes, tasks_per_node=args.tasks)
     machine, stack = build(args.stack, spec, policy=policy)
-    tracer = Tracer(machine)
-    body = operation_body(machine, tracer.wrap(stack), args.op, args.bytes)
-    result = machine.launch(looped_program(body, 1))
-    return machine, tracer, result
+    return machine, trace_call(machine, stack, args.op, args.bytes)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    machine, tracer, _result = _run_collective(args, policy=_resolve_policy(args))
-    print(tracer.timeline(args.op, width=args.width))
-    totals = tracer.totals()
+    if args.width < 1:
+        raise ConfigurationError(f"timeline width must be >= 1 column, got {args.width}")
+    machine, result = _run_collective(args, policy=_resolve_policy(args))
+    print(timeline(args.op, result, width=args.width))
+    summed = totals(result)
     print(
-        f"\ntotals: {totals['copies']} copies ({format_bytes(totals['bytes_copied'])}), "
-        f"{totals['reduce_ops']} operator passes, {totals['puts']} puts, "
-        f"{totals['mpi_sends']} MPI sends, {totals['interrupts']} interrupts"
+        f"\ntotals: {summed['copies']} copies ({format_bytes(summed['bytes_copied'])}), "
+        f"{summed['reduce_ops']} operator passes, {summed['puts']} puts, "
+        f"{summed['mpi_sends']} MPI sends, {summed['interrupts']} interrupts"
     )
-    print(f"makespan: {format_us(tracer.makespan(args.op))} us")
+    print(f"makespan: {format_us(result.elapsed)} us")
     if args.chrome_out:
         from repro.obs.export import chrome_trace, write_json
 
-        write_json(args.chrome_out, chrome_trace(machine, tracer))
+        write_json(args.chrome_out, chrome_trace(machine, (args.op, result)))
         print(f"wrote Perfetto trace to {args.chrome_out}")
     return 0
 
 
-def _profile_diff(args: argparse.Namespace, machine, result) -> int:
+def _diff_snapshot(args: argparse.Namespace) -> dict | None:
+    """The ``--diff`` snapshot, checked before any simulation; None unless
+    ``--diff`` names a snapshot.
+
+    A snapshot's cells ran at its ``tasks_per_node`` under the paper
+    policy, so the profiled run must use both, or the two sides of the
+    diff would be different configurations.
+    """
+    target = args.diff
+    if target is None or not (os.path.exists(target) or target.endswith(".json")):
+        return None
+    from repro.bench.snapshot import load_snapshot
+
+    snapshot = load_snapshot(target)
+    tasks = snapshot["identity"]["tasks_per_node"]
+    if args.tasks != tasks:
+        raise ConfigurationError(
+            f"--diff {target}: its cells run {tasks} tasks per node, but --tasks is {args.tasks}"
+        )
+    if args.policy != "paper":
+        raise ConfigurationError(
+            f"--diff {target}: its cells run the paper policy, but --policy is {args.policy}"
+        )
+    return snapshot
+
+
+def _profile_diff(args: argparse.Namespace, snapshot: dict | None, machine, result) -> int:
     """``profile --diff TARGET``: differential trace analysis.
 
     TARGET is another policy name (run the same collective under it and
-    compare) or a ``BENCH_*.json`` snapshot path (its matching cell becomes
-    the baseline and a fresh apples-to-apples capture the candidate).
+    compare) or a ``BENCH_*.json`` snapshot (:func:`_diff_snapshot`): its
+    matching cell becomes the baseline and a fresh apples-to-apples capture
+    the candidate.
     """
     from repro.obs.diff import capture_profile, diff_cells, diff_profiles, format_diff
 
     target = args.diff
-    if os.path.exists(target) or target.endswith(".json"):
-        from repro.bench.snapshot import capture_cell, cell_seed, load_snapshot
+    if snapshot is not None:
+        from repro.bench.snapshot import capture_cell, cell_seed
 
-        snapshot = load_snapshot(target)
         key = (args.op, args.stack, args.bytes, args.nodes)
         cells = {
             (c["operation"], c["stack"], c["nbytes"], c["nodes"]): c
@@ -239,14 +265,14 @@ def _profile_diff(args: argparse.Namespace, machine, result) -> int:
             )
             return 2
         candidate = capture_cell(
-            args.stack, args.op, args.bytes, args.nodes,
+            args.stack, args.op, args.bytes, args.nodes, tasks_per_node=args.tasks,
             seed=cell_seed(args.op, args.stack, args.bytes, args.nodes),
         )
         diff = diff_cells(baseline, candidate)
         print(f"\ndifferential analysis vs {snapshot['label']!r} cell of {target}:")
     else:
         other_policy = _resolve_policy(args, name=target)
-        other_machine, _tracer, other_result = _run_collective(args, policy=other_policy)
+        other_machine, other_result = _run_collective(args, policy=other_policy)
         baseline = capture_profile(
             other_machine,
             other_result.start_time,
@@ -274,7 +300,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.export import chrome_trace, metrics_dump, write_json
     from repro.obs.waits import classify_waits
 
-    machine, tracer, result = _run_collective(args, policy=_resolve_policy(args))
+    snapshot = _diff_snapshot(args)
+    machine, result = _run_collective(args, policy=_resolve_policy(args))
     path = critical_path(
         machine.obs.recorder, start=result.start_time, end=result.end_time
     )
@@ -343,13 +370,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"({format_us(segment.duration)} us)"
         )
     if args.chrome_out:
-        write_json(args.chrome_out, chrome_trace(machine, tracer))
+        write_json(args.chrome_out, chrome_trace(machine, (args.op, result)))
         print(f"\nwrote Perfetto trace to {args.chrome_out}")
     if args.json_out:
-        write_json(args.json_out, metrics_dump(machine, tracer))
+        write_json(args.json_out, metrics_dump(machine, (args.op, result)))
         print(f"wrote metrics dump to {args.json_out}")
     if args.diff:
-        return _profile_diff(args, machine, result)
+        return _profile_diff(args, snapshot, machine, result)
     return 0
 
 
@@ -380,8 +407,7 @@ def _write_regression_trace(cell, path: str) -> None:
         cell.stack, spec,
         seed=cell_seed(cell.operation, cell.stack, cell.nbytes, cell.nodes),
     )
-    body = operation_body(machine, stack, cell.operation, cell.nbytes)
-    machine.launch(looped_program(body, 1))
+    trace_call(machine, stack, cell.operation, cell.nbytes)
     write_json(path, chrome_trace(machine))
 
 

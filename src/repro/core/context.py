@@ -443,16 +443,9 @@ class SRMContext:
 
     # -- dispatch ------------------------------------------------------------
 
-    def dispatch(
-        self, op: str, nbytes: int, task: typing.Any = None, persistent: bool = False
-    ) -> Decision:
-        """Resolve the algorithm variant for one collective call.
-
-        ``persistent`` marks the decision telemetry record as pinned by a
-        persistent plan (dispatched once at init, then amortized over every
-        ``start()``).
-        """
-        return self.dispatcher.decide(op, nbytes, task, persistent=persistent)
+    def dispatch(self, op: str, nbytes: int, task: typing.Any = None) -> Decision:
+        """Resolve the algorithm variant for one collective call."""
+        return self.dispatcher.decide(op, nbytes, task)
 
     # -- plan construction (cached per root) --------------------------------
 

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SRMConfig
 from repro.errors import ConfigurationError
-from repro.obs.calib import DecisionRecord
 from repro.obs.taxonomy import DISPATCH
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -799,9 +798,7 @@ class Dispatcher:
     def __init__(self, ctx: "SRMContext", policy: SelectionPolicy | None = None) -> None:
         self.ctx = ctx
         self.policy = policy if policy is not None else PaperPolicy()
-        self._cache: dict[
-            tuple[str, int], tuple[Decision, typing.Any, DecisionRecord | None]
-        ] = {}
+        self._cache: dict[tuple[str, int], tuple[Decision, typing.Any]] = {}
         metrics = ctx.machine.obs.metrics
         self._fallbacks = metrics.counter(
             "dispatch.fallbacks", "policy choices overridden as inapplicable"
@@ -818,32 +815,18 @@ class Dispatcher:
             cost=self.ctx.machine.cost,
         )
 
-    def decide(
-        self, op: str, nbytes: int, task: typing.Any = None, persistent: bool = False
-    ) -> Decision:
-        """Resolve (and record) the variant for one collective call.
-
-        ``persistent=True`` marks the decision telemetry: the selection is
-        being pinned into a persistent plan and amortized across its starts
-        rather than re-resolved per call.
-        """
+    def decide(self, op: str, nbytes: int, task: typing.Any = None) -> Decision:
+        """Resolve (and record) the variant for one collective call."""
         key = (op, nbytes)
         cached = self._cache.get(key)
         if cached is not None:
-            decision, counter, record = cached
+            decision, counter = cached
             counter.inc()
-            if record is not None:
-                record.calls += 1
-                record.cache_hits += 1
-                if persistent:
-                    record.persistent = True
             return decision
 
         env = self.env(op, nbytes)
         entry, overridden = resolve_variant(self.policy, env)
         chosen = entry.name
-        fallback = overridden is not None
-        fallback_from = None if overridden is None else overridden.name
         if overridden is not None:
             self._fallbacks.inc()
         decision = Decision(
@@ -853,45 +836,12 @@ class Dispatcher:
             chunks=derive_chunks(env.config, op, chosen, nbytes),
             manage_interrupts=_manage_interrupts(env.config, op, chosen),
             policy=self.policy.name,
-            fallback=fallback,
+            fallback=overridden is not None,
         )
         counter = self.ctx.machine.obs.metrics.counter(
             f"dispatch.{op}.{chosen}", f"calls dispatched to the {chosen} {op}"
         )
         counter.inc()
-        # Decision telemetry (one 'is None' test when observability is off):
-        # record the full prediction context — every registered variant's
-        # per-term cost breakdown — alongside what was chosen.  Purely
-        # passive: no metrics instruments, no simulated-time effects, so
-        # snapshots stay byte-identical with recording live.
-        record = None
-        decisions = self.ctx.machine.obs.decisions
-        if decisions is not None:
-            predictions: dict[str, dict] = {}
-            for candidate in variants_for(op):
-                terms_seconds, total_seconds = predict_terms(candidate, env)
-                predictions[candidate.name] = {
-                    "applicable": bool(candidate.applicable(env)),
-                    "total_us": total_seconds * 1e6,
-                    "terms_us": {
-                        term: seconds * 1e6
-                        for term, seconds in terms_seconds.items()
-                    },
-                }
-            record = decisions.record(
-                DecisionRecord(
-                    op=op,
-                    nbytes=nbytes,
-                    nodes=env.nodes,
-                    ppn=env.ppn,
-                    policy=self.policy.name,
-                    chosen=chosen,
-                    fallback=fallback,
-                    fallback_from=fallback_from,
-                    predictions=predictions,
-                    persistent=persistent,
-                )
-            )
         # Mark each *distinct* decision once in the trace: a zero-duration
         # span whose detail names the selection — and, on fallback, the
         # overridden choice with its inapplicability reason — so exports and
@@ -903,20 +853,13 @@ class Dispatcher:
                 detail += f" <- {overridden.name} inapplicable: {reason}"
             with task.phase(DISPATCH, detail=detail):
                 pass
-        self._cache[key] = (decision, counter, record)
+        self._cache[key] = (decision, counter)
         return decision
 
     def tree_family(self, op: str) -> str:
         """The tree family a plan should use (``inter-tree`` /
         ``intra-reduce-tree``), resolved through the policy."""
         return self.decide(op, 0).variant
-
-    def selections(self) -> dict[str, str]:
-        """Resolved ``op/nbytes -> variant`` pairs so far (for reports)."""
-        return {
-            f"{op}:{nbytes}": decision.variant
-            for (op, nbytes), (decision, _counter, _record) in sorted(self._cache.items())
-        }
 
     def __repr__(self) -> str:
         return f"<Dispatcher policy={self.policy.name} decisions={len(self._cache)}>"

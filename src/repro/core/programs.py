@@ -8,16 +8,17 @@ one run's per-rank buffers and knows how to
 
 * write the input of window *w* (window 0 is the allocated input: the
   broadcast root's buffer holds 7 and rank ``r`` contributes ``r + 1``),
-* make one blocking call on any collective stack (SRM, the MPI baselines,
-  or a :class:`~repro.bench.trace.TracedStack`),
+* make one blocking call on any collective stack (SRM or the MPI
+  baselines),
 * build the persistent ``plan_*`` on SRM and rebind it to these buffers,
 * list the result arrays, in the order the verifier digests them, and
 * check them against the NumPy truth.
 
 The benchmark runner, the schedule verifier and the ``trace``/``profile``
-commands all drive these rows, so adding an operation is one new row.  The
-module imports neither :mod:`repro.bench` nor :mod:`repro.verify`, so each
-of those loads without the other.
+commands (:func:`~repro.bench.trace.trace_call`) all drive these rows, so
+adding an operation is one new row.  The module imports neither
+:mod:`repro.bench` nor :mod:`repro.verify`, so each of those loads without
+the other.
 """
 
 from __future__ import annotations

@@ -129,18 +129,13 @@ def _cell_id(cell: tuple) -> tuple:
     return (kind, id(container), key)
 
 
-_TASK_STAT_FIELDS = ("copies", "bytes_copied", "reduce_ops", "bytes_reduced", "yields", "interrupts")
-_LAPI_STAT_FIELDS = ("puts", "gets", "amsends", "rmws", "bytes_put", "bytes_got", "stalled_deliveries")
-
-
 def _machine_cells(machine: "Machine") -> typing.Iterator[tuple]:
     for task in machine.tasks:
-        stats = task.stats
-        for name in _TASK_STAT_FIELDS:
-            yield ("attr", stats, name)
-        lapi_stats = task.lapi.stats
-        for name in _LAPI_STAT_FIELDS:
-            yield ("attr", lapi_stats, name)
+        # Every substrate stat field, read from the slots so a field added
+        # later is diffed too.
+        for stats in (task.stats, task.lapi.stats):
+            for name in type(stats).__slots__:
+                yield ("attr", stats, name)
         yield ("attr", task.lapi, "interrupts_enabled")
 
 

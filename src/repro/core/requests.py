@@ -9,7 +9,7 @@ hoisted out of the per-call path:
 1. **prepare** — validate arguments, look up the cached plan/node state, and
    resolve the dispatch :class:`~repro.core.dispatch.Decision` (chunking,
    variant, interrupt management).  A persistent plan does this exactly once,
-   at init, with ``persistent=True`` recorded in the decision telemetry.
+   at init.
 2. **reserve** — synchronously claim the invocation's sequence windows (an
    :class:`~repro.core.context.InvocationState`): broadcast/reduce chunk
    sequences, streamed-chunk thresholds, per-edge staging parities, the
@@ -257,10 +257,10 @@ class PersistentCollective:
     """A reusable collective plan: bindings pinned at init, started freely.
 
     The MPI ``MPI_Bcast_init`` shape: arguments are validated, the dispatch
-    decision resolved (``persistent=True`` in the decision telemetry), and
-    the tree/counter/buffer bindings captured once; every :meth:`start`
-    afterwards only reserves an invocation window and spawns the progress
-    process — the per-call setup cost is amortized across all starts.
+    decision resolved, and the tree/counter/buffer bindings captured once;
+    every :meth:`start` afterwards only reserves an invocation window and
+    spawns the progress process — the per-call setup cost is amortized
+    across all starts.
     """
 
     def __init__(
@@ -359,12 +359,11 @@ def prepare_broadcast(
     task: "Task",
     buffer: np.ndarray,
     root: int = 0,
-    persistent: bool = False,
 ) -> Prepared:
     ctx.validate("broadcast", buffer.nbytes, task.rank, root=root)
     plan = ctx.bcast_plan(root)
     state = ctx.node_state(task)
-    decision = ctx.dispatch("broadcast", buffer.nbytes, task, persistent=persistent)
+    decision = ctx.dispatch("broadcast", buffer.nbytes, task)
     chunks = list(decision.chunks)
     large = decision.variant == "large"
 
@@ -387,14 +386,13 @@ def prepare_reduce(
     dst: np.ndarray | None,
     op: "ReduceOp",
     root: int = 0,
-    persistent: bool = False,
 ) -> Prepared:
     ctx.validate("reduce", src.nbytes, task.rank, root=root)
     plan = ctx.reduce_plan(root)
     state = ctx.node_state(task)
     if task.rank == root and dst is None:
         raise ValueError("the reduce root needs a destination buffer")
-    decision = ctx.dispatch("reduce", src.nbytes, task, persistent=persistent)
+    decision = ctx.dispatch("reduce", src.nbytes, task)
     chunks = list(decision.chunks)
 
     def reserve() -> InvocationState:
@@ -424,14 +422,13 @@ def prepare_allreduce(
     src: np.ndarray,
     dst: np.ndarray,
     op: "ReduceOp",
-    persistent: bool = False,
 ) -> Prepared:
     ctx.validate("allreduce", src.nbytes, task.rank)
     if dst.nbytes != src.nbytes:
         raise ValueError(
             f"allreduce dst ({dst.nbytes} B) must match src ({src.nbytes} B)"
         )
-    decision = ctx.dispatch("allreduce", src.nbytes, task, persistent=persistent)
+    decision = ctx.dispatch("allreduce", src.nbytes, task)
 
     def reserve() -> InvocationState:
         return reserve_allreduce(ctx, task, decision, src)
@@ -453,11 +450,9 @@ def unreserved(op: str, root: int | None = None) -> typing.Callable[[], Invocati
     return lambda: InvocationState(op=op, root=root)
 
 
-def prepare_barrier(
-    ctx: SRMContext, task: "Task", persistent: bool = False
-) -> Prepared:
+def prepare_barrier(ctx: SRMContext, task: "Task") -> Prepared:
     ctx.validate("barrier", 0, task.rank)
-    decision = ctx.dispatch("barrier", 0, task, persistent=persistent)
+    decision = ctx.dispatch("barrier", 0, task)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
         return barrier_body(ctx, task, decision.manage_interrupts)
@@ -536,10 +531,10 @@ def persistent_broadcast(
     ctx: SRMContext, task: "Task", buffer: np.ndarray, root: int = 0
 ) -> PersistentCollective:
     """Build a persistent broadcast plan over ``buffer`` (bound at init)."""
-    decision, reserve, body = prepare_broadcast(ctx, task, buffer, root, persistent=True)
+    decision, reserve, body = prepare_broadcast(ctx, task, buffer, root)
     return PersistentCollective(
         ctx, task, "broadcast", root, decision, reserve, body,
-        rebuild=lambda new_buffer: prepare_broadcast(ctx, task, new_buffer, root, persistent=True),
+        rebuild=lambda new_buffer: prepare_broadcast(ctx, task, new_buffer, root),
     )
 
 
@@ -552,12 +547,10 @@ def persistent_reduce(
     root: int = 0,
 ) -> PersistentCollective:
     """Build a persistent reduce plan (buffers and operator bound at init)."""
-    decision, reserve, body = prepare_reduce(ctx, task, src, dst, op, root, persistent=True)
+    decision, reserve, body = prepare_reduce(ctx, task, src, dst, op, root)
     return PersistentCollective(
         ctx, task, "reduce", root, decision, reserve, body,
-        rebuild=lambda new_src, new_dst: prepare_reduce(
-            ctx, task, new_src, new_dst, op, root, persistent=True
-        ),
+        rebuild=lambda new_src, new_dst: prepare_reduce(ctx, task, new_src, new_dst, op, root),
     )
 
 
@@ -569,16 +562,14 @@ def persistent_allreduce(
     op: "ReduceOp",
 ) -> PersistentCollective:
     """Build a persistent allreduce plan (buffers and operator bound at init)."""
-    decision, reserve, body = prepare_allreduce(ctx, task, src, dst, op, persistent=True)
+    decision, reserve, body = prepare_allreduce(ctx, task, src, dst, op)
     return PersistentCollective(
         ctx, task, "allreduce", None, decision, reserve, body,
-        rebuild=lambda new_src, new_dst: prepare_allreduce(
-            ctx, task, new_src, new_dst, op, persistent=True
-        ),
+        rebuild=lambda new_src, new_dst: prepare_allreduce(ctx, task, new_src, new_dst, op),
     )
 
 
 def persistent_barrier(ctx: SRMContext, task: "Task") -> PersistentCollective:
     """Build a persistent barrier plan."""
-    decision, reserve, body = prepare_barrier(ctx, task, persistent=True)
+    decision, reserve, body = prepare_barrier(ctx, task)
     return PersistentCollective(ctx, task, "barrier", None, decision, reserve, body)

@@ -207,7 +207,10 @@ class Task:
 
 
 class LaunchResult:
-    """Outcome of one :meth:`Machine.launch`: per-rank results + timing."""
+    """Outcome of one :meth:`Machine.launch`: per-rank results + timing.
+
+    ``finish_times`` and ``results`` hold the ranks in completion order.
+    """
 
     def __init__(
         self,

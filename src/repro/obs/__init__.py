@@ -7,12 +7,7 @@ SRM collective stack.  See ``docs/observability.md`` for the guide and
 :mod:`repro.obs.taxonomy` for the phase and wait-state vocabulary.
 """
 
-from repro.obs.calib import (
-    DecisionLog,
-    DecisionRecord,
-    run_calibrate,
-    validate_calibration_report,
-)
+from repro.obs.calib import run_calibrate, validate_calibration_report
 from repro.obs.critical import CriticalPath, Segment, critical_path
 from repro.obs.diff import (
     PhaseDelta,
@@ -39,8 +34,6 @@ from repro.obs.waits import WaitInterval, WaitReport, classify_waits
 
 __all__ = [
     "Observability",
-    "DecisionLog",
-    "DecisionRecord",
     "run_calibrate",
     "validate_calibration_report",
     "MetricsRegistry",

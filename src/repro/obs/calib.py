@@ -1,19 +1,16 @@
-"""``repro.obs.calib`` — dispatch decision telemetry and cost-model calibration.
+"""``repro.obs.calib`` — cost-model calibration and dispatch policy scorecards.
 
-The dispatch layer (PR 3) made algorithm selection a first-class policy
+The dispatch layer made algorithm selection a first-class policy
 decision; this module makes the *quality* of those decisions measurable,
 following the predicted-vs-measured methodology of Barchet-Estefanel &
-Mounié's intra-cluster tuning work (PAPERS.md).  Three instruments:
-
-**Decision records** — every :class:`~repro.core.dispatch.Dispatcher`
-selection emits a structured :class:`DecisionRecord` into the machine's
-:class:`DecisionLog` (``machine.obs.decisions``): the selection environment,
-*every* registered variant's predicted cost broken down per cost-model term
-(``copy`` / ``wire`` / ``reduce`` / ``eager``, see
-:data:`~repro.machine.costmodel.COST_TERMS`), the chosen variant, and
-cache-hit accounting.  Recording is passive — one ``is None`` test when
-observability is off, no metrics side effects, and the benchmark snapshots
-stay byte-identical with recording live.
+Mounié's intra-cluster tuning work (PAPERS.md).  What a live machine chose
+is already recorded elsewhere: the ``dispatch.<op>.<variant>`` counters,
+``dispatch.fallbacks``, and the ``dispatch`` marker span whose detail names
+the chosen variant (and, on fallback, the overridden one with its reason).
+Any variant's per-term prediction (``copy`` / ``wire`` / ``reduce`` /
+``eager``, see :data:`~repro.machine.costmodel.COST_TERMS`) is
+:func:`~repro.core.dispatch.predict_terms` of ``dispatcher.env(op, nbytes)``.
+Two instruments:
 
 **Calibration** — :func:`collect_calibration` scores the ``tune`` race
 (:func:`repro.bench.tune.race`, the one measurement of variants), pairing
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -52,8 +48,6 @@ __all__ = [
     "PAPER_SWITCH_POINTS",
     "QUICK_SIZES",
     "SCORECARD_POLICIES",
-    "DecisionRecord",
-    "DecisionLog",
     "collect_calibration",
     "load_calibration_report",
     "run_calibrate",
@@ -77,15 +71,15 @@ DEFAULT_FIXED_CHOICES = {
     "allgather": "gather-bcast",
 }
 
-#: The paper's §2.4 switch points as crossover claims: at ``SRMConfig``
-#: field ``switch``, operation ``op`` changes from ``below`` to ``above``.
+#: The paper's §2.4 switch points as crossover claims: above ``paper_bytes``
+#: (``SRMConfig.<switch>``'s default), ``op`` changes from ``below`` to ``above``.
 PAPER_SWITCH_POINTS = (
-    ("broadcast", "pipeline_min", "small", "pipelined"),
-    ("broadcast", "small_protocol_max", "pipelined", "large"),
-    ("reduce", "pipeline_min", "small", "pipelined"),
-    ("reduce", "small_protocol_max", "pipelined", "large"),
-    ("allreduce", "allreduce_exchange_max", "exchange", "pipeline"),
-    ("allgather", "allgather_ring_min", "gather-bcast", "ring"),
+    ("broadcast", "pipeline_min", 8 * 1024, "small", "pipelined"),
+    ("broadcast", "small_protocol_max", 64 * 1024, "pipelined", "large"),
+    ("reduce", "pipeline_min", 8 * 1024, "small", "pipelined"),
+    ("reduce", "small_protocol_max", 64 * 1024, "pipelined", "large"),
+    ("allreduce", "allreduce_exchange_max", 16 * 1024, "exchange", "pipeline"),
+    ("allgather", "allgather_ring_min", 64 * 1024, "gather-bcast", "ring"),
 )
 
 #: The ``--quick`` grid sizes: spans the 8 KB pipelining and 16 KB allreduce
@@ -97,109 +91,6 @@ _DRIFT_HEADLINE_FACTOR = 1.25
 
 #: Regret below this (µs) is measurement-identical, not a mis-selection.
 _REGRET_EPSILON = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# decision telemetry (live records emitted by the Dispatcher)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DecisionRecord:
-    """One distinct dispatch selection, with its full prediction context.
-
-    Emitted by :meth:`repro.core.dispatch.Dispatcher.decide` on every cache
-    miss; cache hits bump :attr:`calls`/:attr:`cache_hits` on the existing
-    record instead of re-predicting.
-    """
-
-    op: str
-    nbytes: int
-    nodes: int
-    ppn: int
-    #: The selecting policy's name (``paper`` / ``costmodel`` / ...).
-    policy: str
-    #: The variant that actually ran.
-    chosen: str
-    #: True when the policy's first choice was structurally inapplicable.
-    fallback: bool = False
-    #: The overridden first choice (None unless :attr:`fallback`).
-    fallback_from: str | None = None
-    #: Variant name -> ``{"applicable": bool, "total_us": float,
-    #: "terms_us": {term: float}}`` for every registered variant of the op.
-    predictions: dict[str, dict] = field(default_factory=dict)
-    #: True once any persistent plan pinned this decision at init (amortized
-    #: across its starts instead of re-resolved per call).
-    persistent: bool = False
-    #: Total dispatch calls resolved to this decision (cache hits included).
-    calls: int = 1
-    #: Calls served from the decision cache (``calls - 1`` distinct misses).
-    cache_hits: int = 0
-
-    def predicted_us(self, variant: str) -> float | None:
-        """The recorded total prediction for ``variant`` in microseconds."""
-        entry = self.predictions.get(variant)
-        return None if entry is None else entry["total_us"]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (nested maps key-sorted for byte stability)."""
-        return {
-            "op": self.op,
-            "nbytes": self.nbytes,
-            "nodes": self.nodes,
-            "ppn": self.ppn,
-            "policy": self.policy,
-            "chosen": self.chosen,
-            "fallback": self.fallback,
-            "fallback_from": self.fallback_from,
-            "persistent": self.persistent,
-            "calls": self.calls,
-            "cache_hits": self.cache_hits,
-            "predictions": {
-                name: {
-                    "applicable": entry["applicable"],
-                    "total_us": round(entry["total_us"], 4),
-                    "terms_us": {
-                        term: round(us, 4)
-                        for term, us in sorted(entry["terms_us"].items())
-                    },
-                }
-                for name, entry in sorted(self.predictions.items())
-            },
-        }
-
-
-class DecisionLog:
-    """The machine-lifetime list of dispatch decision records.
-
-    Attached to the obs hub as ``machine.obs.decisions`` (``None`` when
-    observability is disabled, so the dispatcher's entire recording cost is
-    one ``is None`` test).  Pure passive telemetry: no metrics instruments,
-    no simulated-time effects — snapshots and the regress gate are
-    byte-identical with the log live.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[DecisionRecord] = []
-
-    def record(self, record: DecisionRecord) -> DecisionRecord:
-        self.records.append(record)
-        return record
-
-    def find(self, op: str, nbytes: int) -> DecisionRecord | None:
-        """The first record matching ``(op, nbytes)``, if any."""
-        for record in self.records:
-            if record.op == op and record.nbytes == nbytes:
-                return record
-        return None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __repr__(self) -> str:
-        return f"<DecisionLog {len(self.records)} decisions>"
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +407,9 @@ def collect_calibration(
 
     # -- §2.4 crossover checks ----------------------------------------------
     crossovers: list[dict] = []
-    for operation, switch, below, above in PAPER_SWITCH_POINTS:
+    for operation, switch, threshold, below, above in PAPER_SWITCH_POINTS:
         if operation not in operations:
             continue
-        threshold = getattr(default_config, switch)
         for nodes in nodes_axis:
             group = {
                 cell["nbytes"]: cell for cell in cells

@@ -3,8 +3,11 @@
 :func:`chrome_trace` merges three layers into one Trace Event JSON list that
 ``chrome://tracing`` and https://ui.perfetto.dev load directly:
 
-* per-call collective spans from a :class:`~repro.bench.trace.Tracer`
-  (category ``call``) — the outermost slices;
+* one call slice per rank (category ``call``) from the
+  :class:`~repro.machine.cluster.LaunchResult` of
+  :func:`~repro.bench.trace.trace_call`: the launch start to the rank's
+  finish, with the rank's substrate counters as args — the outermost
+  slices;
 * nested phase spans from the machine's :class:`~repro.obs.spans.PhaseRecorder`
   (category ``phase``) — children of the call slices by time containment;
 * flow events (``ph: s``/``f``) for every recorded causal link — Perfetto
@@ -28,6 +31,9 @@ of the same run are byte-identical artifacts (diffable in CI).
 
 :func:`metrics_dump` serializes the metrics registry, resource-timeline
 summaries, and per-task substrate stats as one JSON-ready dict.
+
+Both take the traced call as an ``(operation, LaunchResult)`` pair.  Each
+launch makes one call, so its ``call_index`` is always 0.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import json
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.machine.cluster import Machine
+    from repro.machine.cluster import LaunchResult, Machine
 
 __all__ = ["chrome_trace", "metrics_dump", "write_json", "TRACKS_PER_RANK"]
 
@@ -50,7 +56,7 @@ def _tid(rank: int, track: int) -> int:
 
 def chrome_trace(
     machine: "Machine",
-    tracer: typing.Any | None = None,
+    call: tuple[str, LaunchResult] | None = None,
     include_phases: bool = True,
     include_flows: bool = True,
     include_counters: bool = True,
@@ -61,27 +67,20 @@ def chrome_trace(
     ranks: set[int] = set(recorder.ranks())
     tracks_used: dict[int, int] = {}
 
-    if tracer is not None:
-        for span in tracer.spans:
-            ranks.add(span.rank)
+    if call is not None:
+        operation, result = call
+        for rank, end in result.finish_times.items():
+            ranks.add(rank)
             events.append(
                 {
-                    "name": f"{span.operation}[{span.call_index}]",
+                    "name": f"{operation}[0]",
                     "cat": "call",
                     "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": span.duration * 1e6,
+                    "ts": result.start_time * 1e6,
+                    "dur": (end - result.start_time) * 1e6,
                     "pid": 0,
-                    "tid": _tid(span.rank, 0),
-                    "args": {
-                        "copies": span.copies,
-                        "bytes_copied": span.bytes_copied,
-                        "reduce_ops": span.reduce_ops,
-                        "puts": span.puts,
-                        "mpi_sends": span.mpi_sends,
-                        "interrupts": span.interrupts,
-                        "yields": span.yields,
-                    },
+                    "tid": _tid(rank, 0),
+                    "args": result.results[rank],
                 }
             )
 
@@ -196,26 +195,13 @@ def _thread_name(rank: int, track: int, label: str) -> dict:
     }
 
 
-def metrics_dump(machine: "Machine", tracer: typing.Any | None = None) -> dict:
+def metrics_dump(machine: "Machine", call: tuple[str, LaunchResult] | None = None) -> dict:
     """Registry metrics + per-task substrate stats as one JSON-ready dict."""
     tasks = {}
     for task in machine.tasks:
         tasks[task.rank] = {
-            "copies": task.stats.copies,
-            "bytes_copied": task.stats.bytes_copied,
-            "reduce_ops": task.stats.reduce_ops,
-            "bytes_reduced": task.stats.bytes_reduced,
-            "yields": task.stats.yields,
-            "interrupts": task.stats.interrupts,
-            "lapi": {
-                "puts": task.lapi.stats.puts,
-                "gets": task.lapi.stats.gets,
-                "amsends": task.lapi.stats.amsends,
-                "rmws": task.lapi.stats.rmws,
-                "bytes_put": task.lapi.stats.bytes_put,
-                "bytes_got": task.lapi.stats.bytes_got,
-                "stalled_deliveries": task.lapi.stats.stalled_deliveries,
-            },
+            **_slot_values(task.stats),
+            "lapi": _slot_values(task.lapi.stats),
             "mpi": {"sends": task.mpi.stats.sends},
         }
     monitor = getattr(machine.obs, "monitor", None)
@@ -228,18 +214,24 @@ def metrics_dump(machine: "Machine", tracer: typing.Any | None = None) -> dict:
         "resources": monitor.to_dict() if monitor is not None else {},
         "tasks": tasks,
     }
-    if tracer is not None:
+    if call is not None:
+        operation, result = call
         out["calls"] = [
             {
-                "rank": span.rank,
-                "operation": span.operation,
-                "call_index": span.call_index,
-                "start": span.start,
-                "end": span.end,
+                "rank": rank,
+                "operation": operation,
+                "call_index": 0,
+                "start": result.start_time,
+                "end": end,
             }
-            for span in tracer.spans
+            for rank, end in result.finish_times.items()
         ]
     return out
+
+
+def _slot_values(stats: typing.Any) -> dict[str, int]:
+    """A stats object's counters, in its ``__slots__`` order."""
+    return {name: getattr(stats, name) for name in type(stats).__slots__}
 
 
 def _flow_counts(machine: "Machine") -> dict[str, int]:

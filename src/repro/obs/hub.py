@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.obs.calib import DecisionLog
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.monitor import ResourceMonitor
 from repro.obs.spans import PhaseRecorder
@@ -49,12 +48,6 @@ class Observability:
             ResourceMonitor(engine) if enabled else None
         )
         engine.monitor = self.monitor
-        #: Dispatch decision telemetry (:mod:`repro.obs.calib`): one
-        #: :class:`~repro.obs.calib.DecisionRecord` per distinct selection,
-        #: with every candidate's per-term predicted cost.  ``None`` when
-        #: observation is disabled, so the dispatcher's recording cost is a
-        #: single ``is None`` test.
-        self.decisions: DecisionLog | None = DecisionLog() if enabled else None
 
         # Pre-bound hot-path instruments (shared no-ops when disabled).
         m = self.metrics

@@ -1,10 +1,10 @@
 """Tests for the calibration report (`repro.obs.calib`) and its CLI path.
 
-The heavy lifting — decision records on a live machine, the term-breakdown
-invariant — is covered in test_dispatch.py and test_machine_costmodel.py;
-this file exercises the report builder itself: document shape, schema
-validation, jobs-determinism, crossover checks, the regret scorecard, and
-the predicted-vs-measured scatter.
+The heavy lifting — dispatch counters and spans on a live machine, the
+term-breakdown invariant — is covered in test_dispatch.py and
+test_machine_costmodel.py; this file exercises the report builder itself:
+document shape, schema validation, jobs-determinism, crossover checks, the
+regret scorecard, and the predicted-vs-measured scatter.
 """
 
 import copy
@@ -13,13 +13,14 @@ import json
 import pytest
 
 from repro.bench.figures import calibration_scatter
+from repro.core import SRMConfig
 from repro.errors import ConfigurationError
 from repro.obs.calib import (
     CALIBRATION_KIND,
     CALIBRATION_SCHEMA_VERSION,
+    PAPER_SWITCH_POINTS,
     QUICK_SIZES,
     SCORECARD_POLICIES,
-    DecisionRecord,
     collect_calibration,
     load_calibration_report,
     run_calibrate,
@@ -241,22 +242,9 @@ def test_calibration_scatter_renders(report):
     assert empty == "calibration scatter: no measured cells"
 
 
-def test_decision_record_to_dict_is_json_ready():
-    record = DecisionRecord(
-        op="broadcast", nbytes=4 * KB, nodes=2, ppn=2, policy="paper",
-        chosen="small",
-        predictions={
-            "small": {
-                "applicable": True,
-                "total_us": 12.34567,
-                "terms_us": {"wire": 10.0, "copy": 2.34567},
-            }
-        },
-    )
-    record.calls += 1
-    record.cache_hits += 1
-    payload = record.to_dict()
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["calls"] == 2 and payload["cache_hits"] == 1
-    assert payload["fallback"] is False and payload["fallback_from"] is None
-    assert payload["predictions"]["small"]["total_us"] == 12.3457
+def test_srm_config_defaults_are_the_paper_switch_points():
+    # Two independent witnesses of the paper's §2.4 thresholds: moving
+    # either the SRMConfig default or the table alone fails here.
+    config = SRMConfig()
+    for _op, switch, paper_bytes, _below, _above in PAPER_SWITCH_POINTS:
+        assert getattr(config, switch) == paper_bytes, switch

@@ -102,6 +102,17 @@ def test_cli_trace_rejects_zero_width():
         main(["trace", "--width", "0", "--nodes", "2", "--tasks", "2"])
 
 
+def test_cli_trace_rejects_zero_width_before_simulating(monkeypatch):
+    from repro.errors import ConfigurationError
+
+    def build(*_args, **_kwargs):
+        raise AssertionError("trace built a machine before checking --width")
+
+    monkeypatch.setattr("repro.cli.build", build)
+    with pytest.raises(ConfigurationError, match="width must be >= 1 column, got 0"):
+        main(["trace", "--width", "0", "--nodes", "2", "--tasks", "2"])
+
+
 def test_cli_trace_mpi_stack(capsys):
     assert main(["trace", "--op", "barrier", "--stack", "ibm", "--nodes", "2", "--tasks", "2"]) == 0
     assert "MPI sends" in capsys.readouterr().out

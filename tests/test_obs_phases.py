@@ -1,14 +1,16 @@
 """Tests for phase spans, flow links, the critical-path walker, and exports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench import build
-from repro.bench.trace import Tracer
+from repro.bench.trace import trace_call
 from repro.cli import main
 from repro.core import SRM, SRMConfig
+from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
 from repro.obs.critical import critical_path
@@ -229,19 +231,11 @@ def test_chrome_trace_flow_event_pairs():
 
 def test_chrome_trace_with_tracer_call_slices():
     machine, stack = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
-    tracer = Tracer(machine)
-    traced = tracer.wrap(stack)
-    buffers = {r: np.zeros(1024, np.uint8) for r in range(4)}
-    buffers[0][:] = 1
-
-    def program(task):
-        yield from traced.broadcast(task, buffers[task.rank], root=0)
-
-    machine.launch(program)
-    events = chrome_trace(machine, tracer)
+    result = trace_call(machine, stack, "broadcast", 1024)
+    events = chrome_trace(machine, ("broadcast", result))
     calls = [e for e in events if e.get("cat") == "call"]
     assert len(calls) == 4
-    assert all(e["name"].startswith("broadcast[") for e in calls)
+    assert all(e["name"] == "broadcast[0]" for e in calls)
 
 
 def test_chrome_trace_byte_stable_across_identical_runs():
@@ -350,6 +344,30 @@ def test_profile_cli_policy_diff(capsys):
     assert code == 0
     assert "differential analysis, policy paper (baseline) vs cost" in out
     assert "allreduce srm: policy paper -> cost" in out
+
+
+SEED = Path(__file__).resolve().parent.parent / "BENCH_seed.json"
+
+
+def _no_simulation(*_args, **_kwargs):
+    raise AssertionError("profile built a machine before checking --diff")
+
+
+def test_profile_snapshot_diff_rejects_other_tasks_per_node(monkeypatch):
+    # The snapshot's cells ran 16 tasks per node; a 4-per-node profile
+    # would be diffed against a capture of a different configuration.
+    monkeypatch.setattr("repro.cli.build", _no_simulation)
+    with pytest.raises(ConfigurationError, match="16 tasks per node, but --tasks is 4"):
+        main(["profile", "--op", "broadcast", "--bytes", "8192", "--nodes", "4",
+              "--tasks", "4", "--diff", str(SEED)])
+
+
+def test_profile_snapshot_diff_rejects_other_policies(monkeypatch):
+    monkeypatch.setattr("repro.cli.build", _no_simulation)
+    with pytest.raises(ConfigurationError, match="paper policy, but --policy is fixed"):
+        main(["profile", "--op", "allreduce", "--bytes", "65536", "--nodes", "4",
+              "--tasks", "16", "--policy", "fixed", "--fixed", "allreduce=ring",
+              "--diff", str(SEED)])
 
 
 def test_trace_cli_fixed_policy(capsys):
