@@ -42,7 +42,7 @@ def _run(flavor: str, straggler_delay: float) -> float:
             src = source if task.rank == 0 else None
             dst = None if task.rank == 0 else sinks[task.rank]
             if flavor == "flags":
-                sequence = state.reserve_bcast(state.index_of(task), 1)
+                sequence = state.ledger.reserve(("bcast", task.rank), 1)
                 yield from smp_broadcast_chunk(state, task, task.rank == 0, src, dst, sequence)
             else:
                 yield from barrier_synced_smp_broadcast_chunk(

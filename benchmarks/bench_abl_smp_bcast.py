@@ -34,7 +34,7 @@ def _run(flavor: str, nbytes: int) -> float:
             src = source[offset : offset + size] if task.rank == 0 else None
             dst = None if task.rank == 0 else sinks[task.rank][offset : offset + size]
             if flavor == "flat":
-                sequence = state.reserve_bcast(state.index_of(task), 1)
+                sequence = state.ledger.reserve(("bcast", task.rank), 1)
                 yield from smp_broadcast_chunk(state, task, task.rank == 0, src, dst, sequence)
             else:
                 yield from tree_smp_broadcast_chunk(state, task, tree, src, dst)

@@ -1,4 +1,4 @@
-"""Persistent SRM state: per-node shared structures and per-root plans.
+"""Persistent SRM state: per-node shared structures, plans, and the ledger.
 
 SRM's performance comes from *reusing* shared-memory buffers, flags, and
 LAPI counters across calls (consecutive operations alternate between the two
@@ -10,21 +10,22 @@ machine, not per call:
   their sequence flags, and the barrier flag bank.
 * Plan objects — cached per root: the SMP embedding (Fig. 1) plus the LAPI
   counters implementing the two-buffer inter-node flow control (Fig. 4).
+* :class:`SequenceLedger` — every cumulative count that picks a slot.
 
 Sequence bookkeeping: chunk flags hold *cumulative* chunk counts rather than
 booleans, so no inter-call reset synchronization is ever needed — every task
 executes the same sequence of collective calls, hence agrees on every
-sequence number by construction.
+sequence number by construction.  Those counts live in one place, the
+context's ledger, and advance only through :meth:`SequenceLedger.reserve`.
 
 With the request layer (:mod:`repro.core.requests`) several invocations of
-one plan can be in flight at once, so the per-invocation cursors — broadcast
-and reduce chunk sequences, streamed-chunk bases, per-edge send/receive
-counts, the exchange call parity — are *reserved* synchronously at
-``start()`` into an :class:`InvocationState` instead of being read and
-advanced lazily mid-schedule.  Two in-flight invocations therefore never
-alias a buffer slot: each owns a disjoint sequence window, and the
-cumulative-counter discipline above keeps both sides of every edge in
-agreement about slot parity without any extra synchronization.
+one plan can be in flight at once, so an invocation *reserves* its windows
+synchronously at ``start()`` into an :class:`InvocationState` instead of
+reading and advancing the ledger lazily mid-schedule.  Two in-flight
+invocations therefore never alias a buffer slot: each owns a disjoint
+sequence window, and the cumulative-counter discipline above keeps both
+sides of every edge in agreement about slot parity without any extra
+synchronization.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
 from repro.machine.cluster import Machine, Node
 from repro.shmem.buffers import DoubleBuffer
-from repro.shmem.flags import FlagArray, SharedFlag
+from repro.shmem.flags import FlagArray
 from repro.shmem.segment import SharedSegment
 from repro.trees.embedding import EmbeddedTrees, group_embedding
 
 __all__ = [
     "SRMContext",
+    "SequenceLedger",
     "NodeState",
     "InvocationState",
     "BcastPlan",
@@ -57,17 +59,41 @@ __all__ = [
 _Plan = typing.TypeVar("_Plan")
 
 
+class SequenceLedger(dict):
+    """Every cumulative slot cursor of one context, keyed by what it counts.
+
+    A key is a tuple naming the cursor and its owner, for example
+    ``("bcast", rank)`` (SMP-broadcast chunks of a member),
+    ``("recv", root, child)`` (reduce staging slots on one edge) or
+    ``("request", rank)`` (the request layer's invocation numbers).  A key
+    never reserved reads 0, as in :class:`collections.Counter`.
+    :meth:`reserve` is the only writer, so replay can snapshot the whole
+    ledger without knowing any protocol's cursors.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> int:
+        return 0
+
+    def reserve(self, key: tuple, count: int) -> int:
+        """Claim the next ``count`` sequences of ``key``; returns the first."""
+        base = self.get(key, 0)
+        self[key] = base + count
+        return base
+
+
 @dataclass
 class InvocationState:
-    """The per-invocation mutable cursors of one collective call at one rank.
+    """The sequence windows one collective call reserved at one rank.
 
     Reserved synchronously when the invocation starts (a blocking call, an
     ``i*`` one-shot, or a persistent ``plan.start()``) by the ``reserve_*``
     helpers in :mod:`repro.core.internode`; the protocol bodies then compute
-    every slot parity and counter threshold from these bases instead of
-    reading and mutating the shared plan/node cursors mid-schedule.  The
-    pipelined allreduce carries both its reduce-stage and broadcast-stage
-    windows in one instance (the field sets are disjoint).
+    every slot parity and counter threshold from these bases
+    (``invocation["bcast", rank]``) instead of reading the ledger
+    mid-schedule.  The pipelined allreduce carries both its reduce-stage and
+    broadcast-stage windows in one instance (their keys are disjoint).
     """
 
     op: str
@@ -75,27 +101,26 @@ class InvocationState:
     #: Per-rank invocation number (assigned by the request layer; orders the
     #: rank's requests and names them in deadlock reports).
     sequence: int = 0
-    #: First SMP-broadcast chunk sequence of this invocation at this rank.
-    bcast_base: int = 0
-    #: First SMP-reduce chunk sequence of this invocation at this rank.
-    reduce_base: int = 0
-    #: Large-protocol broadcast: first streamed-chunk threshold at my node.
-    stream_base: int = 0
-    #: Reduce: first staging-slot sequence toward my inter-node parent.
-    sent_base: int = 0
-    #: Reduce: first staging-slot sequence per inter-node child rank.
-    recv_base: dict[int, int] = field(default_factory=dict)
-    #: Exchange allreduce: this master's call number (slot parity).
-    call: int = 0
+    #: Ledger key -> the first sequence reserved for it, in reservation order.
+    bases: dict[tuple, int] = field(default_factory=dict)
+
+    def reserve(self, ledger: SequenceLedger, key: tuple, count: int) -> int:
+        """Claim ``count`` sequences of ``key`` for this invocation."""
+        base = self.bases[key] = ledger.reserve(key, count)
+        return base
+
+    def __getitem__(self, key: tuple) -> int:
+        return self.bases[key]
 
 
 class NodeState:
     """All shared-memory structures of one node, reused by every operation.
 
     ``members`` restricts the structures to a task group's local members
-    (the §5 arbitrary-task-group extension): flags, slots, and sequence
-    counters are sized and indexed by the member list, so tasks outside the
-    group never appear in any wait condition.
+    (the §5 arbitrary-task-group extension): flags and slots are sized and
+    indexed by the member list, so tasks outside the group never appear in
+    any wait condition.  ``ledger`` is the owning context's (a standalone
+    node state keeps its own).
     """
 
     def __init__(
@@ -103,9 +128,11 @@ class NodeState:
         node: Node,
         config: SRMConfig,
         members: typing.Sequence[int] | None = None,
+        ledger: SequenceLedger | None = None,
     ) -> None:
         self.node = node
         self.config = config
+        self.ledger = ledger if ledger is not None else SequenceLedger()
         self.members: tuple[int, ...] = (
             tuple(members) if members is not None else tuple(node.ranks)
         )
@@ -117,8 +144,6 @@ class NodeState:
 
         # Broadcast: the Fig. 3 structure — two buffers + per-task READY flags.
         self.bcast_buf = DoubleBuffer(node, chunk, flags_per_buffer=size, name=f"bcast[{node.index}]")
-        #: Per-task count of chunks pushed through the broadcast buffers.
-        self.bcast_seq = [0] * size
 
         # Reduce: two chunk slots per task + cumulative ready/consumed flags.
         segment = SharedSegment(node, (2 * size + 4) * chunk + 64 * (size + 8), name=f"reduce[{node.index}]")
@@ -127,12 +152,6 @@ class NodeState:
         ]
         self.reduce_ready = FlagArray(node, size, name=f"rdy[{node.index}]", kind="sequence")
         self.reduce_consumed = FlagArray(node, size, name=f"cons[{node.index}]", kind="sequence")
-        #: Per-task count of chunks this task has contributed to SMP reduces.
-        self.reduce_seq = [0] * size
-        #: Per task, per slot: the global sequence of the last write into that
-        #: slot (None = never).  Guards slot reuse even when a task's tree
-        #: role changes between calls (a reduce root writes no slot).
-        self.reduce_last_write: list[list[int | None]] = [[None, None] for _ in range(size)]
 
         # Master-side node-partial buffers (put sources for inter-node reduce).
         self.partial = (segment.allocate(chunk), segment.allocate(chunk))
@@ -166,22 +185,6 @@ class NodeState:
         """True when this task is the node's group master."""
         return task.rank == self.members[0]
 
-    def reserve_bcast(self, local_index: int, count: int) -> int:
-        """Claim the next ``count`` SMP-broadcast chunk sequences; returns
-        the first.  Reserving at start (instead of advancing lazily per
-        chunk) is what keeps two in-flight invocations out of each other's
-        buffer slots."""
-        base = self.bcast_seq[local_index]
-        self.bcast_seq[local_index] = base + count
-        return base
-
-    def reserve_reduce(self, local_index: int, count: int) -> int:
-        """Claim the next ``count`` SMP-reduce chunk sequences; returns the
-        first."""
-        base = self.reduce_seq[local_index]
-        self.reduce_seq[local_index] = base + count
-        return base
-
     def reduce_slot(self, local_index: int, sequence: int, nbytes: int) -> np.ndarray:
         """The slot a task writes its ``sequence``-th reduce chunk into."""
         pair = self.reduce_slots[local_index]
@@ -211,31 +214,11 @@ class _EdgeCounters:
         )
 
 
-@dataclass
-class BcastPlan:
-    """Everything a broadcast from one root needs."""
+class _TreePlan:
+    """The Fig. 1 embedding toward one root, shared by broadcast and reduce."""
 
     root: int
     trees: EmbeddedTrees
-    #: Flow-control counters per child node (small protocol).
-    edges: dict[int, _EdgeCounters]
-    #: Large protocol: per node, the count of streamed chunks landed.
-    stream_arrival: dict[int, LapiCounter]
-    #: Large protocol: address-exchange counters at each parent, per child.
-    address_arrival: dict[int, LapiCounter]
-    #: Large protocol: the per-call registry of each node's user buffer,
-    #: filled by the address-exchange puts (the simulated "address").
-    user_buffers: dict[int, np.ndarray] = field(default_factory=dict)
-    #: Cumulative streamed-chunk counts per node (stream_arrival counters are
-    #: watched, never consumed, so thresholds are absolute across calls).
-    stream_base: dict[int, int] = field(default_factory=dict)
-
-    def reserve_stream(self, node: int, count: int) -> int:
-        """Claim ``count`` streamed-chunk thresholds at ``node``; returns the
-        first (absolute across calls — the arrival counter is never reset)."""
-        base = self.stream_base.get(node, 0)
-        self.stream_base[node] = base + count
-        return base
 
     def inter_children(self, rank: int) -> list[int]:
         """Inter-node children of ``rank`` (empty for non-representatives)."""
@@ -250,8 +233,43 @@ class BcastPlan:
         return None
 
 
-@dataclass
-class ReducePlan:
+class BcastPlan(_TreePlan):
+    """Everything a broadcast from one root needs."""
+
+    def __init__(self, ctx: "SRMContext", root: int) -> None:
+        spec = ctx.machine.spec
+        self.root = root
+        self.trees = group_embedding(
+            spec,
+            ctx.members,
+            root,
+            inter_family=ctx.dispatcher.tree_family("inter-tree"),
+        )
+        #: Flow-control counters per child node (small protocol).
+        self.edges: dict[int, _EdgeCounters] = {}
+        #: Large protocol: per node, the count of streamed chunks landed
+        #: (watched, never consumed, so thresholds are absolute across calls).
+        self.stream_arrival: dict[int, LapiCounter] = {}
+        #: Large protocol: address-exchange counters at each parent, per child.
+        self.address_arrival: dict[int, LapiCounter] = {}
+        for child_rank in self.trees.inter.ranks:
+            parent_rank = self.trees.inter.parent_of(child_rank)
+            if parent_rank is None:
+                continue
+            node = spec.node_of(child_rank)
+            self.edges[node] = _EdgeCounters(ctx.machine, parent_rank, child_rank)
+            self.stream_arrival[node] = ctx.machine.task(child_rank).lapi.counter(
+                name=f"stream:{child_rank}"
+            )
+            self.address_arrival[node] = ctx.machine.task(parent_rank).lapi.counter(
+                name=f"addr:{parent_rank}<-{child_rank}"
+            )
+        #: Large protocol: the per-call registry of each node's user buffer,
+        #: filled by the address-exchange puts (the simulated "address").
+        self.user_buffers: dict[int, np.ndarray] = {}
+
+
+class ReducePlan(_TreePlan):
     """Everything a reduce toward one root needs.
 
     The tree is the same embedding as broadcast, walked leaf→root.  Each
@@ -259,75 +277,91 @@ class ReducePlan:
     arrival counters (at the parent) and free counters (at the child).
     """
 
-    root: int
-    trees: EmbeddedTrees
-    #: child rank -> (staging buffer pair at parent, counters).
-    staging: dict[int, tuple[np.ndarray, np.ndarray]]
-    arrival: dict[int, tuple[LapiCounter, LapiCounter]]
-    free: dict[int, tuple[LapiCounter, LapiCounter]]
-    #: Cumulative chunk counts per edge: the child's send count and the
-    #: parent's receive count advance identically, so both sides agree on
-    #: the staging slot parity without synchronization.
-    sent_seq: dict[int, int] = field(default_factory=dict)
-    recv_seq: dict[int, int] = field(default_factory=dict)
+    def __init__(self, ctx: "SRMContext", root: int) -> None:
+        machine = ctx.machine
+        self.root = root
+        self.trees = group_embedding(
+            machine.spec,
+            ctx.members,
+            root,
+            inter_family=ctx.dispatcher.tree_family("inter-tree"),
+            intra_family=ctx.dispatcher.tree_family("intra-reduce-tree"),
+        )
+        chunk = ctx.config.shared_buffer_bytes
+        #: child rank -> staging buffer pair at the parent, and its counters.
+        self.staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.arrival: dict[int, tuple[LapiCounter, LapiCounter]] = {}
+        self.free: dict[int, tuple[LapiCounter, LapiCounter]] = {}
+        for child_rank in self.trees.inter.ranks:
+            parent_rank = self.trees.inter.parent_of(child_rank)
+            if parent_rank is None:
+                continue
+            parent_node = machine.task(parent_rank).node
+            segment = SharedSegment(parent_node, 2 * chunk + 128, name=f"stage<-{child_rank}")
+            self.staging[child_rank] = (segment.allocate(chunk), segment.allocate(chunk))
+            parent_lapi = machine.task(parent_rank).lapi
+            child_lapi = machine.task(child_rank).lapi
+            self.arrival[child_rank] = (
+                parent_lapi.counter(name=f"rarr0<-{child_rank}"),
+                parent_lapi.counter(name=f"rarr1<-{child_rank}"),
+            )
+            self.free[child_rank] = (
+                child_lapi.counter(initial=1, name=f"rfree0:{child_rank}"),
+                child_lapi.counter(initial=1, name=f"rfree1:{child_rank}"),
+            )
 
-    def reserve_sent(self, rank: int, count: int) -> int:
-        """Claim ``count`` staging-slot sequences toward ``rank``'s parent."""
-        base = self.sent_seq.get(rank, 0)
-        self.sent_seq[rank] = base + count
-        return base
 
-    def reserve_recv(self, child_rank: int, count: int) -> int:
-        """Claim ``count`` staging-slot sequences on the ``child_rank`` edge."""
-        base = self.recv_seq.get(child_rank, 0)
-        self.recv_seq[child_rank] = base + count
-        return base
-
-    def inter_children(self, rank: int) -> list[int]:
-        if rank in self.trees.inter.parent:
-            return self.trees.inter.children_of(rank)
-        return []
-
-    def inter_parent(self, rank: int) -> int | None:
-        if rank in self.trees.inter.parent:
-            return self.trees.inter.parent_of(rank)
-        return None
-
-
-@dataclass
 class AllreducePlan:
     """Recursive-doubling pairwise exchange among node masters (§2.2, §3).
 
     For ``k`` participating nodes, the first ``2^floor(log2 k)`` positions
-    (in ``node_order``) do the exchange; the excess nodes fold their
-    contribution into a partner first and receive the result back at the end
-    (the standard non-power-of-two fix-up).  All indexing is by *position in
-    the group's node order*, so arbitrary task groups work unchanged.
+    (in the context's ``node_order``) do the exchange; the excess nodes fold
+    their contribution into a partner first and receive the result back at
+    the end (the standard non-power-of-two fix-up).  All indexing is by
+    *position in the group's node order*, so arbitrary task groups work
+    unchanged.
     """
 
-    rounds: int
-    #: Participating node indices in exchange order.
-    node_order: list[int]
-    #: node index -> position in node_order.
-    position: dict[int, int]
-    #: node index -> that node's group master rank.
-    masters: dict[int, int]
-    fold_partner: dict[int, int]  # excess node index -> partner node index
-    #: Per node: one staging buffer pair per round (slot = call parity).
-    exchange: dict[int, list[tuple[np.ndarray, np.ndarray]]]
-    arrival: dict[int, list[LapiCounter]]
-    #: Fold staging (pre-phase) at the partner; fold-back uses bcast-style puts.
-    fold_staging: dict[int, tuple[np.ndarray, np.ndarray]]
-    fold_arrival: dict[int, LapiCounter]
-    fold_result_arrival: dict[int, LapiCounter]
-    #: Per-master call count (slot parity agreement across calls).
-    call_seq: dict[int, int]
-
-    def reserve_call(self, rank: int) -> int:
-        """Claim this master's next exchange call number (slot parity)."""
-        call = self.call_seq[rank]
-        self.call_seq[rank] = call + 1
-        return call
+    def __init__(self, ctx: "SRMContext") -> None:
+        machine = ctx.machine
+        node_order = ctx.node_order
+        k = len(node_order)
+        group = 1 << (k.bit_length() - 1)
+        if group > k:
+            group >>= 1
+        self.rounds = group.bit_length() - 1
+        chunk = max(ctx.config.allreduce_exchange_max, 1)
+        #: Per node: one staging buffer pair per round (slot = call parity).
+        self.exchange: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self.arrival: dict[int, list[LapiCounter]] = {}
+        #: Excess node index -> partner node index.
+        self.fold_partner: dict[int, int] = {}
+        #: Fold staging (pre-phase) at the partner; fold-back uses bcast-style puts.
+        self.fold_staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.fold_arrival: dict[int, LapiCounter] = {}
+        self.fold_result_arrival: dict[int, LapiCounter] = {}
+        for position, node in enumerate(node_order):
+            machine_node = machine.nodes[node]
+            lapi = machine.task(ctx.masters[node]).lapi
+            if position < group:
+                segment = SharedSegment(
+                    machine_node,
+                    self.rounds * 2 * chunk + 128 * (self.rounds + 1),
+                    name=f"rd[{node}]",
+                )
+                self.exchange[node] = [
+                    (segment.allocate(chunk), segment.allocate(chunk))
+                    for _ in range(self.rounds)
+                ]
+                self.arrival[node] = [lapi.counter(name=f"rd{r}:{node}") for r in range(self.rounds)]
+            else:
+                partner = node_order[position - group]
+                self.fold_partner[node] = partner
+                partner_lapi = machine.task(ctx.masters[partner]).lapi
+                segment = SharedSegment(machine.nodes[partner], 2 * chunk + 128, name=f"fold[{node}]")
+                self.fold_staging[node] = (segment.allocate(chunk), segment.allocate(chunk))
+                self.fold_arrival[node] = partner_lapi.counter(name=f"fold:{node}->{partner}")
+                self.fold_result_arrival[node] = lapi.counter(name=f"foldback:{partner}->{node}")
 
     @property
     def group_size(self) -> int:
@@ -335,17 +369,19 @@ class AllreducePlan:
         return 1 << self.rounds
 
 
-@dataclass
 class BarrierPlan:
     """Dissemination-pattern inter-node barrier counters ([17], [22])."""
 
-    rounds: int
-    #: Participating node indices in dissemination order.
-    node_order: list[int]
-    position: dict[int, int]
-    masters: dict[int, int]
-    #: Per node, per round: the arrival counter at that node's master.
-    counters: dict[int, list[LapiCounter]]
+    def __init__(self, ctx: "SRMContext") -> None:
+        self.rounds = (len(ctx.node_order) - 1).bit_length()
+        #: Per node, per round: the arrival counter at that node's master.
+        self.counters: dict[int, list[LapiCounter]] = {
+            node: [
+                ctx.machine.task(ctx.masters[node]).lapi.counter(name=f"bar{r}:{node}")
+                for r in range(self.rounds)
+            ]
+            for node in ctx.node_order
+        }
 
 
 class SRMContext:
@@ -375,20 +411,23 @@ class SRMContext:
                 machine.spec.check_rank(rank)
         self.members: tuple[int, ...] = tuple(member_list)
         self.member_set = frozenset(member_list)
+        #: Every slot cursor of this group's collectives.
+        self.ledger = SequenceLedger()
         members_by_node: dict[int, list[int]] = {}
         for rank in member_list:
             members_by_node.setdefault(machine.spec.node_of(rank), []).append(rank)
         #: Participating node index -> its NodeState (group-sized).
         self.nodes: dict[int, NodeState] = {
-            node: NodeState(machine.nodes[node], self.config, node_members)
+            node: NodeState(machine.nodes[node], self.config, node_members, self.ledger)
             for node, node_members in members_by_node.items()
         }
-        self._bcast_plans: dict[int, BcastPlan] = {}
-        self._reduce_plans: dict[int, ReducePlan] = {}
-        self._allreduce_plan: AllreducePlan | None = None
-        self._barrier_plan: BarrierPlan | None = None
-        #: (plan class, *key) -> plan, for the extension operations.
-        self._extension_plans: dict[tuple, typing.Any] = {}
+        #: The node ring the master-level protocols walk: participating node
+        #: indices in order, each node's position in it, and its group master.
+        self.node_order: list[int] = sorted(self.nodes)
+        self.node_position = {node: index for index, node in enumerate(self.node_order)}
+        self.masters = {node: self.nodes[node].master_rank for node in self.node_order}
+        #: (plan class, *key) -> plan, built at first use.
+        self._plans: dict[tuple, typing.Any] = {}
         #: Protocol-dispatch layer: every algorithm choice routes through
         #: here (the default policy reproduces the paper's §2.4 thresholds).
         self.dispatcher = Dispatcher(self, policy)
@@ -397,14 +436,6 @@ class SRMContext:
         #: guarantee); overlap comes from cross-rank skew and from other
         #: contexts.  Maintained by :mod:`repro.core.requests`.
         self._request_tail: dict[int, typing.Any] = {}
-        #: Per-rank invocation numbering (names requests in reports).
-        self._invocation_seq: dict[int, int] = {}
-
-    def next_invocation(self, rank: int) -> int:
-        """This rank's next invocation number (0, 1, 2, ... per context)."""
-        sequence = self._invocation_seq.get(rank, 0)
-        self._invocation_seq[rank] = sequence + 1
-        return sequence
 
     @property
     def group_root(self) -> int:
@@ -447,164 +478,27 @@ class SRMContext:
         """Resolve the algorithm variant for one collective call."""
         return self.dispatcher.decide(op, nbytes, task)
 
-    # -- plan construction (cached per root) --------------------------------
+    # -- plans (built at first use, cached for the context's life) ----------
 
-    def extension_plan(self, factory: typing.Callable[..., _Plan], *key: typing.Any) -> _Plan:
-        """The extension operations' plan ``factory(self, *key)``, built at
-        first use and cached per ``(factory, *key)`` for the context's life."""
+    def plan(self, factory: typing.Callable[..., _Plan], *key: typing.Any) -> _Plan:
+        """The plan ``factory(self, *key)``, built at first use and cached
+        per ``(factory, *key)`` for the context's life."""
         cache_key = (factory, *key)
-        plan = self._extension_plans.get(cache_key)
+        plan = self._plans.get(cache_key)
         if plan is None:
-            plan = self._extension_plans[cache_key] = factory(self, *key)
+            plan = self._plans[cache_key] = factory(self, *key)
         return plan
 
     def bcast_plan(self, root: int) -> BcastPlan:
         self.check_member(root)
-        if root not in self._bcast_plans:
-            spec = self.machine.spec
-            trees = group_embedding(
-                spec,
-                self.members,
-                root,
-                inter_family=self.dispatcher.tree_family("inter-tree"),
-            )
-            edges: dict[int, _EdgeCounters] = {}
-            stream_arrival: dict[int, LapiCounter] = {}
-            address_arrival: dict[int, LapiCounter] = {}
-            for child_rank in trees.inter.ranks:
-                parent_rank = trees.inter.parent_of(child_rank)
-                node = spec.node_of(child_rank)
-                if parent_rank is None:
-                    continue
-                edges[node] = _EdgeCounters(self.machine, parent_rank, child_rank)
-                stream_arrival[node] = self.machine.task(child_rank).lapi.counter(
-                    name=f"stream:{child_rank}"
-                )
-                address_arrival[node] = self.machine.task(parent_rank).lapi.counter(
-                    name=f"addr:{parent_rank}<-{child_rank}"
-                )
-            self._bcast_plans[root] = BcastPlan(
-                root=root,
-                trees=trees,
-                edges=edges,
-                stream_arrival=stream_arrival,
-                address_arrival=address_arrival,
-            )
-        return self._bcast_plans[root]
+        return self.plan(BcastPlan, root)
 
     def reduce_plan(self, root: int) -> ReducePlan:
         self.check_member(root)
-        if root not in self._reduce_plans:
-            spec = self.machine.spec
-            trees = group_embedding(
-                spec,
-                self.members,
-                root,
-                inter_family=self.dispatcher.tree_family("inter-tree"),
-                intra_family=self.dispatcher.tree_family("intra-reduce-tree"),
-            )
-            chunk = self.config.shared_buffer_bytes
-            staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            arrival: dict[int, tuple[LapiCounter, LapiCounter]] = {}
-            free: dict[int, tuple[LapiCounter, LapiCounter]] = {}
-            for child_rank in trees.inter.ranks:
-                parent_rank = trees.inter.parent_of(child_rank)
-                if parent_rank is None:
-                    continue
-                parent_node = self.machine.task(parent_rank).node
-                segment = SharedSegment(parent_node, 2 * chunk + 128, name=f"stage<-{child_rank}")
-                staging[child_rank] = (segment.allocate(chunk), segment.allocate(chunk))
-                parent_lapi = self.machine.task(parent_rank).lapi
-                child_lapi = self.machine.task(child_rank).lapi
-                arrival[child_rank] = (
-                    parent_lapi.counter(name=f"rarr0<-{child_rank}"),
-                    parent_lapi.counter(name=f"rarr1<-{child_rank}"),
-                )
-                free[child_rank] = (
-                    child_lapi.counter(initial=1, name=f"rfree0:{child_rank}"),
-                    child_lapi.counter(initial=1, name=f"rfree1:{child_rank}"),
-                )
-            self._reduce_plans[root] = ReducePlan(
-                root=root, trees=trees, staging=staging, arrival=arrival, free=free
-            )
-        return self._reduce_plans[root]
+        return self.plan(ReducePlan, root)
 
     def allreduce_plan(self) -> AllreducePlan:
-        if self._allreduce_plan is None:
-            node_order = sorted(self.nodes)
-            position = {node: index for index, node in enumerate(node_order)}
-            masters = {node: self.nodes[node].master_rank for node in node_order}
-            k = len(node_order)
-            group = 1 << (k.bit_length() - 1)
-            if group > k:
-                group >>= 1
-            rounds = group.bit_length() - 1
-            chunk = max(self.config.allreduce_exchange_max, 1)
-            exchange: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-            arrival: dict[int, list[LapiCounter]] = {}
-            fold_partner: dict[int, int] = {}
-            fold_staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            fold_arrival: dict[int, LapiCounter] = {}
-            fold_result_arrival: dict[int, LapiCounter] = {}
-            call_seq: dict[int, int] = {}
-            for node in node_order:
-                master = masters[node]
-                call_seq[master] = 0
-                machine_node = self.machine.nodes[node]
-                lapi = self.machine.task(master).lapi
-                if position[node] < group:
-                    segment = SharedSegment(
-                        machine_node,
-                        rounds * 2 * chunk + 128 * (rounds + 1),
-                        name=f"rd[{node}]",
-                    )
-                    exchange[node] = [
-                        (segment.allocate(chunk), segment.allocate(chunk))
-                        for _ in range(rounds)
-                    ]
-                    arrival[node] = [lapi.counter(name=f"rd{r}:{node}") for r in range(rounds)]
-                else:
-                    partner = node_order[position[node] - group]
-                    fold_partner[node] = partner
-                    partner_node = self.machine.nodes[partner]
-                    partner_lapi = self.machine.task(masters[partner]).lapi
-                    segment = SharedSegment(partner_node, 2 * chunk + 128, name=f"fold[{node}]")
-                    fold_staging[node] = (segment.allocate(chunk), segment.allocate(chunk))
-                    fold_arrival[node] = partner_lapi.counter(name=f"fold:{node}->{partner}")
-                    fold_result_arrival[node] = lapi.counter(name=f"foldback:{partner}->{node}")
-            self._allreduce_plan = AllreducePlan(
-                rounds=rounds,
-                node_order=node_order,
-                position=position,
-                masters=masters,
-                fold_partner=fold_partner,
-                exchange=exchange,
-                arrival=arrival,
-                fold_staging=fold_staging,
-                fold_arrival=fold_arrival,
-                fold_result_arrival=fold_result_arrival,
-                call_seq=call_seq,
-            )
-        return self._allreduce_plan
+        return self.plan(AllreducePlan)
 
     def barrier_plan(self) -> BarrierPlan:
-        if self._barrier_plan is None:
-            node_order = sorted(self.nodes)
-            position = {node: index for index, node in enumerate(node_order)}
-            masters = {node: self.nodes[node].master_rank for node in node_order}
-            rounds = (len(node_order) - 1).bit_length()
-            counters = {
-                node: [
-                    self.machine.task(masters[node]).lapi.counter(name=f"bar{r}:{node}")
-                    for r in range(rounds)
-                ]
-                for node in node_order
-            }
-            self._barrier_plan = BarrierPlan(
-                rounds=rounds,
-                node_order=node_order,
-                position=position,
-                masters=masters,
-                counters=counters,
-            )
-        return self._barrier_plan
+        return self.plan(BarrierPlan)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.context import InvocationState, SRMContext
 from repro.core.internode.broadcast import _broadcast_large, reserve_broadcast
 from repro.core.internode.reduce import reduce_body, reserve_reduce
-from repro.core.internode.ring import smp_pieces, srm_allreduce_ring
+from repro.core.internode.ring import smp_pieces, srm_allreduce_ring, staging_pieces
 from repro.core.smp.broadcast import fan_out_offsets, fill_slot, smp_broadcast_chunk
 from repro.core.smp.reduce import smp_reduce_chunk
 from repro.obs.taxonomy import EXCHANGE_ROUND
@@ -51,36 +51,35 @@ def reserve_allreduce(
     """Claim this invocation's sequence windows at this rank (at start).
 
     The pipelined variant carries both its reduce-stage and broadcast-stage
-    windows in one :class:`InvocationState` (the field sets are disjoint).
-    The ring variant claims its SMP-reduce pieces and its result fan-out,
-    counted by the same :func:`~repro.core.internode.ring.smp_pieces` and
-    :func:`~repro.core.smp.broadcast.fan_out_offsets` its body runs.
+    windows in one :class:`InvocationState` (their keys are disjoint).  The
+    exchange claims one SMP-reduce chunk, one result fan-out chunk (at every
+    member, a lone master included) and, at a master, one exchange call.
+    The ring variant claims its SMP-reduce pieces, its result fan-out and,
+    at a master, its reduce-scatter staging slots, counted by the same
+    :func:`~repro.core.internode.ring.smp_pieces`,
+    :func:`~repro.core.smp.broadcast.fan_out_offsets` and
+    :func:`~repro.core.internode.ring.staging_pieces` its body runs.
     """
     invocation = InvocationState(op="allreduce")
-    state = ctx.node_state(task)
-    me = state.index_of(task)
+    ledger = ctx.ledger
     if decision.variant == "ring":
-        invocation.reduce_base = state.reserve_reduce(me, len(smp_pieces(ctx, src)))
-        invocation.bcast_base = state.reserve_bcast(me, len(fan_out_offsets(state, src.nbytes)))
-    elif decision.variant == "exchange":
-        invocation.reduce_base = state.reserve_reduce(me, 1)
+        state = ctx.node_state(task)
+        invocation.reserve(ledger, ("reduce", task.rank), len(smp_pieces(ctx, src)))
+        invocation.reserve(ledger, ("bcast", task.rank), len(fan_out_offsets(state, src.nbytes)))
         if state.is_master(task):
-            plan = ctx.allreduce_plan()
-            invocation.call = plan.reserve_call(task.rank)
-            if state.size > 1:
-                invocation.bcast_base = state.reserve_bcast(me, 1)
-        else:
-            invocation.bcast_base = state.reserve_bcast(me, 1)
+            steps = staging_pieces(ctx, task.node.index, src)
+            invocation.reserve(ledger, ("ring-sent", task.rank), sum(len(out) for out, _ in steps))
+            invocation.reserve(ledger, ("ring-combined", task.rank), sum(len(inc) for _, inc in steps))
+    elif decision.variant == "exchange":
+        invocation.reserve(ledger, ("reduce", task.rank), 1)
+        invocation.reserve(ledger, ("bcast", task.rank), 1)
+        if ctx.node_state(task).is_master(task):
+            invocation.reserve(ledger, ("exchange", task.rank), 1)
     else:
         chunks = list(decision.chunks)
         root = ctx.group_root
-        reduce_window = reserve_reduce(ctx.reduce_plan(root), state, task, chunks)
-        bcast_window = reserve_broadcast(ctx.bcast_plan(root), state, task, chunks, large=True)
-        invocation.reduce_base = reduce_window.reduce_base
-        invocation.recv_base = reduce_window.recv_base
-        invocation.sent_base = reduce_window.sent_base
-        invocation.bcast_base = bcast_window.bcast_base
-        invocation.stream_base = bcast_window.stream_base
+        reserve_reduce(ctx, ctx.reduce_plan(root), task, chunks, invocation)
+        reserve_broadcast(ctx, ctx.bcast_plan(root), task, chunks, True, invocation)
     return invocation
 
 
@@ -95,20 +94,10 @@ def allreduce_body(
 ) -> ProcessGenerator:
     """The allreduce proper, over a pre-reserved invocation window."""
     if decision.variant == "exchange":
-        manage = decision.manage_interrupts
-        if manage:
-            task.lapi.set_interrupts(False)
-        try:
-            yield from _allreduce_exchange(ctx, task, src, dst, op, invocation)
-        finally:
-            if manage:
-                task.lapi.set_interrupts(True)
-    elif decision.variant == "ring":
-        yield from srm_allreduce_ring(ctx, task, src, dst, op, invocation)
-    else:
-        yield from _allreduce_pipelined(
-            ctx, task, src, dst, op, list(decision.chunks), invocation
-        )
+        return _allreduce_exchange(ctx, task, src, dst, op, invocation)
+    if decision.variant == "ring":
+        return srm_allreduce_ring(ctx, task, src, dst, op, invocation)
+    return _allreduce_pipelined(ctx, task, src, dst, op, list(decision.chunks), invocation)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +119,13 @@ def _allreduce_exchange(
     src_data = src.reshape(-1)
     dst_data = dst.reshape(-1)
     intra_tree = ctx.reduce_plan(ctx.group_root).trees.intra[task.node.index]
+    reduce_sequence = invocation["reduce", task.rank]
+    bcast_sequence = invocation["bcast", task.rank]
 
     if not state.is_master(task):
         # Contribute to the SMP reduce, then collect the result.
         yield from smp_reduce_chunk(
-            state, task, intra_tree, src_data, op, sequence=invocation.reduce_base
+            state, task, intra_tree, src_data, op, sequence=reduce_sequence
         )
         yield from smp_broadcast_chunk(
             state,
@@ -142,29 +133,29 @@ def _allreduce_exchange(
             is_source=False,
             src_chunk=None,
             dst_chunk=dst_data,
-            sequence=invocation.bcast_base,
+            sequence=bcast_sequence,
         )
         return
 
     plan = ctx.allreduce_plan()
-    call = invocation.call
+    call = invocation["exchange", task.rank]
     slot = call % 2
     node = task.node.index
-    my_position = plan.position[node]
-    participating = len(plan.node_order)
+    my_position = ctx.node_position[node]
+    participating = len(ctx.node_order)
     group = plan.group_size  # the power-of-two exchange group
 
     # The master accumulates directly in its own destination buffer.
     yield from smp_reduce_chunk(
         state, task, intra_tree, src_data, op, target=dst_data,
-        sequence=invocation.reduce_base,
+        sequence=reduce_sequence,
     )
 
     if my_position >= group:
         # Excess node: fold into the partner, get the final result back.
         partner_node = plan.fold_partner[node]
         yield from task.lapi.put(
-            plan.masters[partner_node],
+            ctx.masters[partner_node],
             plan.fold_staging[node][slot][:nbytes].view(dtype),
             dst_data,
             target_counter=plan.fold_arrival[node],
@@ -173,7 +164,7 @@ def _allreduce_exchange(
         yield from task.copy(dst_data, state.partial_buffer(call, nbytes).view(dtype))
     else:
         folder_position = my_position + group
-        folder = plan.node_order[folder_position] if folder_position < participating else None
+        folder = ctx.node_order[folder_position] if folder_position < participating else None
         if folder is not None:
             yield from task.lapi.waitcntr(plan.fold_arrival[folder], 1)
             yield from task.reduce_into(
@@ -181,9 +172,9 @@ def _allreduce_exchange(
             )
         for round_index in range(plan.rounds):
             with task.phase(EXCHANGE_ROUND):
-                peer_node = plan.node_order[my_position ^ (1 << round_index)]
+                peer_node = ctx.node_order[my_position ^ (1 << round_index)]
                 yield from task.lapi.put(
-                    plan.masters[peer_node],
+                    ctx.masters[peer_node],
                     plan.exchange[peer_node][round_index][slot][:nbytes].view(dtype),
                     dst_data,
                     target_counter=plan.arrival[peer_node][round_index],
@@ -196,7 +187,7 @@ def _allreduce_exchange(
             # Send the finished result back into the folder's partial buffer.
             folder_partial = ctx.nodes[folder].partial_buffer(call, nbytes).view(dtype)
             yield from task.lapi.put(
-                plan.masters[folder],
+                ctx.masters[folder],
                 folder_partial,
                 dst_data,
                 target_counter=plan.fold_result_arrival[folder],
@@ -204,7 +195,7 @@ def _allreduce_exchange(
 
     # SMP broadcast of the result to the local tasks.
     if state.size > 1:
-        yield from fill_slot(state, task, invocation.bcast_base % 2, dst_data)
+        yield from fill_slot(state, task, bcast_sequence % 2, dst_data)
 
 
 # ---------------------------------------------------------------------------

@@ -27,32 +27,26 @@ __all__ = ["barrier_body"]
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
 
-def barrier_body(ctx: SRMContext, task: "Task", manage: bool) -> ProcessGenerator:
+def barrier_body(ctx: SRMContext, task: "Task") -> ProcessGenerator:
     """The barrier proper (no per-invocation cursors: check-in flags are
     binary and the dissemination counters are consumed, so consecutive
     invocations compose without reservation)."""
     state = ctx.node_state(task)
-    if manage:
-        task.lapi.set_interrupts(False)
-    try:
-        between = None
-        if state.is_master(task) and len(ctx.nodes) > 1:
-            between = _dissemination(ctx, ctx.barrier_plan(), task)
-        yield from smp_barrier(state, task, between)
-    finally:
-        if manage:
-            task.lapi.set_interrupts(True)
+    between = None
+    if state.is_master(task) and len(ctx.nodes) > 1:
+        between = _dissemination(ctx, ctx.barrier_plan(), task)
+    yield from smp_barrier(state, task, between)
 
 
 def _dissemination(ctx: SRMContext, plan: BarrierPlan, task: "Task") -> ProcessGenerator:
     node = task.node.index
-    my_position = plan.position[node]
-    participating = len(plan.node_order)
+    my_position = ctx.node_position[node]
+    participating = len(ctx.node_order)
     for round_index in range(plan.rounds):
         with task.phase(DISSEMINATION_ROUND):
-            peer_node = plan.node_order[(my_position + (1 << round_index)) % participating]
+            peer_node = ctx.node_order[(my_position + (1 << round_index)) % participating]
             yield from task.lapi.put(
-                plan.masters[peer_node],
+                ctx.masters[peer_node],
                 _SIGNAL,
                 _SIGNAL,
                 target_counter=plan.counters[peer_node][round_index],

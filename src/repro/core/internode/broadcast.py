@@ -55,24 +55,24 @@ def _bytes(buffer: np.ndarray) -> np.ndarray:
 
 
 def reserve_broadcast(
+    ctx: SRMContext,
     plan: BcastPlan,
-    state: NodeState,
     task: "Task",
     chunks: list[tuple[int, int]],
     large: bool,
+    invocation: InvocationState,
 ) -> InvocationState:
-    """Claim this invocation's sequence windows at this rank (at start)."""
-    invocation = InvocationState(op="broadcast", root=plan.root)
-    me = state.index_of(task)
+    """Claim this invocation's broadcast windows at this rank (at start).
+
+    Every member claims one SMP-broadcast sequence per chunk — on a
+    single-member node too, where the large protocol moves no chunk through
+    shared memory, so both ends of the node's next small-protocol edge still
+    pick the same slot.  Large-protocol representatives also claim their
+    node's streamed-chunk thresholds.
+    """
+    invocation.reserve(ctx.ledger, ("bcast", task.rank), len(chunks))
     if large and plan.trees.is_representative(task.rank):
-        # Representatives in the large protocol advance the SMP cursor only
-        # on multi-task nodes (the fill loop is skipped otherwise) and own a
-        # window of streamed-chunk thresholds at their node.
-        if state.size > 1:
-            invocation.bcast_base = state.reserve_bcast(me, len(chunks))
-        invocation.stream_base = plan.reserve_stream(task.node.index, len(chunks))
-    else:
-        invocation.bcast_base = state.reserve_bcast(me, len(chunks))
+        invocation.reserve(ctx.ledger, ("stream", plan.root, task.node.index), len(chunks))
     return invocation
 
 
@@ -84,20 +84,11 @@ def broadcast_body(
     buffer: np.ndarray,
     chunks: list[tuple[int, int]],
     large: bool,
-    manage: bool,
     invocation: InvocationState,
 ) -> ProcessGenerator:
     """The broadcast proper, over a pre-reserved invocation window."""
-    if manage:
-        task.lapi.set_interrupts(False)
-    try:
-        if large:
-            yield from _broadcast_large(ctx, plan, state, task, buffer, chunks, invocation)
-        else:
-            yield from _broadcast_small(ctx, plan, state, task, buffer, chunks, invocation)
-    finally:
-        if manage:
-            task.lapi.set_interrupts(True)
+    protocol = _broadcast_large if large else _broadcast_small
+    return protocol(ctx, plan, state, task, buffer, chunks, invocation)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +106,7 @@ def _broadcast_small(
     invocation: InvocationState,
 ) -> ProcessGenerator:
     data = _bytes(buffer)
+    bcast_base = invocation["bcast", task.rank]
     if not plan.trees.is_representative(task.rank):
         for index, (offset, size) in enumerate(chunks):
             with task.phase(PIPELINE_CHUNK):
@@ -124,7 +116,7 @@ def _broadcast_small(
                     is_source=False,
                     src_chunk=None,
                     dst_chunk=data[offset : offset + size],
-                    sequence=invocation.bcast_base + index,
+                    sequence=bcast_base + index,
                 )
         return
 
@@ -137,7 +129,7 @@ def _broadcast_small(
     for index, (offset, size) in enumerate(chunks):
         with task.phase(PIPELINE_CHUNK):
             view = data[offset : offset + size]
-            sequence = invocation.bcast_base + index
+            sequence = bcast_base + index
             slot = sequence % 2
 
             if is_root:
@@ -207,6 +199,7 @@ def _broadcast_large(
     events the root's streaming and local fan-out must wait for.
     """
     data = _bytes(buffer)
+    bcast_base = invocation["bcast", task.rank]
     if not plan.trees.is_representative(task.rank):
         for index, (offset, size) in enumerate(chunks):
             with task.phase(PIPELINE_CHUNK):
@@ -216,7 +209,7 @@ def _broadcast_large(
                     is_source=False,
                     src_chunk=None,
                     dst_chunk=data[offset : offset + size],
-                    sequence=invocation.bcast_base + index,
+                    sequence=bcast_base + index,
                 )
         return
 
@@ -225,7 +218,7 @@ def _broadcast_large(
     parent = plan.inter_parent(task.rank)
     my_node = task.node.index
     arrival = plan.stream_arrival.get(my_node)
-    base = invocation.stream_base
+    base = invocation["stream", plan.root, my_node]
 
     # Stage 1: register the user buffer and signal the parent (the
     # address-exchange put).
@@ -253,7 +246,7 @@ def _broadcast_large(
                     yield from task.lapi.watch(arrival, base + index + 1)
                 elif root_chunk_ready is not None:
                     yield root_chunk_ready[index]
-                sequence = invocation.bcast_base + index
+                sequence = bcast_base + index
                 yield from fill_slot(state, task, sequence % 2, data[offset : offset + size])
     elif arrival is not None:
         yield from task.lapi.watch(arrival, base + len(chunks))

@@ -114,7 +114,7 @@ def prepare_scatter(
     """Scatter ``sendbuf`` blocks from ``root`` into every member's ``recvbuf``."""
     ctx.validate("scatter", recvbuf.nbytes, task.rank, root=root)
     decision = ctx.dispatch("scatter", recvbuf.nbytes, task)
-    plan = ctx.extension_plan(BlockPlan, root)
+    plan = ctx.plan(BlockPlan, root)
     if task.rank == root:
         if sendbuf is None:
             raise ConfigurationError("the scatter root needs a send buffer")
@@ -185,7 +185,7 @@ def prepare_gather(
     """Gather every member's ``sendbuf`` block into ``root``'s ``recvbuf``."""
     ctx.validate("gather", sendbuf.nbytes, task.rank, root=root)
     decision = ctx.dispatch("gather", sendbuf.nbytes, task)
-    plan = ctx.extension_plan(BlockPlan, root)
+    plan = ctx.plan(BlockPlan, root)
     if task.rank == root:
         if recvbuf is None:
             raise ConfigurationError("the gather root needs a receive buffer")
@@ -292,7 +292,7 @@ def prepare_alltoall(
             f"alltoall buffers must both hold {size} equal blocks "
             f"(got send={sendbuf.nbytes} B, recv={recvbuf.nbytes} B)"
         )
-    plan = ctx.extension_plan(AlltoallPlan)
+    plan = ctx.plan(AlltoallPlan)
     return (
         decision,
         unreserved("alltoall"),
@@ -356,14 +356,11 @@ class AllgatherPlan:
 
     def __init__(self, ctx: SRMContext) -> None:
         machine = ctx.machine
-        self.node_order = sorted(ctx.nodes)
-        self.position = {node: index for index, node in enumerate(self.node_order)}
-        self.masters = {node: ctx.nodes[node].master_rank for node in self.node_order}
         #: Segment geometry: members are sorted, so one node's members form a
         #: contiguous range of positions in the group member list.
         positions = {rank: index for index, rank in enumerate(ctx.members)}
         self.segment: dict[int, tuple[int, int]] = {}
-        for node in self.node_order:
+        for node in ctx.node_order:
             state = ctx.nodes[node]
             first = positions[state.members[0]]
             self.segment[node] = (first, len(state.members))
@@ -371,16 +368,14 @@ class AllgatherPlan:
         self.addr_arrival: dict[int, LapiCounter] = {}
         self.member_arrival: dict[int, LapiCounter] = {}
         self.epoch_flag: dict[int, SharedFlag] = {}
-        for node in self.node_order:
-            master_lapi = machine.task(self.masters[node]).lapi
+        for node in ctx.node_order:
+            master_lapi = machine.task(ctx.masters[node]).lapi
             self.ring_arrival[node] = master_lapi.counter(name=f"agring:{node}")
             self.addr_arrival[node] = master_lapi.counter(name=f"agaddr:{node}")
             self.member_arrival[node] = master_lapi.counter(name=f"agmem:{node}")
             self.epoch_flag[node] = SharedFlag(machine.nodes[node], name=f"agepoch[{node}]")
         #: Per-call registry of each node's master result buffer.
         self.registry: dict[int, np.ndarray] = {}
-        #: Per-member completed ring-allgather calls (epoch agreement).
-        self.calls: dict[int, int] = {rank: 0 for rank in ctx.members}
 
 
 def _allgather_ring(
@@ -389,19 +384,19 @@ def _allgather_ring(
     sendbuf: np.ndarray,
     recvbuf: np.ndarray,
 ) -> ProcessGenerator:
-    plan = ctx.extension_plan(AllgatherPlan)
+    plan = ctx.plan(AllgatherPlan)
     state = ctx.node_state(task)
-    # Claim the local fan-out's sequences now: the body runs after the
-    # chain gate, so this rank's earlier requests hold theirs already.
-    fan_out_base = state.reserve_bcast(
-        state.index_of(task), len(fan_out_offsets(state, recvbuf.nbytes))
+    # Claim the local fan-out's sequences and this call's epoch now: the
+    # body runs after the chain gate, so this rank's earlier requests hold
+    # theirs already.
+    fan_out_base = ctx.ledger.reserve(
+        ("bcast", task.rank), len(fan_out_offsets(state, recvbuf.nbytes))
     )
+    epoch = ctx.ledger.reserve(("allgather", task.rank), 1) + 1
     node = task.node.index
     block = sendbuf.nbytes
-    ring_size = len(plan.node_order)
-    my_position = plan.position[node]
-    epoch = plan.calls[task.rank] + 1
-    plan.calls[task.rank] = epoch
+    ring_size = len(ctx.node_order)
+    my_position = ctx.node_position[node]
     data = _bytes(recvbuf)
     member_positions = {rank: index for index, rank in enumerate(ctx.members)}
     my_slice = slice(
@@ -420,7 +415,7 @@ def _allgather_ring(
             yield from plan.epoch_flag[node].wait_for(task, lambda v: v >= epoch)
         with task.phase(BLOCK_TRANSFER):
             yield from task.lapi.put(
-                plan.masters[node],
+                ctx.masters[node],
                 _bytes(plan.registry[node])[my_slice],
                 _bytes(sendbuf),
                 target_counter=plan.member_arrival[node],
@@ -431,10 +426,10 @@ def _allgather_ring(
     # Master: open the window, register with my writer (the left neighbour
     # puts into my buffer), and contribute my own block.
     plan.registry[node] = recvbuf
-    left = plan.node_order[(my_position - 1) % ring_size]
+    left = ctx.node_order[(my_position - 1) % ring_size]
     with task.phase(BLOCK_REGISTER):
         yield from task.lapi.put(
-            plan.masters[left], _SIGNAL, _SIGNAL, target_counter=plan.addr_arrival[left]
+            ctx.masters[left], _SIGNAL, _SIGNAL, target_counter=plan.addr_arrival[left]
         )
         yield from plan.epoch_flag[node].set(task, epoch)
     with task.phase(BLOCK_TRANSFER):
@@ -445,14 +440,14 @@ def _allgather_ring(
     # Ring: at step s, forward the segment that originated s hops back.
     with task.phase(BLOCK_REGISTER):
         yield from task.lapi.waitcntr(plan.addr_arrival[node], 1)
-    right = plan.node_order[(my_position + 1) % ring_size]
+    right = ctx.node_order[(my_position + 1) % ring_size]
     right_buffer = _bytes(plan.registry[right])
-    right_master = plan.masters[right]
+    right_master = ctx.masters[right]
     deliveries = []
     previous_signal = None
     for step in range(ring_size - 1):
         with task.phase(RING_STEP):
-            source_node = plan.node_order[(my_position - step) % ring_size]
+            source_node = ctx.node_order[(my_position - step) % ring_size]
             issue_ts = task.engine.now
             delivery = yield from task.lapi.put(
                 right_master,

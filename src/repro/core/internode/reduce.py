@@ -44,20 +44,24 @@ def _flat(buffer: np.ndarray) -> np.ndarray:
 
 
 def reserve_reduce(
+    ctx: SRMContext,
     plan: ReducePlan,
-    state: NodeState,
     task: "Task",
     chunks: list[tuple[int, int]],
+    invocation: InvocationState,
 ) -> InvocationState:
-    """Claim this invocation's sequence windows at this rank (at start)."""
-    invocation = InvocationState(op="reduce", root=plan.root)
-    me = state.index_of(task)
-    invocation.reduce_base = state.reserve_reduce(me, len(chunks))
+    """Claim this invocation's reduce windows at this rank (at start): its
+    SMP-reduce chunks, and at a representative the staging slots of each
+    inter-node edge it receives on or sends over.  The child's send count
+    and the parent's receive count on an edge advance identically, so both
+    ends agree on every chunk's staging slot without synchronization."""
+    ledger, count = ctx.ledger, len(chunks)
+    invocation.reserve(ledger, ("reduce", task.rank), count)
     if plan.trees.is_representative(task.rank):
         for child_rank in plan.inter_children(task.rank):
-            invocation.recv_base[child_rank] = plan.reserve_recv(child_rank, len(chunks))
+            invocation.reserve(ledger, ("recv", plan.root, child_rank), count)
         if plan.inter_parent(task.rank) is not None:
-            invocation.sent_base = plan.reserve_sent(task.rank, len(chunks))
+            invocation.reserve(ledger, ("sent", plan.root, task.rank), count)
     return invocation
 
 
@@ -83,6 +87,7 @@ def reduce_body(
     dtype = src_data.dtype
     itemsize = dtype.itemsize
     intra_tree = plan.trees.intra[task.node.index]
+    reduce_base = invocation["reduce", task.rank]
 
     def elements(offset: int, size: int, buffer: np.ndarray) -> np.ndarray:
         return buffer[offset // itemsize : (offset + size) // itemsize]
@@ -96,13 +101,15 @@ def reduce_body(
                     intra_tree,
                     elements(offset, size, src_data),
                     op,
-                    sequence=invocation.reduce_base + index,
+                    sequence=reduce_base + index,
                 )
         return
 
     is_root = task.rank == plan.root
     children = plan.inter_children(task.rank)
     parent = plan.inter_parent(task.rank)
+    recv_bases = [invocation["recv", plan.root, child_rank] for child_rank in children]
+    sent_base = invocation["sent", plan.root, task.rank] if parent is not None else 0
     if is_root:
         if dst is None:
             raise ValueError("the reduce root needs a destination buffer")
@@ -120,14 +127,13 @@ def reduce_body(
                 target = None  # zero-copy: the slot/source doubles as put source
             partial = yield from smp_reduce_chunk(
                 state, task, intra_tree, src_chunk, op, target,
-                sequence=invocation.reduce_base + index,
+                sequence=reduce_base + index,
             )
             assert partial is not None
 
             # Combine the inter-node children's staged partials.
-            for child_rank in children:
-                sequence = invocation.recv_base[child_rank] + index
-                slot = sequence % 2
+            for child_rank, recv_base in zip(children, recv_bases):
+                slot = (recv_base + index) % 2
                 yield from task.lapi.waitcntr(plan.arrival[child_rank][slot], 1)
                 staged = plan.staging[child_rank][slot][:size].view(dtype)
                 yield from task.reduce_into(partial, staged, op)
@@ -136,8 +142,7 @@ def reduce_body(
                 )
 
             if parent is not None:
-                sequence = invocation.sent_base + index
-                slot = sequence % 2
+                slot = (sent_base + index) % 2
                 yield from task.lapi.waitcntr(plan.free[task.rank][slot], 1)
                 yield from task.lapi.put(
                     parent,

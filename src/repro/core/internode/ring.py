@@ -22,8 +22,9 @@ variant of the allreduce in :mod:`repro.core.dispatch`: force it with
 pick it where its bandwidth optimality wins; the ablation benchmark
 ``bench_abl_ring_allreduce.py`` maps the crossover.
 
-Its shared-memory stages use reserved sequences only: ``reserve_allreduce``
-claims the SMP-reduce pieces (:func:`smp_pieces`) and the fan-out at start.
+It uses reserved sequences only: ``reserve_allreduce`` claims the SMP-reduce
+pieces (:func:`smp_pieces`), the fan-out and, at each master, the
+reduce-scatter staging slots (:func:`staging_pieces`) at start.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.mpi.ops import ReduceOp
 
-__all__ = ["srm_allreduce_ring", "smp_pieces", "ring_signal_flow", "RingAllreducePlan"]
+__all__ = [
+    "srm_allreduce_ring",
+    "smp_pieces",
+    "staging_pieces",
+    "ring_signal_flow",
+    "RingAllreducePlan",
+]
 
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
@@ -62,9 +69,6 @@ class RingAllreducePlan:
 
     def __init__(self, ctx: SRMContext) -> None:
         machine = ctx.machine
-        self.node_order = sorted(ctx.nodes)
-        self.position = {node: index for index, node in enumerate(self.node_order)}
-        self.masters = {node: ctx.nodes[node].master_rank for node in self.node_order}
         capacity = ctx.config.shared_buffer_bytes
         self.staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.rs_arrival: dict[int, LapiCounter] = {}
@@ -74,8 +78,8 @@ class RingAllreducePlan:
         self.rs_free: dict[int, LapiCounter] = {}
         self.ag_arrival: dict[int, LapiCounter] = {}
         self.addr_arrival: dict[int, LapiCounter] = {}
-        for node in self.node_order:
-            master_lapi = machine.task(self.masters[node]).lapi
+        for node in ctx.node_order:
+            master_lapi = machine.task(ctx.masters[node]).lapi
             segment = SharedSegment(machine.nodes[node], 2 * capacity + 128, name=f"ringar[{node}]")
             self.staging[node] = (segment.allocate(capacity), segment.allocate(capacity))
             self.rs_arrival[node] = master_lapi.counter(name=f"ringrs:{node}")
@@ -83,12 +87,6 @@ class RingAllreducePlan:
             self.ag_arrival[node] = master_lapi.counter(name=f"ringag:{node}")
             self.addr_arrival[node] = master_lapi.counter(name=f"ringaddr:{node}")
         self.registry: dict[int, np.ndarray] = {}
-        #: Reduce-scatter staging parity: chunks I have sent to my right /
-        #: combined from my left.  My combined count always equals my left's
-        #: sent count (chunks are combined in arrival order), so both ends
-        #: of a channel agree on every chunk's slot without negotiation.
-        self.rs_sent: dict[int, int] = {node: 0 for node in self.node_order}
-        self.rs_combined: dict[int, int] = {node: 0 for node in self.node_order}
 
 
 def smp_pieces(ctx: SRMContext, src: np.ndarray) -> range:
@@ -101,6 +99,37 @@ def smp_pieces(ctx: SRMContext, src: np.ndarray) -> range:
     if capacity < 1:
         raise ConfigurationError("staging capacity below one element")
     return range(0, src.size, capacity)
+
+
+def _segment_starts(elements: int, ring_size: int) -> list[int]:
+    """Element offset of each node segment, plus the end."""
+    base = elements // ring_size
+    return [index * base for index in range(ring_size)] + [elements]
+
+
+def staging_pieces(ctx: SRMContext, node: int, src: np.ndarray) -> list[tuple[range, range]]:
+    """Per reduce-scatter step of ``node``'s master: the offsets, within the
+    outgoing and the incoming segment, of the staging sub-chunks it sends
+    right and combines from the left.
+
+    The one source of the staging-slot counts ``reserve_allreduce`` claims
+    and of the body's sub-chunking.  A master combines chunks in arrival
+    order, so its combined count always equals its left's sent count: both
+    ends of a channel agree on every chunk's slot without negotiation.
+    """
+    ring_size = len(ctx.node_order)
+    position = ctx.node_position[node]
+    capacity = smp_pieces(ctx, src).step
+    starts = _segment_starts(src.size, ring_size)
+
+    def offsets(index: int) -> range:
+        index %= ring_size
+        return range(0, starts[index + 1] - starts[index], capacity)
+
+    return [
+        (offsets(position - step), offsets(position - step - 1))
+        for step in range(ring_size - 1)
+    ]
 
 
 def ring_signal_flow(task: "Task", issue_ts: float, dst_rank: int):
@@ -130,7 +159,7 @@ def srm_allreduce_ring(
     invocation: InvocationState,
 ) -> ProcessGenerator:
     """One rank's part of the hierarchical ring allreduce, over the
-    invocation's reserved SMP-reduce and fan-out windows."""
+    invocation's reserved SMP-reduce, staging and fan-out windows."""
     state = ctx.node_state(task)
     dtype = src.dtype
     src_data = src.reshape(-1)
@@ -138,6 +167,8 @@ def srm_allreduce_ring(
     intra_tree = ctx.reduce_plan(ctx.group_root).trees.intra[task.node.index]
     pieces = smp_pieces(ctx, src)
     capacity = pieces.step
+    reduce_base = invocation["reduce", task.rank]
+    bcast_base = invocation["bcast", task.rank]
 
     def smp_stage(target: np.ndarray | None) -> ProcessGenerator:
         # The SMP reduce flows chunk-wise through the shared slots.
@@ -147,32 +178,28 @@ def srm_allreduce_ring(
             with task.phase(PIPELINE_CHUNK):
                 yield from smp_reduce_chunk(
                     state, task, intra_tree, src_data[low:high], op, target=piece_target,
-                    sequence=invocation.reduce_base + index,
+                    sequence=reduce_base + index,
                 )
 
     if not state.is_master(task):
         yield from smp_stage(None)
-        yield from smp_fan_out(state, task, dst_data.view(np.uint8), invocation.bcast_base)
+        yield from smp_fan_out(state, task, dst_data.view(np.uint8), bcast_base)
         return
 
-    plan = ctx.extension_plan(RingAllreducePlan)
-    ring_size = len(plan.node_order)
+    plan = ctx.plan(RingAllreducePlan)
+    ring_size = len(ctx.node_order)
     node = task.node.index
-    my_position = plan.position[node]
+    my_position = ctx.node_position[node]
     elements = src_data.shape[0]
     if elements < ring_size:
         raise ConfigurationError(
             f"ring allreduce needs >= {ring_size} elements, got {elements}"
         )
-    base = elements // ring_size
-    starts = [index * base for index in range(ring_size)] + [elements]
+    starts = _segment_starts(elements, ring_size)
 
     def segment(buffer: np.ndarray, index: int) -> np.ndarray:
         index %= ring_size
         return buffer[starts[index] : starts[index + 1]]
-
-    def sub_chunks(length: int) -> list[tuple[int, int]]:
-        return [(low, min(low + capacity, length)) for low in range(0, length, capacity)]
 
     # Stage 1: node partial straight into my destination buffer.
     yield from smp_stage(dst_data)
@@ -180,14 +207,14 @@ def srm_allreduce_ring(
     if ring_size > 1:
         # Register my buffers with my writer (the left neighbour).
         plan.registry[node] = dst
-        left = plan.node_order[(my_position - 1) % ring_size]
-        right = plan.node_order[(my_position + 1) % ring_size]
+        left = ctx.node_order[(my_position - 1) % ring_size]
+        right = ctx.node_order[(my_position + 1) % ring_size]
         with task.phase(BLOCK_REGISTER):
             yield from task.lapi.put(
-                plan.masters[left], _SIGNAL, _SIGNAL, target_counter=plan.addr_arrival[left]
+                ctx.masters[left], _SIGNAL, _SIGNAL, target_counter=plan.addr_arrival[left]
             )
             yield from task.lapi.waitcntr(plan.addr_arrival[node], 1)
-        right_master = plan.masters[right]
+        right_master = ctx.masters[right]
         right_staging = plan.staging[right]
         right_dst = plan.registry[right].reshape(-1)
 
@@ -198,21 +225,21 @@ def srm_allreduce_ring(
         # first would exhaust the two credits ring-wide and deadlock — and
         # arrival signals are FIFO-chained per channel (a small trailing
         # chunk must not overtake a large one still in flight).
-        left_master = plan.masters[left]
+        left_master = ctx.masters[left]
         rs_signal_chain = None
-        for step in range(ring_size - 1):
+        sent = invocation["ring-sent", task.rank]
+        combined = invocation["ring-combined", task.rank]
+        for step, (pieces_out, pieces_in) in enumerate(staging_pieces(ctx, node, src)):
             with task.phase(RING_STEP):
                 outgoing = segment(dst_data, my_position - step)
                 incoming = segment(dst_data, my_position - step - 1)
-                pieces_out = sub_chunks(outgoing.shape[0])
-                pieces_in = sub_chunks(incoming.shape[0])
                 for index in range(max(len(pieces_out), len(pieces_in))):
                     if index < len(pieces_out):
-                        low, high = pieces_out[index]
-                        slot = plan.rs_sent[node] % 2
-                        plan.rs_sent[node] += 1
+                        low = pieces_out[index]
+                        slot = sent % 2
+                        sent += 1
                         yield from task.lapi.waitcntr(plan.rs_free[node], 1)
-                        piece = outgoing[low:high]
+                        piece = outgoing[low : low + capacity]
                         issue_ts = task.engine.now
                         delivery = yield from task.lapi.put(
                             right_master,
@@ -229,11 +256,11 @@ def srm_allreduce_ring(
                         )
                         rs_signal_chain = signal
                     if index < len(pieces_in):
-                        low, high = pieces_in[index]
-                        my_slot = plan.rs_combined[node] % 2
-                        plan.rs_combined[node] += 1
+                        low = pieces_in[index]
+                        my_slot = combined % 2
+                        combined += 1
                         yield from task.lapi.waitcntr(plan.rs_arrival[node], 1)
-                        piece = incoming[low:high]
+                        piece = incoming[low : low + capacity]
                         yield from task.reduce_into(
                             piece, plan.staging[node][my_slot][: piece.nbytes].view(dtype), op
                         )
@@ -272,4 +299,4 @@ def srm_allreduce_ring(
                 yield delivery
 
     # Stage 4: local fan-out of the complete result.
-    yield from smp_fan_out(state, task, dst_data.view(np.uint8), invocation.bcast_base)
+    yield from smp_fan_out(state, task, dst_data.view(np.uint8), bcast_base)

@@ -20,8 +20,9 @@ chunk *c*'s network hop.  Every shared slot is double-buffered with
 cumulative written/consumed flags, so producers run at most two chunks
 ahead of their slowest consumer — the same discipline as the SMP reduce.
 
-A scan enters as an inline request (:mod:`repro.core.requests`): its chunk
-cursors advance in the body, after the chain gate, so in started order.
+A scan enters as an inline request (:mod:`repro.core.requests`): it
+reserves its chunk sequences in the body, after the chain gate, so in
+started order.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class ScanPlan:
     def __init__(self, ctx: SRMContext) -> None:
         machine = ctx.machine
         capacity = ctx.config.shared_buffer_bytes
-        self.node_order = sorted(ctx.nodes)
-        self.position = {node: index for index, node in enumerate(self.node_order)}
-        self.masters = {node: ctx.nodes[node].master_rank for node in self.node_order}
         self.prefix_slots: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self.prefix_ready: dict[int, FlagArray] = {}
         #: consumed_next[node][i] = chunks member i+1 has combined from slot i.
@@ -69,7 +67,7 @@ class ScanPlan:
         self.chain_staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.chain_arrival: dict[int, LapiCounter] = {}
         self.chain_free: dict[int, LapiCounter] = {}
-        for node in self.node_order:
+        for node in ctx.node_order:
             state = ctx.nodes[node]
             machine_node = machine.nodes[node]
             segment = SharedSegment(
@@ -88,13 +86,9 @@ class ScanPlan:
             self.base_ready[node] = SharedFlag(machine_node, name=f"scanbase[{node}]")
             self.base_consumed[node] = FlagArray(machine_node, state.size, name=f"scanbcons[{node}]")
             self.chain_staging[node] = (segment.allocate(capacity), segment.allocate(capacity))
-            master_lapi = machine.task(self.masters[node]).lapi
+            master_lapi = machine.task(ctx.masters[node]).lapi
             self.chain_arrival[node] = master_lapi.counter(name=f"scanarr:{node}")
             self.chain_free[node] = master_lapi.counter(initial=2, name=f"scanfree:{node}")
-        #: Cumulative chunk counts (flag thresholds / slot parity).
-        self.chunk_seq: dict[int, int] = {rank: 0 for rank in ctx.members}
-        self.chain_sent: dict[int, int] = {node: 0 for node in self.node_order}
-        self.chain_received: dict[int, int] = {node: 0 for node in self.node_order}
 
 
 def prepare_scan(
@@ -109,7 +103,7 @@ def prepare_scan(
     if dst.nbytes != src.nbytes:
         raise ConfigurationError("scan buffers must match in size")
     decision = ctx.dispatch("scan", src.nbytes, task)
-    plan = ctx.extension_plan(ScanPlan)
+    plan = ctx.plan(ScanPlan)
     return (
         decision,
         unreserved("scan"),
@@ -127,7 +121,7 @@ def _scan(
 ) -> ProcessGenerator:
     state = ctx.node_state(task)
     node = task.node.index
-    my_position = plan.position[node]
+    my_position = ctx.node_position[node]
     me = state.index_of(task)
     dtype = src.dtype
     src_data = src.reshape(-1)
@@ -135,16 +129,23 @@ def _scan(
     capacity = ctx.config.shared_buffer_bytes // dtype.itemsize
     is_master = state.is_master(task)
     last_index = state.size - 1
-    forwards = my_position + 1 < len(plan.node_order)
+    forwards = my_position + 1 < len(ctx.node_order)
     ready = plan.prefix_ready[node]
+    # Cumulative chunk counts (flag thresholds / slot parity), claimed now;
+    # a master also claims the chain staging it receives on and sends over.
+    lows = range(0, src_data.shape[0], capacity)
+    ledger = ctx.ledger
+    first = ledger.reserve(("scan", task.rank), len(lows))
+    has_base = is_master and my_position > 0
+    received = ledger.reserve(("scan-received", task.rank), len(lows)) if has_base else 0
+    sent = ledger.reserve(("scan-sent", task.rank), len(lows)) if is_master and forwards else 0
 
-    for low in range(0, src_data.shape[0], capacity):
+    for index, low in enumerate(lows):
         with task.phase(SCAN_CHUNK):
             high = min(low + capacity, src_data.shape[0])
             count = high - low
             nbytes = count * dtype.itemsize
-            sequence = plan.chunk_seq[task.rank]
-            plan.chunk_seq[task.rank] = sequence + 1
+            sequence = first + index
             parity = sequence % 2
             my_slot = plan.prefix_slots[node][me][parity][:nbytes].view(dtype)
             chunk = src_data[low:high]
@@ -175,15 +176,13 @@ def _scan(
             # Stage 2 (master): receive the exclusive base, forward base+total.
             if is_master:
                 base_view = plan.base_slots[node][parity][:nbytes].view(dtype)
-                has_base = my_position > 0
                 if sequence >= 2:
                     license_at = sequence - 1
                     yield from plan.base_consumed[node].wait_all(
                         task, lambda v: v >= license_at, skip=me
                     )
                 if has_base:
-                    receive_parity = plan.chain_received[node] % 2
-                    plan.chain_received[node] += 1
+                    receive_parity = (received + index) % 2
                     yield from task.lapi.waitcntr(plan.chain_arrival[node], 1)
                     staged = plan.chain_staging[node][receive_parity][:nbytes].view(dtype)
                     yield from task.copy(base_view, staged)
@@ -191,9 +190,8 @@ def _scan(
                     needed = sequence + 1
                     yield from ready[last_index].wait_for(task, lambda v: v >= needed)
                     total = plan.prefix_slots[node][last_index][parity][:nbytes].view(dtype)
-                    next_node = plan.node_order[my_position + 1]
-                    send_parity = plan.chain_sent[node] % 2
-                    plan.chain_sent[node] += 1
+                    next_node = ctx.node_order[my_position + 1]
+                    send_parity = (sent + index) % 2
                     outgoing = plan.chain_staging[next_node][send_parity][:nbytes].view(dtype)
                     yield from task.lapi.waitcntr(plan.chain_free[node], 1)
                     if has_base:
@@ -203,7 +201,7 @@ def _scan(
                     else:
                         payload = total
                     yield from task.lapi.put(
-                        plan.masters[next_node],
+                        ctx.masters[next_node],
                         outgoing,
                         payload,
                         target_counter=plan.chain_arrival[next_node],
@@ -211,9 +209,9 @@ def _scan(
                     yield from plan.total_consumed[node].set(task, sequence + 1)
                 if has_base:
                     # Credit the upstream master's staging slot.
-                    previous_node = plan.node_order[my_position - 1]
+                    previous_node = ctx.node_order[my_position - 1]
                     yield from task.lapi.put(
-                        plan.masters[previous_node],
+                        ctx.masters[previous_node],
                         _SIGNAL,
                         _SIGNAL,
                         target_counter=plan.chain_free[previous_node],

@@ -39,12 +39,15 @@ What a trace holds
   the live NumPy views it touched (persistent plans pin their buffers, so
   the views stay valid until :meth:`PersistentCollective.rebind`
   invalidates the plan's traces);
-* the **state diff**: (pre, post) pairs for every touched counter, flag,
-  cursor, and stat cell.  Integer cells replay as deltas (cumulative
-  sequence counters keep advancing across windows); non-integer cells
-  (``reduce_last_write``'s ``None``, buffer-address registrations) must
-  match exactly.  Every precondition is checked before anything mutates —
-  a mismatch is a clean miss and the window re-records;
+* the **state diff**: (pre, post) pairs for every touched cell among the
+  substrate stats, every LAPI counter and shared flag the machine created
+  (:attr:`Machine.counters`, :attr:`Machine.flags`) and the sequence ledger
+  of each context in the window.  Integer cells replay as deltas
+  (cumulative sequences keep advancing across windows); a cell that did
+  not exist when the window began (a ledger key first reserved, a counter
+  first created in it) and the interrupt switch must match exactly.  Every
+  precondition is checked before anything mutates — a mismatch is a clean
+  miss and the window re-records;
 * the **observability tail**: phase spans, flow links and resource-monitor
   samples in the recorder's own column format (:mod:`repro.obs.columns`),
   histogram observations (all window-relative, re-emitted shifted so
@@ -78,7 +81,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CompiledSchedule", "ReplayManager", "manager_for"]
 
 
-#: Sentinel for "this dict key did not exist at the window boundary".
+#: Sentinel for "this cell did not exist at the window boundary".
 _MISSING = object()
 
 #: Op-tape kinds (the ``kind`` column of the op metadata array).
@@ -100,17 +103,14 @@ def manager_for(engine: "Engine") -> "ReplayManager":
 # state cells: a uniform handle on every mutable protocol-state scalar
 # ---------------------------------------------------------------------------
 #
-# A cell is ("attr", obj, name) | ("item", sequence, index) | ("dict", d, key).
-# Cells hold direct references; identity keys join the arm-time and
-# commit-time snapshots.
+# A cell is ("attr", obj, name) | ("dict", d, key).  Cells hold direct
+# references; identity keys join the arm-time and commit-time snapshots.
 
 
 def _cell_get(cell: tuple) -> typing.Any:
     kind, container, key = cell
     if kind == "attr":
         return getattr(container, key)
-    if kind == "item":
-        return container[key]
     return container.get(key, _MISSING)
 
 
@@ -118,8 +118,6 @@ def _cell_set(cell: tuple, value: typing.Any) -> None:
     kind, container, key = cell
     if kind == "attr":
         setattr(container, key, value)
-    elif kind == "item":
-        container[key] = value
     else:
         container[key] = value
 
@@ -129,109 +127,42 @@ def _cell_id(cell: tuple) -> tuple:
     return (kind, id(container), key)
 
 
-def _machine_cells(machine: "Machine") -> typing.Iterator[tuple]:
+def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typing.Iterator[tuple]:
+    """Every protocol-state scalar a window can change.
+
+    Read from the registries, never from protocol fields, so the next
+    protocol's counters, flags and cursors are covered with no edit here.
+    """
     for task in machine.tasks:
-        # Every substrate stat field, read from the slots so a field added
-        # later is diffed too.
         for stats in (task.stats, task.lapi.stats):
             for name in type(stats).__slots__:
                 yield ("attr", stats, name)
         yield ("attr", task.lapi, "interrupts_enabled")
-
-
-def _flag_cells(bank) -> typing.Iterator[tuple]:
-    for flag in bank.flags:
+    for counter in machine.counters:
+        yield ("attr", counter, "_value")
+    for flag in machine.flags:
         yield ("attr", flag, "_value")
-
-
-def _counter_cell(counter) -> tuple:
-    return ("attr", counter, "_value")
-
-
-def _dict_cells(d: dict) -> typing.Iterator[tuple]:
-    for key in d:
-        yield ("dict", d, key)
-
-
-def _context_cells(ctx: "SRMContext") -> typing.Iterator[tuple]:
-    for state in ctx.nodes.values():
-        for bank in state.bcast_buf.ready:
-            yield from _flag_cells(bank)
-        for i in range(len(state.bcast_seq)):
-            yield ("item", state.bcast_seq, i)
-        yield from _flag_cells(state.reduce_ready)
-        yield from _flag_cells(state.reduce_consumed)
-        for i in range(len(state.reduce_seq)):
-            yield ("item", state.reduce_seq, i)
-        for row in state.reduce_last_write:
-            for i in range(len(row)):
-                yield ("item", row, i)
-        yield from _flag_cells(state.barrier_flags)
-    for plan in ctx._bcast_plans.values():
-        for edge in plan.edges.values():
-            for counter in edge.arrival:
-                yield _counter_cell(counter)
-            for counter in edge.free:
-                yield _counter_cell(counter)
-        for counter in plan.stream_arrival.values():
-            yield _counter_cell(counter)
-        for counter in plan.address_arrival.values():
-            yield _counter_cell(counter)
-        yield from _dict_cells(plan.stream_base)
-        yield from _dict_cells(plan.user_buffers)
-    for plan in ctx._reduce_plans.values():
-        for pair in plan.arrival.values():
-            for counter in pair:
-                yield _counter_cell(counter)
-        for pair in plan.free.values():
-            for counter in pair:
-                yield _counter_cell(counter)
-        yield from _dict_cells(plan.sent_seq)
-        yield from _dict_cells(plan.recv_seq)
-    plan = ctx._allreduce_plan
-    if plan is not None:
-        for counters in plan.arrival.values():
-            for counter in counters:
-                yield _counter_cell(counter)
-        for counter in plan.fold_arrival.values():
-            yield _counter_cell(counter)
-        for counter in plan.fold_result_arrival.values():
-            yield _counter_cell(counter)
-        yield from _dict_cells(plan.call_seq)
-    plan = ctx._barrier_plan
-    if plan is not None:
-        for counters in plan.counters.values():
-            for counter in counters:
-                yield _counter_cell(counter)
-    yield from _dict_cells(ctx._invocation_seq)
+    for ctx in contexts:
+        for key in ctx.ledger:
+            yield ("dict", ctx.ledger, key)
 
 
 def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> dict:
-    """``cell id -> (cell, value)`` over every known protocol-state scalar."""
-    snapshot: dict = {}
-    for cell in _machine_cells(machine):
-        snapshot[_cell_id(cell)] = (cell, _cell_get(cell))
-    for ctx in contexts:
-        for cell in _context_cells(ctx):
-            snapshot[_cell_id(cell)] = (cell, _cell_get(cell))
-    return snapshot
+    """``cell id -> (cell, value)`` over every protocol-state scalar."""
+    return {_cell_id(cell): (cell, _cell_get(cell)) for cell in _cells(contexts, machine)}
 
 
 def _invocation_parity(invocation) -> tuple:
     """The slot-parity signature of one reserved invocation window.
 
-    Every persistent body reads its slots from these reserved bases only,
-    so together with plan identity and generation they key a window.
+    Every persistent body reads its slots from its reserved bases only, and
+    a plan reserves the same keys in the same order at every start, so the
+    bases' parities together with plan identity and generation key a window.
     """
     return (
         invocation.op,
         invocation.root,
-        invocation.bcast_base & 1,
-        invocation.reduce_base & 1,
-        invocation.stream_base & 1,
-        invocation.sent_base & 1,
-        tuple(sorted((rank, base & 1) for rank, base in invocation.recv_base.items())),
-        invocation.call & 1,
+        tuple(base & 1 for base in invocation.bases.values()),
     )
 
 
@@ -359,10 +290,7 @@ class CompiledSchedule:
                 return False
         for cell, pre, _post in self._exact_entries:
             current = _cell_get(cell)
-            if isinstance(pre, np.ndarray) or isinstance(current, np.ndarray):
-                if current is not pre:
-                    return False
-            elif current is not pre and current != pre:
+            if current is not pre and current != pre:
                 return False
         return True
 
@@ -380,7 +308,7 @@ class CompiledSchedule:
             if kind == "attr":
                 setattr(container, key, getattr(container, key) + delta)
             else:
-                container[key] = container[key] + delta
+                container[key] += delta
         for cell, _pre, post in self._exact_entries:
             _cell_set(cell, post)
 
@@ -554,10 +482,6 @@ class _Recording:
         for cell_id, (cell, post) in post_state.items():
             pre_pair = self.pre_state.get(cell_id)
             pre = pre_pair[1] if pre_pair is not None else _MISSING
-            if isinstance(post, np.ndarray) or isinstance(pre, np.ndarray):
-                if pre is not post:
-                    state_entries.append((cell, pre, post, False))
-                continue
             if pre is post or pre == post:
                 continue
             is_delta = type(pre) is int and type(post) is int

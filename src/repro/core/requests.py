@@ -10,8 +10,9 @@ hoisted out of the per-call path:
    resolve the dispatch :class:`~repro.core.dispatch.Decision` (chunking,
    variant, interrupt management).  A persistent plan does this exactly once,
    at init.
-2. **reserve** — synchronously claim the invocation's sequence windows (an
-   :class:`~repro.core.context.InvocationState`): broadcast/reduce chunk
+2. **reserve** — synchronously claim the invocation's sequence windows from
+   the context's :class:`~repro.core.context.SequenceLedger` into an
+   :class:`~repro.core.context.InvocationState`: broadcast/reduce chunk
    sequences, streamed-chunk thresholds, per-edge staging parities, the
    exchange call number.  Reservation at ``start()`` is what lets several
    invocations of one plan be in flight without aliasing a buffer slot.
@@ -301,7 +302,7 @@ class PersistentCollective:
         process always spawn immediately, exactly as before.
         """
         invocation = self._reserve()
-        invocation.sequence = self.ctx.next_invocation(self.task.rank)
+        invocation.sequence = self.ctx.ledger.reserve(("request", self.task.rank), 1)
         body = self._body(invocation)
         self.starts += 1
         if self.ctx.config.compiled_replay:
@@ -354,6 +355,24 @@ class PersistentCollective:
 # ---------------------------------------------------------------------------
 
 
+def _managing_interrupts(
+    decision: "Decision", task: "Task", body: typing.Callable[[InvocationState], ProcessGenerator]
+) -> typing.Callable[[InvocationState], ProcessGenerator]:
+    """``body`` under the decision's §2.3 interrupt management: arrival
+    interrupts off for the whole invocation, back on however it ends."""
+    if not decision.manage_interrupts:
+        return body
+
+    def managed(invocation: InvocationState) -> ProcessGenerator:
+        task.lapi.set_interrupts(False)
+        try:
+            return (yield from body(invocation))
+        finally:
+            task.lapi.set_interrupts(True)
+
+    return managed
+
+
 def prepare_broadcast(
     ctx: SRMContext,
     task: "Task",
@@ -368,15 +387,13 @@ def prepare_broadcast(
     large = decision.variant == "large"
 
     def reserve() -> InvocationState:
-        return reserve_broadcast(plan, state, task, chunks, large)
+        invocation = InvocationState(op="broadcast", root=root)
+        return reserve_broadcast(ctx, plan, task, chunks, large, invocation)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
-        return broadcast_body(
-            ctx, plan, state, task, buffer, chunks, large,
-            decision.manage_interrupts, invocation,
-        )
+        return broadcast_body(ctx, plan, state, task, buffer, chunks, large, invocation)
 
-    return decision, reserve, body
+    return decision, reserve, _managing_interrupts(decision, task, body)
 
 
 def prepare_reduce(
@@ -396,24 +413,15 @@ def prepare_reduce(
     chunks = list(decision.chunks)
 
     def reserve() -> InvocationState:
-        return reserve_reduce(plan, state, task, chunks)
+        invocation = InvocationState(op="reduce", root=root)
+        return reserve_reduce(ctx, plan, task, chunks, invocation)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
         return reduce_body(
             ctx, plan, state, task, src, dst, op, chunks, None, invocation
         )
 
-    def managed_body(invocation: InvocationState) -> ProcessGenerator:
-        if not decision.manage_interrupts:
-            yield from body(invocation)
-            return
-        task.lapi.set_interrupts(False)
-        try:
-            yield from body(invocation)
-        finally:
-            task.lapi.set_interrupts(True)
-
-    return decision, reserve, managed_body
+    return decision, reserve, _managing_interrupts(decision, task, body)
 
 
 def prepare_allreduce(
@@ -436,7 +444,7 @@ def prepare_allreduce(
     def body(invocation: InvocationState) -> ProcessGenerator:
         return allreduce_body(ctx, task, src, dst, op, decision, invocation)
 
-    return decision, reserve, body
+    return decision, reserve, _managing_interrupts(decision, task, body)
 
 
 def unreserved(op: str, root: int | None = None) -> typing.Callable[[], InvocationState]:
@@ -455,9 +463,9 @@ def prepare_barrier(ctx: SRMContext, task: "Task") -> Prepared:
     decision = ctx.dispatch("barrier", 0, task)
 
     def body(invocation: InvocationState) -> ProcessGenerator:
-        return barrier_body(ctx, task, decision.manage_interrupts)
+        return barrier_body(ctx, task)
 
-    return decision, unreserved("barrier"), body
+    return decision, unreserved("barrier"), _managing_interrupts(decision, task, body)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +478,7 @@ def _start(
 ) -> CollectiveRequest:
     _decision, reserve, body = prepared
     invocation = reserve()
-    invocation.sequence = ctx.next_invocation(task.rank)
+    invocation.sequence = ctx.ledger.reserve(("request", task.rank), 1)
     return CollectiveRequest(ctx, task, invocation, body(invocation), inline)
 
 

@@ -15,9 +15,9 @@ Three primitives compose every use:
 * :func:`drain_slot` — reader-side: wait own flag, timed copy out, clear.
 
 Which buffer a chunk uses is the parity of its chunk sequence, and every
-sequence is claimed up front through
-:meth:`~repro.core.context.NodeState.reserve_bcast`: the callers pass it in,
-so two invocations in flight never pick the same slot for different data.
+sequence is claimed up front from the context's ledger (key
+``("bcast", rank)``): the callers pass it in, so two invocations in flight
+never pick the same slot for different data.
 :func:`smp_fan_out` distributes a whole assembled result chunk-wise (the
 ring collectives' last stage); :func:`fan_out_offsets` is the one source of
 its chunk count, which callers reserve.
@@ -107,9 +107,8 @@ def smp_broadcast_chunk(
 
     ``is_source``: this task provides the data (from ``src_chunk``).
     Readers pass their ``dst_chunk``.  Single-task nodes are a no-op.
-    ``sequence``: the chunk sequence reserved through
-    :meth:`~repro.core.context.NodeState.reserve_bcast`; its parity picks
-    the buffer.
+    ``sequence``: the chunk sequence reserved under ``("bcast", rank)``;
+    its parity picks the buffer.
     """
     if state.size == 1:
         return
@@ -126,7 +125,7 @@ def fan_out_offsets(state: NodeState, nbytes: int) -> range:
     """Byte offsets of :func:`smp_fan_out`'s chunks, one shared buffer each.
 
     The one source of the fan-out's chunk count, which its callers reserve
-    with :meth:`~repro.core.context.NodeState.reserve_bcast`.
+    under ``("bcast", rank)``.
     """
     return range(0, nbytes, state.config.shared_buffer_bytes)
 
@@ -172,7 +171,6 @@ class _TreeBcastState:
         self.ready = FlagArray(node, size, name=f"treebc-rdy[{node.index}]", kind="sequence")
         #: consumed[c] = chunks task c has copied out of its parent's slot.
         self.consumed = FlagArray(node, size, name=f"treebc-cons[{node.index}]", kind="sequence")
-        self.seq = [0] * size
 
 
 def _tree_state(state: NodeState) -> _TreeBcastState:
@@ -200,8 +198,7 @@ def tree_smp_broadcast_chunk(
     """
     tstate = _tree_state(state)
     me = state.index_of(task)
-    sequence = tstate.seq[me]
-    tstate.seq[me] = sequence + 1
+    sequence = state.ledger.reserve(("tree-bcast", task.rank), 1)
     if state.size == 1:
         return
     parent_rank = tree.parent_of(task.rank)
@@ -257,7 +254,7 @@ def barrier_synced_smp_broadcast_chunk(
     """
     from repro.core.smp.barrier import smp_barrier
 
-    sequence = state.reserve_bcast(state.index_of(task), 1)
+    sequence = state.ledger.reserve(("bcast", task.rank), 1)
     if state.size == 1:
         return
     slot = sequence % 2

@@ -53,9 +53,9 @@ def smp_reduce_chunk(
     omitted, the root accumulates in its own shared slot — or, on a
     single-task node, returns its source chunk directly (zero copies).
 
-    ``sequence``: the chunk sequence reserved through
-    :meth:`~repro.core.context.NodeState.reserve_reduce`; its parity picks
-    the slot generation and its successor is the flag threshold.
+    ``sequence``: the chunk sequence reserved under ``("reduce", rank)``;
+    its parity picks the slot generation and its successor is the flag
+    threshold.
     """
     with task.phase(SMP_REDUCE):
         result = yield from _smp_reduce_chunk(state, task, tree, src_chunk, op, target, sequence)
@@ -86,11 +86,13 @@ def _smp_reduce_chunk(
         # overwriting a slot, its previous write (if any) must have been
         # consumed — flags carry global chunk sequences, so this stays
         # correct when the task was a (slot-less) root in earlier calls.
-        previous_write = state.reduce_last_write[me][sequence % 2]
-        if previous_write is not None:
-            license_at = previous_write + 1
+        # The slot's cursor holds one past its last write (0 = never
+        # written), the consumed count that frees it; the write advances it.
+        written = ("reduce-slot", task.rank, sequence % 2)
+        license_at = state.ledger[written]
+        if license_at:
             yield from state.reduce_consumed[me].wait_for(task, lambda v: v >= license_at)
-        state.reduce_last_write[me][sequence % 2] = sequence
+        state.ledger.reserve(written, sequence + 1 - license_at)
         my_slot = typed_slot(me)
         if not children:
             yield from task.copy(my_slot, src_chunk)

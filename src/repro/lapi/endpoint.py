@@ -80,8 +80,10 @@ class LapiEndpoint:
     # -- counters -------------------------------------------------------------
 
     def counter(self, initial: int = 0, name: str | None = None) -> LapiCounter:
-        """Create a counter owned by this task."""
-        return LapiCounter(self.engine, initial, name=name or f"cntr[{self.task.rank}]")
+        """Create a counter owned by this task, registered with the machine."""
+        counter = LapiCounter(self.engine, initial, name=name or f"cntr[{self.task.rank}]")
+        self.task.machine.counters.append(counter)
+        return counter
 
     # -- call/interrupt state ---------------------------------------------------
 

@@ -31,6 +31,10 @@ from repro.obs.taxonomy import REDUCE_APPLY, SHM_COPY
 from repro.sim import Engine, SharedBandwidth
 from repro.sim.process import ProcessGenerator
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.lapi.counters import LapiCounter
+    from repro.shmem.flags import SharedFlag
+
 __all__ = ["Machine", "Node", "Task", "LaunchResult"]
 
 
@@ -254,6 +258,11 @@ class Machine:
         #: simulated results).
         self.obs = Observability(self.engine, enabled=observe)
         self.rng = np.random.default_rng(seed)
+        #: Every LAPI counter and shared flag created on this machine, in
+        #: creation order (``LapiEndpoint.counter`` and ``SharedFlag``
+        #: register themselves), so compiled replay can snapshot them all.
+        self.counters: list[LapiCounter] = []
+        self.flags: list[SharedFlag] = []
         self.nodes = [Node(self, index) for index in range(spec.nodes)]
         self.tasks = [Task(self, rank) for rank in range(spec.total_tasks)]
         self._attach_endpoints()

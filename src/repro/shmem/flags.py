@@ -63,6 +63,8 @@ class SharedFlag:
     * ``"sequence"`` — a cumulative chunk counter; values must be monotone
       non-decreasing.
     * ``None`` — no declared discipline (no checks).
+
+    Every flag registers itself with its machine (:attr:`Machine.flags`).
     """
 
     def __init__(
@@ -80,6 +82,7 @@ class SharedFlag:
         self.kind = kind
         self._value = int(initial)
         self._waiters: list[tuple[Predicate, Event, int | None]] = []
+        node.machine.flags.append(self)
 
     @property
     def value(self) -> int:

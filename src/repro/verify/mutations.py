@@ -15,8 +15,8 @@ reports it:
   §2.2).  That reader spins forever: detected as a deadlock, with the
   blocked process named in the :class:`~repro.errors.DeadlockError`.
 * ``alias-invocation-slot`` — the request layer's two overlap defenses are
-  both dropped at once: sequence-window reservation stops advancing the
-  cursor (every ``start()`` hands out the *same* slot window) and the
+  both dropped at once: the sequence ledger stops advancing SMP-broadcast
+  cursors (every ``start()`` hands out the *same* slot window) and the
   per-rank started-order chain gate is skipped.  Harmless for blocking
   programs; with two invocations of one plan in flight the aliased slot is
   refilled while readers still hold it.  Detected on an overlap cell by the
@@ -29,10 +29,10 @@ reports it:
   ``result-mismatch`` (the rebound buffers never receive the payload).
 
 Patches target the **class methods** (``SharedFlag.wait_value``,
-``FlagArray.set_all``) rather than module globals, so every call site —
-including ``from ... import``-ed aliases — sees the mutant.  Both mutants
-fire only on ``kind == "ready"`` flags, leaving barrier check-in and
-sequence flags honest.
+``FlagArray.set_all``, ``SequenceLedger.reserve``) rather than module
+globals, so every call site — including ``from ... import``-ed aliases —
+sees the mutant.  Both flag mutants fire only on ``kind == "ready"`` flags,
+leaving barrier check-in and sequence flags honest.
 """
 
 from __future__ import annotations
@@ -92,16 +92,19 @@ def _skip_ready_set() -> typing.Iterator[None]:
 
 @contextlib.contextmanager
 def _alias_invocation_slot() -> typing.Iterator[None]:
-    from repro.core.context import NodeState
+    from repro.core.context import SequenceLedger
     from repro.core.requests import CollectiveRequest
 
-    original_reserve = NodeState.reserve_bcast
+    original_reserve = SequenceLedger.reserve
     original_gate = CollectiveRequest._gate_on_predecessor
 
-    def mutated_reserve(self: NodeState, local_index: int, count: int) -> int:
-        # The bug: hand out the current window without claiming it — every
-        # start() of the same rank aliases the same buffer slots.
-        return self.bcast_seq[local_index]
+    def mutated_reserve(self: SequenceLedger, key: tuple, count: int) -> int:
+        if key[0] != "bcast":
+            return original_reserve(self, key, count)
+        # The bug: hand out the current SMP-broadcast window without
+        # claiming it — every start() of the same rank aliases the same
+        # buffer slots.
+        return self[key]
 
     def mutated_gate(self: CollectiveRequest) -> typing.Any:
         # The bug: drop the per-rank started-order chain, letting the
@@ -110,12 +113,12 @@ def _alias_invocation_slot() -> typing.Iterator[None]:
         return
         yield  # pragma: no cover - keeps this a generator function
 
-    NodeState.reserve_bcast = mutated_reserve  # type: ignore[method-assign]
+    SequenceLedger.reserve = mutated_reserve  # type: ignore[method-assign]
     CollectiveRequest._gate_on_predecessor = mutated_gate  # type: ignore[method-assign]
     try:
         yield
     finally:
-        NodeState.reserve_bcast = original_reserve  # type: ignore[method-assign]
+        SequenceLedger.reserve = original_reserve  # type: ignore[method-assign]
         CollectiveRequest._gate_on_predecessor = original_gate  # type: ignore[method-assign]
 
 

@@ -52,7 +52,7 @@ def test_node_state_structures_sized_to_members():
     assert len(state.bcast_buf.flags(0)) == 2
     assert len(state.reduce_slots) == 2
     assert len(state.barrier_flags) == 2
-    assert state.bcast_seq == [0, 0]
+    assert [state.ledger["bcast", rank] for rank in state.members] == [0, 0]
 
 
 def test_reduce_slot_alternates_and_sizes():
@@ -147,19 +147,19 @@ def test_allreduce_plan_positions_and_fold():
     machine = Machine(ClusterSpec(nodes=5, tasks_per_node=2))
     ctx = SRMContext(machine)
     plan = ctx.allreduce_plan()
-    assert plan.node_order == [0, 1, 2, 3, 4]
+    assert ctx.node_order == [0, 1, 2, 3, 4]
     assert plan.group_size == 4
     assert plan.rounds == 2
     assert plan.fold_partner == {4: 0}
-    assert plan.masters == {n: 2 * n for n in range(5)}
+    assert ctx.masters == {n: 2 * n for n in range(5)}
 
 
 def test_allreduce_plan_group_subset():
     machine = make_machine(nodes=4, tasks=2)
     ctx = SRMContext(machine, members=[2, 3, 6, 7])  # nodes 1 and 3
     plan = ctx.allreduce_plan()
-    assert plan.node_order == [1, 3]
-    assert plan.masters == {1: 2, 3: 6}
+    assert ctx.node_order == [1, 3]
+    assert ctx.masters == {1: 2, 3: 6}
     assert plan.rounds == 1
     assert plan.fold_partner == {}
 

@@ -26,12 +26,12 @@ def node_setup(tasks=4):
 
 def bcast_seq(state, task):
     """Reserve one SMP-broadcast chunk sequence for ``task``."""
-    return state.reserve_bcast(state.index_of(task), 1)
+    return state.ledger.reserve(("bcast", task.rank), 1)
 
 
 def reduce_seq(state, task):
     """Reserve one SMP-reduce chunk sequence for ``task``."""
-    return state.reserve_reduce(state.index_of(task), 1)
+    return state.ledger.reserve(("reduce", task.rank), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_smp_broadcast_chunk_single_task_noop():
 
     elapsed = machine.launch(program).elapsed
     assert elapsed == 0.0
-    assert state.bcast_seq[0] == 1  # the reservation still advances
+    assert state.ledger["bcast", 0] == 1  # the reservation still advances
 
 
 def test_smp_broadcast_chunk_alternates_slots():
@@ -112,7 +112,7 @@ def test_smp_broadcast_chunk_alternates_slots():
                 yield from smp_broadcast_chunk(state, task, False, None, sink, sequence)
 
     machine.launch(program)
-    assert state.bcast_seq == [4, 4]
+    assert [state.ledger["bcast", rank] for rank in (0, 1)] == [4, 4]
     assert np.all(sink == 3)
 
 

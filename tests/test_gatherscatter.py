@@ -264,7 +264,7 @@ def test_allgather_large_uses_ring_and_is_correct():
     for rank in range(total):
         assert np.array_equal(outs[rank], expected), f"rank {rank}"
     # The ring plan was actually engaged.
-    assert (AllgatherPlan,) in stack.ctx._extension_plans
+    assert (AllgatherPlan,) in stack.ctx._plans
 
 
 def test_allgather_small_stays_on_gather_bcast():
@@ -275,7 +275,7 @@ def test_allgather_small_stays_on_gather_bcast():
         yield from stack.allgather(task, np.full(64, task.rank, np.uint8), outs[task.rank])
 
     machine.launch(program)
-    assert (AllgatherPlan,) not in stack.ctx._extension_plans
+    assert (AllgatherPlan,) not in stack.ctx._plans
 
 
 def test_allgather_ring_repeated_calls():

@@ -47,8 +47,7 @@ def test_small_bcast_chunks_alternate_slots():
     machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
     run_broadcast(machine, srm, 16 * KB)  # 4 chunks of 4 KB
     machine.engine.run()
-    state = srm.ctx.nodes[0]
-    assert state.bcast_seq == [4, 4]
+    assert [srm.ctx.ledger["bcast", rank] for rank in srm.ctx.nodes[0].members] == [4, 4]
     plan = srm.ctx.bcast_plan(0)
     edge = plan.edges[1]
     # Two uses per slot, all acked back to initial credit.
@@ -104,20 +103,24 @@ def test_put_window_limits_inflight_chunks():
 
 def test_large_bcast_no_shared_buffer_traffic_on_single_task_nodes():
     # With one task per node the large protocol must not touch shm buffers:
-    # puts go user-buffer to user-buffer.
+    # puts go user-buffer to user-buffer, with no shared-memory copy and no
+    # flag store anywhere.
     machine, srm = build("srm", ClusterSpec(nodes=4, tasks_per_node=1))
     run_broadcast(machine, srm, 256 * KB)
+    assert all(task.stats.copies == 0 for task in machine.tasks)
+    assert machine.obs.metrics.summary()["shmem.flag_sets"] == 0
     for state in srm.ctx.nodes.values():
-        assert state.bcast_seq == [0]
+        assert state.bcast_buf.flags(0).values() == [0]
+        assert state.bcast_buf.flags(1).values() == [0]
 
 
 def test_large_bcast_stream_counters_monotonic_across_calls():
     machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
     run_broadcast(machine, srm, 128 * KB)  # 2 chunks
     plan = srm.ctx.bcast_plan(0)
-    assert plan.stream_base[1] == 2
+    assert srm.ctx.ledger["stream", 0, 1] == 2
     run_broadcast(machine, srm, 192 * KB)  # 3 chunks
-    assert plan.stream_base[1] == 5
+    assert srm.ctx.ledger["stream", 0, 1] == 5
     assert plan.stream_arrival[1].value == 5  # never consumed, only watched
 
 
@@ -151,8 +154,8 @@ def test_reduce_staging_slots_alternate_across_calls():
         assert np.all(destination == 2 * call + 3)
     # Child rank 1 sent 3 chunks; parity bookkeeping advanced identically
     # on both sides of the edge.
-    assert plan.sent_seq[1] == 3
-    assert plan.recv_seq[1] == 3
+    assert srm.ctx.ledger["sent", 0, 1] == 3
+    assert srm.ctx.ledger["recv", 0, 1] == 3
     machine.engine.run()
     assert plan.free[1][0].value + plan.free[1][1].value == 2  # credits restored
 
@@ -190,7 +193,7 @@ def test_allreduce_switches_regime_at_16k():
     from repro.mpi.ops import SUM
 
     machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
-    plan = srm.ctx.allreduce_plan()
+    ledger = srm.ctx.ledger
 
     def run(count):
         sources = {r: np.full(count, 1.0) for r in range(4)}
@@ -202,10 +205,10 @@ def test_allreduce_switches_regime_at_16k():
         machine.launch(program)
         return outs
 
-    run(2048)  # 16 KB: exchange path -> call_seq advances
-    assert plan.call_seq[0] == 1 and plan.call_seq[2] == 1
+    run(2048)  # 16 KB: exchange path -> the masters' call counts advance
+    assert ledger["exchange", 0] == 1 and ledger["exchange", 2] == 1
     run(4096)  # 32 KB: pipelined path -> exchange state untouched
-    assert plan.call_seq[0] == 1
+    assert ledger["exchange", 0] == 1
 
 
 def test_allreduce_exchange_counters_consumed():
@@ -293,7 +296,7 @@ def test_ring_allreduce_small_messages_still_use_exchange():
     assert srm.ctx.dispatch("allreduce", 8).variant == "exchange"
     assert machine.obs.metrics.summary()["dispatch.fallbacks"] == 1
     # Ring plan never built for messages it cannot segment.
-    assert (RingAllreducePlan,) not in srm.ctx._extension_plans
+    assert (RingAllreducePlan,) not in srm.ctx._plans
 
 
 def test_ring_allreduce_group():

@@ -199,6 +199,46 @@ def test_replay_of_ring_allreduce_windows_matches_slow_path(shape, count):
     assert engine_on.now == pytest.approx(engine_off.now, rel=1e-12)
 
 
+def test_replay_leaves_the_slow_paths_state():
+    """A replayed window restores every cell the slow path changes: after
+    8 windows of a persistent ring allreduce the two machines hold equal
+    buffers, ledgers, counter values and flag values."""
+    count = 3 * 8192 + 5
+    total = 6
+    sides = []
+    for compiled in (True, False):
+        machine = Machine(ClusterSpec(nodes=3, tasks_per_node=2))
+        srm = SRM(
+            machine,
+            config=SRMConfig(compiled_replay=compiled),
+            policy=FixedPolicy({"allreduce": "ring"}),
+        )
+        sources = {r: np.zeros(count) for r in range(total)}
+        outs = {r: np.zeros(count) for r in range(total)}
+        plans = [
+            srm.plan_allreduce(machine.task(r), sources[r], outs[r], SUM)
+            for r in range(total)
+        ]
+        assert plans[0].decision.variant == "ring"
+        sides.append((machine, srm, plans, sources, outs))
+
+    rng = np.random.default_rng(8)
+    for _window in range(8):
+        fills = rng.standard_normal((total, count))
+        for machine, _srm, plans, sources, _outs in sides:
+            for r in range(total):
+                sources[r][:] = fills[r]
+            drive_window(machine, plans)
+
+    (on, srm_on, _, _, outs_on), (off, srm_off, _, _, outs_off) = sides
+    assert on.engine.trace.hit_count > 0
+    for r in range(total):
+        assert outs_on[r].tobytes() == outs_off[r].tobytes()
+    assert srm_on.ctx.ledger == srm_off.ctx.ledger
+    assert [(c.name, c.value) for c in on.counters] == [(c.name, c.value) for c in off.counters]
+    assert [(f.name, f.value) for f in on.flags] == [(f.name, f.value) for f in off.flags]
+
+
 # ---------------------------------------------------------------------------
 # cache bookkeeping: counters, escape hatch, invalidation
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_start_claims_windows_before_the_engine_runs():
     data = np.zeros(1024, dtype=np.uint8)
     plan = srm.plan_broadcast(task, data, root=0)
     first, second = plan.start(), plan.start()
-    assert second.invocation.bcast_base > first.invocation.bcast_base
+    assert second.invocation["bcast", 0] > first.invocation["bcast", 0]
     assert second.invocation.sequence == first.invocation.sequence + 1
     assert machine.engine.events_processed == 0
     assert not first.completed and not second.completed

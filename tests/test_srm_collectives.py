@@ -75,11 +75,12 @@ def test_broadcast_protocol_switch_uses_streaming():
     # Above the 64 KB switch the payload lands in user buffers directly:
     # stream counters get used; below, only the edge counters do.
     machine, srm = make(nodes=2, tasks=2)
-    plan = srm.ctx.bcast_plan(0)
+    ledger = srm.ctx.ledger
     run_broadcast(machine, srm, 1024, root=0)
-    assert plan.stream_base == {}
+    assert not any(key[0] == "stream" for key in ledger)
     run_broadcast(machine, srm, 100_000, root=0)
-    assert plan.stream_base and all(v > 0 for v in plan.stream_base.values())
+    streams = [count for key, count in ledger.items() if key[0] == "stream"]
+    assert streams and all(count > 0 for count in streams)
 
 
 def test_broadcast_small_pipelines_chunks():
@@ -87,16 +88,15 @@ def test_broadcast_small_pipelines_chunks():
     # small-protocol machinery runs multiple times per call.
     machine, srm = make(nodes=2, tasks=2)
     run_broadcast(machine, srm, 16_384, root=0)
-    state = srm.ctx.nodes[0]
-    assert state.bcast_seq[0] == 4  # 16 KB / 4 KB chunks
+    assert srm.ctx.ledger["bcast", 0] == 4  # 16 KB / 4 KB chunks
 
 
 def test_broadcast_repeated_calls_alternate_buffers():
     machine, srm = make(nodes=1, tasks=4)
     run_broadcast(machine, srm, 1024, root=0)
-    first = srm.ctx.nodes[0].bcast_seq[0]
+    first = srm.ctx.ledger["bcast", 0]
     run_broadcast(machine, srm, 1024, root=0)
-    assert srm.ctx.nodes[0].bcast_seq[0] == first + 1  # cursor advanced
+    assert srm.ctx.ledger["bcast", 0] == first + 1  # cursor advanced
 
 
 def test_broadcast_faster_than_sum_of_hops_for_large():
