@@ -5,18 +5,18 @@ LAPI counters across calls (consecutive operations alternate between the two
 buffers, §2.2), so this state lives in a context object created once per
 machine, not per call:
 
-* :class:`NodeState` — one per SMP node: the broadcast
-  :class:`~repro.shmem.buffers.DoubleBuffer`, the per-task reduce slots with
-  their sequence flags, and the barrier flag bank.
+* :class:`NodeState` — one per SMP node: the broadcast slot and the
+  per-task reduce slots (each a :class:`~repro.shmem.buffers.DoubleBuffer`
+  handoff), and the barrier flag bank.
 * Plan objects — cached per root: the SMP embedding (Fig. 1) plus the LAPI
   counters implementing the two-buffer inter-node flow control (Fig. 4).
 * :class:`SequenceLedger` — every cumulative count that picks a slot.
 
-Sequence bookkeeping: chunk flags hold *cumulative* chunk counts rather than
-booleans, so no inter-call reset synchronization is ever needed — every task
-executes the same sequence of collective calls, hence agrees on every
-sequence number by construction.  Those counts live in one place, the
-context's ledger, and advance only through :meth:`SequenceLedger.reserve`.
+Sequence bookkeeping: slots are picked and handed over by *cumulative*
+chunk sequences, so no inter-call reset synchronization is ever needed —
+every task executes the same sequence of collective calls, hence agrees on
+every sequence number (and every slot's last writer) by construction.  They
+live in one place, the context's ledger.
 
 With the request layer (:mod:`repro.core.requests`) several invocations of
 one plan can be in flight at once, so an invocation *reserves* its windows
@@ -67,8 +67,9 @@ class SequenceLedger(dict):
     ``("recv", root, child)`` (reduce staging slots on one edge) or
     ``("request", rank)`` (the request layer's invocation numbers).  A key
     never reserved reads 0, as in :class:`collections.Counter`.
-    :meth:`reserve` is the only writer, so replay can snapshot the whole
-    ledger without knowing any protocol's cursors.
+    :meth:`reserve` advances the cursors (and ``DoubleBuffer.reserve`` keeps
+    a slot's last writers beside its cursor), so replay can snapshot the
+    whole ledger without knowing any protocol's cursors.
     """
 
     __slots__ = ()
@@ -103,6 +104,9 @@ class InvocationState:
     sequence: int = 0
     #: Ledger key -> the first sequence reserved for it, in reservation order.
     bases: dict[tuple, int] = field(default_factory=dict)
+    #: Key -> each slot generation's last writer before the claim, where
+    #: the body depends on it (so the replay window key includes it).
+    writers: dict[tuple, tuple] = field(default_factory=dict)
 
     def reserve(self, ledger: SequenceLedger, key: tuple, count: int) -> int:
         """Claim ``count`` sequences of ``key`` for this invocation."""
@@ -142,18 +146,16 @@ class NodeState:
         size = len(self.members)
         chunk = config.shared_buffer_bytes
 
-        # Broadcast: the Fig. 3 structure — two buffers + per-task READY flags.
-        self.bcast_buf = DoubleBuffer(node, chunk, flags_per_buffer=size, name=f"bcast[{node.index}]")
+        # Broadcast: the Fig. 3 structure — two buffers, a seat per task.
+        self.bcast_buf = DoubleBuffer(node, chunk, seats=size, name=f"bcast[{node.index}]")
 
-        # Reduce: two chunk slots per task + cumulative ready/consumed flags.
-        segment = SharedSegment(node, (2 * size + 4) * chunk + 64 * (size + 8), name=f"reduce[{node.index}]")
-        self.reduce_slots: list[tuple[np.ndarray, np.ndarray]] = [
-            (segment.allocate(chunk), segment.allocate(chunk)) for _ in range(size)
+        # Reduce: a slot per task, read by its parent of the moment.
+        self.reduce_slots = [
+            DoubleBuffer(node, chunk, seats=1, name=f"reduce[{node.index}][{i}]") for i in range(size)
         ]
-        self.reduce_ready = FlagArray(node, size, name=f"rdy[{node.index}]", kind="sequence")
-        self.reduce_consumed = FlagArray(node, size, name=f"cons[{node.index}]", kind="sequence")
 
         # Master-side node-partial buffers (put sources for inter-node reduce).
+        segment = SharedSegment(node, 2 * chunk + 128, name=f"partial[{node.index}]")
         self.partial = (segment.allocate(chunk), segment.allocate(chunk))
 
         # Barrier: one flag per task, own cache line (§2.2).
@@ -185,11 +187,6 @@ class NodeState:
         """True when this task is the node's group master."""
         return task.rank == self.members[0]
 
-    def reduce_slot(self, local_index: int, sequence: int, nbytes: int) -> np.ndarray:
-        """The slot a task writes its ``sequence``-th reduce chunk into."""
-        pair = self.reduce_slots[local_index]
-        return pair[sequence % 2][:nbytes]
-
     def partial_buffer(self, sequence: int, nbytes: int) -> np.ndarray:
         """The master's node-partial buffer for a given chunk sequence."""
         return self.partial[sequence % 2][:nbytes]
@@ -199,9 +196,9 @@ class _EdgeCounters:
     """The Fig. 4 (left) flow-control counters of one inter-node tree edge.
 
     ``arrival[slot]`` lives at the child and counts parent puts landed in the
-    child's shared buffer ``slot``; ``free[slot]`` lives at the parent,
-    starts at 1 per slot (both buffers initially free), and is incremented by
-    the child's zero-byte ack put once the SMP fan-out drained the slot.
+    child's shared buffer ``slot``; ``free[slot]`` lives at the parent: its
+    credit to write that slot, 1 at first and re-granted by the child's
+    zero-byte ack put once the node drained this edge's write.
     """
 
     def __init__(self, machine: Machine, parent_rank: int, child_rank: int) -> None:
@@ -245,6 +242,8 @@ class BcastPlan(_TreePlan):
             root,
             inter_family=ctx.dispatcher.tree_family("inter-tree"),
         )
+        #: This tree's small protocol as a broadcast slot's last writer.
+        self.writer = ("put", root)
         #: Flow-control counters per child node (small protocol).
         self.edges: dict[int, _EdgeCounters] = {}
         #: Large protocol: per node, the count of streamed chunks landed

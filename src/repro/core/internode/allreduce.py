@@ -28,6 +28,7 @@ from repro.core.internode.ring import smp_pieces, srm_allreduce_ring, staging_pi
 from repro.core.smp.broadcast import fan_out_offsets, fill_slot, smp_broadcast_chunk
 from repro.core.smp.reduce import smp_reduce_chunk
 from repro.obs.taxonomy import EXCHANGE_ROUND
+from repro.shmem.buffers import FILL
 from repro.sim.events import Event
 from repro.sim.process import ProcessGenerator
 
@@ -62,18 +63,20 @@ def reserve_allreduce(
     """
     invocation = InvocationState(op="allreduce")
     ledger = ctx.ledger
+    state = ctx.node_state(task)
+    fan_out = ("bcast", task.rank)
     if decision.variant == "ring":
-        state = ctx.node_state(task)
         invocation.reserve(ledger, ("reduce", task.rank), len(smp_pieces(ctx, src)))
-        invocation.reserve(ledger, ("bcast", task.rank), len(fan_out_offsets(state, src.nbytes)))
+        count = len(fan_out_offsets(state, src.nbytes))
+        invocation.bases[fan_out], _ = state.bcast_buf.reserve(ledger, fan_out, count, FILL)
         if state.is_master(task):
             steps = staging_pieces(ctx, task.node.index, src)
             invocation.reserve(ledger, ("ring-sent", task.rank), sum(len(out) for out, _ in steps))
             invocation.reserve(ledger, ("ring-combined", task.rank), sum(len(inc) for _, inc in steps))
     elif decision.variant == "exchange":
         invocation.reserve(ledger, ("reduce", task.rank), 1)
-        invocation.reserve(ledger, ("bcast", task.rank), 1)
-        if ctx.node_state(task).is_master(task):
+        invocation.bases[fan_out], _ = state.bcast_buf.reserve(ledger, fan_out, 1, FILL)
+        if state.is_master(task):
             invocation.reserve(ledger, ("exchange", task.rank), 1)
     else:
         chunks = list(decision.chunks)
@@ -195,7 +198,7 @@ def _allreduce_exchange(
 
     # SMP broadcast of the result to the local tasks.
     if state.size > 1:
-        yield from fill_slot(state, task, bcast_sequence % 2, dst_data)
+        yield from fill_slot(state, task, bcast_sequence, dst_data)
 
 
 # ---------------------------------------------------------------------------

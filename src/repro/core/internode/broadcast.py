@@ -9,8 +9,9 @@ node):
 1. waits for its parent's put to land in shared buffer ``slot`` (LAPI
    arrival counter) — the root instead sources from its user buffer;
 2. relays the chunk down its inter-node subtree with non-blocking puts,
-   each gated by that child's *buffer-free* counter (``LAPI_Waitcntr`` on
-   the counter rather than spinning on a flag, §2.4);
+   each gated by that child's *buffer-free* credit (``LAPI_Waitcntr`` on
+   the counter rather than spinning on a flag, §2.4), good only when this
+   edge wrote the slot last — otherwise the child grants a fresh one;
 3. fans out locally: the root fills the shared buffer (Fig. 3), a non-root
    master just sets the READY flags — the data is already in shared memory,
    "avoiding unnecessary data copies";
@@ -38,6 +39,7 @@ from repro.core.config import SRMConfig
 from repro.core.context import BcastPlan, InvocationState, NodeState, SRMContext
 from repro.core.smp.broadcast import announce_slot, drain_slot, fill_slot, smp_broadcast_chunk
 from repro.obs.taxonomy import PIPELINE_CHUNK, STREAM_JOIN
+from repro.shmem.buffers import FILL
 from repro.sim.events import Event
 from repro.sim.process import ProcessGenerator
 
@@ -66,11 +68,14 @@ def reserve_broadcast(
 
     Every member claims one SMP-broadcast sequence per chunk — on a
     single-member node too, where the large protocol moves no chunk through
-    shared memory, so both ends of the node's next small-protocol edge still
-    pick the same slot.  Large-protocol representatives also claim their
-    node's streamed-chunk thresholds.
+    shared memory — as the last writer of the slots they cover, so both
+    ends of every edge pick the same slot and agree whether its credit
+    stands.  Large-protocol representatives also claim their node's
+    streamed-chunk thresholds.
     """
-    invocation.reserve(ctx.ledger, ("bcast", task.rank), len(chunks))
+    key, buffer = ("bcast", task.rank), ctx.node_state(task).bcast_buf
+    claim = buffer.reserve(ctx.ledger, key, len(chunks), FILL if large else plan.writer)
+    invocation.bases[key], invocation.writers[key] = claim
     if large and plan.trees.is_representative(task.rank):
         invocation.reserve(ctx.ledger, ("stream", plan.root, task.node.index), len(chunks))
     return invocation
@@ -120,6 +125,7 @@ def _broadcast_small(
                 )
         return
 
+    previous = invocation.writers["bcast", task.rank]
     spec = task.spec
     is_root = task.rank == plan.root
     children = plan.inter_children(task.rank)
@@ -131,51 +137,52 @@ def _broadcast_small(
             view = data[offset : offset + size]
             sequence = bcast_base + index
             slot = sequence % 2
+            # The standing credit covers only a slot this edge wrote last (or
+            # nothing did); an earlier chunk of this call is such a write.
+            standing = index >= 2 or previous[slot] in (None, plan.writer)
 
             if is_root:
                 relay_source = view
             else:
-                assert edge is not None
+                assert parent is not None and edge is not None
+                if not standing:
+                    _spawn_free_ack(state, task, sequence, parent, edge.free[slot])
                 # Step: wait for the parent's put to land in my shared buffer.
                 yield from task.lapi.waitcntr(edge.arrival[slot], 1)
-                relay_source = state.bcast_buf.data(slot, size)
+                relay_source = state.bcast_buf.data(sequence, size)
 
             # Fig. 4 order: send down the tree first, then the local fan-out.
             for child_rank in children:
                 child_node = spec.node_of(child_rank)
                 child_edge = plan.edges[child_node]
                 child_state = ctx.nodes[child_node]
-                yield from task.lapi.waitcntr(child_edge.free[slot], 1)
+                yield from task.lapi.waitcntr(child_edge.free[slot], 1 if standing else 2)
                 yield from task.lapi.put(
                     child_rank,
-                    child_state.bcast_buf.data(slot, size),
+                    child_state.bcast_buf.data(sequence, size),
                     relay_source,
                     target_counter=child_edge.arrival[slot],
                 )
 
             if state.size > 1:
                 if is_root:
-                    yield from fill_slot(state, task, slot, view)
+                    yield from fill_slot(state, task, sequence, view)
                 else:
-                    yield from announce_slot(state, task, slot)
+                    yield from announce_slot(state, task, sequence)
             if not is_root:
-                yield from task.copy(view, state.bcast_buf.data(slot, size))
-                assert parent is not None and edge is not None
-                _spawn_free_ack(state, task, slot, parent, edge.free[slot])
+                yield from task.copy(view, state.bcast_buf.data(sequence, size))
+                _spawn_free_ack(state, task, sequence, parent, edge.free[slot])
 
 
-def _spawn_free_ack(state: NodeState, task: "Task", slot: int, parent_rank: int, free_counter) -> None:
-    """Once the locals drain buffer ``slot``, zero-byte-put the parent's
+def _spawn_free_ack(state: NodeState, task: "Task", sequence: int, parent_rank: int, free_counter) -> None:
+    """Once the locals drain ``sequence``'s slot, zero-byte-put the parent's
     free counter (Fig. 4 step 3) — off the critical path of this master."""
 
     def helper() -> ProcessGenerator:
-        if state.size > 1:
-            yield from state.bcast_buf.flags(slot).wait_all(
-                task, lambda v: v == 0, skip=state.index_of(task)
-            )
+        yield from state.bcast_buf.acquire(task, sequence, skip=state.index_of(task))
         yield from task.lapi.put(parent_rank, _SIGNAL, _SIGNAL, target_counter=free_counter)
 
-    task.engine.process(helper(), name=f"bcast-ack[{task.rank}]s{slot}")
+    task.engine.process(helper(), name=f"bcast-ack[{task.rank}]s{sequence % 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +253,7 @@ def _broadcast_large(
                     yield from task.lapi.watch(arrival, base + index + 1)
                 elif root_chunk_ready is not None:
                     yield root_chunk_ready[index]
-                sequence = bcast_base + index
-                yield from fill_slot(state, task, sequence % 2, data[offset : offset + size])
+                yield from fill_slot(state, task, bcast_base + index, data[offset : offset + size])
     elif arrival is not None:
         yield from task.lapi.watch(arrival, base + len(chunks))
 

@@ -55,6 +55,7 @@ from repro.core.smp.broadcast import fan_out_offsets, smp_fan_out
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
 from repro.obs.taxonomy import BLOCK_REGISTER, BLOCK_TRANSFER, RING_STEP, STREAM_JOIN
+from repro.shmem.buffers import FILL
 from repro.shmem.flags import SharedFlag
 from repro.sim.process import ProcessGenerator
 
@@ -389,8 +390,8 @@ def _allgather_ring(
     # Claim the local fan-out's sequences and this call's epoch now: the
     # body runs after the chain gate, so this rank's earlier requests hold
     # theirs already.
-    fan_out_base = ctx.ledger.reserve(
-        ("bcast", task.rank), len(fan_out_offsets(state, recvbuf.nbytes))
+    fan_out_base, _ = state.bcast_buf.reserve(
+        ctx.ledger, ("bcast", task.rank), len(fan_out_offsets(state, recvbuf.nbytes)), FILL
     )
     epoch = ctx.ledger.reserve(("allgather", task.rank), 1) + 1
     node = task.node.index

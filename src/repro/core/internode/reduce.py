@@ -4,8 +4,8 @@ Per chunk, walked leaf→root over the Fig. 1 embedding:
 
 1. **SMP reduce** on every node (Fig. 2): the node's binomial tree combines
    local contributions; the node result lands in the user destination at the
-   global root, in the master's partial buffer on interior nodes, or stays
-   zero-copy in the source/slot on inter-node-leaf nodes.
+   global root and in the master's partial buffer elsewhere, or stays
+   zero-copy in the source of a lone task.
 2. **Inter-node combine**: each master waits for its inter-node children's
    puts to land in per-edge staging buffers (two slots, arrival counters),
    streams ``partial OP staged`` for each, and zero-byte-puts the child's
@@ -120,11 +120,12 @@ def reduce_body(
             src_chunk = elements(offset, size, src_data)
             if is_root:
                 target: np.ndarray | None = elements(offset, size, dst_data)
-            elif children:
-                # Needs a writable accumulator for the inter-node combines.
+            elif children or state.size > 1:
+                # The node partial: the inter-node combines' accumulator and
+                # the put source.
                 target = state.partial_buffer(index, size).view(dtype)
             else:
-                target = None  # zero-copy: the slot/source doubles as put source
+                target = None  # zero-copy: the source doubles as put source
             partial = yield from smp_reduce_chunk(
                 state, task, intra_tree, src_chunk, op, target,
                 sequence=reduce_base + index,

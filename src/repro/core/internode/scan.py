@@ -16,9 +16,9 @@ network hop per node:
 
 Messages larger than a shared slot flow chunk-wise (the operator is
 element-wise, so chunks are independent): chunk *c+1*'s SMP chain overlaps
-chunk *c*'s network hop.  Every shared slot is double-buffered with
-cumulative written/consumed flags, so producers run at most two chunks
-ahead of their slowest consumer — the same discipline as the SMP reduce.
+chunk *c*'s network hop.  Every shared slot is a two-generation handoff,
+so producers run at most two chunks ahead of their slowest consumer — the
+same discipline as the SMP reduce.
 
 A scan enters as an inline request (:mod:`repro.core.requests`): it
 reserves its chunk sequences in the body, after the chain gate, so in
@@ -36,7 +36,7 @@ from repro.core.requests import Prepared, unreserved
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
 from repro.obs.taxonomy import SCAN_CHUNK
-from repro.shmem.flags import FlagArray, SharedFlag
+from repro.shmem.buffers import DoubleBuffer
 from repro.shmem.segment import SharedSegment
 from repro.sim.process import ProcessGenerator
 
@@ -50,41 +50,28 @@ _SIGNAL = np.zeros(0, dtype=np.uint8)
 
 
 class ScanPlan:
-    """Per-node prefix slots (double-buffered) and the inter-node chain."""
+    """Per-node prefix and base slots (handoffs) and the inter-node chain."""
 
     def __init__(self, ctx: SRMContext) -> None:
         machine = ctx.machine
         capacity = ctx.config.shared_buffer_bytes
-        self.prefix_slots: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self.prefix_ready: dict[int, FlagArray] = {}
-        #: consumed_next[node][i] = chunks member i+1 has combined from slot i.
-        self.consumed_next: dict[int, FlagArray] = {}
-        #: chunks the master has read from the LAST member's slot (node total).
-        self.total_consumed: dict[int, SharedFlag] = {}
-        self.base_slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.base_ready: dict[int, SharedFlag] = {}
-        self.base_consumed: dict[int, FlagArray] = {}
+        #: Per node, each member's prefix slot, read by the next member (the
+        #: last member's by the master, to forward the node total).
+        self.prefix: dict[int, list[DoubleBuffer]] = {}
+        #: Per node, the exclusive base the master hands every member.
+        self.base: dict[int, DoubleBuffer] = {}
         self.chain_staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.chain_arrival: dict[int, LapiCounter] = {}
         self.chain_free: dict[int, LapiCounter] = {}
         for node in ctx.node_order:
             state = ctx.nodes[node]
             machine_node = machine.nodes[node]
-            segment = SharedSegment(
-                machine_node,
-                (2 * state.size + 4) * capacity + 64 * (3 * state.size + 8),
-                name=f"scan[{node}]",
-            )
-            self.prefix_slots[node] = [
-                (segment.allocate(capacity), segment.allocate(capacity))
-                for _ in range(state.size)
+            self.prefix[node] = [
+                DoubleBuffer(machine_node, capacity, seats=1, name=f"scan[{node}][{index}]")
+                for index in range(state.size)
             ]
-            self.prefix_ready[node] = FlagArray(machine_node, state.size, name=f"scanrdy[{node}]")
-            self.consumed_next[node] = FlagArray(machine_node, state.size, name=f"scancons[{node}]")
-            self.total_consumed[node] = SharedFlag(machine_node, name=f"scantot[{node}]")
-            self.base_slots[node] = (segment.allocate(capacity), segment.allocate(capacity))
-            self.base_ready[node] = SharedFlag(machine_node, name=f"scanbase[{node}]")
-            self.base_consumed[node] = FlagArray(machine_node, state.size, name=f"scanbcons[{node}]")
+            self.base[node] = DoubleBuffer(machine_node, capacity, state.size, f"scanbase[{node}]")
+            segment = SharedSegment(machine_node, 2 * capacity + 128, name=f"scanchain[{node}]")
             self.chain_staging[node] = (segment.allocate(capacity), segment.allocate(capacity))
             master_lapi = machine.task(ctx.masters[node]).lapi
             self.chain_arrival[node] = master_lapi.counter(name=f"scanarr:{node}")
@@ -130,15 +117,15 @@ def _scan(
     is_master = state.is_master(task)
     last_index = state.size - 1
     forwards = my_position + 1 < len(ctx.node_order)
-    ready = plan.prefix_ready[node]
-    # Cumulative chunk counts (flag thresholds / slot parity), claimed now;
-    # a master also claims the chain staging it receives on and sends over.
+    # Cumulative chunk counts (slot generations and handoff stamps), claimed
+    # now; a master also claims the chain staging it receives on and sends over.
     lows = range(0, src_data.shape[0], capacity)
     ledger = ctx.ledger
     first = ledger.reserve(("scan", task.rank), len(lows))
     has_base = is_master and my_position > 0
     received = ledger.reserve(("scan-received", task.rank), len(lows)) if has_base else 0
     sent = ledger.reserve(("scan-sent", task.rank), len(lows)) if is_master and forwards else 0
+    prefix, base = plan.prefix[node], plan.base[node]
 
     for index, low in enumerate(lows):
         with task.phase(SCAN_CHUNK):
@@ -146,50 +133,34 @@ def _scan(
             count = high - low
             nbytes = count * dtype.itemsize
             sequence = first + index
-            parity = sequence % 2
-            my_slot = plan.prefix_slots[node][me][parity][:nbytes].view(dtype)
             chunk = src_data[low:high]
 
-            # Slot reuse license: my consumers must be done with chunk seq-2.
-            if sequence >= 2:
-                license_at = sequence - 1
-                if me < last_index:
-                    yield from plan.consumed_next[node][me].wait_for(
-                        task, lambda v: v >= license_at
-                    )
-                if me == last_index and forwards:
-                    yield from plan.total_consumed[node].wait_for(
-                        task, lambda v: v >= license_at
-                    )
-
-            # Stage 1: the SMP prefix chain, in member order.
+            # Stage 1: the SMP prefix chain, in member order.  My slot has a
+            # reader unless I am the last member of the last node.
+            yield from prefix[me].acquire(task, sequence)
+            my_slot = prefix[me].data(sequence, nbytes).view(dtype)
             if me == 0:
                 yield from task.copy(my_slot, chunk)
             else:
-                needed = sequence + 1
-                yield from ready[me - 1].wait_for(task, lambda v: v >= needed)
-                predecessor = plan.prefix_slots[node][me - 1][parity][:nbytes].view(dtype)
+                yield from prefix[me - 1].read(task, sequence)
+                predecessor = prefix[me - 1].data(sequence, nbytes).view(dtype)
                 yield from task.combine_into(my_slot, predecessor, chunk, op)
-                yield from plan.consumed_next[node][me - 1].set(task, sequence + 1)
-            yield from ready[me].set(task, sequence + 1)
+                yield from prefix[me - 1].release(task, sequence)
+            if me < last_index or forwards:
+                yield from prefix[me].publish(task, sequence)
 
             # Stage 2 (master): receive the exclusive base, forward base+total.
             if is_master:
-                base_view = plan.base_slots[node][parity][:nbytes].view(dtype)
-                if sequence >= 2:
-                    license_at = sequence - 1
-                    yield from plan.base_consumed[node].wait_all(
-                        task, lambda v: v >= license_at, skip=me
-                    )
+                yield from base.acquire(task, sequence)
+                base_view = base.data(sequence, nbytes).view(dtype)
                 if has_base:
                     receive_parity = (received + index) % 2
                     yield from task.lapi.waitcntr(plan.chain_arrival[node], 1)
                     staged = plan.chain_staging[node][receive_parity][:nbytes].view(dtype)
                     yield from task.copy(base_view, staged)
                 if forwards:
-                    needed = sequence + 1
-                    yield from ready[last_index].wait_for(task, lambda v: v >= needed)
-                    total = plan.prefix_slots[node][last_index][parity][:nbytes].view(dtype)
+                    yield from prefix[last_index].read(task, sequence)
+                    total = prefix[last_index].data(sequence, nbytes).view(dtype)
                     next_node = ctx.node_order[my_position + 1]
                     send_parity = (sent + index) % 2
                     outgoing = plan.chain_staging[next_node][send_parity][:nbytes].view(dtype)
@@ -206,7 +177,7 @@ def _scan(
                         payload,
                         target_counter=plan.chain_arrival[next_node],
                     )
-                    yield from plan.total_consumed[node].set(task, sequence + 1)
+                    yield from prefix[last_index].release(task, sequence)
                 if has_base:
                     # Credit the upstream master's staging slot.
                     previous_node = ctx.node_order[my_position - 1]
@@ -216,15 +187,14 @@ def _scan(
                         _SIGNAL,
                         target_counter=plan.chain_free[previous_node],
                     )
-                yield from plan.base_ready[node].set(task, sequence + 1)
+                yield from base.publish(task, sequence)
 
             # Stage 3: combine the node base with my local prefix.
-            needed = sequence + 1
-            yield from plan.base_ready[node].wait_for(task, lambda v: v >= needed)
+            yield from base.read(task, sequence, seat=me)
             out_chunk = dst_data[low:high]
             if my_position > 0:
-                base_view = plan.base_slots[node][parity][:nbytes].view(dtype)
+                base_view = base.data(sequence, nbytes).view(dtype)
                 yield from task.combine_into(out_chunk, base_view, my_slot, op)
             else:
                 yield from task.copy(out_chunk, my_slot)
-            yield from plan.base_consumed[node][me].set(task, sequence + 1)
+            yield from base.release(task, sequence, seat=me)

@@ -45,7 +45,8 @@ What a trace holds
   of each context in the window.  Integer cells replay as deltas
   (cumulative sequences keep advancing across windows); a cell that did
   not exist when the window began (a ledger key first reserved, a counter
-  first created in it) and the interrupt switch must match exactly.  Every
+  first created in it), a flag first written in it (a slot handoff skips
+  its poll until then) and the interrupt switch must match exactly.  Every
   precondition is checked before anything mutates — a mismatch is a clean
   miss and the window re-records;
 * the **observability tail**: phase spans, flow links and resource-monitor
@@ -71,6 +72,7 @@ import numpy as np
 from repro.machine.memops import apply_batch
 from repro.obs.metrics import Histogram, TimeWeightedHistogram, _bucket_index
 from repro.obs.taxonomy import REQUEST
+from repro.shmem.flags import SharedFlag
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import SRMContext
@@ -155,14 +157,16 @@ def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> di
 def _invocation_parity(invocation) -> tuple:
     """The slot-parity signature of one reserved invocation window.
 
-    Every persistent body reads its slots from its reserved bases only, and
-    a plan reserves the same keys in the same order at every start, so the
-    bases' parities together with plan identity and generation key a window.
+    Every persistent body reads its slots from its reserved bases and the
+    last writers it depends on, and a plan reserves the same keys in the same
+    order at every start, so these together with plan identity and
+    generation key a window.
     """
     return (
         invocation.op,
         invocation.root,
         tuple(base & 1 for base in invocation.bases.values()),
+        tuple(invocation.writers.values()),
     )
 
 
@@ -485,6 +489,7 @@ class _Recording:
             if pre is post or pre == post:
                 continue
             is_delta = type(pre) is int and type(post) is int
+            is_delta = is_delta and (pre != 0 or not isinstance(cell[1], SharedFlag))
             state_entries.append((cell, pre, post, is_delta))
 
         obs = machine.obs

@@ -7,15 +7,18 @@ the contention) and clear their own flag; a buffer is reusable once all its
 flags are clear.  Pipelining falls out of alternating the two buffers, both
 between chunks of one message and between consecutive calls.
 
-Three primitives compose every use:
+Three primitives compose every use of the node's broadcast slot (a
+:class:`~repro.shmem.buffers.DoubleBuffer` handoff with a seat per task):
 
-* :func:`fill_slot` — root-side: wait buffer-free, timed copy in, set flags;
+* :func:`fill_slot` — root-side: wait until free, timed copy in, publish;
 * :func:`announce_slot` — master-side when the data was *put* into the slot
-  by the network (§2.4: "avoids unnecessary data copies"): just set flags;
-* :func:`drain_slot` — reader-side: wait own flag, timed copy out, clear.
+  by the network (§2.4: "avoids unnecessary data copies"): just publish;
+* :func:`drain_slot` — reader-side: wait for the write, timed copy out,
+  release.
 
 Which buffer a chunk uses is the parity of its chunk sequence, and every
-sequence is claimed up front from the context's ledger (key
+sequence is claimed up front through the slot's
+:meth:`~repro.shmem.buffers.DoubleBuffer.reserve` (ledger key
 ``("bcast", rank)``): the callers pass it in, so two invocations in flight
 never pick the same slot for different data.
 :func:`smp_fan_out` distributes a whole assembled result chunk-wise (the
@@ -39,8 +42,7 @@ import numpy as np
 
 from repro.core.context import NodeState
 from repro.obs.taxonomy import PIPELINE_CHUNK, SLOT_ANNOUNCE, SLOT_DRAIN, SLOT_FILL
-from repro.shmem.flags import FlagArray
-from repro.shmem.segment import SharedSegment
+from repro.shmem.buffers import FILL, DoubleBuffer
 from repro.sim.process import ProcessGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -58,41 +60,35 @@ __all__ = [
 ]
 
 
-def fill_slot(state: NodeState, task: "Task", slot: int, src_chunk: np.ndarray) -> ProcessGenerator:
-    """Root side: wait for buffer ``slot`` to be free, fill it, set READY."""
-    flags = state.bcast_buf.flags(slot)
+def fill_slot(state: NodeState, task: "Task", sequence: int, src_chunk: np.ndarray) -> ProcessGenerator:
+    """Root side: wait until ``sequence``'s buffer is free, fill it, hand it
+    to every other task."""
+    buffer = state.bcast_buf
     me = state.index_of(task)
     with task.phase(SLOT_FILL):
-        yield from flags.wait_all(task, lambda v: v == 0, skip=me)
-        state.bcast_buf.check_fill(slot, writer_index=me)
-        yield from task.copy(state.bcast_buf.data(slot, src_chunk.nbytes), src_chunk)
-        yield from flags.set_all(task, 1, skip=me)
+        yield from buffer.acquire(task, sequence, skip=me)
+        yield from task.copy(buffer.data(sequence, src_chunk.nbytes), src_chunk)
+        yield from buffer.publish(task, sequence, skip=me)
 
 
-def announce_slot(state: NodeState, task: "Task", slot: int) -> ProcessGenerator:
-    """Master side: the network already landed data in ``slot``; set READY.
-
-    No buffer-free wait is needed: the inter-node flow control (the free
-    counter ack, Fig. 4) guarantees the slot was drained before the parent
-    refilled it.
-    """
-    flags = state.bcast_buf.flags(slot)
-    # The inter-node free-counter ack must have fenced this slot: announcing
-    # a buffer some reader still holds READY would overwrite in-use data.
-    state.bcast_buf.check_fill(slot, writer_index=state.index_of(task))
-    with task.phase(SLOT_ANNOUNCE):
-        yield from flags.set_all(task, 1, skip=state.index_of(task))
-
-
-def drain_slot(state: NodeState, task: "Task", slot: int, dst_chunk: np.ndarray) -> ProcessGenerator:
-    """Reader side: wait READY, copy the chunk out, clear own flag."""
+def announce_slot(state: NodeState, task: "Task", sequence: int) -> ProcessGenerator:
+    """Master side: the network already landed ``sequence`` in its buffer;
+    hand it to every other task.  No wait: the parent's buffer-free credit
+    (Fig. 4) fenced its put, and the check confirms it."""
     me = state.index_of(task)
-    flag = state.bcast_buf.flags(slot)[me]
+    state.bcast_buf.check_fill(sequence, skip=me)
+    with task.phase(SLOT_ANNOUNCE):
+        yield from state.bcast_buf.publish(task, sequence, skip=me)
+
+
+def drain_slot(state: NodeState, task: "Task", sequence: int, dst_chunk: np.ndarray) -> ProcessGenerator:
+    """Reader side: wait for ``sequence``, copy the chunk out, release."""
+    buffer = state.bcast_buf
+    me = state.index_of(task)
     with task.phase(SLOT_DRAIN):
-        yield from flag.wait_value(task, 1)
-        state.bcast_buf.check_drain(slot, reader_index=me)
-        yield from task.copy(dst_chunk, state.bcast_buf.data(slot, dst_chunk.nbytes))
-        yield from flag.set(task, 0)
+        yield from buffer.read(task, sequence, seat=me)
+        yield from task.copy(dst_chunk, buffer.data(sequence, dst_chunk.nbytes))
+        yield from buffer.release(task, sequence, seat=me)
 
 
 def smp_broadcast_chunk(
@@ -112,13 +108,12 @@ def smp_broadcast_chunk(
     """
     if state.size == 1:
         return
-    slot = sequence % 2
     if is_source:
         assert src_chunk is not None
-        yield from fill_slot(state, task, slot, src_chunk)
+        yield from fill_slot(state, task, sequence, src_chunk)
     else:
         assert dst_chunk is not None
-        yield from drain_slot(state, task, slot, dst_chunk)
+        yield from drain_slot(state, task, sequence, dst_chunk)
 
 
 def fan_out_offsets(state: NodeState, nbytes: int) -> range:
@@ -159,26 +154,16 @@ def smp_fan_out(state: NodeState, task: "Task", data: np.ndarray, base: int) -> 
 # ---------------------------------------------------------------------------
 
 
-class _TreeBcastState:
-    """Per-task relay slots + cumulative flags for the tree SMP broadcast."""
-
-    def __init__(self, state: NodeState) -> None:
-        node = state.node
-        size = state.size
-        chunk = state.config.shared_buffer_bytes
-        segment = SharedSegment(node, size * chunk + 64 * (size + 2), name=f"treebc[{node.index}]")
-        self.slots = [segment.allocate(chunk) for _ in range(size)]
-        self.ready = FlagArray(node, size, name=f"treebc-rdy[{node.index}]", kind="sequence")
-        #: consumed[c] = chunks task c has copied out of its parent's slot.
-        self.consumed = FlagArray(node, size, name=f"treebc-cons[{node.index}]", kind="sequence")
-
-
-def _tree_state(state: NodeState) -> _TreeBcastState:
-    cached = getattr(state, "_tree_bcast", None)
-    if cached is None:
-        cached = _TreeBcastState(state)
-        state._tree_bcast = cached  # type: ignore[attr-defined]
-    return cached
+def _relay_slots(state: NodeState) -> list[DoubleBuffer]:
+    """Each task's single-buffered relay slot, with a seat per task (built at
+    the ablation's first use)."""
+    if not hasattr(state, "_tree_relay"):
+        chunk, node = state.config.shared_buffer_bytes, state.node
+        state._tree_relay = [  # type: ignore[attr-defined]
+            DoubleBuffer(node, chunk, state.size, f"treebc[{node.index}][{i}]", generations=1)
+            for i in range(state.size)
+        ]
+    return state._tree_relay  # type: ignore[attr-defined]
 
 
 def tree_smp_broadcast_chunk(
@@ -194,40 +179,39 @@ def tree_smp_broadcast_chunk(
     parent's slot into its own slot and then into its user buffer; leaves
     copy parent's slot straight to the user buffer.  Compared with the flat
     protocol this serializes ``height`` dependent copies — the reason the
-    paper dropped it.
+    paper dropped it.  A relay slot has one generation, so before it is
+    refilled every child must have released the previous chunk (no double
+    buffering — part of why this loses).
     """
-    tstate = _tree_state(state)
+    slots = _relay_slots(state)
     me = state.index_of(task)
     sequence = state.ledger.reserve(("tree-bcast", task.rank), 1)
     if state.size == 1:
         return
     parent_rank = tree.parent_of(task.rank)
-    children = tree.children_of(task.rank)
+    children = [state.index_of_rank(child) for child in tree.children_of(task.rank)]
     nbytes = (src_chunk if src_chunk is not None else dst_chunk).nbytes  # type: ignore[union-attr]
+    own = slots[me]
 
     def refill_own_slot(source: np.ndarray) -> ProcessGenerator:
-        # Before overwriting the slot holding chunk seq-1, every child must
-        # have consumed it (no double buffering — part of why this loses).
-        for child_rank in children:
-            child_local = state.index_of_rank(child_rank)
-            yield from tstate.consumed[child_local].wait_for(task, lambda v: v >= sequence)
-        yield from task.copy(tstate.slots[me][:nbytes], source)
-        yield from tstate.ready[me].set(task, sequence + 1)
+        yield from own.acquire(task, sequence)
+        yield from task.copy(own.data(sequence, nbytes), source)
+        yield from own.publish(task, sequence, seats=children)
 
     if parent_rank is None:
         assert src_chunk is not None
         yield from refill_own_slot(src_chunk)
         return
-    parent_local = state.index_of_rank(parent_rank)
-    yield from tstate.ready[parent_local].wait_for(task, lambda v: v >= sequence + 1)
+    upstream = slots[state.index_of_rank(parent_rank)]
+    yield from upstream.read(task, sequence, seat=me)
     assert dst_chunk is not None
     if children:
-        yield from refill_own_slot(tstate.slots[parent_local][:nbytes])
-        yield from tstate.consumed[me].set(task, sequence + 1)
-        yield from task.copy(dst_chunk, tstate.slots[me][:nbytes])
+        yield from refill_own_slot(upstream.data(sequence, nbytes))
+        yield from upstream.release(task, sequence, seat=me)
+        yield from task.copy(dst_chunk, own.data(sequence, nbytes))
     else:
-        yield from task.copy(dst_chunk, tstate.slots[parent_local][:nbytes])
-        yield from tstate.consumed[me].set(task, sequence + 1)
+        yield from task.copy(dst_chunk, upstream.data(sequence, nbytes))
+        yield from upstream.release(task, sequence, seat=me)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +238,16 @@ def barrier_synced_smp_broadcast_chunk(
     """
     from repro.core.smp.barrier import smp_barrier
 
-    sequence = state.ledger.reserve(("bcast", task.rank), 1)
+    buffer = state.bcast_buf
+    sequence, _ = buffer.reserve(state.ledger, ("bcast", task.rank), 1, FILL)
     if state.size == 1:
         return
-    slot = sequence % 2
     yield from smp_barrier(state, task)
     if is_source:
         assert src_chunk is not None
-        yield from task.copy(state.bcast_buf.data(slot, src_chunk.nbytes), src_chunk)
+        yield from task.copy(buffer.data(sequence, src_chunk.nbytes), src_chunk)
     yield from smp_barrier(state, task)
     if not is_source:
         assert dst_chunk is not None
-        yield from task.copy(dst_chunk, state.bcast_buf.data(slot, dst_chunk.nbytes))
+        yield from task.copy(dst_chunk, buffer.data(sequence, dst_chunk.nbytes))
     yield from smp_barrier(state, task)

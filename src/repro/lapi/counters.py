@@ -77,14 +77,14 @@ class LapiCounter:
         return event
 
     def consume(self, amount: int) -> None:
-        """Subtract ``amount`` after a satisfied wait (``LAPI_Waitcntr``)."""
+        """Subtract ``amount`` after a satisfied wait (``LAPI_Waitcntr``).
+
+        Consuming more than the counter holds is the verifier's
+        ``counter-over-consume``; the machine's default verifier raises it.
+        """
         verifier = self.engine.verifier
         if verifier is not None:
             verifier.on_counter_consume(self, self._value, amount)
-        if amount > self._value:
-            raise ProtocolError(
-                f"cannot consume {amount} from counter {self.name!r}={self._value}"
-            )
         self._value -= amount
 
     def __repr__(self) -> str:

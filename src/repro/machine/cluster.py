@@ -253,6 +253,12 @@ class Machine:
         #: the engine's same-timestamp tie-break policy; ``None`` keeps the
         #: default deterministic order and the engine's fast paths.
         self.engine = Engine(scheduler=scheduler)
+        # Fail loudly: a broken protocol invariant raises at its first
+        # violating write.  Imported here: the verify package imports the
+        # machine.
+        from repro.verify.invariants import Verifier
+
+        self.engine.verifier = Verifier(strict=True)
         #: Always-on metrics + phase recorder; ``observe=False`` swaps in
         #: no-op instruments (used to assert observation never perturbs
         #: simulated results).

@@ -39,14 +39,18 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["MpiCollectives"]
 
-_BCAST_TAG = 901
-_REDUCE_TAG = 902
-_ALLREDUCE_TAG = 903
-_BARRIER_TAG = 904
-_SCATTER_TAG = 905
-_GATHER_TAG = 906
-_ALLGATHER_TAG = 907
-_SCAN_TAG = 908
+#: One tag range per operation, 1,000 wide: the per-round and per-step tags
+#: (barrier rounds, allgather and alltoall steps, up to P - 1) stay inside
+#: their own range at 256 ranks, so no operation can match another's message.
+_BCAST_TAG = 1000
+_REDUCE_TAG = 2000
+_ALLREDUCE_TAG = 3000
+_BARRIER_TAG = 4000
+_SCATTER_TAG = 5000
+_GATHER_TAG = 6000
+_ALLGATHER_TAG = 7000
+_ALLTOALL_TAG = 8000
+_SCAN_TAG = 9000
 _SIGNAL = np.zeros(0, dtype=np.uint8)
 
 
@@ -388,7 +392,7 @@ class MpiCollectives:
                 send_data[to_peer * block : (to_peer + 1) * block],
                 from_peer,
                 recv_data[from_peer * block : (from_peer + 1) * block],
-                _ALLGATHER_TAG + 100 + step,
+                _ALLTOALL_TAG + step,
             )
 
     # ------------------------------------------------------------------

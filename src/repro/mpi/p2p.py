@@ -117,6 +117,9 @@ class MpiEndpoint:
         self.queues = MatchQueues()
         self.eager_pool = EagerPool(self.engine, self.cost.eager_pool_bytes)
         self.stats = MpiStats()
+        #: Destination rank -> the process delivering this task's latest
+        #: envelope to it (see :meth:`_deliver`).
+        self._deliveries: dict[int, Process] = {}
 
     @property
     def eager_limit(self) -> int:
@@ -142,6 +145,23 @@ class MpiEndpoint:
         """Non-blocking send; join the returned process to complete it."""
         return self.engine.process(self.send(dest, buffer, tag), name=f"isend:{self.task.rank}->{dest}")
 
+    def _deliver(
+        self, dest: "MpiEndpoint", transit: ProcessGenerator, envelope: Envelope, name: str
+    ) -> None:
+        """Land ``envelope`` at ``dest`` after ``transit``, but never before
+        this task's previous envelope to ``dest``: MPI's pairwise
+        non-overtaking rule, which the timing alone can break (an RTS
+        control message outruns an earlier, larger eager payload)."""
+        previous = self._deliveries.get(dest.task.rank)
+
+        def deliver() -> ProcessGenerator:
+            yield from transit
+            if previous is not None and not previous.triggered:
+                yield previous
+            dest._arrive(envelope)
+
+        self._deliveries[dest.task.rank] = self.engine.process(deliver(), name=name)
+
     def _eager_send(self, dest: int, buffer: np.ndarray, tag: int) -> ProcessGenerator:
         dest_task = self.task.machine.task(dest)
         dest_endpoint: MpiEndpoint = dest_task.mpi
@@ -165,9 +185,8 @@ class MpiEndpoint:
 
             def announce_local() -> ProcessGenerator:
                 yield self.engine.timeout(self.cost.flag_poll_interval)
-                dest_endpoint._arrive(envelope)
 
-            self.engine.process(announce_local(), name="eager-shm-arrive")
+            self._deliver(dest_endpoint, announce_local(), envelope, "eager-shm-arrive")
         else:
             # The sender is released once its outbound link accepts the
             # bytes; the receive-side stages overlap with the injection (the
@@ -187,9 +206,8 @@ class MpiEndpoint:
                     if injection is not None and not injection.processed:
                         stages.append(injection)
                     yield self.engine.all_of(stages)
-                dest_endpoint._arrive(envelope)
 
-            self.engine.process(deliver_remote(), name="eager-net-arrive")
+            self._deliver(dest_endpoint, deliver_remote(), envelope, "eager-net-arrive")
             if injection is not None:
                 yield injection
 
@@ -207,9 +225,8 @@ class MpiEndpoint:
 
         def announce_rts() -> ProcessGenerator:
             yield self.engine.timeout(rts_delay)
-            dest_endpoint._arrive(envelope)
 
-        self.engine.process(announce_rts(), name="rts-arrive")
+        self._deliver(dest_endpoint, announce_rts(), envelope, "rts-arrive")
         posted: PostedRecv = yield cts
         if envelope.nbytes > posted.buffer.nbytes:
             raise TruncationError(

@@ -1,19 +1,18 @@
-"""Double-buffer structures for pipelined shared-memory protocols.
+"""The slot handoff: the one rule of every shared slot reused across calls.
 
-The SRM broadcast (paper §2.2, Fig. 3) uses **one pair of shared buffers per
-node** (A and B) and **two banks of per-process READY flags** — one bank per
-buffer.  The root fills a buffer, sets the READY flags of every other task;
-each task copies the data out and clears *its own* flag; the root may refill
-a buffer only once every flag for that buffer is clear again.  Consecutive
-operations (and pipeline chunks) alternate between the two buffers so the
-root's fill of one buffer overlaps the readers' drains of the other.
-
-:class:`DoubleBuffer` packages exactly that: two data regions carved from a
-:class:`~repro.shmem.segment.SharedSegment` plus two
-:class:`~repro.shmem.flags.FlagArray` banks.  It keeps no cursor: protocols
-pick a buffer by the parity of a chunk sequence they reserved, which keeps
-alternating across consecutive calls too (the paper alternates buffers
-between *consecutive broadcast operations*, "to improve concurrency").
+The Fig. 3 broadcast buffers, each task's reduce slot, the scan's slots and
+the A2 tree relay all follow §2.2's rule: a writer refills a buffer only
+once its readers are done with it.  Write ``s`` goes to generation
+``s % generations``, which has one flag per reader *seat*.  The writer
+publishes it by storing the odd stamp ``2 * (s // generations) + 1`` in its
+readers' seats; a reader waits for that stamp and releases it with the next
+even value; a writer acquires a generation once every seat is even, that
+is, once every reader of its last write, whichever ranks they were, let go.
+Stamps only grow, so a reader whose role moved between calls never takes an
+older write for its own.  A remote put cannot poll the seats: its sender
+holds a credit (Fig. 4's buffer-free counter) instead, good only while its
+edge made the last write, so :meth:`DoubleBuffer.reserve` records each
+generation's last writer, which every member derives alike.
 """
 
 from __future__ import annotations
@@ -27,74 +26,112 @@ from repro.shmem.flags import FlagArray
 from repro.shmem.segment import SharedSegment
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.machine.cluster import Node
+    from repro.machine.cluster import Node, Task
+    from repro.sim.process import ProcessGenerator
 
-__all__ = ["DoubleBuffer"]
+__all__ = ["DoubleBuffer", "FILL"]
+
+#: The last-writer record of a local fill (a task copying into the slot).
+FILL = "fill"
+
+
+def _free(value: int) -> bool:
+    return value % 2 == 0
 
 
 class DoubleBuffer:
-    """Two shared data buffers + per-task READY flag banks on one node."""
+    """A shared slot of ``generations`` buffers, handed by one writer at a
+    time to the readers on its ``seats`` (see the module docstring)."""
 
     def __init__(
-        self,
-        node: "Node",
-        buffer_bytes: int,
-        flags_per_buffer: int,
-        name: str = "dbuf",
+        self, node: "Node", buffer_bytes: int, seats: int, name: str = "dbuf", generations: int = 2
     ) -> None:
         if buffer_bytes < 1:
             raise ProtocolError(f"buffer size must be >= 1 B, got {buffer_bytes}")
         self.node = node
+        self.engine = node.machine.engine
         self.buffer_bytes = buffer_bytes
         self.name = name
-        segment = SharedSegment(node, 2 * buffer_bytes + 256, name=f"{name}-seg")
-        self.buffers: tuple[np.ndarray, np.ndarray] = (
-            segment.allocate(buffer_bytes),
-            segment.allocate(buffer_bytes),
+        self.generations = generations
+        segment = SharedSegment(node, generations * (buffer_bytes + 64), name=f"{name}-seg")
+        self.buffers = tuple(segment.allocate(buffer_bytes) for _ in range(generations))
+        self.seats = tuple(
+            FlagArray(node, seats, name=f"{name}-gen{g}", kind="sequence")
+            for g in range(generations)
         )
-        self.ready: tuple[FlagArray, FlagArray] = (
-            FlagArray(node, flags_per_buffer, name=f"{name}-readyA", kind="ready"),
-            FlagArray(node, flags_per_buffer, name=f"{name}-readyB", kind="ready"),
-        )
-        self.engine = node.machine.engine
 
-    def data(self, slot: int, nbytes: int) -> np.ndarray:
-        """A view of the first ``nbytes`` of buffer ``slot``."""
-        if slot not in (0, 1):
-            raise ProtocolError(f"slot must be 0 or 1, got {slot}")
+    def data(self, sequence: int, nbytes: int) -> np.ndarray:
+        """The first ``nbytes`` of the generation write ``sequence`` uses."""
         if nbytes > self.buffer_bytes:
-            raise ProtocolError(
-                f"{nbytes} B does not fit the {self.buffer_bytes} B shared buffer"
+            raise ProtocolError(f"{nbytes} B does not fit the {self.buffer_bytes} B buffer")
+        return self.buffers[sequence % self.generations][:nbytes]
+
+    def _stamp(self, sequence: int) -> tuple[FlagArray, int]:
+        """The seats of ``sequence``'s generation and its published stamp."""
+        return self.seats[sequence % self.generations], 2 * (sequence // self.generations) + 1
+
+    def acquire(self, task: "Task", sequence: int, skip: int | None = None) -> "ProcessGenerator":
+        """Wait until every reader of the last write to ``sequence``'s
+        generation released it, then check.  A bank of seats is polled every
+        time, as Fig. 3's root does; a single seat once it was handed out."""
+        seats, _ = self._stamp(sequence)
+        if len(seats) > 1:
+            yield from seats.wait_all(task, _free, skip=skip)
+        elif seats[0].value:
+            yield from seats[0].wait_for(task, _free)
+        self.check_fill(sequence, skip)
+
+    def publish(
+        self, task: "Task", sequence: int, skip: int | None = None, seats: typing.Any = None
+    ) -> "ProcessGenerator":
+        """Hand write ``sequence`` to ``seats`` (default: all but ``skip``)."""
+        bank, stamp = self._stamp(sequence)
+        yield from bank.set_all(task, stamp, skip, seats)
+
+    def read(self, task: "Task", sequence: int, seat: int = 0) -> "ProcessGenerator":
+        """Wait until write ``sequence`` is handed to ``seat``, then check."""
+        bank, stamp = self._stamp(sequence)
+        yield from bank[seat].wait_for(task, lambda value: value >= stamp)
+        self.check_drain(sequence, seat)
+
+    def release(self, task: "Task", sequence: int, seat: int = 0) -> "ProcessGenerator":
+        """Hand ``sequence``'s generation back from ``seat``."""
+        bank, stamp = self._stamp(sequence)
+        yield from bank[seat].set(task, stamp + 1)
+
+    def reserve(
+        self, ledger: typing.Any, key: tuple, count: int, writer: typing.Hashable
+    ) -> tuple[int, tuple]:
+        """Claim ``count`` sequences of ``key`` for ``writer``; returns the
+        first and each generation's last writer before (``None``: never
+        written), kept in ``ledger`` as a tuple, which replay compares exactly."""
+        base = ledger.reserve(key, count)
+        previous = ledger.get(("writer", *key), (None,) * self.generations)
+        ledger[("writer", *key)] = tuple(
+            writer if (generation - base) % self.generations < count else last
+            for generation, last in enumerate(previous)
+        )
+        return base, previous
+
+    def check_fill(self, sequence: int, skip: int | None = None) -> None:
+        """Report ``buffer-overwrite-in-use`` if a seat still holds the last
+        write to ``sequence``'s generation."""
+        verifier = self.engine.verifier
+        seats, _ = self._stamp(sequence)
+        held = [i for i, flag in enumerate(seats.flags) if flag.value % 2 and i != skip]
+        if verifier is not None and held:
+            verifier.record(
+                "buffer-overwrite-in-use", self, f"write {sequence} while seats {held} hold the last"
             )
-        return self.buffers[slot][:nbytes]
 
-    def flags(self, slot: int) -> FlagArray:
-        """The READY flag bank guarding buffer ``slot``."""
-        if slot not in (0, 1):
-            raise ProtocolError(f"slot must be 0 or 1, got {slot}")
-        return self.ready[slot]
-
-    # -- verification checkpoints -------------------------------------------
-    #
-    # Protocol code announces its intent just before touching a buffer; the
-    # attached verifier (if any) checks the READY bank agrees.  Both calls
-    # are single-attribute-test no-ops when verification is off.
-
-    def check_fill(self, slot: int, writer_index: int | None = None) -> None:
-        """About to (over)write buffer ``slot``: every reader's READY flag
-        must be clear, else an in-use pipeline buffer is being clobbered."""
+    def check_drain(self, sequence: int, seat: int) -> None:
+        """Report ``read-before-ready`` unless ``seat`` holds write ``sequence``."""
         verifier = self.engine.verifier
-        if verifier is not None:
-            verifier.on_buffer_fill(self, slot, writer_index)
-
-    def check_drain(self, slot: int, reader_index: int) -> None:
-        """About to read buffer ``slot`` as reader ``reader_index``: that
-        reader's READY flag must be set, else this is a read-before-ready."""
-        verifier = self.engine.verifier
-        if verifier is not None:
-            verifier.on_buffer_drain(self, slot, reader_index)
+        bank, stamp = self._stamp(sequence)
+        if verifier is not None and bank[seat].value != stamp:
+            verifier.record(
+                "read-before-ready", self, f"seat {seat} read write {sequence} before its handoff"
+            )
 
     def __repr__(self) -> str:
-        return (
-            f"<DoubleBuffer {self.name!r} node={self.node.index} 2x{self.buffer_bytes} B>"
-        )
+        return f"<DoubleBuffer {self.name!r} {self.generations}x{self.buffer_bytes} B>"

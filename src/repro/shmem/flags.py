@@ -57,11 +57,10 @@ class SharedFlag:
     invariant checker; it is purely declarative and free when no verifier
     is attached to the engine:
 
-    * ``"ready"`` — a READY handshake flag (0 = free, 1 = data available);
-      the writer may only set 0→1 and the reader may only clear 1→0.
-    * ``"checkin"`` — a barrier check-in flag with the same 0/1 pairing.
-    * ``"sequence"`` — a cumulative chunk counter; values must be monotone
-      non-decreasing.
+    * ``"checkin"`` — a barrier check-in flag (0 = clear, 1 = arrived); the
+      task may only set 0→1 and the master may only clear 1→0.
+    * ``"sequence"`` — a cumulative count or a slot-handoff stamp
+      (:mod:`repro.shmem.buffers`); values must be monotone non-decreasing.
     * ``None`` — no declared discipline (no checks).
 
     Every flag registers itself with its machine (:attr:`Machine.flags`).
@@ -219,13 +218,17 @@ class FlagArray:
         """Snapshot of all flag values."""
         return [flag.value for flag in self.flags]
 
-    def set_all(self, task: "Task", value: int, skip: int | None = None) -> ProcessGenerator:
-        """Timed store of ``value`` into every flag (optionally skipping one).
+    def set_all(
+        self, task: "Task", value: int, skip: int | None = None, indices: list[int] | None = None
+    ) -> ProcessGenerator:
+        """Timed store of ``value`` into every flag but ``skip`` (or into the
+        flags at ``indices``).
 
         This is the barrier master's "reset the value of flags for all the
         other processes" step (§2.2): the master pays one store per flag.
         """
-        indices = [i for i in range(len(self.flags)) if i != skip]
+        if indices is None:
+            indices = [i for i in range(len(self.flags)) if i != skip]
         with task.phase(FLAG_SET):
             yield task.engine.timeout(self.cost.flag_set_cost * len(indices))
         self.node.machine.obs.flag_sets.inc(len(indices))

@@ -1,27 +1,27 @@
 """Runtime protocol invariant checkers for the SRM synchronization layers.
 
-A :class:`Verifier` attaches to an engine (``engine.verifier = Verifier()``)
-and receives callbacks from the shared-memory and LAPI substrates at every
-synchronization-relevant state change.  The hook sites are pre-wired in
-:mod:`repro.shmem.flags`, :mod:`repro.shmem.buffers` and
-:mod:`repro.lapi.counters`; each is a single ``is None`` attribute test when
-no verifier is attached, so the default simulation path stays byte-identical.
+Every :class:`~repro.machine.Machine` attaches a strict :class:`Verifier`
+to its engine at construction, so a broken invariant raises at its first
+violating write; the verification harness swaps in a collecting one
+(``engine.verifier = Verifier()``).  The verifier receives callbacks from
+the shared-memory and LAPI substrates at every synchronization-relevant
+state change.  The hook sites are pre-wired in :mod:`repro.shmem.flags`,
+:mod:`repro.shmem.buffers` and :mod:`repro.lapi.counters`; checks observe
+and never schedule, so simulated results are the same with or without one.
 
 The invariants encode the paper's hand-reasoned safety arguments:
 
 ==============================  ============================================
 rule                            paper argument it mechanizes
 ==============================  ============================================
-``flag-double-set``             READY/check-in flags are 0/1 handshakes with
-``flag-redundant-clear``        one writer per phase (§2.2, Fig. 3): setting
-                                an already-set flag means a buffer was
-                                announced while a reader still held it;
-                                clearing a clear flag means a reader drained
-                                a slot it never owned.
-``flag-nonbinary``              a READY/check-in flag only ever holds 0 or 1.
-``sequence-decrease``           cumulative chunk-sequence flags are monotone
-                                non-decreasing (the tree-relay and reduce
-                                pipelines count chunks, never rewind).
+``flag-double-set``             barrier check-in flags are 0/1 handshakes
+``flag-redundant-clear``        with one writer per phase (§2.2): setting a
+                                set flag or clearing a clear one means a
+                                task checked in twice or was released twice.
+``flag-nonbinary``              a check-in flag only ever holds 0 or 1.
+``sequence-decrease``           cumulative counts and slot-handoff stamps are
+                                monotone non-decreasing (a handoff seat never
+                                rewinds to an older write).
 ``counter-decrease``            LAPI counters only move backwards through
                                 explicit ``Setcntr``/``Waitcntr`` consume;
                                 an increment may never lower the value.
@@ -30,12 +30,14 @@ rule                            paper argument it mechanizes
                                 Fig. 4 flow control never does this).
 ``counter-over-consume``        ``Waitcntr`` consuming more than the counter
                                 holds would drive it negative.
-``buffer-overwrite-in-use``     the root may refill a pipeline buffer only
-                                once every READY flag for it is clear (§2.2:
-                                "check/wait on all the flags ... make sure
-                                the buffer is free for reuse").
-``read-before-ready``           a reader may copy a buffer out only after its
-                                own READY flag was set for that slot.
+``buffer-overwrite-in-use``     a writer may (over)write a shared slot's
+                                generation only once every reader of its last
+                                write released it (§2.2: "check/wait on all
+                                the flags ... make sure the buffer is free for
+                                reuse") — checked by every slot handoff
+                                (broadcast, reduce, scan and tree slots).
+``read-before-ready``           a reader may read a slot only once the write
+                                it expects was handed to its seat.
 ==============================  ============================================
 
 Violations are recorded (and optionally raised, ``strict=True``) with the
@@ -51,13 +53,10 @@ from repro.errors import VerificationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.lapi.counters import LapiCounter
-    from repro.shmem.buffers import DoubleBuffer
     from repro.shmem.flags import SharedFlag
 
 __all__ = ["Violation", "Verifier"]
 
-#: Flag kinds that follow the binary READY/check-in handshake discipline.
-_HANDSHAKE_KINDS = frozenset({"ready", "checkin"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +123,11 @@ class Verifier:
         """True when no violation has been observed."""
         return not self.violations and not self.dropped
 
-    def _record(self, rule: str, subject: typing.Any, detail: str) -> None:
+    def record(self, rule: str, subject: typing.Any, detail: str) -> None:
+        """Record one violation of ``rule`` by ``subject`` (anything with an
+        ``engine``; its ``name`` labels the report).  The checks that live
+        with their structure — the slot handoff's fill and drain checks in
+        :mod:`repro.shmem.buffers` — report through here."""
         violation = Violation(
             rule=rule,
             subject=getattr(subject, "name", None) or repr(subject),
@@ -151,33 +154,33 @@ class Verifier:
     ) -> None:
         """Called by :meth:`SharedFlag.store` before the value changes."""
         kind = flag.kind
-        if kind is None:
+        if kind is None or (kind == "sequence" and new >= old):
             return
         writer = f"rank {writer_rank}" if writer_rank is not None else "an untimed store"
-        if kind in _HANDSHAKE_KINDS:
+        if kind == "checkin":
             if new not in (0, 1):
-                self._record(
+                self.record(
                     "flag-nonbinary",
                     flag,
-                    f"{writer} stored {new} into a {kind} handshake flag",
+                    f"{writer} stored {new} into a check-in handshake flag",
                 )
             elif old == 1 and new == 1:
-                self._record(
+                self.record(
                     "flag-double-set",
                     flag,
-                    f"{writer} set a {kind} flag that was already set — the "
-                    f"guarded buffer is still held by its reader",
+                    f"{writer} set a check-in flag that was already set — "
+                    f"the task checked in twice",
                 )
             elif old == 0 and new == 0:
-                self._record(
+                self.record(
                     "flag-redundant-clear",
                     flag,
-                    f"{writer} cleared a {kind} flag that was already clear — "
-                    f"a drain finished on a slot it never owned",
+                    f"{writer} cleared a check-in flag that was already clear — "
+                    f"a release for a task that never checked in",
                 )
         elif kind == "sequence":
             if new < old:
-                self._record(
+                self.record(
                     "sequence-decrease",
                     flag,
                     f"{writer} rewound a cumulative sequence flag {old} -> {new}",
@@ -188,7 +191,7 @@ class Verifier:
     def on_counter_increment(self, counter: "LapiCounter", old: int, new: int) -> None:
         """Called by :meth:`LapiCounter.increment` before the update."""
         if new <= old:
-            self._record(
+            self.record(
                 "counter-decrease",
                 counter,
                 f"increment moved the counter {old} -> {new}",
@@ -199,7 +202,7 @@ class Verifier:
     ) -> None:
         """Called by :meth:`LapiCounter.set` before the overwrite."""
         if new < old and waiters > 0:
-            self._record(
+            self.record(
                 "counter-reset-under-waiters",
                 counter,
                 f"Setcntr lowered the value {old} -> {new} while {waiters} "
@@ -209,39 +212,10 @@ class Verifier:
     def on_counter_consume(self, counter: "LapiCounter", value: int, amount: int) -> None:
         """Called by :meth:`LapiCounter.consume` before the subtraction."""
         if amount > value:
-            self._record(
+            self.record(
                 "counter-over-consume",
                 counter,
                 f"Waitcntr consumed {amount} from a counter holding {value}",
-            )
-
-    # -- pipeline buffer hooks --------------------------------------------------
-
-    def on_buffer_fill(
-        self, dbuf: "DoubleBuffer", slot: int, writer_index: int | None
-    ) -> None:
-        """Called by :meth:`DoubleBuffer.check_fill` just before a (re)fill."""
-        held = [
-            index
-            for index, flag in enumerate(dbuf.flags(slot).flags)
-            if index != writer_index and flag.value != 0
-        ]
-        if held:
-            self._record(
-                "buffer-overwrite-in-use",
-                dbuf,
-                f"slot {slot} refilled while reader index(es) {held} still "
-                f"hold READY — in-flight data would be clobbered",
-            )
-
-    def on_buffer_drain(self, dbuf: "DoubleBuffer", slot: int, reader_index: int) -> None:
-        """Called by :meth:`DoubleBuffer.check_drain` just before a copy-out."""
-        if dbuf.flags(slot)[reader_index].value != 1:
-            self._record(
-                "read-before-ready",
-                dbuf,
-                f"reader index {reader_index} drained slot {slot} while its "
-                f"READY flag was clear — read-before-ready",
             )
 
     def __repr__(self) -> str:

@@ -6,21 +6,26 @@ the *live* protocol code (by patching a substrate class method for the
 duration of a ``with`` block) and the smoke runner then asserts the harness
 reports it:
 
-* ``skip-ready-wait`` — a reader copies a pipeline buffer out **without**
-  waiting for its READY flag (dropping the ``while !flag`` spin of Fig. 3).
-  Detected by the ``read-before-ready`` buffer invariant (and usually a
-  trailing ``flag-redundant-clear``).
-* ``skip-ready-set`` — the buffer owner forgets to set one reader's READY
-  flag (an off-by-one in the "set the flags of all other processes" loop of
-  §2.2).  That reader spins forever: detected as a deadlock, with the
+* ``skip-ready-wait`` — a reader copies a slot out **without** waiting for
+  the write to be handed to its seat (dropping the ``while !flag`` spin of
+  Fig. 3).  Detected by the ``read-before-ready`` slot check.
+* ``skip-ready-set`` — the writer forgets to hand the write to one reader's
+  seat (an off-by-one in the "set the flags of all other processes" loop
+  of §2.2).  That reader spins forever: detected as a deadlock, with the
   blocked process named in the :class:`~repro.errors.DeadlockError`.
+* ``skip-writer-wait`` — a writer (over)writes a slot generation without
+  waiting for the readers of its last write to release it.  On a pipelined
+  reduce a leaf then refills its slot while its parent still combines it:
+  detected by the ``buffer-overwrite-in-use`` slot check.
 * ``alias-invocation-slot`` — the request layer's two overlap defenses are
   both dropped at once: the sequence ledger stops advancing SMP-broadcast
   cursors (every ``start()`` hands out the *same* slot window) and the
-  per-rank started-order chain gate is skipped.  Harmless for blocking
-  programs; with two invocations of one plan in flight the aliased slot is
-  refilled while readers still hold it.  Detected on an overlap cell by the
-  buffer invariants (overwrite-in-use / read-before-ready) or a deadlock.
+  per-rank started-order chain gate is skipped.  With two invocations of
+  one plan in flight the aliased slot is refilled while readers still hold
+  it.  Detected on an overlap cell by the slot checks (overwrite-in-use /
+  read-before-ready) or a deadlock; a blocking program trips
+  read-before-ready too, since every write's handoff stamp names its
+  sequence.
 * ``stale-compiled-schedule`` — ``PersistentCollective.invalidate`` becomes
   a no-op, so ``rebind()`` leaves the compiled-schedule replay cache
   (:mod:`repro.core.replay`) holding traces whose op tapes view the old
@@ -28,11 +33,12 @@ reports it:
   arrays nobody reads.  Detected on the ``replay-rebind`` verify cell by
   ``result-mismatch`` (the rebound buffers never receive the payload).
 
-Patches target the **class methods** (``SharedFlag.wait_value``,
-``FlagArray.set_all``, ``SequenceLedger.reserve``) rather than module
-globals, so every call site — including ``from ... import``-ed aliases —
-sees the mutant.  Both flag mutants fire only on ``kind == "ready"`` flags,
-leaving barrier check-in and sequence flags honest.
+Patches target the **class methods** (``DoubleBuffer.read``,
+``DoubleBuffer.publish``, ``DoubleBuffer.acquire``,
+``SequenceLedger.reserve``) rather than module globals, so every call site
+— including ``from ... import``-ed aliases — sees the mutant.  The three
+slot mutants break every slot handoff (broadcast, reduce, scan and tree
+slots) and leave barrier check-in flags honest.
 """
 
 from __future__ import annotations
@@ -41,53 +47,60 @@ import contextlib
 import typing
 
 from repro.errors import VerificationError
-from repro.obs.taxonomy import FLAG_SET
-from repro.shmem.flags import FlagArray, SharedFlag
+from repro.shmem.buffers import DoubleBuffer
 
 __all__ = ["MUTATIONS", "apply_mutation"]
 
 
 @contextlib.contextmanager
-def _skip_ready_wait() -> typing.Iterator[None]:
-    original = SharedFlag.wait_value
-
-    def mutated(self: SharedFlag, task: typing.Any, value: int) -> typing.Any:
-        if self.kind == "ready" and value == 1:
-            # The bug: proceed straight to the copy, never spin.
-            return self._value
-            yield  # pragma: no cover - keeps this a generator function
-        result = yield from original(self, task, value)
-        return result
-
-    SharedFlag.wait_value = mutated  # type: ignore[method-assign]
+def _patched(cls: type, name: str, mutant: typing.Callable) -> typing.Iterator[None]:
+    original = getattr(cls, name)
+    setattr(cls, name, mutant)
     try:
         yield
     finally:
-        SharedFlag.wait_value = original  # type: ignore[method-assign]
+        setattr(cls, name, original)
 
 
-@contextlib.contextmanager
-def _skip_ready_set() -> typing.Iterator[None]:
-    original = FlagArray.set_all
+def _skip_ready_wait() -> typing.ContextManager[None]:
+    def mutated(self: DoubleBuffer, task: typing.Any, sequence: int, seat: int = 0) -> typing.Any:
+        # The bug: proceed straight to the copy, never spin.
+        self.check_drain(sequence, seat)
+        return
+        yield  # pragma: no cover - keeps this a generator function
+
+    return _patched(DoubleBuffer, "read", mutated)
+
+
+def _skip_ready_set() -> typing.ContextManager[None]:
+    original = DoubleBuffer.publish
 
     def mutated(
-        self: FlagArray, task: typing.Any, value: int, skip: int | None = None
+        self: DoubleBuffer,
+        task: typing.Any,
+        sequence: int,
+        skip: int | None = None,
+        seats: typing.Iterable[int] | None = None,
     ) -> typing.Any:
-        indices = [i for i in range(len(self.flags)) if i != skip]
-        if self.kind == "ready" and value == 1 and indices:
-            # The bug: the last reader's READY flag is never set.
-            indices = indices[:-1]
-        with task.phase(FLAG_SET):
-            yield task.engine.timeout(self.cost.flag_set_cost * max(len(indices), 1))
-        self.node.machine.obs.flag_sets.inc(len(indices))
-        for index in indices:
-            self.flags[index].store(value, writer_rank=task.rank)
+        if seats is None:
+            seats = [index for index in range(len(self.seats[0])) if index != skip]
+        # The bug: the last reader's seat is never handed the write.
+        yield from original(self, task, sequence, seats=list(seats)[:-1])
 
-    FlagArray.set_all = mutated  # type: ignore[method-assign]
-    try:
-        yield
-    finally:
-        FlagArray.set_all = original  # type: ignore[method-assign]
+    return _patched(DoubleBuffer, "publish", mutated)
+
+
+def _skip_writer_wait() -> typing.ContextManager[None]:
+    def mutated(
+        self: DoubleBuffer, task: typing.Any, sequence: int, skip: int | None = None
+    ) -> typing.Any:
+        # The bug: overwrite the generation without waiting for the readers
+        # of its last write.
+        self.check_fill(sequence, skip)
+        return
+        yield  # pragma: no cover - keeps this a generator function
+
+    return _patched(DoubleBuffer, "acquire", mutated)
 
 
 @contextlib.contextmanager
@@ -153,6 +166,11 @@ MUTATIONS: dict[str, tuple[str, typing.Callable[[], typing.ContextManager[None]]
         "owner forgets one reader's READY flag "
         "(expect a deadlock naming the starved rank)",
         _skip_ready_set,
+    ),
+    "skip-writer-wait": (
+        "a writer refills a slot generation before its readers released it "
+        "(expect buffer-overwrite-in-use on a pipelined reduce)",
+        _skip_writer_wait,
     ),
     "alias-invocation-slot": (
         "overlapping starts share one slot window with no ordering chain "

@@ -488,10 +488,13 @@ def run_mutation_smoke(
     names = list(mutations) if mutations is not None else sorted(MUTATIONS)
     cell = Cell(nodes=2, procs=3, operation="broadcast", regime="small", nbytes=2048)
     # Mutations that only bite under overlapping in-flight invocations get an
-    # overlap cell; everything else smokes on the classic blocking cell.
+    # overlap cell, the writer-wait mutant a pipelined reduce (the leaves run
+    # ahead of their parents); everything else smokes on the classic
+    # blocking cell.
     smoke_cells: dict[str, Cell] = {
         "alias-invocation-slot": dataclasses.replace(cell, overlap="plan2"),
         "stale-compiled-schedule": dataclasses.replace(cell, overlap="replay-rebind"),
+        "skip-writer-wait": Cell(2, 3, "reduce", "pipelined", REGIME_SIZES["pipelined"]),
     }
     results: list[dict] = []
     for name in names:

@@ -49,7 +49,7 @@ def test_node_state_empty_members_rejected():
 def test_node_state_structures_sized_to_members():
     machine = make_machine()
     state = NodeState(machine.nodes[0], SRMConfig(), members=[0, 2])
-    assert len(state.bcast_buf.flags(0)) == 2
+    assert len(state.bcast_buf.seats[0]) == 2
     assert len(state.reduce_slots) == 2
     assert len(state.barrier_flags) == 2
     assert [state.ledger["bcast", rank] for rank in state.members] == [0, 0]
@@ -58,9 +58,9 @@ def test_node_state_structures_sized_to_members():
 def test_reduce_slot_alternates_and_sizes():
     machine = make_machine()
     state = NodeState(machine.nodes[0], SRMConfig())
-    a = state.reduce_slot(0, 0, 128)
-    b = state.reduce_slot(0, 1, 128)
-    c = state.reduce_slot(0, 2, 128)
+    a = state.reduce_slots[0].data(0, 128)
+    b = state.reduce_slots[0].data(1, 128)
+    c = state.reduce_slots[0].data(2, 128)
     assert a.nbytes == 128
     assert not np.shares_memory(a, b)
     assert np.shares_memory(a, c)  # parity 0 again

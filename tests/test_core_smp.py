@@ -53,23 +53,24 @@ def test_fill_announce_drain_cycle():
     machine.launch(program)
     for sink in sinks.values():
         assert np.array_equal(sink, source)
-    # All READY flags cleared after the drain.
-    assert state.bcast_buf.flags(0).values() == [0, 0, 0, 0]
+    # Every reader handed write 0 back (the root's own seat was never used).
+    assert state.bcast_buf.seats[0].values() == [0, 2, 2, 2]
 
 
 def test_fill_waits_for_buffer_free():
     machine, srm, state = node_setup(2)
-    # Pre-set the reader's flag: the buffer is "still in use".
-    state.bcast_buf.flags(0)[1].store(1)
+    # Hand write 0 to the reader's seat: the buffer is "still in use".
+    state.bcast_buf.seats[0][1].store(1)
     first_fill_time = {}
 
     def program(task):
         if task.rank == 0:
-            yield from fill_slot(state, task, 0, np.ones(16, np.uint8))
+            # Write 2 reuses write 0's generation.
+            yield from fill_slot(state, task, 2, np.ones(16, np.uint8))
             first_fill_time["t"] = task.engine.now
         else:
             yield from task.compute(50e-6)  # simulate a slow previous drain
-            yield from state.bcast_buf.flags(0)[1].set(task, 0)
+            yield from state.bcast_buf.release(task, 0, seat=1)
 
     machine.launch(program)
     assert first_fill_time["t"] >= 50e-6
@@ -82,7 +83,7 @@ def test_announce_sets_other_flags_only():
         yield from announce_slot(state, task, 1)
 
     machine.launch(program, ranks=[0])
-    assert state.bcast_buf.flags(1).values() == [0, 1, 1, 1]
+    assert state.bcast_buf.seats[1].values() == [0, 1, 1, 1]
 
 
 def test_smp_broadcast_chunk_single_task_noop():

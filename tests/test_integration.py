@@ -7,12 +7,14 @@ arbitrary (hypothesis-generated) sizes, roots, dtypes, and call sequences.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import build
+from repro.core import SRM
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import MAX, MIN, SUM
+from repro.verify import Verifier
 
 STACK_NAMES = ("srm", "ibm", "mpich")
 
@@ -159,25 +161,144 @@ def test_srm_allreduce_property(nodes, tasks, count, seed):
         assert np.array_equal(out, expected)
 
 
-@given(
-    nodes=st.integers(1, 3),
-    tasks=st.integers(1, 4),
-    sizes=st.lists(st.integers(1, 100_000), min_size=1, max_size=4),
-    seed=st.integers(0, 10_000),
+#: name -> (cluster, group members or None for the whole machine).  The
+#: property draws the first five; ``2x3`` hosts one of its examples.
+PROGRAM_SHAPES = {
+    "2x2": (ClusterSpec(nodes=2, tasks_per_node=2), None),
+    "3x3": (ClusterSpec(nodes=3, tasks_per_node=3), None),
+    "3-2-3": (ClusterSpec(nodes=3, tasks_per_node=[3, 2, 3]), None),
+    "3-1-2": (ClusterSpec(nodes=3, tasks_per_node=[3, 1, 2]), None),
+    "group-0-1-2": (ClusterSpec(nodes=2, tasks_per_node=2), [0, 1, 2]),
+    "2x3": (ClusterSpec(nodes=2, tasks_per_node=3), None),
+}
+PROGRAM_OPS = (
+    "broadcast", "reduce", "allreduce", "barrier", "scatter",
+    "gather", "allgather", "alltoall", "scan", "reduce_scatter",
 )
-@settings(max_examples=15, deadline=None)
-def test_srm_repeated_mixed_sizes_property(nodes, tasks, sizes, seed):
-    """Back-to-back broadcasts of arbitrary sizes keep the double-buffer and
-    counter bookkeeping consistent (the cross-call pipelining invariant)."""
-    machine, stack = build("srm", ClusterSpec(nodes=nodes, tasks_per_node=tasks))
-    total = machine.spec.total_tasks
-    rng = np.random.default_rng(seed)
-    for index, count in enumerate(sizes):
-        root = int(rng.integers(total))
-        payload = rng.integers(0, 255, count).astype(np.uint8)
-        buffers = run_broadcast(machine, stack, payload, root)
-        for buffer in buffers.values():
-            assert np.array_equal(buffer, payload), f"call {index} corrupted"
+KB = 1024
+#: At and around the 8, 16 and 64 KB switch points, plus a few larger sizes.
+PROGRAM_SIZES = sorted(
+    [size + delta for size in (8 * KB, 16 * KB, 64 * KB) for delta in (-8, 0, 8)]
+    + [8, 40_000, 70_000, 150_000]
+)
+
+
+def _program_call(op, nbytes, root, members, index):
+    """One call of a mixed program: (per-rank call on a stack, result arrays
+    per rank, NumPy truth per rank).  Inputs are small integers, so every
+    sum is exact in any order."""
+    size = len(members)
+    position = {rank: spot for spot, rank in enumerate(members)}
+    count = max(1, nbytes // 8)
+
+    def doubles(rank, length):
+        return np.arange(length, dtype=np.float64) % 7 + rank + index
+
+    if op == "broadcast":
+        payload = ((np.arange(nbytes) + 31 * index + root) % 251).astype(np.uint8)
+        bufs = {r: payload.copy() if r == root else np.zeros(nbytes, np.uint8) for r in members}
+        return (lambda s, t: s.broadcast(t, bufs[t.rank], root=root)), bufs, {r: payload for r in members}
+    if op == "barrier":
+        return (lambda s, t: s.barrier(t)), {}, {}
+    if op in ("reduce", "allreduce", "scan"):
+        src = {r: doubles(r, count) for r in members}
+        dst = {r: np.zeros(count) for r in members}
+        prefix = np.cumsum([src[r] for r in members], axis=0)
+        if op == "reduce":
+            return (
+                (lambda s, t: s.reduce(t, src[t.rank], dst[t.rank], SUM, root=root)),
+                {root: dst[root]},
+                {root: prefix[-1]},
+            )
+        if op == "allreduce":
+            return (lambda s, t: s.allreduce(t, src[t.rank], dst[t.rank], SUM)), dst, {r: prefix[-1] for r in members}
+        return (lambda s, t: s.scan(t, src[t.rank], dst[t.rank], SUM)), dst, {r: prefix[position[r]] for r in members}
+    if op == "reduce_scatter":
+        src = {r: doubles(r, count * size) for r in members}
+        dst = {r: np.zeros(count) for r in members}
+        total = np.sum([src[r] for r in members], axis=0)
+        truth = {r: total[position[r] * count : (position[r] + 1) * count] for r in members}
+        return (lambda s, t: s.reduce_scatter(t, src[t.rank], dst[t.rank], SUM)), dst, truth
+    block = max(1, nbytes // size)
+    blocks = {r: ((np.arange(block * size) + 7 * r + index) % 253).astype(np.uint8) for r in members}
+    mine = {r: blocks[r][:block].copy() for r in members}
+    out = {r: np.zeros(block * size, np.uint8) for r in members}
+    gathered = np.concatenate([mine[r] for r in members])
+    if op == "scatter":
+        out = {r: np.zeros(block, np.uint8) for r in members}
+        truth = {r: blocks[root][position[r] * block : (position[r] + 1) * block] for r in members}
+        return (lambda s, t: s.scatter(t, blocks[t.rank], out[t.rank], root=root)), out, truth
+    if op == "gather":
+        return (lambda s, t: s.gather(t, mine[t.rank], out[t.rank], root=root)), {root: out[root]}, {root: gathered}
+    if op == "allgather":
+        return (lambda s, t: s.allgather(t, mine[t.rank], out[t.rank])), out, {r: gathered for r in members}
+    truth = {
+        r: np.concatenate(
+            [blocks[peer][position[r] * block : (position[r] + 1) * block] for peer in members]
+        )
+        for r in members
+    }
+    return (lambda s, t: s.alltoall(t, blocks[t.rank], out[t.rank])), out, truth
+
+
+def run_mixed_program(stack_name, shape, calls):
+    """Run ``calls`` — ``(op, nbytes, root index)`` — as one launch of one
+    program on ``stack_name`` under a strict Verifier and check every result
+    against NumPy."""
+    spec, group = PROGRAM_SHAPES[shape]
+    machine, stack = build(stack_name, spec)
+    machine.engine.verifier = Verifier(strict=True)
+    if group is not None:
+        stack = SRM(machine, group=group)
+    members = list(group) if group is not None else list(range(spec.total_tasks))
+    program = [
+        _program_call(op, nbytes, members[root % len(members)], members, index)
+        for index, (op, nbytes, root) in enumerate(calls)
+    ]
+
+    def body(task):
+        for call, _results, _truth in program:
+            yield from call(stack, task)
+
+    machine.launch(body, ranks=members)
+    for index, (_call, results, truth) in enumerate(program):
+        for rank, expected in truth.items():
+            assert np.array_equal(results[rank], expected), (
+                f"{stack_name}: call {index} {calls[index]} wrong at rank {rank}"
+            )
+
+
+@given(
+    shape=st.sampled_from(list(PROGRAM_SHAPES)[:5]),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(PROGRAM_OPS),
+            st.sampled_from(PROGRAM_SIZES),
+            st.integers(0, 8),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+# The smallest repro of each class of cross-call slot race.  A: a large
+# broadcast fills the node buffer behind the small protocol's credit (the
+# last rank deadlocked after buffer-overwrite-in-use).  B: the reduce's
+# parent moves with the root and a leaf refilled a slot its old parent
+# still read (wrong bytes, sequence-decrease).  C: the node root
+# accumulated in its own reduce slot under its last reader (wrong bytes, no
+# rule fired).
+@example(shape="2x2", calls=[("broadcast", 70_000, 0), ("broadcast", 8, 0)])
+@example(shape="2x3", calls=[("reduce", 16_384, 1), ("reduce", 16_384, 0)])
+@example(shape="3-1-2", calls=[("reduce", 16_384, 1), ("reduce", 8, 3)])
+@settings(max_examples=40, deadline=None)
+def test_srm_repeated_mixed_sizes_property(shape, calls):
+    """Programs that change operation, size, protocol and root between calls
+    reuse every shared slot correctly: the right bytes, no rule broken, no
+    deadlock — checked against NumPy and, on whole machines, against the
+    IBM stack."""
+    run_mixed_program("srm", shape, calls)
+    if PROGRAM_SHAPES[shape][1] is None:
+        run_mixed_program("ibm", shape, calls)
 
 
 @given(

@@ -104,14 +104,14 @@ def test_put_window_limits_inflight_chunks():
 def test_large_bcast_no_shared_buffer_traffic_on_single_task_nodes():
     # With one task per node the large protocol must not touch shm buffers:
     # puts go user-buffer to user-buffer, with no shared-memory copy and no
-    # flag store anywhere.
+    # flag store anywhere (no slot generation is ever handed out).
     machine, srm = build("srm", ClusterSpec(nodes=4, tasks_per_node=1))
     run_broadcast(machine, srm, 256 * KB)
     assert all(task.stats.copies == 0 for task in machine.tasks)
     assert machine.obs.metrics.summary()["shmem.flag_sets"] == 0
     for state in srm.ctx.nodes.values():
-        assert state.bcast_buf.flags(0).values() == [0]
-        assert state.bcast_buf.flags(1).values() == [0]
+        assert state.bcast_buf.seats[0].values() == [0]
+        assert state.bcast_buf.seats[1].values() == [0]
 
 
 def test_large_bcast_stream_counters_monotonic_across_calls():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, VerificationError
 from repro.lapi import LapiCounter
 from repro.machine import ClusterSpec, CostModel, Machine
 
@@ -61,7 +61,8 @@ def test_counter_validation(machine):
     counter = LapiCounter(machine.engine)
     with pytest.raises(ProtocolError):
         counter.increment(0)
-    with pytest.raises(ProtocolError):
+    # Over-consuming is the machine's default (strict) verifier's rule.
+    with pytest.raises(VerificationError, match="counter-over-consume"):
         counter.consume(1)
     with pytest.raises(ProtocolError):
         counter.set(-1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench import build
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.collectives import IbmMpi, Mpich, MpiCollectives
 from repro.mpi.ops import MAX, SUM
@@ -253,3 +254,23 @@ def test_singleton_job_all_operations(Stack):
     machine.launch(program)
     assert np.array_equal(dst, src)
     assert np.array_equal(wide, blocks)
+
+
+def test_operations_use_disjoint_tags():
+    """A gather's messages can still be in flight when the next collective
+    starts; a barrier whose round tags overlapped the gather's tag matched
+    them (``eager message of 21840 B into a 0 B buffer``)."""
+    spec = ClusterSpec(nodes=3, tasks_per_node=[3, 1, 2])
+    machine, stack = build("ibm", spec)
+    total = spec.total_tasks
+    block = 10_920
+    sends = {r: np.full(block, r + 1, np.uint8) for r in range(total)}
+    gathered = np.zeros(block * total, np.uint8)
+
+    def program(task):
+        recv = gathered if task.rank == 1 else None
+        yield from stack.gather(task, sends[task.rank], recv, root=1)
+        yield from stack.barrier(task)
+
+    machine.launch(program)
+    assert np.array_equal(gathered, np.concatenate([sends[r] for r in range(total)]))

@@ -239,6 +239,35 @@ def test_pairwise_ordering_same_tag(machine):
     assert np.all(out2 == 2)
 
 
+def test_pairwise_ordering_eager_then_rendezvous():
+    """An RTS must not overtake an earlier eager payload between the same
+    pair.  Here a third node's message slows the eager payload down at the
+    receiver's NIC, while the RTS behind it is a control message only; the
+    receive posted for the first message must still get the first one."""
+    machine = Machine(ClusterSpec(nodes=3, tasks_per_node=4))
+    small = np.full(8192, 1, np.uint8)  # eager
+    large = np.full(200_000, 2, np.uint8)  # rendezvous
+    noise = np.ones(32_768, np.uint8)
+    out_small, out_large, out_noise = (np.zeros_like(b) for b in (small, large, noise))
+
+    def program(t):
+        if t.rank == 4:
+            yield from t.mpi.send(0, small, tag=0)
+            yield from t.mpi.send(0, large, tag=0)
+        elif t.rank == 0:
+            yield from t.mpi.recv(4, 0, out_small)
+            yield from t.mpi.recv(4, 0, out_large)
+        elif t.rank == 8:  # into rank 0's node at the same time
+            yield from t.mpi.send(1, noise, tag=5)
+        else:
+            yield from t.mpi.recv(8, 5, out_noise)
+
+    machine.launch(program, ranks=[0, 1, 4, 8])
+    assert np.all(out_small == 1)
+    assert np.all(out_large == 2)
+    assert np.all(out_noise == 1)
+
+
 def test_truncation_eager(machine):
     src = np.ones(128, np.uint8)
     dst = np.zeros(64, np.uint8)

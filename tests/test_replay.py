@@ -239,6 +239,49 @@ def test_replay_leaves_the_slow_paths_state():
     assert [(f.name, f.value) for f in on.flags] == [(f.name, f.value) for f in off.flags]
 
 
+def test_replay_follows_the_broadcast_slots_last_writer():
+    """A small broadcast's credit depends on who last wrote each slot
+    generation, so a replayed window must match that history: persistent
+    root-0 broadcast windows, some after a blocking exchange allreduce
+    (whose fan-out fills the same node slots) and some not, leave equal
+    buffers, ledgers, counter values and flag values with replay and
+    without."""
+    total = 6
+    allreduce_before = [False, False, True, False, True, True, False, False, True, False, False]
+    sides = []
+    for compiled in (True, False):
+        machine = Machine(ClusterSpec(nodes=3, tasks_per_node=2))
+        srm = SRM(machine, config=SRMConfig(compiled_replay=compiled))
+        buffers = {r: np.zeros(2048, dtype=np.uint8) for r in range(total)}
+        plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+        sides.append((machine, srm, plans, buffers))
+
+    sources = {r: np.full(1024, float(r + 1)) for r in range(total)}  # 8 KB: exchange
+    for window, allreduce in enumerate(allreduce_before):
+        for machine, srm, plans, buffers in sides:
+            if allreduce:
+                outs = {r: np.zeros(1024) for r in range(total)}
+
+                def program(task, srm=srm, outs=outs):
+                    yield from srm.allreduce(task, sources[task.rank], outs[task.rank], SUM)
+
+                machine.launch(program)
+                assert all(np.all(out == 21.0) for out in outs.values())
+            buffers[0][:] = window + 1
+            drive_window(machine, plans)
+            for r in range(total):
+                assert np.all(buffers[r] == window + 1), (window, r)
+
+    (on, srm_on, _, bufs_on), (off, srm_off, _, bufs_off) = sides
+    assert on.engine.trace.hit_count > 0
+    for r in range(total):
+        assert bufs_on[r].tobytes() == bufs_off[r].tobytes()
+    assert srm_on.ctx.ledger == srm_off.ctx.ledger
+    assert [(c.name, c.value) for c in on.counters] == [(c.name, c.value) for c in off.counters]
+    assert [(f.name, f.value) for f in on.flags] == [(f.name, f.value) for f in off.flags]
+    assert on.engine.now == pytest.approx(off.engine.now, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cache bookkeeping: counters, escape hatch, invalidation
 # ---------------------------------------------------------------------------

@@ -219,24 +219,23 @@ def test_flag_array_needs_at_least_one(machine):
 
 
 def test_double_buffer_views_and_flags(machine):
-    dbuf = DoubleBuffer(machine.nodes[0], 1024, flags_per_buffer=4)
+    dbuf = DoubleBuffer(machine.nodes[0], 1024, seats=4)
     view = dbuf.data(0, 100)
     view[:] = 9
     assert np.all(dbuf.data(0, 100) == 9)
-    assert len(dbuf.flags(0)) == 4
-    assert len(dbuf.flags(1)) == 4
+    assert len(dbuf.seats[0]) == 4
+    assert len(dbuf.seats[1]) == 4
 
 
 def test_double_buffer_bounds(machine):
-    dbuf = DoubleBuffer(machine.nodes[0], 64, flags_per_buffer=2)
+    dbuf = DoubleBuffer(machine.nodes[0], 64, seats=2)
     with pytest.raises(ProtocolError):
         dbuf.data(0, 65)
+    # A sequence picks its generation by parity.
+    assert np.shares_memory(dbuf.data(2, 10), dbuf.data(0, 10))
+    assert not np.shares_memory(dbuf.data(3, 10), dbuf.data(0, 10))
     with pytest.raises(ProtocolError):
-        dbuf.data(2, 10)
-    with pytest.raises(ProtocolError):
-        dbuf.flags(3)
-    with pytest.raises(ProtocolError):
-        DoubleBuffer(machine.nodes[0], 0, flags_per_buffer=1)
+        DoubleBuffer(machine.nodes[0], 0, seats=1)
 
 
 def count_resumes(monkeypatch):

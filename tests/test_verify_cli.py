@@ -130,8 +130,8 @@ def test_cli_verify_smoke_passes_and_reports(tmp_path, capsys):
     assert report["body"]["mode"] == "mutation-smoke"
     assert report["body"]["ok"] is True
     detected = [m for m in report["body"]["mutations"] if m["detected"]]
-    assert len(detected) == len(report["body"]["mutations"]) >= 4
-    assert "4/4 injected bugs detected" in capsys.readouterr().out
+    assert len(detected) == len(report["body"]["mutations"]) >= 5
+    assert "5/5 injected bugs detected" in capsys.readouterr().out
 
 
 def test_cli_verify_progress_lines(capsys):
