@@ -26,7 +26,10 @@ tap slot as the verifier, fault plan, and monitor).  The next plain
 * **record** — no usable trace: the requests are materialized as ordinary
   progress processes and a recording is armed.  When the run loop drains the
   queue (quiescence) with every member request complete, the trace commits.
-  ``replay.misses`` increments.
+  ``replay.misses`` increments, and so does the counter of its cause
+  (:data:`MISS_CAUSES`): ``replay.misses.cold`` (no trace under the key),
+  ``replay.misses.in_flight`` (a member request was already spawned or
+  done) or ``replay.misses.precondition`` (a recorded precondition failed).
 * **slow path, untraced** — the window is *dirty* (non-empty queue, a
   tie-break scheduler, a fault plan, ``run(until=...)``, or ``step()``):
   the requests are materialized and nothing is recorded or replayed.
@@ -53,7 +56,12 @@ What a trace holds
   samples in the recorder's own column format (:mod:`repro.obs.columns`),
   histogram observations (all window-relative, re-emitted shifted so
   profiles, critical paths, and wait-state classification of a replayed
-  window match the recorded one), and metric counter deltas;
+  window match the recorded one), and metric counter deltas.  A hit hands
+  the span and flow tails to their tables by reference, one pending block
+  per table; the rows are copied, bit-identical to an eager copy, on the
+  first read or append, so a session that reads nothing between windows
+  holds no copy of them.  Samples are appended at once, because the next
+  window's boundary sample coalesces against the last row;
 * per-request **completion times and values**, plus the window duration, so
   ``engine.now`` advances through a replayed window exactly as recorded.
 
@@ -80,11 +88,19 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Machine
     from repro.sim.engine import Engine
 
-__all__ = ["CompiledSchedule", "ReplayManager", "manager_for"]
+__all__ = ["MISS_CAUSES", "CompiledSchedule", "ReplayManager", "manager_for"]
 
 
 #: Sentinel for "this cell did not exist at the window boundary".
 _MISSING = object()
+
+#: Why a clean window missed, in the order the checks run: the counter
+#: ``replay.misses.<cause>`` and its help text.
+MISS_CAUSES = {
+    "cold": "replay misses: no trace under the window's key",
+    "in_flight": "replay misses: a member request was already spawned or done",
+    "precondition": "replay misses: a recorded precondition failed",
+}
 
 #: Op-tape kinds (the ``kind`` column of the op metadata array).
 OP_COPY = 0
@@ -357,19 +373,16 @@ class CompiledSchedule:
                         if value > instrument.max:
                             instrument.max = value
 
-        # 4. Observability tails, time-shifted to this window: one bulk
-        #    extend per column.
+        # 4. Observability tails, time-shifted to this window.  Spans and
+        #    flows take the committed tails by reference as pending blocks
+        #    (copied on the first read or append), the span block with the
+        #    replaying requests' identities for its ``request`` spans.
         recorder = obs.recorder
         if recorder.enabled and self.span_tail is not None:
-            spans = recorder.spans
-            base = len(spans)
-            parent = self.span_tail["parent"]
-            spans.extend(
-                {**self.span_tail, "parent": np.where(parent >= 0, parent + base, -1)}, t0
-            )
-            details = spans.detail
-            for offset, member in self.span_members:
-                details[base + offset] = starts[member].request.describe()
+            labels = [
+                (offset, starts[member].request.describe()) for offset, member in self.span_members
+            ]
+            recorder.spans.extend(self.span_tail, t0, labels)
             recorder.flows.extend(self.flow_tail, t0)
         monitor = obs.monitor
         if monitor is not None:
@@ -596,6 +609,8 @@ class ReplayManager:
         #: Plain integers for tests; the obs counters mirror them per machine.
         self.hit_count = 0
         self.miss_count = 0
+        #: Misses by cause (:data:`MISS_CAUSES`); they sum to ``miss_count``.
+        self.miss_causes = dict.fromkeys(MISS_CAUSES, 0)
 
     # -- start-time interface (called by PersistentCollective.start) -------
 
@@ -666,19 +681,23 @@ class ReplayManager:
             return
         key = self._window_key(starts)
         machine = starts[0].plan.task.machine
-        hits, misses = self._counters(machine)
+        hits, misses, causes = self._counters(machine)
         trace = self._traces.get(key)
-        if (
-            trace is not None
-            and all(s.request._process is None and not s.request._done for s in starts)
-            and trace.preconditions_ok()
-        ):
+        if trace is None:
+            cause = "cold"
+        elif not all(s.request._process is None and not s.request._done for s in starts):
+            cause = "in_flight"
+        elif not trace.preconditions_ok():
+            cause = "precondition"
+        else:
             self.hit_count += 1
             hits.inc()
             trace.apply(self.engine, machine, starts)
             return
         self.miss_count += 1
+        self.miss_causes[cause] += 1
         misses.inc()
+        causes[cause].inc()
         self._materialize(starts, record_key=key)
 
     def on_quiescent(self) -> None:
@@ -718,7 +737,8 @@ class ReplayManager:
             self._recording = _Recording(self, record_key, starts)
 
     def _counters(self, machine: "Machine") -> tuple:
-        """The machine's ``replay.hits``/``replay.misses`` instruments.
+        """The machine's ``replay.hits``/``replay.misses`` instruments, and
+        the ``replay.misses.<cause>`` ones by cause.
 
         Created lazily at the first flush decision, so machines that never
         defer a start keep a byte-identical metrics summary.
@@ -729,6 +749,10 @@ class ReplayManager:
             cached = (
                 registry.counter("replay.hits", "compiled-schedule replay cache hits"),
                 registry.counter("replay.misses", "compiled-schedule replay cache misses"),
+                {
+                    cause: registry.counter(f"replay.misses.{cause}", help_text)
+                    for cause, help_text in MISS_CAUSES.items()
+                },
             )
             self._counter_cache = cached
         return cached

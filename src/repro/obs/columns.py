@@ -10,13 +10,17 @@ object per record made the collector the session's largest cost.
 Readers see records: indexing and iteration build the table's record type
 (:class:`~repro.obs.spans.PhaseSpan`, :class:`~repro.obs.spans.FlowLink`,
 :class:`~repro.obs.monitor.ResourceSample`) on demand, and ``append`` /
-item assignment write one back.  Hot readers may read the columns directly.
+item assignment write one back.  Hot readers may read the columns directly
+once :meth:`ColumnTable.materialize` has run.
 
 Compiled replay (:mod:`repro.core.replay`) keeps a window's records in the
 same format: :meth:`ColumnTable.tail` copies the rows from a mark on as
-NumPy arrays with clock fields made window-relative, and
-:meth:`ColumnTable.extend` appends them to a later window with one bulk
-copy per column.
+NumPy arrays with clock fields made window-relative.  A replayed window
+hands its trace's tail to :meth:`ColumnTable.extend`, which keeps it by
+reference as a *pending block*: ``len()`` counts its rows, and the first
+read or append copies every pending block into the columns, oldest first,
+with one bulk copy per column.  A session that reads nothing between
+windows holds one small block per window instead of a copy of every row.
 """
 
 from __future__ import annotations
@@ -41,11 +45,15 @@ class ColumnTable:
     #: Fields holding simulated clock readings (shifted between windows).
     CLOCKS: typing.ClassVar[tuple[str, ...]] = ()
 
-    __slots__ = ()
+    __slots__ = ("_pending", "_pending_rows")
 
     def __init__(self) -> None:
         for field, code in self.FIELDS:
             setattr(self, field, array(code) if code else [])
+        #: Blocks :meth:`extend` kept by reference, oldest first: the
+        #: arguments of one :meth:`_copy` each.
+        self._pending: list[tuple] = []
+        self._pending_rows = 0
 
     def _record(self, index: int, values: tuple) -> typing.Any:
         """The record at row ``index`` holding ``values``, in field order."""
@@ -58,9 +66,10 @@ class ColumnTable:
     # -- the sequence of records ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(getattr(self, self.FIELDS[0][0]))
+        return len(getattr(self, self.FIELDS[0][0])) + self._pending_rows
 
     def __getitem__(self, index: typing.Any) -> typing.Any:
+        self.materialize()
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         if index < 0:
@@ -68,16 +77,19 @@ class ColumnTable:
         return self._record(index, tuple(getattr(self, field)[index] for field, _ in self.FIELDS))
 
     def __iter__(self) -> typing.Iterator[typing.Any]:
+        self.materialize()
         record = self._record
         columns = [getattr(self, field) for field, _code in self.FIELDS]
         for index, values in enumerate(zip(*columns)):
             yield record(index, values)
 
     def __setitem__(self, index: int, record: typing.Any) -> None:
+        self.materialize()
         for (field, _code), value in zip(self.FIELDS, self._values(record)):
             getattr(self, field)[index] = value
 
     def append(self, record: typing.Any) -> None:
+        self.materialize()
         for (field, _code), value in zip(self.FIELDS, self._values(record)):
             getattr(self, field).append(value)
 
@@ -89,6 +101,7 @@ class ColumnTable:
         Numeric columns come back as NumPy arrays that own their data: a
         live view would pin the column and fail its next append.
         """
+        self.materialize()
         out: dict[str, typing.Any] = {}
         for field, code in self.FIELDS:
             column = getattr(self, field)
@@ -100,8 +113,26 @@ class ColumnTable:
                 out[field] = np.frombuffer(column, dtype=code)[mark:].copy()
         return out
 
-    def extend(self, tail: dict[str, typing.Any], t0: float) -> None:
+    def extend(self, tail: dict[str, typing.Any], t0: float, *extra: typing.Any) -> None:
         """Append rows shaped like :meth:`tail`'s, clock fields plus ``t0``.
+
+        The rows are kept by reference as a pending block, so ``tail`` must
+        not change afterwards; ``extra`` goes to :meth:`_copy` with it.
+        """
+        self._pending.append((tail, t0, *extra))
+        self._pending_rows += len(tail[self.FIELDS[0][0]])
+
+    def materialize(self) -> None:
+        """Copy every pending block into the columns, oldest first."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self._pending_rows = 0
+            for block in pending:
+                self._copy(*block)
+
+    def _copy(self, tail: dict[str, typing.Any], t0: float) -> None:
+        """Append one block's rows to the columns, clock fields plus ``t0``.
 
         NumPy's float64 add rounds exactly like Python's, so the appended
         clocks are bit-identical to adding ``t0`` record by record.

@@ -60,6 +60,13 @@ class SampleTable(ColumnTable):
         time, occupancy, queued, saturated = values
         return ResourceSample(time, occupancy, queued, bool(saturated))
 
+    def extend(self, tail: dict[str, typing.Any], t0: float) -> None:
+        """Append a replayed tail at once, not as a pending block: the next
+        window's boundary sample coalesces through
+        :meth:`ResourceTimeline.record` against the last row, so deferring
+        would copy every window anyway."""
+        self._copy(tail, t0)
+
 
 class ResourceTimeline:
     """The piecewise-constant occupancy history of one resource.

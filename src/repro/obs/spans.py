@@ -34,6 +34,8 @@ import math
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.columns import ColumnTable
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -139,6 +141,19 @@ class SpanTable(ColumnTable):
             values[3] = NAN
         return values
 
+    def _copy(
+        self, tail: dict[str, typing.Any], t0: float, labels: typing.Sequence[tuple[int, str]] = ()
+    ) -> None:
+        """Append one block: ``parent`` holds offsets into the block (or -1),
+        made row indices here, and ``labels`` are (offset, detail) pairs
+        naming the replaying window's requests in its ``request`` spans."""
+        base = len(self.start)
+        parent = tail["parent"]
+        super()._copy({**tail, "parent": np.where(parent >= 0, parent + base, -1)}, t0)
+        detail = self.detail
+        for offset, label in labels:
+            detail[base + offset] = label
+
 
 class FlowTable(ColumnTable):
     """Flow links as columns; indexing builds :class:`FlowLink` values."""
@@ -190,6 +205,8 @@ class _PhaseContext:
         lane = recorder._lane(self._rank)
         stack = lane.open
         spans = recorder.spans
+        if spans._pending:
+            spans.materialize()
         index = len(spans.start)
         spans.rank.append(self._rank)
         spans.name.append(self._name)
@@ -293,6 +310,8 @@ class PhaseRecorder:
         if not self.enabled:
             return
         flows = self.flows
+        if flows._pending:
+            flows.materialize()
         flows.kind.append(kind)
         flows.src_rank.append(src_rank)
         flows.src_ts.append(src_ts)
@@ -303,12 +322,14 @@ class PhaseRecorder:
     # -- queries -------------------------------------------------------------
 
     def ranks(self) -> list[int]:
+        self.spans.materialize()
         return sorted(set(self.spans.rank))
 
     def by_phase(self) -> dict[str, float]:
         """Total closed-span seconds per phase name (inclusive of children)."""
         totals: dict[str, float] = {}
         spans = self.spans
+        spans.materialize()
         for name, start, end in zip(spans.name, spans.start, spans.end):
             if end != end:  # NaN: still open
                 continue
@@ -316,7 +337,7 @@ class PhaseRecorder:
         return totals
 
     def clear(self) -> None:
-        """Start new span and flow tables.
+        """Start new span and flow tables (their pending blocks go with them).
 
         Open spans survive on their processes' stacks: they still parent
         and deepen the spans opened under them, but close into the old table.

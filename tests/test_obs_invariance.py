@@ -295,3 +295,123 @@ def test_replayed_windows_keep_no_object_per_record():
     assert machine.engine.trace.hit_count == hits + 10
     assert recorded > 5000
     assert grown <= 0.01 * recorded
+
+
+def test_deferred_rows_read_back_unchanged_whatever_the_read_pattern():
+    """A replayed window's span and flow rows wait as pending blocks until
+    something reads or appends.  Two identical machines run one persistent
+    program — a 2 KB broadcast from root 1, a pipelined 20,000-double SUM
+    allreduce and a 16 KB reduce to root 4 — for 9 windows, rebinding every
+    plan at window 5 (a re-record whose span mark falls after pending rows)
+    and then one blocking allreduce (slow-path spans after pending rows).
+    One machine reads every row after every window, the other only at the
+    end: lengths, columns, critical path, wait report and Perfetto export
+    agree.  A slow-path twin anchors the rows themselves, so a block copied
+    at the wrong time or parent base fails even when both replaying
+    machines copy it the same way."""
+    import json
+
+    from repro.core import SRMConfig
+    from repro.obs.critical import critical_path
+    from repro.obs.export import chrome_trace
+    from repro.obs.waits import classify_waits
+
+    total = 6
+
+    def arguments():
+        """Fresh buffers: per rank, the broadcast's, allreduce's and reduce's."""
+        bcast = {r: np.zeros(2048, np.uint8) for r in range(total)}
+        bcast[1][:] = np.arange(2048) % 251
+        sources = {r: np.full(20000, float(r + 1)) for r in range(total)}
+        outs = {r: np.zeros(20000) for r in range(total)}
+        parts = {r: np.full(2048, float(r)) for r in range(total)}  # 16 KB
+        reduced = np.zeros(2048)
+        return [
+            ((bcast[r],), (sources[r], outs[r]), (parts[r], reduced if r == 4 else None))
+            for r in range(total)
+        ]
+
+    sides = []
+    for compiled in (True, True, False):
+        machine = Machine(ClusterSpec(nodes=3, tasks_per_node=2))
+        srm = SRM(machine, config=SRMConfig(compiled_replay=compiled))
+        plans = []
+        for r, (bcast, allreduce, reduce) in enumerate(arguments()):
+            task = machine.task(r)
+            plans += [
+                srm.plan_broadcast(task, *bcast, root=1),
+                srm.plan_allreduce(task, *allreduce, SUM),
+                srm.plan_reduce(task, *reduce, SUM, root=4),
+            ]
+        sides.append((machine, srm, plans))
+    eager, lazy, twin = sides
+    assert eager[2][1].decision.variant == "pipeline"
+
+    lengths = {id(machine): [] for machine, _srm, _plans in sides}
+    for window in range(9):
+        for machine, _srm, plans in sides:
+            if window == 5:
+                fresh = [args for rank in arguments() for args in rank]
+                for plan, args in zip(plans, fresh):
+                    plan.rebind(*args)
+            for plan in plans:
+                plan.start()
+            machine.engine.run()
+            recorder = machine.obs.recorder
+            if machine is eager[0]:
+                list(recorder.spans)
+                list(recorder.flows)
+            lengths[id(machine)].append((len(recorder.spans), len(recorder.flows)))
+    hits = lazy[0].engine.trace.hit_count
+    assert hits >= 3 and eager[0].engine.trace.hit_count == hits
+    pending = lazy[0].obs.recorder.spans
+    assert len(pending.start) < len(pending), "no window left its rows pending"
+
+    for machine, srm, _plans in sides:
+        sources = {r: np.full(1000, float(r)) for r in range(total)}
+        outs = {r: np.zeros(1000) for r in range(total)}
+
+        def program(task, srm=srm, sources=sources, outs=outs):
+            yield from srm.allreduce(task, sources[task.rank], outs[task.rank], SUM)
+
+        machine.launch(program)
+        lengths[id(machine)].append(
+            (len(machine.obs.recorder.spans), len(machine.obs.recorder.flows))
+        )
+    assert lengths[id(eager[0])] == lengths[id(lazy[0])] == lengths[id(twin[0])]
+
+    def columns(machine):
+        recorder = machine.obs.recorder
+        out = {}
+        for label, table in (("span", recorder.spans), ("flow", recorder.flows)):
+            rows = list(table)  # materializes what is still pending
+            assert len(rows) == len(table)
+            for field, code in table.FIELDS:
+                column = getattr(table, field)
+                out[f"{label}.{field}"] = np.array(column) if code else list(column)
+        return out
+
+    reference = columns(twin[0])
+    for machine in (eager[0], lazy[0]):
+        got = columns(machine)
+        for name, values in reference.items():
+            if name.endswith(("start", "end", "_ts")):
+                # Replayed clocks are t0 + rel: within rounding of the twin's.
+                np.testing.assert_allclose(got[name], values, rtol=0, atol=1e-12, err_msg=name)
+            else:
+                assert np.array_equal(got[name], values), name
+    eager_columns, lazy_columns = columns(eager[0]), columns(lazy[0])
+    for name, values in eager_columns.items():
+        if isinstance(values, list):
+            assert values == lazy_columns[name], name
+        else:  # bit for bit
+            assert values.tobytes() == lazy_columns[name].tobytes(), name
+
+    def analyses(machine):
+        return (
+            critical_path(machine.obs.recorder).to_dict(),
+            classify_waits(machine).to_dict(),
+            json.dumps(chrome_trace(machine)),
+        )
+
+    assert analyses(eager[0]) == analyses(lazy[0])

@@ -7,7 +7,8 @@ The contract under test (:mod:`repro.core.replay`):
   outcomes **byte-identical** to re-driving the slow path, and the engine
   clock equal within float rounding (the differential property test
   randomizes op, dtype, size, shape, root, and invalidation interleavings);
-* ``replay.hits`` / ``replay.misses`` count the cache decisions, and
+* ``replay.hits`` / ``replay.misses`` count the cache decisions (and
+  ``replay.misses.<cause>`` why each miss happened), and
   ``SRMConfig(compiled_replay=False)`` — the ``--no-replay`` escape hatch —
   keeps the engine untouched;
 * ``rebind()`` invalidates cached traces, so post-rebind windows re-record
@@ -288,6 +289,10 @@ def test_replay_follows_the_broadcast_slots_last_writer():
 
 
 def test_replay_hit_and_miss_counters():
+    """Hits and misses are counted, and each miss by its cause: every miss
+    of an uninterrupted broadcast session is cold, a rebind adds cold
+    misses, and a barrier session takes one miss on a recorded
+    precondition while the cells its first window wrote first settle."""
     (machine, srm), _ = make_pair()
     total = machine.spec.total_tasks
     buffers = {r: np.zeros(256, dtype=np.uint8) for r in range(total)}
@@ -298,9 +303,69 @@ def test_replay_hit_and_miss_counters():
     manager = machine.engine.trace
     assert manager.hit_count >= 4
     assert manager.hit_count + manager.miss_count == 8
+    assert manager.miss_causes == {"cold": manager.miss_count, "in_flight": 0, "precondition": 0}
+
+    misses = manager.miss_count
+    fresh = {r: np.zeros(256, dtype=np.uint8) for r in range(total)}
+    for rank, plan in enumerate(plans):
+        plan.rebind(fresh[rank])
+    for window in range(4):
+        fresh[0][:] = window + 1
+        drive_window(machine, plans)
+    assert manager.miss_count > misses
+    assert manager.miss_causes["cold"] == manager.miss_count
+
     summary = machine.obs.metrics.to_dict()
     assert summary["replay.hits"]["value"] == manager.hit_count
     assert summary["replay.misses"]["value"] == manager.miss_count
+    for cause, count in manager.miss_causes.items():
+        assert summary[f"replay.misses.{cause}"]["value"] == count
+
+    barrier_plans = [srm.plan_barrier(machine.task(r)) for r in range(total)]
+    for _window in range(4):
+        drive_window(machine, barrier_plans)
+    assert manager.miss_causes["precondition"] == 1
+    assert sum(manager.miss_causes.values()) == manager.miss_count
+    summary = machine.obs.metrics.to_dict()
+    assert summary["replay.misses.precondition"]["value"] == 1
+
+
+def test_unread_replayed_windows_keep_rows_pending():
+    """A hit hands the trace's span and flow tails to the recorder by
+    reference: across unread hit windows the stored columns stay flat while
+    ``len()`` grows by a trace's tail on each hit, and one read copies every
+    pending row into the columns."""
+    (machine, srm), _ = make_pair()
+    total = machine.spec.total_tasks
+    buffers = {r: np.zeros(2048, dtype=np.uint8) for r in range(total)}
+    sources = {r: np.full(512, float(r + 1)) for r in range(total)}
+    outs = {r: np.zeros(512) for r in range(total)}
+    plans = []
+    for r in range(total):
+        plans.append(srm.plan_broadcast(machine.task(r), buffers[r], root=0))
+        plans.append(srm.plan_allreduce(machine.task(r), sources[r], outs[r], SUM))
+    recorder = machine.obs.recorder
+    manager = None
+    hit_windows = []
+    for window in range(8):
+        buffers[0][:] = window + 1
+        before = len(recorder.spans)
+        hits_before = manager.hit_count if manager is not None else 0
+        drive_window(machine, plans)
+        manager = machine.engine.trace
+        stored = (len(recorder.spans.start), len(recorder.flows.kind))
+        grew = len(recorder.spans) - before
+        if manager.hit_count > hits_before:
+            hit_windows.append((stored, grew))
+    assert len(hit_windows) >= 4
+    tails = {len(trace.span_tail["name"]) for trace in manager._traces.values()}
+    assert all(grew in tails and grew > 0 for _stored, grew in hit_windows)
+    assert len({stored for stored, _grew in hit_windows}) == 1, "the columns grew on a hit"
+    (stored_spans, stored_flows), _grew = hit_windows[0]
+    assert stored_spans < len(recorder.spans) and stored_flows < len(recorder.flows)
+
+    assert len(list(recorder.spans)) == len(recorder.spans.start) == len(recorder.spans)
+    assert len(list(recorder.flows)) == len(recorder.flows.kind) == len(recorder.flows)
 
 
 def test_no_replay_config_never_installs_the_manager():
