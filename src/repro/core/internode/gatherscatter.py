@@ -48,6 +48,7 @@ from repro.core.requests import (
     Prepared,
     prepare_barrier,
     prepare_broadcast,
+    require_contiguous,
     run_nested,
     unreserved,
 )
@@ -114,6 +115,10 @@ def prepare_scatter(
 ) -> Prepared:
     """Scatter ``sendbuf`` blocks from ``root`` into every member's ``recvbuf``."""
     ctx.validate("scatter", recvbuf.nbytes, task.rank, root=root)
+    # The send buffer is read at the root only, the receive buffer everywhere.
+    require_contiguous(
+        "scatter", sendbuf=sendbuf if task.rank == root else None, recvbuf=recvbuf
+    )
     decision = ctx.dispatch("scatter", recvbuf.nbytes, task)
     plan = ctx.plan(BlockPlan, root)
     if task.rank == root:
@@ -185,6 +190,10 @@ def prepare_gather(
 ) -> Prepared:
     """Gather every member's ``sendbuf`` block into ``root``'s ``recvbuf``."""
     ctx.validate("gather", sendbuf.nbytes, task.rank, root=root)
+    # The receive buffer is written at the root only.
+    require_contiguous(
+        "gather", sendbuf=sendbuf, recvbuf=recvbuf if task.rank == root else None
+    )
     decision = ctx.dispatch("gather", sendbuf.nbytes, task)
     plan = ctx.plan(BlockPlan, root)
     if task.rank == root:
@@ -241,6 +250,7 @@ def prepare_allgather(
 ) -> Prepared:
     """Every member's block, concatenated, delivered to every member."""
     ctx.validate("allgather", recvbuf.nbytes, task.rank)
+    require_contiguous("allgather", sendbuf=sendbuf, recvbuf=recvbuf)
     if recvbuf.nbytes != sendbuf.nbytes * len(ctx.members):
         raise ConfigurationError(
             f"allgather receive buffer is {recvbuf.nbytes} B; expected "
@@ -286,6 +296,7 @@ def prepare_alltoall(
     waits for its own ``size - 1`` arrivals.
     """
     ctx.validate("alltoall", sendbuf.nbytes, task.rank)
+    require_contiguous("alltoall", sendbuf=sendbuf, recvbuf=recvbuf)
     decision = ctx.dispatch("alltoall", sendbuf.nbytes, task)
     size = len(ctx.members)
     if sendbuf.nbytes != recvbuf.nbytes or sendbuf.nbytes % size:

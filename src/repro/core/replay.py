@@ -6,9 +6,10 @@ exactly that tuple — so the event schedule of a repeated collective is a
 pure function of the plan and the invocation's slot parities.  This module
 records one full execution of a persistent-plan window as a flat
 :class:`CompiledSchedule` and replays later windows with the same key as a
-vectorized kernel: batched memops (:func:`repro.machine.memops.apply_batch`),
-bulk counter/flag/cursor updates, and re-emitted observability tails —
-instead of re-driving :mod:`repro.sim.engine` processes and generators.
+flat kernel: the op tape compiled once into byte-slice copies and bound
+operator ufuncs (:func:`repro.machine.memops.compile_tape`), bulk
+counter/flag/cursor updates, and re-emitted observability tails — instead
+of re-driving :mod:`repro.sim.engine` processes and generators.
 
 How a window forms
 ------------------
@@ -27,21 +28,27 @@ tap slot as the verifier, fault plan, and monitor).  The next plain
   progress processes and a recording is armed.  When the run loop drains the
   queue (quiescence) with every member request complete, the trace commits.
   ``replay.misses`` increments, and so does the counter of its cause
-  (:data:`MISS_CAUSES`): ``replay.misses.cold`` (no trace under the key),
-  ``replay.misses.in_flight`` (a member request was already spawned or
-  done) or ``replay.misses.precondition`` (a recorded precondition failed).
-* **slow path, untraced** — the window is *dirty* (non-empty queue, a
-  tie-break scheduler, a fault plan, ``run(until=...)``, or ``step()``):
-  the requests are materialized and nothing is recorded or replayed.
+  (:data:`MISS_CAUSES`): ``replay.misses.cold`` (no trace under the key) or
+  ``replay.misses.precondition`` (a recorded precondition failed), the
+  latter also as ``replay.misses.precondition.<kind>`` by the kind of the
+  first failing cell (:data:`CELL_KINDS`).
+* **slow path, untraced** — the window is *dirty*: the requests are
+  materialized and nothing is recorded or replayed.
+  ``replay.dirty.<reason>`` counts it by the first reason found
+  (:data:`DIRTY_REASONS`): other events queued (a request spawned before
+  the flush queues its bootstrap event, so it lands here), ``run(until=...)``
+  or ``step()``, a tie-break scheduler, or a fault plan.
 
 What a trace holds
 ------------------
 
 * the **op tape**: every byte-moving effect in capture order — shared-memory
-  copies, operator applications, and put/get data movements, each holding
-  the live NumPy views it touched (persistent plans pin their buffers, so
-  the views stay valid until :meth:`PersistentCollective.rebind`
-  invalidates the plan's traces);
+  copies, operator applications, and put/get data movements — compiled at
+  commit into a kernel of flat entries: a copy becomes a pair of byte
+  slices of its base buffers, an operator pass the operator's ufunc bound
+  to the recorded views (persistent plans pin their buffers, so both stay
+  valid until :meth:`PersistentCollective.rebind` invalidates the plan's
+  traces);
 * the **state diff**: (pre, post) pairs for every touched cell among the
   substrate stats, every LAPI counter and shared flag the machine created
   (:attr:`Machine.counters`, :attr:`Machine.flags`) and the sequence ledger
@@ -61,7 +68,10 @@ What a trace holds
   per table; the rows are copied, bit-identical to an eager copy, on the
   first read or append, so a session that reads nothing between windows
   holds no copy of them.  Samples are appended at once, because the next
-  window's boundary sample coalesces against the last row;
+  window's boundary sample coalesces against the last row: commit binds
+  each tail to its timeline and encodes its non-clock columns, so a hit
+  computes only the shifted clock column.  A histogram's running total
+  replays as one sequential ``np.add.accumulate``;
 * per-request **completion times and values**, plus the window duration, so
   ``engine.now`` advances through a replayed window exactly as recorded.
 
@@ -77,10 +87,9 @@ import typing
 
 import numpy as np
 
-from repro.machine.memops import apply_batch
+from repro.machine.memops import OP_COMBINE, OP_COPY, OP_REDUCE, compile_tape, run_kernel
 from repro.obs.metrics import Histogram, TimeWeightedHistogram, _bucket_index
 from repro.obs.taxonomy import REQUEST
-from repro.shmem.flags import SharedFlag
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import SRMContext
@@ -88,7 +97,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Machine
     from repro.sim.engine import Engine
 
-__all__ = ["MISS_CAUSES", "CompiledSchedule", "ReplayManager", "manager_for"]
+__all__ = [
+    "CELL_KINDS",
+    "DIRTY_REASONS",
+    "MISS_CAUSES",
+    "CompiledSchedule",
+    "ReplayManager",
+    "manager_for",
+]
 
 
 #: Sentinel for "this cell did not exist at the window boundary".
@@ -98,14 +114,22 @@ _MISSING = object()
 #: ``replay.misses.<cause>`` and its help text.
 MISS_CAUSES = {
     "cold": "replay misses: no trace under the window's key",
-    "in_flight": "replay misses: a member request was already spawned or done",
     "precondition": "replay misses: a recorded precondition failed",
 }
 
-#: Op-tape kinds (the ``kind`` column of the op metadata array).
-OP_COPY = 0
-OP_REDUCE = 1
-OP_COMBINE = 2
+#: Why a window ran the slow path untraced, in the order the checks run:
+#: the counter ``replay.dirty.<reason>`` and its help text.
+DIRTY_REASONS = {
+    "queued": "windows run untraced: other events were queued at the flush",
+    "until": "windows run untraced: run(until=...) or step() drove them",
+    "scheduler": "windows run untraced: a tie-break scheduler was attached",
+    "faults": "windows run untraced: a fault plan was attached",
+}
+
+#: What a state cell holds: a substrate stats slot, a task's arrival
+#: interrupt switch, a LAPI counter, a shared flag or a sequence-ledger key.
+#: A failed precondition counts as ``replay.misses.precondition.<kind>``.
+CELL_KINDS = ("stat", "interrupts", "counter", "flag", "ledger")
 
 
 def manager_for(engine: "Engine") -> "ReplayManager":
@@ -121,28 +145,30 @@ def manager_for(engine: "Engine") -> "ReplayManager":
 # state cells: a uniform handle on every mutable protocol-state scalar
 # ---------------------------------------------------------------------------
 #
-# A cell is ("attr", obj, name) | ("dict", d, key).  Cells hold direct
-# references; identity keys join the arm-time and commit-time snapshots.
+# A cell is (kind, container, key), kind one of CELL_KINDS: a "ledger" cell
+# is the dict entry container[key], every other kind the attribute
+# container.key.  Cells hold direct references; identity keys join the
+# arm-time and commit-time snapshots.
 
 
 def _cell_get(cell: tuple) -> typing.Any:
     kind, container, key = cell
-    if kind == "attr":
-        return getattr(container, key)
-    return container.get(key, _MISSING)
+    if kind == "ledger":
+        return container.get(key, _MISSING)
+    return getattr(container, key)
 
 
 def _cell_set(cell: tuple, value: typing.Any) -> None:
     kind, container, key = cell
-    if kind == "attr":
-        setattr(container, key, value)
-    else:
+    if kind == "ledger":
         container[key] = value
+    else:
+        setattr(container, key, value)
 
 
 def _cell_id(cell: tuple) -> tuple:
-    kind, container, key = cell
-    return (kind, id(container), key)
+    _kind, container, key = cell
+    return (id(container), key)
 
 
 def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typing.Iterator[tuple]:
@@ -154,15 +180,15 @@ def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typin
     for task in machine.tasks:
         for stats in (task.stats, task.lapi.stats):
             for name in type(stats).__slots__:
-                yield ("attr", stats, name)
-        yield ("attr", task.lapi, "interrupts_enabled")
+                yield ("stat", stats, name)
+        yield ("interrupts", task.lapi, "interrupts_enabled")
     for counter in machine.counters:
-        yield ("attr", counter, "_value")
+        yield ("counter", counter, "_value")
     for flag in machine.flags:
-        yield ("attr", flag, "_value")
+        yield ("flag", flag, "_value")
     for ctx in contexts:
         for key in ctx.ledger:
-            yield ("dict", ctx.ledger, key)
+            yield ("ledger", ctx.ledger, key)
 
 
 def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> dict:
@@ -241,14 +267,13 @@ class CompiledSchedule:
         #: Strong refs keep ``id(plan)`` in the key stable for the cache's life.
         self.plans = plans
         self.duration = duration
-        #: Capture-order op tape: (kind, dst, a, b, operator) with live views.
-        self.ops = ops
+        #: The capture-order op tape, compiled once (:func:`compile_tape`):
+        #: copies hold byte slices, operator passes their recorded views.
+        self.kernel = compile_tape(ops)
         #: (cell, pre, post, is_delta) — int/int cells replay as deltas.
         self.state_entries = state_entries
         #: (metric kind, name, help, delta) for counters and gauges.
         self.metric_deltas = metric_deltas
-        #: (hub attr, instrument kind, rel_times, values) observation tapes.
-        self.hist_events = hist_events
         #: Span rows as :meth:`ColumnTable.tail` columns (window-relative
         #: times, ``parent`` as an offset into the tail or -1), or None.
         self.span_tail = span_tail
@@ -257,9 +282,6 @@ class CompiledSchedule:
         self.span_members = span_members
         #: Flow-link rows as tail columns (window-relative times), or None.
         self.flow_tail = flow_tail
-        #: (name, resource kind, first sample, the rest as tail columns);
-        #: the first sample is (rel time, occupancy, queued, saturated).
-        self.monitor_tail = monitor_tail
         #: Per deferred start, in window order: (rel completion time, value).
         self.completions = completions
         self.replays = 0
@@ -274,9 +296,10 @@ class CompiledSchedule:
         #: Histogram tapes folded to replay-ready aggregates.  Bucket counts,
         #: observation count, and min/max are order-independent integers or
         #: pure comparisons, so they fold exactly; the running float ``total``
-        #: keeps the sequential per-value addition order so replayed sums stay
-        #: bit-identical to the slow path.  Time-weighted tapes replay
-        #: event-by-event (each settle depends on the previous interval).
+        #: keeps the sequential per-value addition order (:func:`_running_total`)
+        #: so replayed sums stay bit-identical to the slow path.  Time-weighted
+        #: tapes replay event-by-event (each settle depends on the previous
+        #: interval).
         self._hist_rows: list[tuple] = []
         for attr, kind, rel_times, values in hist_events:
             if kind == "histogram":
@@ -290,7 +313,7 @@ class CompiledSchedule:
                     (
                         attr,
                         kind,
-                        tuple(values),
+                        np.array([0.0, *values], dtype=np.float64),
                         len(values),
                         min(values),
                         max(values),
@@ -299,36 +322,40 @@ class CompiledSchedule:
                 )
             else:
                 self._hist_rows.append((attr, kind, tuple(zip(rel_times, values))))
-    @property
-    def op_count(self) -> int:
-        return len(self.ops)
+        #: Monitor tails bound to their timelines: (record, first sample's
+        #: rel time, occupancy, queued, saturated, table extend, the rest).
+        self._monitor_rows = [
+            (timeline.record, *first, timeline.table.extend, rest)
+            for timeline, first, rest in monitor_tail
+        ]
 
-    def preconditions_ok(self) -> bool:
-        """True when every recorded state precondition holds right now."""
+    def failed_precondition(self) -> str | None:
+        """The kind of the first recorded precondition that fails right
+        now (one of :data:`CELL_KINDS`), or None when every one holds."""
         for cell, _delta in self._delta_entries:
             if type(_cell_get(cell)) is not int:
-                return False
+                return cell[0]
         for cell, pre, _post in self._exact_entries:
             current = _cell_get(cell)
             if current is not pre and current != pre:
-                return False
-        return True
+                return cell[0]
+        return None
 
     def apply(self, engine: "Engine", machine: "Machine", starts: list) -> None:
         """Replay the window at the current instant (preconditions hold)."""
         t0 = engine.now
 
-        # 1. Data movement: the whole op tape in one batched pass.
-        apply_batch(self.ops)
+        # 1. Data movement: the compiled op tape in capture order.
+        run_kernel(self.kernel)
 
         # 2. Bulk state update: deltas for cumulative counters/cursors,
         #    exact values for everything else.
         for cell, delta in self._delta_entries:
             kind, container, key = cell
-            if kind == "attr":
-                setattr(container, key, getattr(container, key) + delta)
-            else:
+            if kind == "ledger":
                 container[key] += delta
+            else:
+                setattr(container, key, getattr(container, key) + delta)
         for cell, _pre, post in self._exact_entries:
             _cell_set(cell, post)
 
@@ -348,11 +375,8 @@ class CompiledSchedule:
                 if instrument is None:
                     continue
                 if row[1] == "histogram":
-                    _attr, _kind, values, count, vmin, vmax, bucket_items = row
-                    total = instrument.total
-                    for value in values:
-                        total += value
-                    instrument.total = total
+                    _attr, _kind, seeded, count, vmin, vmax, bucket_items = row
+                    instrument.total = _running_total(instrument.total, seeded)
                     instrument.count += count
                     if vmin < instrument.min:
                         instrument.min = vmin
@@ -384,17 +408,13 @@ class CompiledSchedule:
             ]
             recorder.spans.extend(self.span_tail, t0, labels)
             recorder.flows.extend(self.flow_tail, t0)
-        monitor = obs.monitor
-        if monitor is not None:
-            for name, kind, first, rest in self.monitor_tail:
-                timeline = monitor.register(name, kind)
-                # Boundary sample goes through record() (it may coalesce with
-                # the pre-window state); the rest of the tail is already
-                # coalesced and strictly time-increasing, so appending it
-                # replicates record() exactly.
-                rel, occupancy, queued, saturated = first
-                timeline.record(t0 + rel, occupancy, queued, saturated)
-                timeline.table.extend(rest, t0)
+        # Each boundary sample goes through record() (it may coalesce with
+        # the pre-window state); the rest of the tail is already coalesced
+        # and strictly time-increasing, so appending it replicates record()
+        # exactly.
+        for record, rel, occupancy, queued, saturated, extend, rest in self._monitor_rows:
+            record(t0 + rel, occupancy, queued, saturated)
+            extend(rest, t0)
 
         # 5. Completion events at the recorded relative times, plus a final
         #    quiescence timeout so the clock traverses the whole window.
@@ -408,9 +428,20 @@ class CompiledSchedule:
 
     def __repr__(self) -> str:
         return (
-            f"<CompiledSchedule ops={self.op_count} state={len(self.state_entries)} "
+            f"<CompiledSchedule ops={len(self.kernel)} state={len(self.state_entries)} "
             f"duration={self.duration:.6g}s replays={self.replays}>"
         )
+
+
+def _running_total(total: float, seeded: np.ndarray) -> float:
+    """``total`` plus ``seeded[1:]``, added one value at a time from the
+    left as ``Histogram.observe`` adds them (slot 0 takes ``total``).
+
+    ``np.add.accumulate`` is a sequential prefix sum in float64, rounding
+    at every step exactly as Python's float ``+=`` does.
+    """
+    seeded[0] = total
+    return float(np.add.accumulate(seeded)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +533,7 @@ class _Recording:
             if pre is post or pre == post:
                 continue
             is_delta = type(pre) is int and type(post) is int
-            is_delta = is_delta and (pre != 0 or not isinstance(cell[1], SharedFlag))
+            is_delta = is_delta and (pre != 0 or cell[0] != "flag")
             state_entries.append((cell, pre, post, is_delta))
 
         obs = machine.obs
@@ -558,7 +589,7 @@ class _Recording:
                         table.queued[mark],
                         table.saturated[mark],
                     )
-                    monitor_tail.append((name, timeline.kind, first, table.tail(mark + 1, t0)))
+                    monitor_tail.append((timeline, first, table.tail(mark + 1, t0)))
 
         completions = [
             (self.completions[i][0] - t0, self.completions[i][1])
@@ -611,6 +642,11 @@ class ReplayManager:
         self.miss_count = 0
         #: Misses by cause (:data:`MISS_CAUSES`); they sum to ``miss_count``.
         self.miss_causes = dict.fromkeys(MISS_CAUSES, 0)
+        #: Precondition misses by the failing cell's kind (:data:`CELL_KINDS`);
+        #: they sum to ``miss_causes["precondition"]``.
+        self.precondition_kinds = dict.fromkeys(CELL_KINDS, 0)
+        #: Dirty windows by reason (:data:`DIRTY_REASONS`).
+        self.dirty_reasons = dict.fromkeys(DIRTY_REASONS, 0)
 
     # -- start-time interface (called by PersistentCollective.start) -------
 
@@ -668,32 +704,43 @@ class ReplayManager:
             return
         starts = self._deferred
         self._deferred = []
-        dirty = (
-            self._window_dirty
-            or until is not None
-            or bool(self.engine._queue)
-            or self.engine.scheduler is not None
-            or self.engine.faults is not None
-        )
+        machine = starts[0].plan.task.machine
+        registry = machine.obs.metrics
+        engine = self.engine
+        if self._window_dirty or engine._queue:
+            reason = "queued"
+        elif until is not None:
+            reason = "until"
+        elif engine.scheduler is not None:
+            reason = "scheduler"
+        elif engine.faults is not None:
+            reason = "faults"
+        else:
+            reason = None
         self._window_dirty = False
-        if dirty:
+        if reason is not None:
+            self.dirty_reasons[reason] += 1
+            registry.counter(f"replay.dirty.{reason}", DIRTY_REASONS[reason]).inc()
             self._materialize(starts, record_key=None)
             return
         key = self._window_key(starts)
-        machine = starts[0].plan.task.machine
         hits, misses, causes = self._counters(machine)
         trace = self._traces.get(key)
         if trace is None:
             cause = "cold"
-        elif not all(s.request._process is None and not s.request._done for s in starts):
-            cause = "in_flight"
-        elif not trace.preconditions_ok():
-            cause = "precondition"
         else:
-            self.hit_count += 1
-            hits.inc()
-            trace.apply(self.engine, machine, starts)
-            return
+            kind = trace.failed_precondition()
+            if kind is None:
+                self.hit_count += 1
+                hits.inc()
+                trace.apply(engine, machine, starts)
+                return
+            cause = "precondition"
+            self.precondition_kinds[kind] += 1
+            registry.counter(
+                f"replay.misses.precondition.{kind}",
+                f"replay misses: a recorded {kind} precondition failed",
+            ).inc()
         self.miss_count += 1
         self.miss_causes[cause] += 1
         misses.inc()
@@ -740,8 +787,9 @@ class ReplayManager:
         """The machine's ``replay.hits``/``replay.misses`` instruments, and
         the ``replay.misses.<cause>`` ones by cause.
 
-        Created lazily at the first flush decision, so machines that never
-        defer a start keep a byte-identical metrics summary.
+        Created lazily at the first clean flush decision (the dirty and
+        precondition-kind counters at their first count), so machines that
+        never defer a start keep a byte-identical metrics summary.
         """
         cached = self._counter_cache
         if cached is None:

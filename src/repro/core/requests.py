@@ -50,6 +50,7 @@ from repro.core.internode.barrier import barrier_body
 from repro.core.internode.broadcast import broadcast_body, reserve_broadcast
 from repro.core.internode.reduce import reduce_body, reserve_reduce
 from repro.core.replay import manager_for
+from repro.errors import ConfigurationError
 from repro.obs.taxonomy import REQUEST
 from repro.sim.events import Event
 from repro.sim.process import ProcessGenerator
@@ -65,6 +66,7 @@ __all__ = [
     "run_blocking",
     "run_nested",
     "unreserved",
+    "require_contiguous",
     "start_broadcast",
     "start_reduce",
     "start_allreduce",
@@ -380,6 +382,7 @@ def prepare_broadcast(
     root: int = 0,
 ) -> Prepared:
     ctx.validate("broadcast", buffer.nbytes, task.rank, root=root)
+    require_contiguous("broadcast", buffer=buffer)
     plan = ctx.bcast_plan(root)
     state = ctx.node_state(task)
     decision = ctx.dispatch("broadcast", buffer.nbytes, task)
@@ -432,6 +435,7 @@ def prepare_allreduce(
     op: "ReduceOp",
 ) -> Prepared:
     ctx.validate("allreduce", src.nbytes, task.rank)
+    require_contiguous("allreduce", dst=dst)
     if dst.nbytes != src.nbytes:
         raise ValueError(
             f"allreduce dst ({dst.nbytes} B) must match src ({src.nbytes} B)"
@@ -445,6 +449,22 @@ def prepare_allreduce(
         return allreduce_body(ctx, task, src, dst, op, decision, invocation)
 
     return decision, reserve, _managing_interrupts(decision, task, body)
+
+
+def require_contiguous(op: str, **buffers: np.ndarray | None) -> None:
+    """Reject a buffer whose bytes the protocols cannot view in place.
+
+    The protocols move a buffer as ``reshape(-1).view(np.uint8)``, which
+    needs C-contiguous memory: a strided view would fail inside a
+    half-started schedule, and a Fortran-ordered one would be copied and
+    the result lost.  ``None`` stands for a buffer this rank does not use.
+    """
+    for name, buffer in buffers.items():
+        if buffer is not None and not buffer.flags.c_contiguous:
+            raise ConfigurationError(
+                f"{op}: {name} must be C-contiguous, got strides {buffer.strides} "
+                f"for shape {buffer.shape}"
+            )
 
 
 def unreserved(op: str, root: int | None = None) -> typing.Callable[[], InvocationState]:

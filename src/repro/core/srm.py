@@ -45,7 +45,12 @@ from repro.core.internode.gatherscatter import (
     prepare_scatter,
 )
 from repro.core.internode.scan import prepare_scan
-from repro.core.requests import CollectiveRequest, PersistentCollective, run_blocking
+from repro.core.requests import (
+    CollectiveRequest,
+    PersistentCollective,
+    require_contiguous,
+    run_blocking,
+)
 from repro.machine.cluster import Machine
 from repro.mpi.ops import SUM, ReduceOp
 from repro.sim.process import ProcessGenerator
@@ -263,6 +268,7 @@ class SRM:
         members = self.ctx.members
         if src.nbytes != dst.nbytes * len(members):
             raise ValueError("reduce_scatter src must hold one block per member")
+        require_contiguous("reduce_scatter", dst=dst)
         root = self.ctx.group_root
         scratch = (
             np.empty(src.reshape(-1).shape, dtype=src.dtype)

@@ -1,7 +1,7 @@
 """Reduction operators for reduce/allreduce.
 
 Each operator is an in-place combiner ``op(dst, src)`` meaning
-``dst = dst OP src`` element-wise, implemented with NumPy out-parameters so
+``dst = dst OP src`` element-wise: one NumPy ufunc called with ``out=``, so
 no temporaries are allocated (the simulated cost is charged separately by
 :meth:`Task.reduce_into`).
 """
@@ -18,23 +18,23 @@ __all__ = ["ReduceOp", "SUM", "PROD", "MIN", "MAX", "LAND", "LOR", "BAND", "BOR"
 
 
 class ReduceOp:
-    """A named, associative, commutative element-wise reduction."""
+    """A named, associative, commutative element-wise reduction: one NumPy
+    binary ufunc and the identity element it reduces from."""
 
     def __init__(
         self,
         name: str,
-        combine: typing.Callable[[np.ndarray, np.ndarray], None],
+        ufunc: np.ufunc,
         identity: typing.Callable[[np.dtype], typing.Any],
-        ternary: typing.Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
     ) -> None:
         self.name = name
-        self._combine = combine
+        #: The element-wise operator; compiled replay calls it directly.
+        self.ufunc = ufunc
         self._identity = identity
-        self._ternary = ternary
 
     def __call__(self, dst: np.ndarray, src: np.ndarray) -> None:
         """``dst = dst OP src`` in place."""
-        self._combine(dst, src)
+        self.ufunc(dst, src, out=dst)
 
     def combine_into(self, dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         """``dst = a OP b`` in one streaming pass (``dst`` may alias ``a``).
@@ -43,11 +43,7 @@ class ReduceOp:
         into the destination buffer instead of an intermediate (§4's
         comparison against Sistare et al.).
         """
-        if self._ternary is not None:
-            self._ternary(dst, a, b)
-        else:  # pragma: no cover - all shipped ops define a ternary form
-            np.copyto(dst, a)
-            self._combine(dst, b)
+        self.ufunc(a, b, out=dst)
 
     def identity_for(self, dtype: np.dtype) -> typing.Any:
         """The operator's identity element for ``dtype`` (for rooted inits)."""
@@ -69,53 +65,16 @@ def _max_identity(dtype: np.dtype) -> typing.Any:
     return np.iinfo(dtype).min
 
 
-SUM = ReduceOp(
-    "sum", lambda d, s: np.add(d, s, out=d), lambda _dt: 0, lambda d, a, b: np.add(a, b, out=d)
-)
-PROD = ReduceOp(
-    "prod",
-    lambda d, s: np.multiply(d, s, out=d),
-    lambda _dt: 1,
-    lambda d, a, b: np.multiply(a, b, out=d),
-)
-MIN = ReduceOp(
-    "min",
-    lambda d, s: np.minimum(d, s, out=d),
-    _min_identity,
-    lambda d, a, b: np.minimum(a, b, out=d),
-)
-MAX = ReduceOp(
-    "max",
-    lambda d, s: np.maximum(d, s, out=d),
-    _max_identity,
-    lambda d, a, b: np.maximum(a, b, out=d),
-)
-LAND = ReduceOp(
-    "land",
-    # logical_and/or write their boolean result straight into the numeric
-    # out array (0/1 in d's dtype) — no .astype(bool) temporaries.
-    lambda d, s: np.logical_and(d, s, out=d),
-    lambda _dt: 1,
-    lambda d, a, b: np.logical_and(a, b, out=d),
-)
-LOR = ReduceOp(
-    "lor",
-    lambda d, s: np.logical_or(d, s, out=d),
-    lambda _dt: 0,
-    lambda d, a, b: np.logical_or(a, b, out=d),
-)
-BAND = ReduceOp(
-    "band",
-    lambda d, s: np.bitwise_and(d, s, out=d),
-    lambda _dt: ~0,
-    lambda d, a, b: np.bitwise_and(a, b, out=d),
-)
-BOR = ReduceOp(
-    "bor",
-    lambda d, s: np.bitwise_or(d, s, out=d),
-    lambda _dt: 0,
-    lambda d, a, b: np.bitwise_or(a, b, out=d),
-)
+SUM = ReduceOp("sum", np.add, lambda _dt: 0)
+PROD = ReduceOp("prod", np.multiply, lambda _dt: 1)
+MIN = ReduceOp("min", np.minimum, _min_identity)
+MAX = ReduceOp("max", np.maximum, _max_identity)
+# logical_and/or write their boolean result straight into the numeric out
+# array (0/1 in its dtype) — no .astype(bool) temporaries.
+LAND = ReduceOp("land", np.logical_and, lambda _dt: 1)
+LOR = ReduceOp("lor", np.logical_or, lambda _dt: 0)
+BAND = ReduceOp("band", np.bitwise_and, lambda _dt: ~0)
+BOR = ReduceOp("bor", np.bitwise_or, lambda _dt: 0)
 
 _REGISTRY = {op.name: op for op in (SUM, PROD, MIN, MAX, LAND, LOR, BAND, BOR)}
 

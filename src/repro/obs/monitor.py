@@ -60,12 +60,24 @@ class SampleTable(ColumnTable):
         time, occupancy, queued, saturated = values
         return ResourceSample(time, occupancy, queued, bool(saturated))
 
+    def tail(self, mark: int, t0: float) -> dict[str, typing.Any]:
+        """:meth:`ColumnTable.tail`, with every column but the clock encoded
+        once as the bytes :meth:`extend` appends."""
+        tail = super().tail(mark, t0)
+        for field in ("occupancy", "queued", "saturated"):
+            tail[field] = tail[field].tobytes()
+        return tail
+
     def extend(self, tail: dict[str, typing.Any], t0: float) -> None:
-        """Append a replayed tail at once, not as a pending block: the next
-        window's boundary sample coalesces through
+        """Append a replayed :meth:`tail` at once, not as a pending block:
+        the next window's boundary sample coalesces through
         :meth:`ResourceTimeline.record` against the last row, so deferring
-        would copy every window anyway."""
-        self._copy(tail, t0)
+        would copy every window anyway.  Only the clock column is computed
+        (bit-identical to adding ``t0`` sample by sample)."""
+        self.time.frombytes((tail["time"] + t0).tobytes())
+        self.occupancy.frombytes(tail["occupancy"])
+        self.queued.frombytes(tail["queued"])
+        self.saturated.frombytes(tail["saturated"])
 
 
 class ResourceTimeline:

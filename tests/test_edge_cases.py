@@ -115,6 +115,84 @@ def test_broadcast_multidimensional_buffer():
         assert np.array_equal(buffer, payload)
 
 
+def _strided(value, count=256):
+    """``count`` doubles at every other element of a fresh buffer."""
+    return np.full(2 * count, float(value))[::2]
+
+
+def _strided_program(srm, op):
+    """A 4-rank call of ``op`` with every buffer a strided view."""
+
+    def program(task):
+        rank = task.rank
+        if op == "broadcast":
+            yield from srm.broadcast(task, _strided(rank), root=0)
+        elif op == "allreduce":
+            yield from srm.allreduce(task, _strided(rank), _strided(0), SUM)
+        elif op == "scatter":
+            send = _strided(rank, 4 * 256) if rank == 0 else None
+            yield from srm.scatter(task, send, _strided(0), root=0)
+        elif op == "gather":
+            recv = _strided(0, 4 * 256) if rank == 0 else None
+            yield from srm.gather(task, _strided(rank), recv, root=0)
+        elif op == "allgather":
+            yield from srm.allgather(task, _strided(rank), _strided(0, 4 * 256))
+        elif op == "alltoall":
+            yield from srm.alltoall(task, _strided(rank, 4 * 256), _strided(0, 4 * 256))
+        else:
+            yield from srm.reduce_scatter(task, _strided(rank, 4 * 256), _strided(0), SUM)
+
+    return program
+
+
+@pytest.mark.parametrize(
+    "op, argument",
+    [
+        ("broadcast", "buffer"),
+        ("allreduce", "dst"),
+        ("scatter", "sendbuf"),
+        ("gather", "sendbuf"),
+        ("allgather", "sendbuf"),
+        ("alltoall", "sendbuf"),
+        ("reduce_scatter", "dst"),
+    ],
+)
+def test_strided_buffers_fail_at_the_call(op, argument):
+    """Operations that view a buffer as raw bytes name a strided one at the
+    call instead of failing inside the protocol."""
+    machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
+    with pytest.raises(ConfigurationError, match=f"^{op}: {argument} must be C-contiguous"):
+        machine.launch(_strided_program(srm, op))
+
+
+def test_strided_buffers_fail_at_plan_and_start():
+    machine = Machine(ClusterSpec(nodes=2, tasks_per_node=2))
+    srm = SRM(machine)
+    task = machine.task(1)
+    with pytest.raises(ConfigurationError, match="^broadcast: buffer"):
+        srm.plan_broadcast(task, _strided(1))
+    with pytest.raises(ConfigurationError, match="^allreduce: dst"):
+        srm.iallreduce(task, np.zeros(256), _strided(0))
+    with pytest.raises(ConfigurationError, match="^allreduce: dst"):
+        srm.plan_allreduce(task, np.zeros(256), _strided(0))
+
+
+def test_reduce_and_scan_keep_strided_results():
+    machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
+    reduced = _strided(0)
+    scanned = {rank: _strided(0) for rank in range(4)}
+
+    def program(task):
+        rank = task.rank
+        yield from srm.reduce(task, _strided(rank + 1), reduced if rank == 0 else None, SUM)
+        yield from srm.scan(task, _strided(rank + 1), scanned[rank], SUM)
+
+    machine.launch(program)
+    assert np.all(reduced == 10.0)
+    for rank, out in scanned.items():
+        assert np.all(out == (rank + 1) * (rank + 2) / 2)
+
+
 # ---------------------------------------------------------------------------
 # configuration extremes
 # ---------------------------------------------------------------------------

@@ -138,6 +138,46 @@ def test_op_identities():
     assert by_name("max").identity_for(np.float64) == -np.inf
 
 
+@pytest.mark.parametrize(
+    "name, ufunc",
+    [
+        ("sum", np.add),
+        ("prod", np.multiply),
+        ("min", np.minimum),
+        ("max", np.maximum),
+        ("land", np.logical_and),
+        ("lor", np.logical_or),
+        ("band", np.bitwise_and),
+        ("bor", np.bitwise_or),
+    ],
+)
+def test_op_forms_equal_the_numpy_call(name, ufunc):
+    """``op(dst, src)`` and ``op.combine_into(dst, a, b)`` are the explicit
+    NumPy ufunc call with ``out=``, also when ``dst is a``."""
+    rng = np.random.default_rng(11)
+    if name in ("sum", "prod", "min", "max"):
+        a, b = rng.standard_normal(64), rng.standard_normal(64)
+    else:
+        a, b = rng.integers(-3, 4, 64), rng.integers(-3, 4, 64)
+    op = by_name(name)
+
+    dst = a.copy()
+    op(dst, b)
+    want = a.copy()
+    ufunc(want, b, out=want)
+    assert dst.tobytes() == want.tobytes()
+
+    out = np.empty_like(a)
+    op.combine_into(out, a, b)
+    want = np.empty_like(a)
+    ufunc(a, b, out=want)
+    assert out.tobytes() == want.tobytes()
+
+    alias = a.copy()
+    op.combine_into(alias, alias, b)
+    assert alias.tobytes() == want.tobytes()
+
+
 def test_op_combine_into_aliasing():
     a = np.array([1.0, 2.0])
     b = np.array([10.0, 20.0])

@@ -8,7 +8,8 @@ The contract under test (:mod:`repro.core.replay`):
   clock equal within float rounding (the differential property test
   randomizes op, dtype, size, shape, root, and invalidation interleavings);
 * ``replay.hits`` / ``replay.misses`` count the cache decisions (and
-  ``replay.misses.<cause>`` why each miss happened), and
+  ``replay.misses.<cause>`` why each miss happened, ``replay.dirty.<reason>``
+  why a window ran untraced), and
   ``SRMConfig(compiled_replay=False)`` — the ``--no-replay`` escape hatch —
   keeps the engine untouched;
 * ``rebind()`` invalidates cached traces, so post-rebind windows re-record
@@ -26,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SRM, FixedPolicy, SRMConfig
-from repro.core.replay import _HistogramTape
+from repro.core.replay import _HistogramTape, _running_total
 from repro.errors import DeadlockError
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
+from repro.sim import RandomScheduler
+from repro.verify import runner
 
 
 def make_pair(nodes=2, procs=2):
@@ -200,6 +203,76 @@ def test_replay_of_ring_allreduce_windows_matches_slow_path(shape, count):
     assert engine_on.now == pytest.approx(engine_off.now, rel=1e-12)
 
 
+def test_replayed_operator_passes_keep_their_order():
+    """A persistent broadcast, a pipelined allreduce and a reduce on 3x2,
+    fed random-normal doubles: float sums depend on the order of operator
+    passes, so a kernel that drops, reorders or re-rounds one leaves other
+    bytes than the slow-path twin after that window."""
+    nodes, procs = 3, 2
+    total = nodes * procs
+    count = 4096
+    sides = []
+    for compiled in (True, False):
+        machine = Machine(ClusterSpec(nodes=nodes, tasks_per_node=procs))
+        srm = SRM(
+            machine,
+            config=SRMConfig(compiled_replay=compiled),
+            policy=FixedPolicy({"allreduce": "pipeline"}),
+        )
+        weights = {r: np.zeros(count) for r in range(total)}
+        grads = {r: np.zeros(count) for r in range(total)}
+        grad_sum = np.zeros(count)
+        sources = {r: np.zeros(count) for r in range(total)}
+        outs = {r: np.zeros(count) for r in range(total)}
+        plans = []
+        for r in range(total):
+            task = machine.task(r)
+            plans.append(srm.plan_broadcast(task, weights[r], root=0))
+            plans.append(srm.plan_reduce(task, grads[r], grad_sum if r == 0 else None, SUM, root=0))
+            plans.append(srm.plan_allreduce(task, sources[r], outs[r], SUM))
+        assert plans[2].decision.variant == "pipeline"
+        buffers = [*weights.values(), *grads.values(), grad_sum, *sources.values(), *outs.values()]
+        sides.append((machine, plans, weights, grads, sources, buffers))
+
+    rng = np.random.default_rng(5)
+    for window in range(8):
+        fresh = rng.standard_normal((1 + 2 * total, count))
+        for _machine, _plans, weights, grads, sources, _buffers in sides:
+            weights[0][:] = fresh[0]
+            for r in range(total):
+                grads[r][:] = fresh[1 + r]
+                sources[r][:] = fresh[1 + total + r]
+        for machine, plans, *_rest in sides:
+            drive_window(machine, plans)
+        (_, _, _, _, _, on), (_, _, _, _, _, off) = sides
+        for index, (a, b) in enumerate(zip(on, off)):
+            assert a.tobytes() == b.tobytes(), f"window {window}: buffer {index} diverged"
+    assert sides[0][0].engine.trace.hit_count >= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(min_value=-1e300, max_value=1e300),
+    values=st.lists(
+        st.one_of(
+            st.floats(min_value=-1e300, max_value=1e300),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            st.integers(min_value=-(2**70), max_value=2**70),
+        ),
+        max_size=64,
+    ),
+)
+def test_running_total_is_the_sequential_sum(start, values):
+    """A replayed histogram total is bit-identical to ``observe``'s
+    value-by-value float addition."""
+    total = start
+    for value in values:
+        total += value
+    got = _running_total(start, np.array([0.0, *values], dtype=np.float64))
+    assert type(got) is float
+    assert got.hex() == float(total).hex()
+
+
 def test_replay_leaves_the_slow_paths_state():
     """A replayed window restores every cell the slow path changes: after
     8 windows of a persistent ring allreduce the two machines hold equal
@@ -303,7 +376,7 @@ def test_replay_hit_and_miss_counters():
     manager = machine.engine.trace
     assert manager.hit_count >= 4
     assert manager.hit_count + manager.miss_count == 8
-    assert manager.miss_causes == {"cold": manager.miss_count, "in_flight": 0, "precondition": 0}
+    assert manager.miss_causes == {"cold": manager.miss_count, "precondition": 0}
 
     misses = manager.miss_count
     fresh = {r: np.zeros(256, dtype=np.uint8) for r in range(total)}
@@ -328,6 +401,86 @@ def test_replay_hit_and_miss_counters():
     assert sum(manager.miss_causes.values()) == manager.miss_count
     summary = machine.obs.metrics.to_dict()
     assert summary["replay.misses.precondition"]["value"] == 1
+
+
+def test_precondition_misses_name_the_cell_kind():
+    """A persistent 16 B SUM reduce re-records once per key: the slot's seat
+    flag was first written in the recorded window (pre 0), so its exact
+    precondition fails at the key's next window, and the miss is counted
+    by that cell's kind."""
+    (machine, srm), _ = make_pair()
+    total = machine.spec.total_tasks
+    sources = {r: np.full(2, float(r + 1)) for r in range(total)}
+    out = np.zeros(2)
+    plans = [
+        srm.plan_reduce(machine.task(r), sources[r], out if r == 0 else None, SUM, root=0)
+        for r in range(total)
+    ]
+    for _window in range(8):
+        drive_window(machine, plans)
+        assert np.all(out == 10.0)
+    manager = machine.engine.trace
+    assert manager.miss_causes == {"cold": 2, "precondition": 2}
+    assert manager.precondition_kinds["flag"] == 2
+    assert sum(manager.precondition_kinds.values()) == 2
+    summary = machine.obs.metrics.to_dict()
+    assert summary["replay.misses.precondition.flag"]["value"] == 2
+    assert not any(
+        name.startswith("replay.misses.precondition.") and name.endswith(kind)
+        for name in summary
+        for kind in ("stat", "interrupts", "counter", "ledger")
+    )
+
+
+def test_a_request_spawned_before_the_flush_makes_the_window_dirty():
+    """Spawning a member request queues its bootstrap event, so the flush
+    runs the window untraced as ``queued``: no hit, no miss, and the
+    request runs once with the right bytes."""
+    (machine, srm), _ = make_pair()
+    total = machine.spec.total_tasks
+    buffers = {r: np.zeros(256, dtype=np.uint8) for r in range(total)}
+    plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+    for window in range(8):
+        buffers[0][:] = window + 1
+        drive_window(machine, plans)
+    manager = machine.engine.trace
+    hits, misses = manager.hit_count, manager.miss_count
+    assert hits > 0 and manager.dirty_reasons["queued"] == 0
+
+    buffers[0][:] = 77
+    requests = [plan.start() for plan in plans]
+    next(requests[2].wait())
+    process = requests[2]._process
+    assert process is not None
+    machine.engine.run()
+    assert (manager.hit_count, manager.miss_count) == (hits, misses)
+    assert manager.dirty_reasons == {"queued": 1, "until": 0, "scheduler": 0, "faults": 0}
+    assert machine.obs.metrics.to_dict()["replay.dirty.queued"]["value"] == 1
+    assert requests[2]._process is process and process.ok
+    assert all(request.completed for request in requests)
+    for r in range(total):
+        assert np.all(buffers[r] == 77), f"rank {r}"
+
+
+def test_verify_replay_cell_under_a_scheduler_counts_dirty_windows(monkeypatch):
+    """Every window of a verify replay cell explored under a tie-break
+    scheduler runs untraced, counted as ``replay.dirty.scheduler``."""
+    machines = []
+
+    class Recorded(Machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(self)
+
+    monkeypatch.setattr(runner, "Machine", Recorded)
+    cell = runner.Cell(2, 2, "broadcast", "small", 2048, overlap="replay")
+    outcome = runner.run_cell_once(cell, RandomScheduler(seed=3))
+    assert outcome.error is None and not outcome.violations
+    (machine,) = machines
+    manager = machine.engine.trace
+    assert manager.dirty_reasons == {"queued": 0, "until": 0, "scheduler": 6, "faults": 0}
+    assert manager.hit_count == manager.miss_count == 0
+    assert machine.obs.metrics.to_dict()["replay.dirty.scheduler"]["value"] == 6
 
 
 def test_unread_replayed_windows_keep_rows_pending():
