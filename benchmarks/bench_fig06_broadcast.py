@@ -5,40 +5,15 @@ processor count (16 tasks/node).  Right panel: SRM vs IBM MPI vs MPICH for
 messages up to 64 KB on the largest configuration.
 """
 
-from repro.bench import (
-    format_bytes,
-    format_us,
-    measure,
-    message_sizes,
-    print_table,
-    processor_configs,
-    small_message_sizes,
-)
+from repro.bench.figures import FIGURES
+
+LEFT, RIGHT = FIGURES[6]
 
 
-def bench_fig06_left_srm_absolute(run_once):
-    configs = processor_configs()
-    sizes = message_sizes()
-
-    def sweep():
-        grid = {
-            nodes: [measure("srm", "broadcast", nbytes, nodes) for nbytes in sizes]
-            for nodes in configs
-        }
-        headers = ["size"] + [f"P={16 * nodes}" for nodes in configs]
-        rows = [
-            [format_bytes(nbytes)]
-            + [format_us(grid[nodes][i].seconds) for nodes in configs]
-            for i, nbytes in enumerate(sizes)
-        ]
-        print_table("Fig. 6 (left): SRM broadcast time [us]", headers, rows)
-        return {
-            f"P{16 * nodes}_{nbytes}B": grid[nodes][i].microseconds
-            for nodes in configs
-            for i, nbytes in enumerate(sizes)
-        }
-
-    info = run_once(sweep)
+def bench_fig06_left_srm_absolute(run_panel):
+    info = run_panel(LEFT)
+    configs = LEFT.node_axis()
+    sizes = LEFT.size_axis()
     # Shape: time grows with message size and with processor count.
     for nodes in configs:
         series = [info[f"P{16 * nodes}_{nbytes}B"] for nbytes in sizes]
@@ -47,37 +22,9 @@ def bench_fig06_left_srm_absolute(run_once):
     assert info[f"P{16 * configs[-1]}_{largest}B"] >= info[f"P{16 * configs[0]}_{largest}B"]
 
 
-def bench_fig06_right_comparison_small(run_once):
-    nodes = processor_configs()[-1]
-    sizes = small_message_sizes()
-
-    def sweep():
-        rows = []
-        info = {}
-        for nbytes in sizes:
-            srm = measure("srm", "broadcast", nbytes, nodes)
-            ibm = measure("ibm", "broadcast", nbytes, nodes)
-            mpich = measure("mpich", "broadcast", nbytes, nodes)
-            rows.append(
-                [
-                    format_bytes(nbytes),
-                    format_us(srm.seconds),
-                    format_us(ibm.seconds),
-                    format_us(mpich.seconds),
-                ]
-            )
-            info[f"{nbytes}B"] = (srm.seconds, ibm.seconds, mpich.seconds)
-        print_table(
-            f"Fig. 6 (right): broadcast <=64KB at P={16 * nodes} [us]",
-            ["size", "SRM", "IBM MPI", "MPICH"],
-            rows,
-        )
-        return {f"srm_frac_ibm_{k}": 100 * v[0] / v[1] for k, v in info.items()} | {
-            "raw": {k: v for k, v in info.items()}
-        }
-
-    info = run_once(sweep)
-    # SRM is fastest at every size in the sub-range (Fig. 6 right).
-    for key, value in info.items():
-        if key.startswith("srm_frac_ibm_"):
-            assert value < 100.0, f"SRM not fastest at {key}"
+def bench_fig06_right_comparison_small(run_panel):
+    info = run_panel(RIGHT)
+    # SRM is fastest at every size in the sub-range (Fig. 6 right), against
+    # both baselines.
+    for key, percent in info.items():
+        assert percent < 100.0, f"SRM broadcast not fastest: {key}={percent:.1f}%"

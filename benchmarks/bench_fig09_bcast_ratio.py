@@ -6,11 +6,13 @@ test run of the paper), and the P=256 improvements overlap the paper's
 27–84% headline band.
 """
 
-from _figures import ratio_surface
+from repro.bench.figures import FIGURES
+
+VS_IBM, VS_MPICH = FIGURES[9]
 
 
-def bench_fig09_vs_ibm(run_once):
-    info = run_once(lambda: ratio_surface("broadcast", "ibm", "Fig. 9 (left)"))
+def bench_fig09_vs_ibm(run_panel):
+    info = run_panel(VS_IBM)
     assert all(percent < 100.0 for percent in info.values())
     # Paper: SRM bcast beats IBM MPI by 27%-84% depending on size/P.
     improvements = [100.0 - percent for percent in info.values()]
@@ -18,6 +20,6 @@ def bench_fig09_vs_ibm(run_once):
     assert min(improvements) > 0.0
 
 
-def bench_fig09_vs_mpich(run_once):
-    info = run_once(lambda: ratio_surface("broadcast", "mpich", "Fig. 9 (right)"))
+def bench_fig09_vs_mpich(run_panel):
+    info = run_panel(VS_MPICH)
     assert all(percent < 100.0 for percent in info.values())

@@ -5,16 +5,18 @@ Acceptance shape: SRM wins everywhere; improvements overlap the paper's
 30–73% band.
 """
 
-from _figures import ratio_surface
+from repro.bench.figures import FIGURES
+
+VS_IBM, VS_MPICH = FIGURES[11]
 
 
-def bench_fig11_vs_ibm(run_once):
-    info = run_once(lambda: ratio_surface("allreduce", "ibm", "Fig. 11 (left)"))
+def bench_fig11_vs_ibm(run_panel):
+    info = run_panel(VS_IBM)
     assert all(percent < 100.0 for percent in info.values())
     improvements = [100.0 - percent for percent in info.values()]
     assert max(improvements) > 30.0
 
 
-def bench_fig11_vs_mpich(run_once):
-    info = run_once(lambda: ratio_surface("allreduce", "mpich", "Fig. 11 (right)"))
+def bench_fig11_vs_mpich(run_panel):
+    info = run_panel(VS_MPICH)
     assert all(percent < 100.0 for percent in info.values())

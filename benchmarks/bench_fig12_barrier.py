@@ -7,39 +7,14 @@ substrate reproduces a >=50% improvement — see EXPERIMENTS.md for the
 residual discussion).
 """
 
-from repro.bench import format_us, measure, print_table, processor_configs, ratio_percent
+from repro.bench.figures import FIGURES
+
+(BARRIER,) = FIGURES[12]
 
 
-def bench_fig12_barrier_scaling(run_once):
-    configs = processor_configs()
-
-    def sweep():
-        rows = []
-        info = {}
-        for nodes in configs:
-            srm = measure("srm", "barrier", 0, nodes)
-            ibm = measure("ibm", "barrier", 0, nodes)
-            mpich = measure("mpich", "barrier", 0, nodes)
-            rows.append(
-                [
-                    f"P={16 * nodes}",
-                    format_us(srm.seconds),
-                    format_us(ibm.seconds),
-                    format_us(mpich.seconds),
-                ]
-            )
-            info[f"srm_P{16 * nodes}"] = srm.microseconds
-            info[f"ibm_P{16 * nodes}"] = ibm.microseconds
-            info[f"mpich_P{16 * nodes}"] = mpich.microseconds
-            info[f"ratio_ibm_P{16 * nodes}"] = ratio_percent(srm, ibm)
-        print_table(
-            "Fig. 12: barrier time vs processor count [us]",
-            ["procs", "SRM", "IBM MPI", "MPICH"],
-            rows,
-        )
-        return info
-
-    info = run_once(sweep)
+def bench_fig12_barrier_scaling(run_panel):
+    info = run_panel(BARRIER)
+    configs = BARRIER.node_axis()
     for nodes in configs:
         P = 16 * nodes
         assert info[f"srm_P{P}"] < info[f"ibm_P{P}"], f"SRM barrier not fastest at P={P}"

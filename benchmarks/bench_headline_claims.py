@@ -6,30 +6,31 @@ allreduce by 30% to 73% ... barrier by 73% on 256 processors."
 
 The simulated reproduction asserts the direction and the rough factor: the
 best-case improvement in each operation's sweep reaches the paper's lower
-band, and SRM never loses.
+band, and SRM never loses.  The sweeps are the largest-P columns of the
+Figs. 9–11 surfaces against IBM MPI and Fig. 12's barrier.
 """
 
-from repro.bench import measure, message_sizes, print_table, processor_configs, ratio_percent
+import dataclasses
 
+from repro.bench import print_table
+from repro.bench.figures import FIGURES
+
+#: Per operation: its ratio-surface figure, and the paper's band (min, max %)
+#: of SRM's improvement over IBM MPI.
 PAPER_BANDS = {
-    "broadcast": (27.0, 84.0),
-    "reduce": (24.0, 79.0),
-    "allreduce": (30.0, 73.0),
+    "broadcast": (9, 27.0, 84.0),
+    "reduce": (10, 24.0, 79.0),
+    "allreduce": (11, 30.0, 73.0),
 }
 
 
 def bench_headline_improvement_bands(run_once):
-    nodes = processor_configs()[-1]
-
     def sweep():
         rows = []
         info = {}
-        for operation, (low, high) in PAPER_BANDS.items():
-            improvements = []
-            for nbytes in message_sizes():
-                srm = measure("srm", operation, nbytes, nodes)
-                ibm = measure("ibm", operation, nbytes, nodes)
-                improvements.append(100.0 - ratio_percent(srm, ibm))
+        for operation, (figure, low, high) in PAPER_BANDS.items():
+            vs_ibm = dataclasses.replace(FIGURES[figure][0], nodes="largest")
+            improvements = [100.0 - percent for percent in vs_ibm.values().values()]
             info[f"{operation}_min"] = min(improvements)
             info[f"{operation}_max"] = max(improvements)
             rows.append(
@@ -40,11 +41,10 @@ def bench_headline_improvement_bands(run_once):
                     f"{low:.0f}%-{high:.0f}%",
                 ]
             )
-        barrier_improvement = 100.0 - ratio_percent(
-            measure("srm", "barrier", 0, nodes), measure("ibm", "barrier", 0, nodes)
-        )
-        info["barrier"] = barrier_improvement
-        rows.append(["barrier", f"{barrier_improvement:.1f}%", "", "73%"])
+        barrier = dataclasses.replace(FIGURES[12][0], nodes="largest")
+        (nodes,) = barrier.node_axis()
+        info["barrier"] = 100.0 - barrier.values()[f"ratio_ibm_P{16 * nodes}"]
+        rows.append(["barrier", f"{info['barrier']:.1f}%", "", "73%"])
         print_table(
             f"Headline: SRM improvement over IBM MPI at P={16 * nodes}",
             ["operation", "min", "max", "paper band"],
@@ -53,7 +53,7 @@ def bench_headline_improvement_bands(run_once):
         return info
 
     info = run_once(sweep)
-    for operation, (low, _high) in PAPER_BANDS.items():
+    for operation, (_figure, low, _high) in PAPER_BANDS.items():
         assert info[f"{operation}_min"] > 0.0, f"SRM lost somewhere on {operation}"
         assert info[f"{operation}_max"] >= low, (
             f"{operation}: best improvement {info[f'{operation}_max']:.1f}% "

@@ -6,7 +6,9 @@ is deterministic, so re-running buys nothing), prints the same series the
 paper plots (visible with ``-s``), attaches the numbers to
 ``benchmark.extra_info``, and asserts the *shape* claims the reproduction
 is accountable for (who wins, by roughly what factor, where the crossovers
-fall).
+fall).  The Figs. 6–12 files do this for one panel of
+``repro.bench.figures.FIGURES`` each (``run_panel``), so they print and
+assert on the same grid ``python -m repro figures`` draws.
 
 ``--bench-json PATH`` additionally collects every benchmark's extra_info
 into one identity-stamped JSON document (same cost-model fingerprint as the
@@ -51,6 +53,19 @@ def run_once(benchmark, request):
         return result
 
     return runner
+
+
+@pytest.fixture
+def run_panel(run_once):
+    """Print one :data:`~repro.bench.figures.FIGURES` panel's table once and
+    return its values (attached to extra_info like any ``run_once`` dict)."""
+    from repro.bench import print_table
+
+    def report(panel):
+        print_table(*panel.table())
+        return panel.values()
+
+    return lambda panel: run_once(lambda: report(panel))
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -14,7 +14,6 @@ from repro.bench.sweeps import (
     processor_configs,
     ratio_percent,
     small_message_sizes,
-    sweep,
     warm_cache,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "build",
     "time_operation",
     "measure",
-    "sweep",
     "ratio_percent",
     "message_sizes",
     "small_message_sizes",

@@ -23,8 +23,9 @@ import typing
 
 from repro._version import __version__
 from repro.bench.runner import OPERATIONS, STACKS, Measurement
-from repro.bench.sweeps import measure, message_sizes, processor_configs, warm_cache
+from repro.bench.sweeps import measure, warm_cache
 from repro.core import SRMConfig
+from repro.errors import ConfigurationError
 from repro.machine import CostModel
 
 __all__ = [
@@ -141,23 +142,33 @@ def collect_sweep(
     stacks: typing.Sequence[str] = STACKS,
     jobs: int = 1,
 ) -> list[Measurement]:
-    """The full figure grid (sizes x processor counts x stacks x operations).
+    """The figures' full grid: every point of the :data:`FIGURES` panels
+    that span every processor count, for the chosen operations and stacks.
 
-    Barrier ignores the size axis (measured once per processor count).
-    ``jobs > 1`` measures the grid points through the parallel pool first
-    (deterministic per point, so the export is byte-identical either way);
-    the loops below then read straight from the memo cache.
+    The Figs. 9–11 ratio surfaces hold every such point of broadcast,
+    reduce and allreduce (each size x processor count, SRM and both
+    baselines; the Figs. 6–8 SRM curves repeat their SRM points), and
+    Fig. 12 the barrier's, which ignore the size axis.  ``jobs > 1``
+    measures the points through the parallel pool first (deterministic
+    per point, so the export is byte-identical either way); the serial
+    reads below then hit the memo cache.
     """
-    specs: list[tuple] = []
-    for operation in operations:
-        for nodes in processor_configs():
-            sizes = [0] if operation == "barrier" else message_sizes()
-            for nbytes in sizes:
-                for stack in stacks:
-                    specs.append((stack, operation, nbytes, nodes))
+    # Imported here: the snapshot harness imports this module for
+    # ``bench_identity`` and never reads the figures.
+    from repro.bench.figures import FIGURES
+
+    panels = [panel for figure in FIGURES.values() for panel in figure if panel.nodes == "all"]
+    known = sorted({panel.operation for panel in panels})
+    unknown = sorted(set(operations) - set(known))
+    if unknown:
+        raise ConfigurationError(f"export: no figure measures {unknown}; expected some of {known}")
+    specs = dict.fromkeys(
+        point
+        for panel in panels
+        if panel.operation in operations
+        for point in panel.points()
+        if point[0] in stacks
+    )
     if jobs != 1:
         warm_cache(specs, jobs=jobs)
-    results: list[Measurement] = []
-    for stack, operation, nbytes, nodes in specs:
-        results.append(measure(stack, operation, nbytes, nodes))
-    return results
+    return [measure(*spec) for spec in specs]

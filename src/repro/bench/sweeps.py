@@ -145,12 +145,3 @@ def ratio_percent(numerator: Measurement, denominator: Measurement) -> float:
     """The paper's comparison metric: T_a / T_b * 100% (lower = faster)."""
     return 100.0 * numerator.seconds / denominator.seconds
 
-
-def sweep(
-    stack: str,
-    operation: str,
-    sizes: typing.Iterable[int],
-    nodes: int,
-) -> list[Measurement]:
-    """Measure ``operation`` across ``sizes`` on one cluster shape."""
-    return [measure(stack, operation, nbytes, nodes) for nbytes in sizes]

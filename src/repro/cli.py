@@ -70,15 +70,11 @@ from repro.bench import (
     build,
     format_bytes,
     format_us,
-    measure,
-    message_sizes,
     print_table,
-    processor_configs,
-    ratio_percent,
-    small_message_sizes,
     time_operation,
+    warm_cache,
 )
-from repro.bench.figures import ascii_chart
+from repro.bench.figures import FIGURES
 from repro.bench.trace import timeline, totals, trace_call
 from repro.core import SRMConfig
 from repro.errors import ConfigurationError
@@ -564,128 +560,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if body["ok"] else 1
 
 
-_FIGURES: dict[int, str] = {
-    6: "broadcast",
-    7: "reduce",
-    8: "allreduce",
-    12: "barrier",
-}
-
-
-def _figure_absolute(number: int, operation: str) -> None:
-    configs = processor_configs()
-    sizes = message_sizes()
-    series = []
-    glyphs = "ox+*#"
-    for index, nodes in enumerate(configs):
-        data = [
-            (float(nbytes), measure("srm", operation, nbytes, nodes).microseconds)
-            for nbytes in sizes
-        ]
-        series.append((f"P={16 * nodes}", glyphs[index % len(glyphs)], data))
-    print(ascii_chart(f"Fig. {number}: SRM {operation} time (log-log)", series))
-
-
-def _figure_comparison(number: int, operation: str) -> None:
-    nodes = processor_configs()[-1]
-    series = []
-    for name, glyph in (("srm", "s"), ("ibm", "i"), ("mpich", "m")):
-        data = [
-            (float(nbytes), measure(name, operation, nbytes, nodes).microseconds)
-            for nbytes in small_message_sizes()
-        ]
-        series.append((name, glyph, data))
-    print(
-        ascii_chart(
-            f"Fig. {number} (right): {operation} <=64KB at P={16 * nodes}", series
-        )
-    )
-
-
-def _figure_barrier() -> None:
-    series = []
-    for name, glyph in (("srm", "s"), ("ibm", "i"), ("mpich", "m")):
-        data = [
-            (float(16 * nodes), measure(name, "barrier", 0, nodes).microseconds)
-            for nodes in processor_configs()
-        ]
-        series.append((name, glyph, data))
-    print(
-        ascii_chart(
-            "Fig. 12: barrier vs processors",
-            series,
-            log_x=False,
-            log_y=False,
-            x_label="procs",
-        )
-    )
-
-
-def _figure_ratio(number: int, operation: str) -> None:
-    nodes = processor_configs()[-1]
-    rows = []
-    for nbytes in message_sizes():
-        srm = measure("srm", operation, nbytes, nodes)
-        rows.append(
-            [
-                format_bytes(nbytes),
-                f"{ratio_percent(srm, measure('ibm', operation, nbytes, nodes)):.1f}%",
-                f"{ratio_percent(srm, measure('mpich', operation, nbytes, nodes)):.1f}%",
-            ]
-        )
-    print_table(
-        f"Fig. {number}: SRM {operation} ratio at P={16 * nodes} (lower is better)",
-        ["size", "vs IBM MPI", "vs MPICH"],
-        rows,
-    )
-
-
-def _figure_specs(wanted: typing.Sequence[int]) -> list[tuple]:
-    """Every (stack, op, nbytes, nodes) point the chosen figures will plot."""
-    specs: list[tuple] = []
-    last = processor_configs()[-1]
-    for number in wanted:
-        if number in (6, 7, 8):
-            operation = _FIGURES[number]
-            for nodes in processor_configs():
-                for nbytes in message_sizes():
-                    specs.append(("srm", operation, nbytes, nodes))
-            for stack in ("srm", "ibm", "mpich"):
-                for nbytes in small_message_sizes():
-                    specs.append((stack, operation, nbytes, last))
-        elif number in (9, 10, 11):
-            operation = _FIGURES[number - 3]
-            for stack in ("srm", "ibm", "mpich"):
-                for nbytes in message_sizes():
-                    specs.append((stack, operation, nbytes, last))
-        elif number == 12:
-            for stack in ("srm", "ibm", "mpich"):
-                for nodes in processor_configs():
-                    specs.append((stack, "barrier", 0, nodes))
-    return specs
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.bench import warm_cache
-
     _use_full_grid(args)
-    wanted = [args.fig] if args.fig else [6, 7, 8, 9, 10, 11, 12]
+    if args.fig and args.fig not in FIGURES:
+        print(f"unknown figure {args.fig}", file=sys.stderr)
+        return 2
+    wanted = [args.fig] if args.fig else list(FIGURES)
+    panels = [panel for number in wanted for panel in FIGURES[number]]
     if args.jobs != 1:
-        # Fan the figures' grid points over the pool first; the renderers
-        # below then read the memoized measurements back serially, so the
-        # printed charts are identical at any --jobs setting.
-        warm_cache(_figure_specs(wanted), jobs=args.jobs)
-    for number in wanted:
-        if number in (6, 7, 8):
-            _figure_absolute(number, _FIGURES[number])
-            _figure_comparison(number, _FIGURES[number])
-        elif number in (9, 10, 11):
-            _figure_ratio(number, _FIGURES[number - 3])
-        elif number == 12:
-            _figure_barrier()
+        # Fan the panels' grid points over the pool first; drawing then
+        # reads the memoized measurements back serially, so the output is
+        # identical at any --jobs setting.
+        warm_cache([point for panel in panels for point in panel.points()], jobs=args.jobs)
+    for panel in panels:
+        chart = panel.chart()
+        if chart is None:
+            print_table(*panel.table())
         else:
-            print(f"unknown figure {number}", file=sys.stderr)
-            return 2
+            print(chart)
     return 0
 
 

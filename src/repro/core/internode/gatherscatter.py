@@ -48,13 +48,13 @@ from repro.core.requests import (
     Prepared,
     prepare_barrier,
     prepare_broadcast,
-    require_contiguous,
     run_nested,
     unreserved,
 )
 from repro.core.smp.broadcast import fan_out_offsets, smp_fan_out
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
+from repro.machine.memops import require_contiguous
 from repro.obs.taxonomy import BLOCK_REGISTER, BLOCK_TRANSFER, RING_STEP, STREAM_JOIN
 from repro.shmem.buffers import FILL
 from repro.shmem.flags import SharedFlag

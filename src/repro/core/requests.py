@@ -50,7 +50,7 @@ from repro.core.internode.barrier import barrier_body
 from repro.core.internode.broadcast import broadcast_body, reserve_broadcast
 from repro.core.internode.reduce import reduce_body, reserve_reduce
 from repro.core.replay import manager_for
-from repro.errors import ConfigurationError
+from repro.machine.memops import require_contiguous
 from repro.obs.taxonomy import REQUEST
 from repro.sim.events import Event
 from repro.sim.process import ProcessGenerator
@@ -66,7 +66,6 @@ __all__ = [
     "run_blocking",
     "run_nested",
     "unreserved",
-    "require_contiguous",
     "start_broadcast",
     "start_reduce",
     "start_allreduce",
@@ -449,22 +448,6 @@ def prepare_allreduce(
         return allreduce_body(ctx, task, src, dst, op, decision, invocation)
 
     return decision, reserve, _managing_interrupts(decision, task, body)
-
-
-def require_contiguous(op: str, **buffers: np.ndarray | None) -> None:
-    """Reject a buffer whose bytes the protocols cannot view in place.
-
-    The protocols move a buffer as ``reshape(-1).view(np.uint8)``, which
-    needs C-contiguous memory: a strided view would fail inside a
-    half-started schedule, and a Fortran-ordered one would be copied and
-    the result lost.  ``None`` stands for a buffer this rank does not use.
-    """
-    for name, buffer in buffers.items():
-        if buffer is not None and not buffer.flags.c_contiguous:
-            raise ConfigurationError(
-                f"{op}: {name} must be C-contiguous, got strides {buffer.strides} "
-                f"for shape {buffer.shape}"
-            )
 
 
 def unreserved(op: str, root: int | None = None) -> typing.Callable[[], InvocationState]:

@@ -48,10 +48,10 @@ from repro.core.internode.scan import prepare_scan
 from repro.core.requests import (
     CollectiveRequest,
     PersistentCollective,
-    require_contiguous,
     run_blocking,
 )
 from repro.machine.cluster import Machine
+from repro.machine.memops import require_contiguous
 from repro.mpi.ops import SUM, ReduceOp
 from repro.sim.process import ProcessGenerator
 

@@ -1,7 +1,9 @@
 """Raw byte-level memory operations shared by the data-moving substrates.
 
 :func:`raw_copyto` is the single byte-moving primitive of the simulated
-transports.  Compiled-schedule replay (:mod:`repro.core.replay`) records a
+transports, and :func:`require_contiguous` the one check, made by the SRM
+and MPI entry points alike, that a user buffer can be viewed as bytes in
+place.  Compiled-schedule replay (:mod:`repro.core.replay`) records a
 window's memory operations as a flat *tape* of ``(kind, dst, a, b, op)``
 entries and compiles it once with :func:`compile_tape` into a kernel that
 :func:`run_kernel` executes with no per-entry interpretation.
@@ -13,11 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "OP_COPY",
     "OP_REDUCE",
     "OP_COMBINE",
     "raw_copyto",
+    "require_contiguous",
     "apply_batch",
     "compile_tape",
     "run_kernel",
@@ -41,6 +46,23 @@ def raw_copyto(dst: np.ndarray, src: np.ndarray) -> None:
         np.copyto(dst, src)
     else:
         np.copyto(dst.reshape(-1).view(np.uint8), src.reshape(-1).view(np.uint8))
+
+
+def require_contiguous(op: str, **buffers: np.ndarray | None) -> None:
+    """Reject a buffer whose bytes a transport cannot view in place.
+
+    The SRM protocols and the MPI point-to-point layer move a buffer as
+    ``reshape(-1).view(np.uint8)``, which needs C-contiguous memory: a
+    strided view would fail inside a half-started schedule, and a
+    Fortran-ordered one would be copied and the result lost.  ``None``
+    stands for a buffer this rank does not use.
+    """
+    for name, buffer in buffers.items():
+        if buffer is not None and not buffer.flags.c_contiguous:
+            raise ConfigurationError(
+                f"{op}: {name} must be C-contiguous, got strides {buffer.strides} "
+                f"for shape {buffer.shape}"
+            )
 
 
 def apply_batch(ops) -> int:

@@ -20,6 +20,10 @@ Algorithms (the 2002/2003 state of practice):
 Every transfer goes through :class:`~repro.mpi.p2p.MpiEndpoint`, so the
 eager/rendezvous switching, P−1 eager buffer pools, tag matching, and
 unexpected-message costs all apply — the overheads §1 and §2.3 blame.
+The endpoint moves a buffer as raw bytes, so each operation first rejects
+a non-C-contiguous argument it sends or receives
+(:func:`~repro.machine.memops.require_contiguous`, the SRM entry points'
+check), naming the operation and the argument.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import typing
 import numpy as np
 
 from repro.machine.cluster import Machine
+from repro.machine.memops import require_contiguous
 from repro.mpi.ops import SUM, ReduceOp
 from repro.sim.process import ProcessGenerator
 from repro.trees.base import RankTree
@@ -88,6 +93,7 @@ class MpiCollectives:
 
     def broadcast(self, task: "Task", buffer: np.ndarray, root: int = 0) -> ProcessGenerator:
         """Binomial-tree broadcast over point-to-point messages."""
+        require_contiguous("broadcast", buffer=buffer)
         tree = self._tree(root)
         parent = tree.parent_of(task.rank)
         if parent is not None:
@@ -108,6 +114,7 @@ class MpiCollectives:
         root: int = 0,
     ) -> ProcessGenerator:
         """Binomial-tree reduce: every edge is a full message + combine."""
+        require_contiguous("reduce", src=src)
         tree = self._tree(root)
         parent = tree.parent_of(task.rank)
         children = tree.children_of(task.rank)
@@ -149,6 +156,7 @@ class MpiCollectives:
         op: ReduceOp = SUM,
     ) -> ProcessGenerator:
         """Recursive doubling or reduce+broadcast, per stack."""
+        require_contiguous("allreduce", src=src, dst=dst)
         if dst.nbytes != src.nbytes:
             raise ValueError("allreduce buffers must match in size")
         use_composition = self.allreduce_algorithm == "reduce_broadcast" or (
@@ -221,6 +229,8 @@ class MpiCollectives:
         root: int = 0,
     ) -> ProcessGenerator:
         """Binomial scatter: packed sub-ranges travel down the tree."""
+        root_sendbuf = sendbuf if task.rank == root else None
+        require_contiguous("scatter", sendbuf=root_sendbuf, recvbuf=recvbuf)
         total = task.spec.total_tasks
         block = recvbuf.nbytes
         tree = self._tree(root)
@@ -264,6 +274,8 @@ class MpiCollectives:
         root: int = 0,
     ) -> ProcessGenerator:
         """Binomial gather: children's packed sub-ranges merge upward."""
+        root_recvbuf = recvbuf if task.rank == root else None
+        require_contiguous("gather", sendbuf=sendbuf, recvbuf=root_recvbuf)
         total = task.spec.total_tasks
         block = sendbuf.nbytes
         tree = self._tree(root)
@@ -304,6 +316,7 @@ class MpiCollectives:
         recvbuf: np.ndarray,
     ) -> ProcessGenerator:
         """Ring allgather: P-1 neighbour exchanges of one block each."""
+        require_contiguous("allgather", sendbuf=sendbuf, recvbuf=recvbuf)
         total = task.spec.total_tasks
         block = sendbuf.nbytes
         if recvbuf.nbytes != block * total:
@@ -335,6 +348,7 @@ class MpiCollectives:
     ) -> ProcessGenerator:
         """Inclusive prefix reduction via the classic linear chain:
         receive the running prefix from rank-1, combine, forward."""
+        require_contiguous("scan", dst=dst)
         if dst.nbytes != src.nbytes:
             raise ValueError("scan buffers must match in size")
         total = task.spec.total_tasks
@@ -359,6 +373,7 @@ class MpiCollectives:
     ) -> ProcessGenerator:
         """Block-regular reduce-scatter as reduce + scatter (the MPICH 1.x
         composition): ``dst`` receives this rank's block of the full sum."""
+        require_contiguous("reduce_scatter", src=src, dst=dst)
         total = task.spec.total_tasks
         if src.nbytes != dst.nbytes * total:
             raise ValueError("reduce_scatter src must hold P blocks of dst's size")
@@ -373,6 +388,7 @@ class MpiCollectives:
         recvbuf: np.ndarray,
     ) -> ProcessGenerator:
         """Pairwise-exchange alltoall: P-1 shifted sendrecv steps."""
+        require_contiguous("alltoall", sendbuf=sendbuf, recvbuf=recvbuf)
         total = task.spec.total_tasks
         if sendbuf.nbytes != recvbuf.nbytes or sendbuf.nbytes % total:
             raise ValueError("alltoall buffers must both hold P equal blocks")

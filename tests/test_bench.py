@@ -13,7 +13,6 @@ from repro.bench import (
     processor_configs,
     ratio_percent,
     small_message_sizes,
-    sweep,
     table,
     time_operation,
 )
@@ -101,11 +100,6 @@ def test_measure_is_memoized():
     first = measure("srm", "broadcast", 512, nodes=2, tasks_per_node=4)
     second = measure("srm", "broadcast", 512, nodes=2, tasks_per_node=4)
     assert first is second
-
-
-def test_sweep_covers_sizes():
-    results = sweep("srm", "broadcast", [8, 64], nodes=2)
-    assert [m.nbytes for m in results] == [8, 64]
 
 
 def test_ratio_percent():

@@ -120,27 +120,31 @@ def _strided(value, count=256):
     return np.full(2 * count, float(value))[::2]
 
 
-def _strided_program(srm, op):
-    """A 4-rank call of ``op`` with every buffer a strided view."""
+def _strided_program(stack, op):
+    """A 4-rank call of ``op`` on any stack with every buffer a strided view."""
 
     def program(task):
         rank = task.rank
         if op == "broadcast":
-            yield from srm.broadcast(task, _strided(rank), root=0)
+            yield from stack.broadcast(task, _strided(rank), root=0)
+        elif op == "reduce":
+            yield from stack.reduce(task, _strided(rank), _strided(0) if rank == 0 else None, SUM)
         elif op == "allreduce":
-            yield from srm.allreduce(task, _strided(rank), _strided(0), SUM)
+            yield from stack.allreduce(task, _strided(rank), _strided(0), SUM)
         elif op == "scatter":
             send = _strided(rank, 4 * 256) if rank == 0 else None
-            yield from srm.scatter(task, send, _strided(0), root=0)
+            yield from stack.scatter(task, send, _strided(0), root=0)
         elif op == "gather":
             recv = _strided(0, 4 * 256) if rank == 0 else None
-            yield from srm.gather(task, _strided(rank), recv, root=0)
+            yield from stack.gather(task, _strided(rank), recv, root=0)
         elif op == "allgather":
-            yield from srm.allgather(task, _strided(rank), _strided(0, 4 * 256))
+            yield from stack.allgather(task, _strided(rank), _strided(0, 4 * 256))
         elif op == "alltoall":
-            yield from srm.alltoall(task, _strided(rank, 4 * 256), _strided(0, 4 * 256))
+            yield from stack.alltoall(task, _strided(rank, 4 * 256), _strided(0, 4 * 256))
+        elif op == "scan":
+            yield from stack.scan(task, _strided(rank), _strided(0), SUM)
         else:
-            yield from srm.reduce_scatter(task, _strided(rank, 4 * 256), _strided(0), SUM)
+            yield from stack.reduce_scatter(task, _strided(rank, 4 * 256), _strided(0), SUM)
 
     return program
 
@@ -163,6 +167,29 @@ def test_strided_buffers_fail_at_the_call(op, argument):
     machine, srm = build("srm", ClusterSpec(nodes=2, tasks_per_node=2))
     with pytest.raises(ConfigurationError, match=f"^{op}: {argument} must be C-contiguous"):
         machine.launch(_strided_program(srm, op))
+
+
+@pytest.mark.parametrize("stack", ["ibm", "mpich"])
+@pytest.mark.parametrize(
+    "op, argument",
+    [
+        ("broadcast", "buffer"),
+        ("reduce", "src"),
+        ("allreduce", "src"),
+        ("allgather", "sendbuf"),
+        ("scatter", "sendbuf"),
+        ("gather", "sendbuf"),
+        ("alltoall", "sendbuf"),
+        ("scan", "dst"),
+        ("reduce_scatter", "src"),
+    ],
+)
+def test_mpi_stacks_name_strided_buffers(stack, op, argument):
+    """The baselines' point-to-point layer views buffers as bytes too: the
+    same check names the argument before the first message."""
+    machine, collectives = build(stack, ClusterSpec(nodes=2, tasks_per_node=2))
+    with pytest.raises(ConfigurationError, match=f"^{op}: {argument} must be C-contiguous"):
+        machine.launch(_strided_program(collectives, op))
 
 
 def test_strided_buffers_fail_at_plan_and_start():

@@ -97,24 +97,24 @@ def test_json_round_trips():
 
 def test_collect_sweep_barrier_only(monkeypatch):
     # Shrink the grid so the test is quick.
-    monkeypatch.setattr("repro.bench.export.processor_configs", lambda: [1])
-    monkeypatch.setattr("repro.bench.export.message_sizes", lambda: [64])
+    monkeypatch.setattr("repro.bench.figures.processor_configs", lambda: [1])
+    monkeypatch.setattr("repro.bench.figures.message_sizes", lambda: [64])
     measurements = collect_sweep(operations=("barrier",), stacks=("srm", "ibm"))
     assert len(measurements) == 2
     assert {m.stack for m in measurements} == {"SRM", "IBM MPI"}
 
 
 def test_collect_sweep_sized_operations(monkeypatch):
-    monkeypatch.setattr("repro.bench.export.processor_configs", lambda: [1])
-    monkeypatch.setattr("repro.bench.export.message_sizes", lambda: [64, 1024])
+    monkeypatch.setattr("repro.bench.figures.processor_configs", lambda: [1])
+    monkeypatch.setattr("repro.bench.figures.message_sizes", lambda: [64, 1024])
     measurements = collect_sweep(operations=("broadcast",), stacks=("srm",))
     assert len(measurements) == 2
     assert {m.nbytes for m in measurements} == {64, 1024}
 
 
 def test_cli_export_stdout(monkeypatch, capsys):
-    monkeypatch.setattr("repro.bench.export.processor_configs", lambda: [1])
-    monkeypatch.setattr("repro.bench.export.message_sizes", lambda: [64])
+    monkeypatch.setattr("repro.bench.figures.processor_configs", lambda: [1])
+    monkeypatch.setattr("repro.bench.figures.message_sizes", lambda: [64])
     assert main(["export", "--ops", "barrier", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# repro-bench identity ")
@@ -123,8 +123,8 @@ def test_cli_export_stdout(monkeypatch, capsys):
 
 
 def test_cli_export_file(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("repro.bench.export.processor_configs", lambda: [1])
-    monkeypatch.setattr("repro.bench.export.message_sizes", lambda: [64])
+    monkeypatch.setattr("repro.bench.figures.processor_configs", lambda: [1])
+    monkeypatch.setattr("repro.bench.figures.message_sizes", lambda: [64])
     target = tmp_path / "sweep.json"
     assert main(["export", "--ops", "barrier", "--format", "json", "--out", str(target)]) == 0
     parsed = json.loads(target.read_text())
