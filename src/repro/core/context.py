@@ -104,8 +104,8 @@ class InvocationState:
     sequence: int = 0
     #: Ledger key -> the first sequence reserved for it, in reservation order.
     bases: dict[tuple, int] = field(default_factory=dict)
-    #: Key -> each slot generation's last writer before the claim, where
-    #: the body depends on it (so the replay window key includes it).
+    #: Key -> each slot generation's last writer before the claim (the
+    #: replay window key includes every one the reservation read).
     writers: dict[tuple, tuple] = field(default_factory=dict)
 
     def reserve(self, ledger: SequenceLedger, key: tuple, count: int) -> int:

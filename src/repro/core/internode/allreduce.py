@@ -68,14 +68,16 @@ def reserve_allreduce(
     if decision.variant == "ring":
         invocation.reserve(ledger, ("reduce", task.rank), len(smp_pieces(ctx, src)))
         count = len(fan_out_offsets(state, src.nbytes))
-        invocation.bases[fan_out], _ = state.bcast_buf.reserve(ledger, fan_out, count, FILL)
+        claim = state.bcast_buf.reserve(ledger, fan_out, count, FILL)
+        invocation.bases[fan_out], invocation.writers[fan_out] = claim
         if state.is_master(task):
             steps = staging_pieces(ctx, task.node.index, src)
             invocation.reserve(ledger, ("ring-sent", task.rank), sum(len(out) for out, _ in steps))
             invocation.reserve(ledger, ("ring-combined", task.rank), sum(len(inc) for _, inc in steps))
     elif decision.variant == "exchange":
         invocation.reserve(ledger, ("reduce", task.rank), 1)
-        invocation.bases[fan_out], _ = state.bcast_buf.reserve(ledger, fan_out, 1, FILL)
+        claim = state.bcast_buf.reserve(ledger, fan_out, 1, FILL)
+        invocation.bases[fan_out], invocation.writers[fan_out] = claim
         if state.is_master(task):
             invocation.reserve(ledger, ("exchange", task.rank), 1)
     else:

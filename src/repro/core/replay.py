@@ -3,7 +3,7 @@
 The paper's protocols are deterministic given (algorithm, message size,
 topology), and a :class:`~repro.core.requests.PersistentCollective` pins
 exactly that tuple — so the event schedule of a repeated collective is a
-pure function of the plan and the invocation's slot parities.  This module
+pure function of the plans and the slot state their reservations read.  This module
 records one full execution of a persistent-plan window as a flat
 :class:`CompiledSchedule` and replays later windows with the same key as a
 flat kernel: the op tape compiled once into byte-slice copies and bound
@@ -14,30 +14,49 @@ of re-driving :mod:`repro.sim.engine` processes and generators.
 How a window forms
 ------------------
 
-``plan.start()`` calls made while the engine is idle are *deferred* by the
-:class:`ReplayManager` (installed at ``engine.trace``, the same None-default
-tap slot as the verifier, fault plan, and monitor).  The next plain
-``engine.run()`` flushes them:
+A ``plan.start()`` made while the engine is idle is *deferred*: it claims
+its request number and appends its plan's current reserve and body
+closures, and the plan's generation, to the open window of the
+:class:`ReplayManager` (installed at ``engine.trace``, the same
+None-default tap slot as the verifier, fault plan, and monitor).  Nothing
+is reserved and no process exists yet.  The next plain ``engine.run()``
+flushes the window:
 
-* **replay** — the window's key (per-plan identity + generation + invocation
-  slot parities) matches a committed trace and every recorded precondition
-  holds → the trace is applied at the flush instant and per-request
-  completion events are scheduled at the recorded relative times.
-  ``replay.hits`` increments.
-* **record** — no usable trace: the requests are materialized as ordinary
-  progress processes and a recording is armed.  When the run loop drains the
-  queue (quiescence) with every member request complete, the trace commits.
-  ``replay.misses`` increments, and so does the counter of its cause
-  (:data:`MISS_CAUSES`): ``replay.misses.cold`` (no trace under the key) or
-  ``replay.misses.precondition`` (a recorded precondition failed), the
-  latter also as ``replay.misses.precondition.<kind>`` by the kind of the
-  first failing cell (:data:`CELL_KINDS`).
-* **slow path, untraced** — the window is *dirty*: the requests are
-  materialized and nothing is recorded or replayed.
-  ``replay.dirty.<reason>`` counts it by the first reason found
-  (:data:`DIRTY_REASONS`): other events queued (a request spawned before
-  the flush queues its bootstrap event, so it lands here), ``run(until=...)``
-  or ``step()``, a tie-break scheduler, or a fault plan.
+* **replay** — the window's key matches a committed trace and every
+  recorded precondition holds → the trace is applied at the flush instant,
+  and one event at the window's end completes every member request with its
+  recorded value.  No member reserves: the trace's state diff carries the
+  window's reservations.  ``replay.hits`` increments.
+* **record** — no usable trace: every start reserves its window, in started
+  order, and spawns its progress process, and a recording is armed.  When
+  the run loop drains the queue (quiescence) with every member request
+  complete, the trace commits.  ``replay.misses`` increments, and so does
+  the counter of its cause (:data:`MISS_CAUSES`): ``replay.misses.cold`` (no
+  trace under the key) or ``replay.misses.precondition`` (a recorded
+  precondition failed), the latter also as
+  ``replay.misses.precondition.<kind>`` by the kind of the first failing
+  cell (:data:`CELL_KINDS`).
+* **slow path, untraced** — the window is *dirty*: its starts reserve and
+  spawn, and nothing is recorded or replayed.  ``replay.dirty.<reason>``
+  counts it by the first reason found (:data:`DIRTY_REASONS`): other events
+  queued, ``run(until=...)`` or ``step()``, a tie-break scheduler, or a
+  fault plan.
+
+The window key has two parts: the plan-set signature, built as the starts
+arrive (each start's plan and the generation it captured), and the ledger
+values the window's reservations read at its start — each cursor's parity
+and each slot's last-writer tuple exactly.  A plan reserves the same keys at
+every start, so the signature fixes which keys those are; they are learned
+from the signature's first recorded window.
+
+Whatever needs a deferred start's window before the flush — a start that
+reserves at once (an ``i*`` start or a blocking call), reading
+``request.invocation``, an early ``wait()`` — first reserves and spawns the
+window's deferred starts in started order (:meth:`ReplayManager.materialize`),
+so every rank claims its windows in the order it started them; the window
+then runs untraced as ``queued``.  A plan rebound between its start and the
+flush keeps what the start captured: the start runs the old bodies, and its
+window's trace is not cached.
 
 What a trace holds
 ------------------
@@ -52,28 +71,34 @@ What a trace holds
 * the **state diff**: (pre, post) pairs for every touched cell among the
   substrate stats, every LAPI counter and shared flag the machine created
   (:attr:`Machine.counters`, :attr:`Machine.flags`) and the sequence ledger
-  of each context in the window.  Integer cells replay as deltas
-  (cumulative sequences keep advancing across windows); a cell that did
-  not exist when the window began (a ledger key first reserved, a counter
-  first created in it), a flag first written in it (a slot handoff skips
-  its poll until then) and the interrupt switch must match exactly.  Every
-  precondition is checked before anything mutates — a mismatch is a clean
-  miss and the window re-records;
+  of each context in the window, snapshotted before the window reserves.
+  Integer cells replay as deltas (cumulative sequences keep advancing
+  across windows; a cursor first reserved in the window counts from 0, as
+  the ledger reads it); a cell that did not exist when the window began (a
+  last-writer record first written, a counter first created in it), a flag
+  first written in it (a slot handoff skips its poll until then) and the
+  interrupt switch must match exactly.  Every precondition is checked
+  before anything mutates — a mismatch is a clean miss and the window
+  re-records;
 * the **observability tail**: phase spans, flow links and resource-monitor
   samples in the recorder's own column format (:mod:`repro.obs.columns`),
   histogram observations (all window-relative, re-emitted shifted so
   profiles, critical paths, and wait-state classification of a replayed
   window match the recorded one), and metric counter deltas.  A hit hands
-  the span and flow tails to their tables by reference, one pending block
-  per table; the rows are copied, bit-identical to an eager copy, on the
-  first read or append, so a session that reads nothing between windows
-  holds no copy of them.  Samples are appended at once, because the next
-  window's boundary sample coalesces against the last row: commit binds
-  each tail to its timeline and encodes its non-clock columns, so a hit
-  computes only the shifted clock column.  A histogram's running total
-  replays as one sequential ``np.add.accumulate``;
-* per-request **completion times and values**, plus the window duration, so
-  ``engine.now`` advances through a replayed window exactly as recorded.
+  every tail to its table by reference, one pending block per table; the
+  rows are copied, bit-identical to an eager copy, on the first read or
+  append, so a session that reads nothing between windows holds no copy of
+  them.  The span block carries the replaying requests' numbers, from which
+  the details of its ``request`` spans are written when it is copied.  A
+  sample block carries the state the window left the row before it in
+  (``record()`` overwrites that row on a change at the same instant) and
+  its own last row; each timeline must open as it did in the recorded
+  window — the same last state, with a last row at the window's start
+  exactly when the recording's had one — so the appended rows are the slow
+  path's.  A histogram's running total replays as one sequential
+  ``np.add.accumulate``;
+* per-request **values**, plus the window duration, so ``engine.now``
+  advances through a replayed window exactly as recorded.
 
 Failure safety: a recording that never reaches quiescence (a
 ``DeadlockError``, any exception out of the run loop, an interrupted run)
@@ -127,9 +152,11 @@ DIRTY_REASONS = {
 }
 
 #: What a state cell holds: a substrate stats slot, a task's arrival
-#: interrupt switch, a LAPI counter, a shared flag or a sequence-ledger key.
-#: A failed precondition counts as ``replay.misses.precondition.<kind>``.
-CELL_KINDS = ("stat", "interrupts", "counter", "flag", "ledger")
+#: interrupt switch, a LAPI counter, a shared flag or a sequence-ledger key;
+#: ``monitor`` is a resource timeline's last row, which a window's first
+#: samples coalesce against.  A failed precondition counts as
+#: ``replay.misses.precondition.<kind>``.
+CELL_KINDS = ("stat", "interrupts", "counter", "flag", "ledger", "monitor")
 
 
 def manager_for(engine: "Engine") -> "ReplayManager":
@@ -196,22 +223,6 @@ def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> di
     return {_cell_id(cell): (cell, _cell_get(cell)) for cell in _cells(contexts, machine)}
 
 
-def _invocation_parity(invocation) -> tuple:
-    """The slot-parity signature of one reserved invocation window.
-
-    Every persistent body reads its slots from its reserved bases and the
-    last writers it depends on, and a plan reserves the same keys in the same
-    order at every start, so these together with plan identity and
-    generation key a window.
-    """
-    return (
-        invocation.op,
-        invocation.root,
-        tuple(base & 1 for base in invocation.bases.values()),
-        tuple(invocation.writers.values()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # histogram tape: capture distribution observations during a recording
 # ---------------------------------------------------------------------------
@@ -251,21 +262,20 @@ class CompiledSchedule:
     def __init__(
         self,
         key: tuple,
-        plans: list["PersistentCollective"],
         duration: float,
         ops: list[tuple],
         state_entries: list[tuple],
         metric_deltas: list[tuple],
         hist_events: list[tuple],
         span_tail: dict | None,
-        span_members: list[tuple[int, int]],
+        span_members: list[tuple[int, int, str, str]],
         flow_tail: dict | None,
-        monitor_tail: list[tuple],
-        completions: list[tuple[float, typing.Any]],
+        monitor_openings: list[tuple],
+        monitor_blocks: list[tuple],
+        values: list[typing.Any],
     ) -> None:
+        #: (plan-set signature, read values): the signature holds the plans.
         self.key = key
-        #: Strong refs keep ``id(plan)`` in the key stable for the cache's life.
-        self.plans = plans
         self.duration = duration
         #: The capture-order op tape, compiled once (:func:`compile_tape`):
         #: copies hold byte slices, operator passes their recorded views.
@@ -277,22 +287,37 @@ class CompiledSchedule:
         #: Span rows as :meth:`ColumnTable.tail` columns (window-relative
         #: times, ``parent`` as an offset into the tail or -1), or None.
         self.span_tail = span_tail
-        #: (tail offset, start index) of each ``request`` span, whose detail
-        #: names the replaying window's request instead.
-        self.span_members = span_members
+        #: (tail offset, member, label prefix, label suffix) of each
+        #: ``request`` span: its detail is the prefix, the replaying
+        #: member's request number and the suffix, written when read.
+        self.span_members = tuple(span_members)
         #: Flow-link rows as tail columns (window-relative times), or None.
         self.flow_tail = flow_tail
-        #: Per deferred start, in window order: (rel completion time, value).
-        self.completions = completions
+        #: (sample table, its opening) for every timeline: the opening is
+        #: its last row's state and whether that row sat at the window's
+        #: start, or None while empty — see :func:`_opening`.
+        self.monitor_openings = monitor_openings
+        #: (sample table, tail, (boundary, closing)) of every timeline the
+        #: window changed — see :meth:`_Recording.commit`.
+        self.monitor_blocks = monitor_blocks
+        #: Per deferred start, in window order: the request's value.
+        self.values = values
         self.replays = 0
         #: Split entry lists for the hot loops: integer cells replay as
-        #: precomputed deltas, everything else as exact (pre -> post) swaps.
-        self._delta_entries = [
-            (cell, post - pre) for cell, pre, post, is_delta in state_entries if is_delta
-        ]
-        self._exact_entries = [
-            (cell, pre, post) for cell, pre, post, is_delta in state_entries if not is_delta
-        ]
+        #: precomputed deltas (a ledger cursor the window first reserved
+        #: counts from 0, as :class:`SequenceLedger` reads it), everything
+        #: else as exact (pre -> post) swaps.
+        self._attr_deltas: list[tuple] = []
+        self._ledger_deltas: list[tuple] = []
+        self._exact_entries: list[tuple] = []
+        for cell, pre, post, is_delta in state_entries:
+            kind, container, key = cell
+            if not is_delta:
+                self._exact_entries.append((cell, pre, post))
+            elif kind == "ledger":
+                self._ledger_deltas.append((container, key, post - (0 if pre is _MISSING else pre)))
+            else:
+                self._attr_deltas.append((kind, container, key, post - pre))
         #: Histogram tapes folded to replay-ready aggregates.  Bucket counts,
         #: observation count, and min/max are order-independent integers or
         #: pure comparisons, so they fold exactly; the running float ``total``
@@ -301,61 +326,60 @@ class CompiledSchedule:
         #: tapes replay event-by-event (each settle depends on the previous
         #: interval).
         self._hist_rows: list[tuple] = []
-        for attr, kind, rel_times, values in hist_events:
+        for attr, kind, rel_times, observed in hist_events:
             if kind == "histogram":
-                if not values:
+                if not observed:
                     continue
                 buckets: dict[int, int] = {}
-                for value in values:
+                for value in observed:
                     index = _bucket_index(value)
                     buckets[index] = buckets.get(index, 0) + 1
                 self._hist_rows.append(
                     (
                         attr,
                         kind,
-                        np.array([0.0, *values], dtype=np.float64),
-                        len(values),
-                        min(values),
-                        max(values),
+                        np.array([0.0, *observed], dtype=np.float64),
+                        len(observed),
+                        min(observed),
+                        max(observed),
                         tuple(buckets.items()),
                     )
                 )
             else:
-                self._hist_rows.append((attr, kind, tuple(zip(rel_times, values))))
-        #: Monitor tails bound to their timelines: (record, first sample's
-        #: rel time, occupancy, queued, saturated, table extend, the rest).
-        self._monitor_rows = [
-            (timeline.record, *first, timeline.table.extend, rest)
-            for timeline, first, rest in monitor_tail
-        ]
+                self._hist_rows.append((attr, kind, tuple(zip(rel_times, observed))))
 
-    def failed_precondition(self) -> str | None:
-        """The kind of the first recorded precondition that fails right
-        now (one of :data:`CELL_KINDS`), or None when every one holds."""
-        for cell, _delta in self._delta_entries:
-            if type(_cell_get(cell)) is not int:
-                return cell[0]
+    def failed_precondition(self, now: float) -> str | None:
+        """The kind of the first recorded precondition that fails at
+        ``now`` (one of :data:`CELL_KINDS`), or None when every one holds."""
+        for kind, container, key, _delta in self._attr_deltas:
+            if type(getattr(container, key)) is not int:
+                return kind
+        for ledger, key, _delta in self._ledger_deltas:
+            if type(ledger.get(key, 0)) is not int:
+                return "ledger"
         for cell, pre, _post in self._exact_entries:
             current = _cell_get(cell)
             if current is not pre and current != pre:
                 return cell[0]
+        for table, opening in self.monitor_openings:
+            if _opening(table, now) != opening:
+                return "monitor"
         return None
 
-    def apply(self, engine: "Engine", machine: "Machine", starts: list) -> None:
+    def apply(self, engine: "Engine", machine: "Machine", window: list) -> None:
         """Replay the window at the current instant (preconditions hold)."""
         t0 = engine.now
 
         # 1. Data movement: the compiled op tape in capture order.
         run_kernel(self.kernel)
 
-        # 2. Bulk state update: deltas for cumulative counters/cursors,
-        #    exact values for everything else.
-        for cell, delta in self._delta_entries:
-            kind, container, key = cell
-            if kind == "ledger":
-                container[key] += delta
-            else:
-                setattr(container, key, getattr(container, key) + delta)
+        # 2. Bulk state update in one pass: deltas for cumulative counters
+        #    and cursors (the window's reservations included), exact values
+        #    for everything else.
+        for _kind, container, key, delta in self._attr_deltas:
+            setattr(container, key, getattr(container, key) + delta)
+        for ledger, key, delta in self._ledger_deltas:
+            ledger[key] += delta
         for cell, _pre, post in self._exact_entries:
             _cell_set(cell, post)
 
@@ -397,33 +421,25 @@ class CompiledSchedule:
                         if value > instrument.max:
                             instrument.max = value
 
-        # 4. Observability tails, time-shifted to this window.  Spans and
-        #    flows take the committed tails by reference as pending blocks
-        #    (copied on the first read or append), the span block with the
-        #    replaying requests' identities for its ``request`` spans.
+        # 4. Observability tails, time-shifted to this window, each taken by
+        #    reference as one pending block per table (copied on the first
+        #    read or append).  The span block carries the members' request
+        #    numbers for the details of its ``request`` spans; a sample
+        #    block carries how the window left the row before it.
         recorder = obs.recorder
         if recorder.enabled and self.span_tail is not None:
-            labels = [
-                (offset, starts[member].request.describe()) for offset, member in self.span_members
-            ]
-            recorder.spans.extend(self.span_tail, t0, labels)
+            sequences = tuple([request.sequence for request in window])
+            recorder.spans.extend(self.span_tail, t0, (self.span_members, sequences))
             recorder.flows.extend(self.flow_tail, t0)
-        # Each boundary sample goes through record() (it may coalesce with
-        # the pre-window state); the rest of the tail is already coalesced
-        # and strictly time-increasing, so appending it replicates record()
-        # exactly.
-        for record, rel, occupancy, queued, saturated, extend, rest in self._monitor_rows:
-            record(t0 + rel, occupancy, queued, saturated)
-            extend(rest, t0)
+        for table, tail, edges in self.monitor_blocks:
+            table.extend(tail, t0, edges)
 
-        # 5. Completion events at the recorded relative times, plus a final
-        #    quiescence timeout so the clock traverses the whole window.
-        for start, (rel, value) in zip(starts, self.completions):
-            timer = engine.timeout(rel)
-            timer.add_callback(
-                lambda _event, request=start.request, v=value: request._replay_complete(v)
-            )
-        engine.timeout(self.duration)
+        # 5. One event: the window's end, where every member completes with
+        #    its recorded value and the clock has traversed the window.
+        values = self.values
+        engine.timeout(self.duration).add_callback(
+            lambda _event: _complete(window, values)
+        )
         self.replays += 1
 
     def __repr__(self) -> str:
@@ -431,6 +447,23 @@ class CompiledSchedule:
             f"<CompiledSchedule ops={len(self.kernel)} state={len(self.state_entries)} "
             f"duration={self.duration:.6g}s replays={self.replays}>"
         )
+
+
+def _opening(table, t0: float) -> tuple | None:
+    """How a timeline's samples open a window starting at ``t0``: its last
+    row's state and whether that row sits at ``t0`` (where ``record()``
+    overwrites it rather than appending), or None while it has no rows."""
+    last = table.last()
+    if last is None:
+        return None
+    time, occupancy, queued, saturated = last
+    return (occupancy, queued, saturated, time == t0)
+
+
+def _complete(window: list["CollectiveRequest"], values: list[typing.Any]) -> None:
+    """Complete every member request of a replayed window."""
+    for request, value in zip(window, values):
+        request._replay_complete(value)
 
 
 def _running_total(total: float, seeded: np.ndarray) -> float:
@@ -445,27 +478,90 @@ def _running_total(total: float, seeded: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the window key: what a window's reservations read
+# ---------------------------------------------------------------------------
+#
+# A plan reserves the same keys with the same counts and writer at every
+# start, so a window's plan-set signature fixes its reservations; the
+# ledger values they read at the window's start fix every slot they claim.
+# The reads are learned from the first window of a signature that reserves
+# on the slow path: per ledger, the cursors its invocations based windows
+# on and the slot histories they took last writers from.
+
+
+def _learn_reads(window: list["CollectiveRequest"]) -> tuple:
+    """``((ledger, cursor keys, writer keys), ...)`` of a bound window."""
+    by_ledger: dict[int, tuple] = {}
+    for request in window:
+        invocation = request._invocation
+        ledger = request.ctx.ledger
+        _ledger, cursors, writers = by_ledger.setdefault(id(ledger), (ledger, {}, {}))
+        cursors.update(dict.fromkeys(invocation.bases))
+        writers.update(dict.fromkeys(("writer", *key) for key in invocation.writers))
+    return tuple(
+        (ledger, tuple(cursors), tuple(writers)) for ledger, cursors, writers in by_ledger.values()
+    )
+
+
+def _read_values(reads: tuple) -> tuple:
+    """The ledger values ``reads`` names, now: each cursor's parity and
+    each last-writer tuple exactly (``None`` while never written)."""
+    values: list = []
+    for ledger, cursors, writers in reads:
+        get = ledger.get
+        values += [get(key, 0) & 1 for key in cursors]
+        values += [get(key) for key in writers]
+    return tuple(values)
+
+
+def _snapshot_values(reads: tuple, snapshot: dict) -> tuple:
+    """:func:`_read_values` as of a :func:`_snapshot`."""
+    values: list = []
+    for ledger, cursors, writers in reads:
+        ledger_id = id(ledger)
+        for key in cursors:
+            entry = snapshot.get((ledger_id, key))
+            values.append((entry[1] if entry is not None else 0) & 1)
+        for key in writers:
+            entry = snapshot.get((ledger_id, key))
+            values.append(entry[1] if entry is not None else None)
+    return tuple(values)
+
+
+def _bind(window: list["CollectiveRequest"]) -> None:
+    """Reserve and spawn deferred starts, in started order."""
+    for request in window:
+        request._bind(request._reserve(), request._body)
+
+
+# ---------------------------------------------------------------------------
 # an armed recording
 # ---------------------------------------------------------------------------
 
 
 class _Recording:
-    """Everything captured between a window's flush and its quiescence."""
+    """Everything captured between a window's flush and its quiescence.
 
-    def __init__(self, manager: "ReplayManager", key: tuple, starts: list) -> None:
-        self.manager = manager
-        self.key = key
-        self.starts = starts
-        machine = starts[0].plan.task.machine
+    Built before the window reserves anything, so the state diff carries
+    the window's reservations; :meth:`watch` taps the member processes
+    once they exist.
+    """
+
+    def __init__(self, window: list, signature: tuple) -> None:
+        self.window = window
+        self.signature = signature
+        #: The full window key, set once the window's reads are known.
+        self.key: tuple | None = None
+        machine = window[0].task.machine
         self.machine = machine
         engine = machine.engine
         self.t0 = engine.now
         self.aborted: str | None = None
         self.ops: list[tuple] = []
-        #: (start index, absolute completion time, value) in completion order.
-        self.completions: dict[int, tuple[float, typing.Any]] = {}
+        #: Member index -> the request's value, in completion order.
+        self.completions: dict[int, typing.Any] = {}
 
-        contexts = {id(s.plan.ctx): s.plan.ctx for s in starts}
+        contexts = {id(request.ctx): request.ctx for request in window}
         self.contexts = list(contexts.values())
         self.pre_state = _snapshot(self.contexts, machine)
 
@@ -473,10 +569,12 @@ class _Recording:
         recorder = obs.recorder
         self.span_mark = len(recorder.spans)
         self.flow_mark = len(recorder.flows)
-        self.monitor_marks: dict[str, int] = {}
+        #: Timeline name -> (row count, opening) at the window's start.
+        self.monitor_marks: dict[str, tuple] = {}
         if obs.monitor is not None:
             for name, timeline in obs.monitor.timelines.items():
-                self.monitor_marks[name] = len(timeline.table)
+                table = timeline.table
+                self.monitor_marks[name] = (len(table), _opening(table, self.t0))
 
         self.pre_metrics: dict[str, float] = {}
         registry = obs.metrics
@@ -494,12 +592,12 @@ class _Recording:
                     self.tapes[attr] = tape
                     setattr(obs, attr, tape)
 
-        # Completion-time taps: one passive callback per member request.
-        for index, start in enumerate(starts):
-            process = start.request._process
-            process.add_callback(
+    def watch(self) -> None:
+        """One passive completion callback per member request."""
+        for index, request in enumerate(self.window):
+            request._process.add_callback(
                 lambda event, i=index: self.completions.__setitem__(
-                    i, (engine.now, event.value if event.ok else None)
+                    i, event.value if event.ok else None
                 )
             )
 
@@ -517,7 +615,7 @@ class _Recording:
         self.restore_tapes()
         if self.aborted is not None:
             return None
-        if len(self.completions) != len(self.starts):
+        if len(self.completions) != len(self.window):
             return None
         machine = self.machine
         engine = machine.engine
@@ -532,8 +630,12 @@ class _Recording:
             pre = pre_pair[1] if pre_pair is not None else _MISSING
             if pre is post or pre == post:
                 continue
-            is_delta = type(pre) is int and type(post) is int
-            is_delta = is_delta and (pre != 0 or cell[0] != "flag")
+            if cell[0] == "ledger" and pre is _MISSING:
+                # A cursor first reserved in the window counts from 0.
+                is_delta = type(post) is int
+            else:
+                is_delta = type(pre) is int and type(post) is int
+                is_delta = is_delta and (pre != 0 or cell[0] != "flag")
             state_entries.append((cell, pre, post, is_delta))
 
         obs = machine.obs
@@ -559,7 +661,7 @@ class _Recording:
         # Span tail: window-relative columns with parents as tail offsets.
         recorder = obs.recorder
         span_tail: dict | None = None
-        span_members: list[tuple[int, int]] = []
+        span_members: list[tuple[int, int, str, str]] = []
         flow_tail: dict | None = None
         if recorder.enabled:
             mark = self.span_mark
@@ -568,36 +670,41 @@ class _Recording:
             if np.isnan(span_tail["end"]).any() or ((parent >= 0) & (parent < mark)).any():
                 return None  # a span leaked across the window boundary
             span_tail["parent"] = np.where(parent >= 0, parent - mark, -1)
-            describe_map = {
-                start.request.describe(): index
-                for index, start in enumerate(self.starts)
-            }
+            members = {request.describe(): index for index, request in enumerate(self.window)}
             for offset, (name, detail) in enumerate(zip(span_tail["name"], span_tail["detail"])):
-                if name == REQUEST and detail in describe_map:
-                    span_members.append((offset, describe_map[detail]))
+                member = members.get(detail) if name == REQUEST else None
+                if member is not None:
+                    span_members.append((offset, member, *self.window[member]._label()))
             flow_tail = recorder.flows.tail(self.flow_mark, t0)
 
-        monitor_tail: list[tuple] = []
+        # Monitor tails: how the window left each timeline.  Replay appends
+        # the rows from the opening mark on verbatim, after setting the row
+        # before them to the state the window left there (``boundary``, None
+        # when unchanged) — exactly what record() did — provided every
+        # timeline opens as it did here.
+        monitor_openings: list[tuple] = []
+        monitor_blocks: list[tuple] = []
         if obs.monitor is not None:
             for name, timeline in obs.monitor.timelines.items():
-                mark = self.monitor_marks.get(name, 0)
                 table = timeline.table
+                mark, opening = self.monitor_marks.get(name, (0, None))
+                monitor_openings.append((table, opening))
+                table.materialize()
+                boundary = None
+                if mark:
+                    row = mark - 1
+                    left = (table.occupancy[row], table.queued[row], table.saturated[row])
+                    if left != opening[:3]:
+                        boundary = left
+                closing = None
                 if len(table) > mark:
-                    first = (
-                        table.time[mark] - t0,
-                        table.occupancy[mark],
-                        table.queued[mark],
-                        table.saturated[mark],
-                    )
-                    monitor_tail.append((timeline, first, table.tail(mark + 1, t0)))
+                    time, *state = table.last()
+                    closing = (time - t0, *state)
+                if closing is not None or boundary is not None:
+                    monitor_blocks.append((table, table.tail(mark, t0), (boundary, closing)))
 
-        completions = [
-            (self.completions[i][0] - t0, self.completions[i][1])
-            for i in range(len(self.starts))
-        ]
         return CompiledSchedule(
             key=self.key,
-            plans=[start.plan for start in self.starts],
             duration=duration,
             ops=self.ops,
             state_entries=state_entries,
@@ -606,8 +713,9 @@ class _Recording:
             span_tail=span_tail,
             span_members=span_members,
             flow_tail=flow_tail,
-            monitor_tail=monitor_tail,
-            completions=completions,
+            monitor_openings=monitor_openings,
+            monitor_blocks=monitor_blocks,
+            values=[self.completions[i] for i in range(len(self.window))],
         )
 
 
@@ -616,25 +724,24 @@ class _Recording:
 # ---------------------------------------------------------------------------
 
 
-class _DeferredStart:
-    """One ``plan.start()`` awaiting the next ``engine.run()`` flush."""
-
-    __slots__ = ("plan", "invocation", "request")
-
-    def __init__(self, plan, invocation, request) -> None:
-        self.plan = plan
-        self.invocation = invocation
-        self.request = request
-
-
 class ReplayManager:
     """Per-engine record/replay coordinator, installed at ``engine.trace``."""
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self._deferred: list[_DeferredStart] = []
+        #: The open window: deferred starts in started order.
+        self._window: list["CollectiveRequest"] = []
+        #: Its plan-set signature, built as the starts arrive: each start's
+        #: plan and the generation it captured.
+        self._signature: list = []
+        #: How many of the window's first starts were reserved and spawned
+        #: before the flush (:meth:`materialize`).
+        self._bound = 0
         self._window_dirty = False
         self._recording: _Recording | None = None
+        #: Plan-set signature -> what its windows' reservations read.
+        self._reads: dict[tuple, tuple] = {}
+        #: (signature, read values) -> the committed trace.
         self._traces: dict[tuple, CompiledSchedule] = {}
         self._counter_cache: tuple | None = None
         #: Plain integers for tests; the obs counters mirror them per machine.
@@ -648,7 +755,7 @@ class ReplayManager:
         #: Dirty windows by reason (:data:`DIRTY_REASONS`).
         self.dirty_reasons = dict.fromkeys(DIRTY_REASONS, 0)
 
-    # -- start-time interface (called by PersistentCollective.start) -------
+    # -- start-time interface (called by the request layer) -----------------
 
     def accepts(self, plan: "PersistentCollective") -> bool:
         """True when a start may be deferred: the engine is idle (a start
@@ -656,12 +763,33 @@ class ReplayManager:
         launch-style programs keep their exact legacy behavior)."""
         return self.engine._active_process is None
 
-    def defer(self, plan, invocation, request) -> None:
-        if self.engine._queue and not self._deferred:
+    def defer(self, plan: "PersistentCollective", request: "CollectiveRequest") -> None:
+        """Add a start, holding its plan's closures, to the open window."""
+        window = self._window
+        if not window and self.engine._queue:
             # Something else is already scheduled at the window's front;
             # materialization order would differ from the undeferred order.
             self._window_dirty = True
-        self._deferred.append(_DeferredStart(plan, invocation, request))
+        window.append(request)
+        signature = self._signature
+        signature.append(plan)
+        signature.append(plan._generation)
+
+    def materialize(self) -> None:
+        """Reserve and spawn the open window's deferred starts now.
+
+        Called before anything that reserves out of turn or needs a
+        deferred request's window early — another start's reservation,
+        ``request.invocation``, an early ``wait()`` — so every rank still
+        claims its windows in started order.  The window then runs
+        untraced, as ``queued``.
+        """
+        window = self._window
+        bound = self._bound
+        if bound < len(window):
+            self._bound = len(window)
+            self._window_dirty = True
+            _bind(window[bound:])
 
     # -- recording taps (called by the data-moving substrates) --------------
 
@@ -693,18 +821,22 @@ class ReplayManager:
     # -- run-loop hooks (called by Engine.run/step) --------------------------
 
     def on_run(self, until: typing.Any) -> None:
-        """Flush deferred starts; discard any uncommitted recording."""
+        """Flush the open window; discard any uncommitted recording."""
         recording = self._recording
         if recording is not None:
             # The previous recorded run never reached quiescence (deadlock,
             # exception, run(until=...) truncation): drop the half trace.
             self._recording = None
             recording.restore_tapes()
-        if not self._deferred:
+        window = self._window
+        if not window:
             return
-        starts = self._deferred
-        self._deferred = []
-        machine = starts[0].plan.task.machine
+        self._window = []
+        signature = tuple(self._signature)
+        self._signature = []
+        bound = self._bound
+        self._bound = 0
+        machine = window[0].task.machine
         registry = machine.obs.metrics
         engine = self.engine
         if self._window_dirty or engine._queue:
@@ -721,19 +853,23 @@ class ReplayManager:
         if reason is not None:
             self.dirty_reasons[reason] += 1
             registry.counter(f"replay.dirty.{reason}", DIRTY_REASONS[reason]).inc()
-            self._materialize(starts, record_key=None)
+            _bind(window[bound:])
             return
-        key = self._window_key(starts)
+        reads = self._reads.get(signature)
+        key = None
         hits, misses, causes = self._counters(machine)
-        trace = self._traces.get(key)
+        trace = None
+        if reads is not None:
+            key = (signature, _read_values(reads))
+            trace = self._traces.get(key)
         if trace is None:
             cause = "cold"
         else:
-            kind = trace.failed_precondition()
+            kind = trace.failed_precondition(engine.now)
             if kind is None:
                 self.hit_count += 1
                 hits.inc()
-                trace.apply(engine, machine, starts)
+                trace.apply(engine, machine, window)
                 return
             cause = "precondition"
             self.precondition_kinds[kind] += 1
@@ -745,7 +881,14 @@ class ReplayManager:
         self.miss_causes[cause] += 1
         misses.inc()
         causes[cause].inc()
-        self._materialize(starts, record_key=key)
+        recording = _Recording(window, signature)
+        _bind(window)
+        recording.watch()
+        if reads is None:
+            reads = self._reads[signature] = _learn_reads(window)
+            key = (signature, _snapshot_values(reads, recording.pre_state))
+        recording.key = key
+        self._recording = recording
 
     def on_quiescent(self) -> None:
         """The run loop drained its queue: commit or reject the recording."""
@@ -753,11 +896,7 @@ class ReplayManager:
         if recording is None:
             return
         self._recording = None
-        incomplete = [
-            start.request
-            for start in recording.starts
-            if not start.request.completed
-        ]
+        incomplete = [request for request in recording.window if not request.completed]
         if incomplete:
             recording.restore_tapes()
             names = ", ".join(request.describe() for request in incomplete[:8])
@@ -766,22 +905,15 @@ class ReplayManager:
                 f"request(s) incomplete ({names})"
             )
         trace = recording.commit()
-        if trace is not None:
+        signature = recording.signature
+        plans, generations = signature[0::2], signature[1::2]
+        if any(plan._generation != generation for plan, generation in zip(plans, generations)):
+            # A plan was rebound after its start: no later start can match.
+            self._reads.pop(signature, None)
+        elif trace is not None:
             self._traces[recording.key] = trace
 
     # -- internals -----------------------------------------------------------
-
-    def _window_key(self, starts: list) -> tuple:
-        return tuple(
-            (id(s.plan), s.plan._generation, _invocation_parity(s.invocation))
-            for s in starts
-        )
-
-    def _materialize(self, starts: list, record_key: tuple | None) -> None:
-        for start in starts:
-            start.request._spawn()
-        if record_key is not None:
-            self._recording = _Recording(self, record_key, starts)
 
     def _counters(self, machine: "Machine") -> tuple:
         """The machine's ``replay.hits``/``replay.misses`` instruments, and
@@ -806,14 +938,11 @@ class ReplayManager:
         return cached
 
     def invalidate_plan(self, plan: "PersistentCollective") -> None:
-        """Drop every cached trace that involves ``plan`` (rebinding)."""
-        stale = [
-            key
-            for key, trace in self._traces.items()
-            if any(cached is plan for cached in trace.plans)
-        ]
-        for key in stale:
+        """Drop every cached trace and read set that involves ``plan``."""
+        for key in [key for key in self._traces if any(p is plan for p in key[0][0::2])]:
             del self._traces[key]
+        for signature in [s for s in self._reads if any(p is plan for p in s[0::2])]:
+            del self._reads[signature]
 
     def __repr__(self) -> str:
         return (

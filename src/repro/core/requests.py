@@ -14,8 +14,12 @@ hoisted out of the per-call path:
    the context's :class:`~repro.core.context.SequenceLedger` into an
    :class:`~repro.core.context.InvocationState`: broadcast/reduce chunk
    sequences, streamed-chunk thresholds, per-edge staging parities, the
-   exchange call number.  Reservation at ``start()`` is what lets several
-   invocations of one plan be in flight without aliasing a buffer slot.
+   exchange call number.  Reservation in started order is what lets
+   several invocations of one plan be in flight without aliasing a buffer
+   slot.  A persistent start made while the engine is idle leaves it to
+   the replay window (:mod:`repro.core.replay`), which reserves every such
+   start in order at the run flush — or, on a replay, applies the recorded
+   reservations of the whole window at once.
 3. **run the body** — the protocol generator, parameterized by the reserved
    window, executing inside either the caller (blocking) or a spawned
    progress process (nonblocking/persistent).
@@ -93,6 +97,11 @@ class CollectiveRequest:
     are chained in started order; the chain gate is skipped when the
     predecessor already completed — which is always the case for purely
     blocking programs, keeping them byte-identical to the legacy path.
+
+    A *deferred* request (a persistent start made while the engine is idle,
+    see :class:`PersistentCollective`) holds its plan's reserve and body
+    closures instead of a window until the replay manager either replays
+    its window or binds it (:meth:`_bind`).
     """
 
     __slots__ = (
@@ -100,7 +109,9 @@ class CollectiveRequest:
         "task",
         "op",
         "root",
-        "invocation",
+        "sequence",
+        "_invocation",
+        "_reserve",
         "_body",
         "_process",
         "_predecessor",
@@ -111,20 +122,18 @@ class CollectiveRequest:
     )
 
     def __init__(
-        self,
-        ctx: SRMContext,
-        task: "Task",
-        invocation: InvocationState,
-        body: ProcessGenerator,
-        inline: bool,
-        deferred: bool = False,
+        self, ctx: SRMContext, task: "Task", op: str, root: int | None, inline: bool = False
     ) -> None:
         self.ctx = ctx
         self.task = task
-        self.op = invocation.op
-        self.root = invocation.root
-        self.invocation = invocation
-        self._body = body
+        self.op = op
+        self.root = root
+        #: Per-rank invocation number: orders the rank's requests and names
+        #: them in deadlock reports.
+        self.sequence = ctx.ledger.reserve(("request", task.rank), 1)
+        self._invocation: InvocationState | None = None
+        self._reserve: typing.Callable[[], InvocationState] | None = None
+        self._body: typing.Any = None
         self._inline = inline
         self._process = None
         self._completion: Event | None = None
@@ -132,26 +141,34 @@ class CollectiveRequest:
         self._value: typing.Any = None
         self._predecessor: CollectiveRequest | None = ctx._request_tail.get(task.rank)
         ctx._request_tail[task.rank] = self
-        if not inline and not deferred:
-            self._spawn()
 
-    def _spawn(self) -> None:
-        """Materialize the progress process (idempotent).
+    def _bind(
+        self,
+        invocation: InvocationState,
+        body: typing.Callable[[InvocationState], ProcessGenerator],
+    ) -> None:
+        """Take the reserved window and the body over it; a process-mode
+        request starts its progress process."""
+        invocation.sequence = self.sequence
+        self._invocation = invocation
+        self._reserve = None
+        self._body = body(invocation)
+        if not self._inline:
+            self._process = self.task.engine.process(
+                self._run(), name=f"req:{self.op}[{self.task.rank}]#{self.sequence}"
+            )
 
-        Deferred starts (:mod:`repro.core.replay`) spawn at the next run
-        flush when their window cannot replay from a compiled schedule.
-        """
-        if self._process is not None or self._done:
-            return
-        self._process = self.task.engine.process(
-            self._run(),
-            name=f"req:{self.op}[{self.task.rank}]#{self.invocation.sequence}",
-        )
+    def _materialize(self) -> None:
+        """Reserve and spawn the open window's deferred starts, this one
+        among them, in started order (:meth:`ReplayManager.materialize`)."""
+        if self._reserve is not None:
+            self.task.engine.trace.materialize()
 
     def _replay_complete(self, value: typing.Any) -> None:
         """Complete this request from a compiled-schedule replay."""
         self._done = True
         self._value = value
+        self._reserve = self._body = None
         # Passed the gate: holding the predecessor would chain every
         # replayed request of this rank into one ever-growing list.
         self._predecessor = None
@@ -159,6 +176,17 @@ class CollectiveRequest:
             self._completion.succeed(value)
 
     # -- state ---------------------------------------------------------------
+
+    @property
+    def invocation(self) -> InvocationState | None:
+        """The sequence windows this invocation reserved.
+
+        Reading it before a deferred start's window ran reserves that
+        window on the slow path; a window that replayed reserved none, so
+        its requests hold ``None``.
+        """
+        self._materialize()
+        return self._invocation
 
     @property
     def completed(self) -> bool:
@@ -174,8 +202,13 @@ class CollectiveRequest:
 
     def describe(self) -> str:
         """Human-readable identity for deadlock reports and logs."""
+        before, after = self._label()
+        return f"{before}{self.sequence}{after}"
+
+    def _label(self) -> tuple[str, str]:
+        """:meth:`describe` around the request number: (before, after)."""
         root = "" if self.root is None else f"root={self.root}"
-        return f"{self.op}({root})#{self.invocation.sequence} at rank {self.task.rank}"
+        return f"{self.op}({root})#", f" at rank {self.task.rank}"
 
     def __repr__(self) -> str:
         state = "done" if self.completed else "in-flight"
@@ -239,11 +272,11 @@ class CollectiveRequest:
                 self._completion.succeed(value)
             return value
         if self._process is None:
-            # Deferred start: replayed windows are already done; a wait that
-            # somehow precedes the run flush materializes the slow path.
+            # Deferred start: a replayed window is already done; a wait that
+            # precedes the run flush materializes the slow path.
             if self._done:
                 return self._value
-            self._spawn()
+            self._materialize()
         process = self.task.engine.active_process
         if process is not None:
             process.waiting_request = self
@@ -260,9 +293,9 @@ class PersistentCollective:
 
     The MPI ``MPI_Bcast_init`` shape: arguments are validated, the dispatch
     decision resolved, and the tree/counter/buffer bindings captured once;
-    every :meth:`start` afterwards only reserves an invocation window and
-    spawns the progress process — the per-call setup cost is amortized
-    across all starts.
+    every :meth:`start` afterwards claims a request number and either hands
+    the plan to the replay manager's window or reserves and spawns at once
+    — the per-call setup cost is amortized across all starts.
     """
 
     def __init__(
@@ -296,32 +329,34 @@ class PersistentCollective:
         """Begin one invocation; returns its request handle.
 
         When compiled replay is enabled (:attr:`SRMConfig.compiled_replay`)
-        and the engine is idle, the start is *deferred*: the next plain
-        ``engine.run()`` either replays a cached :class:`CompiledSchedule`
-        for the whole window of deferred starts or materializes (and
-        records) the slow path.  Starts issued from inside a running
-        process always spawn immediately, exactly as before.
+        and the engine is idle, the start is *deferred*: it claims its
+        request number, and the replay manager keeps the plan's current
+        reserve and body closures and generation in the window that the
+        next plain ``engine.run()`` flushes — replaying a cached
+        :class:`~repro.core.replay.CompiledSchedule` for the whole window,
+        or reserving every start in order and running (and recording) the
+        slow path.  Starts issued from inside a running process reserve
+        their window and spawn their progress process at once.
         """
-        invocation = self._reserve()
-        invocation.sequence = self.ctx.ledger.reserve(("request", self.task.rank), 1)
-        body = self._body(invocation)
         self.starts += 1
-        if self.ctx.config.compiled_replay:
-            manager = manager_for(self.task.engine)
+        ctx, task = self.ctx, self.task
+        if ctx.config.compiled_replay:
+            manager = manager_for(task.engine)
             if manager.accepts(self):
-                request = CollectiveRequest(
-                    self.ctx, self.task, invocation, body, inline=False, deferred=True
-                )
-                manager.defer(self, invocation, request)
+                request = CollectiveRequest(ctx, task, self.op, self.root)
+                request._reserve = self._reserve
+                request._body = self._body
+                manager.defer(self, request)
                 return request
-        return CollectiveRequest(self.ctx, self.task, invocation, body, inline=False)
+        return _start(ctx, task, (self.decision, self._reserve, self._body))
 
     def invalidate(self) -> None:
         """Drop every compiled schedule recorded against this plan.
 
         Must be called (and is called by :meth:`rebind`) whenever the plan's
         buffer bindings change; a replay against stale bindings would move
-        the wrong bytes.
+        the wrong bytes.  Starts already made keep the closures and
+        generation they captured.
         """
         self._generation += 1
         trace = self.task.engine.trace
@@ -333,7 +368,9 @@ class PersistentCollective:
 
         Arguments mirror the plan's ``persistent_*`` constructor (minus
         ``ctx``/``task``/``root``).  Cached compiled schedules are
-        invalidated; the next start re-records.
+        invalidated; the next start re-records.  A start made before the
+        rebind still runs against the old buffers: its request holds the
+        closures over them.
         """
         if self._rebuild is None:
             raise TypeError(f"persistent {self.op} plan does not support rebind")
@@ -479,10 +516,20 @@ def prepare_barrier(ctx: SRMContext, task: "Task") -> Prepared:
 def _start(
     ctx: SRMContext, task: "Task", prepared: Prepared, inline: bool = False
 ) -> CollectiveRequest:
+    """Reserve one invocation's window now and return its bound request.
+
+    Deferred persistent starts still waiting for the run flush reserve
+    first, in started order, so every rank claims its windows in the order
+    it started its requests.
+    """
+    trace = task.engine.trace
+    if trace is not None:
+        trace.materialize()
     _decision, reserve, body = prepared
     invocation = reserve()
-    invocation.sequence = ctx.ledger.reserve(("request", task.rank), 1)
-    return CollectiveRequest(ctx, task, invocation, body(invocation), inline)
+    request = CollectiveRequest(ctx, task, invocation.op, invocation.root, inline)
+    request._bind(invocation, body)
+    return request
 
 
 def run_blocking(ctx: SRMContext, task: "Task", prepared: Prepared) -> ProcessGenerator:

@@ -173,7 +173,8 @@ class SRM:
     ) -> PersistentCollective:
         """A persistent broadcast of ``buffer`` from ``root``: the dispatch
         decision, tree embedding, and buffer binding are pinned now; each
-        ``plan.start()`` only reserves a sequence window and goes."""
+        ``plan.start()`` only claims a request and reserves its windows, or
+        leaves both to the replay window (:class:`PersistentCollective`)."""
         return _requests.persistent_broadcast(self.ctx, task, buffer, root)
 
     def plan_reduce(

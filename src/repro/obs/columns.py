@@ -20,7 +20,8 @@ hands its trace's tail to :meth:`ColumnTable.extend`, which keeps it by
 reference as a *pending block*: ``len()`` counts its rows, and the first
 read or append copies every pending block into the columns, oldest first,
 with one bulk copy per column.  A session that reads nothing between
-windows holds one small block per window instead of a copy of every row.
+windows holds a few references per window instead of a copy of every row,
+and no object per block for the garbage collector to track.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class ColumnTable:
     def __init__(self) -> None:
         for field, code in self.FIELDS:
             setattr(self, field, array(code) if code else [])
-        #: Blocks :meth:`extend` kept by reference, oldest first: the
-        #: arguments of one :meth:`_copy` each.
-        self._pending: list[tuple] = []
+        #: Blocks :meth:`extend` kept by reference, oldest first, flat: the
+        #: three arguments of each :meth:`_copy` in turn.
+        self._pending: list[typing.Any] = []
         self._pending_rows = 0
 
     def _record(self, index: int, values: tuple) -> typing.Any:
@@ -113,13 +114,13 @@ class ColumnTable:
                 out[field] = np.frombuffer(column, dtype=code)[mark:].copy()
         return out
 
-    def extend(self, tail: dict[str, typing.Any], t0: float, *extra: typing.Any) -> None:
+    def extend(self, tail: dict[str, typing.Any], t0: float, payload: typing.Any = None) -> None:
         """Append rows shaped like :meth:`tail`'s, clock fields plus ``t0``.
 
         The rows are kept by reference as a pending block, so ``tail`` must
-        not change afterwards; ``extra`` goes to :meth:`_copy` with it.
+        not change afterwards; ``payload`` goes to :meth:`_copy` with it.
         """
-        self._pending.append((tail, t0, *extra))
+        self._pending += (tail, t0, payload)
         self._pending_rows += len(tail[self.FIELDS[0][0]])
 
     def materialize(self) -> None:
@@ -128,10 +129,10 @@ class ColumnTable:
         if pending:
             self._pending = []
             self._pending_rows = 0
-            for block in pending:
-                self._copy(*block)
+            for index in range(0, len(pending), 3):
+                self._copy(*pending[index : index + 3])
 
-    def _copy(self, tail: dict[str, typing.Any], t0: float) -> None:
+    def _copy(self, tail: dict[str, typing.Any], t0: float, payload: typing.Any = None) -> None:
         """Append one block's rows to the columns, clock fields plus ``t0``.
 
         NumPy's float64 add rounds exactly like Python's, so the appended

@@ -60,24 +60,29 @@ class SampleTable(ColumnTable):
         time, occupancy, queued, saturated = values
         return ResourceSample(time, occupancy, queued, bool(saturated))
 
-    def tail(self, mark: int, t0: float) -> dict[str, typing.Any]:
-        """:meth:`ColumnTable.tail`, with every column but the clock encoded
-        once as the bytes :meth:`extend` appends."""
-        tail = super().tail(mark, t0)
-        for field in ("occupancy", "queued", "saturated"):
-            tail[field] = tail[field].tobytes()
-        return tail
+    def last(self) -> tuple | None:
+        """The last row as (time, occupancy, queued, saturated), or None.
 
-    def extend(self, tail: dict[str, typing.Any], t0: float) -> None:
-        """Append a replayed :meth:`tail` at once, not as a pending block:
-        the next window's boundary sample coalesces through
-        :meth:`ResourceTimeline.record` against the last row, so deferring
-        would copy every window anyway.  Only the clock column is computed
-        (bit-identical to adding ``t0`` sample by sample)."""
-        self.time.frombytes((tail["time"] + t0).tobytes())
-        self.occupancy.frombytes(tail["occupancy"])
-        self.queued.frombytes(tail["queued"])
-        self.saturated.frombytes(tail["saturated"])
+        A replayed block carries its last row, so reading it copies nothing.
+        """
+        pending = self._pending
+        if pending:
+            closing = pending[-1][1]
+            if closing is not None:
+                return (closing[0] + pending[-2], *closing[1:])
+            self.materialize()
+        if not self.time:
+            return None
+        return (self.time[-1], self.occupancy[-1], self.queued[-1], self.saturated[-1])
+
+    def _copy(self, tail: dict[str, typing.Any], t0: float, payload: typing.Any = None) -> None:
+        """Append one replayed block.  Its ``payload`` is (boundary,
+        closing): the state the window left the row before it in (None
+        when unchanged), set first as :meth:`ResourceTimeline.record` did,
+        and the block's last row, window-relative, for :meth:`last`."""
+        if payload is not None and payload[0] is not None:
+            self.occupancy[-1], self.queued[-1], self.saturated[-1] = payload[0]
+        super()._copy(tail, t0)
 
 
 class ResourceTimeline:
@@ -104,6 +109,8 @@ class ResourceTimeline:
     ) -> None:
         """Append one transition (coalescing no-ops and same-time updates)."""
         table = self.table
+        if table._pending:
+            table.materialize()
         times = table.time
         if times:
             if (
@@ -141,6 +148,7 @@ class ResourceTimeline:
         did not exist / was idle).
         """
         table = self.table
+        table.materialize()
         times = table.time
         count = len(times)
         if end <= start or not count:
@@ -169,13 +177,16 @@ class ResourceTimeline:
         return self.seconds_matching(start, end, lambda s: s.queued >= 1)
 
     def max_occupancy(self) -> int:
+        self.table.materialize()
         return max(self.table.occupancy, default=0)
 
     def max_queued(self) -> int:
+        self.table.materialize()
         return max(self.table.queued, default=0)
 
     def to_dict(self, until: float) -> dict:
         """Summary stats over ``[first sample, until]`` (JSON-ready)."""
+        self.table.materialize()
         times = self.table.time
         first = times[0] if times else until
         return {

@@ -141,18 +141,21 @@ class SpanTable(ColumnTable):
             values[3] = NAN
         return values
 
-    def _copy(
-        self, tail: dict[str, typing.Any], t0: float, labels: typing.Sequence[tuple[int, str]] = ()
-    ) -> None:
+    def _copy(self, tail: dict[str, typing.Any], t0: float, payload: typing.Any = None) -> None:
         """Append one block: ``parent`` holds offsets into the block (or -1),
-        made row indices here, and ``labels`` are (offset, detail) pairs
-        naming the replaying window's requests in its ``request`` spans."""
+        made row indices here.  A replayed window's ``payload`` is
+        (members, request numbers): each member (offset, index, before,
+        after) names that window's request in a ``request`` span, whose
+        detail is ``before``, the request number at ``index`` and
+        ``after``."""
         base = len(self.start)
         parent = tail["parent"]
         super()._copy({**tail, "parent": np.where(parent >= 0, parent + base, -1)}, t0)
-        detail = self.detail
-        for offset, label in labels:
-            detail[base + offset] = label
+        if payload is not None:
+            members, sequences = payload
+            detail = self.detail
+            for offset, index, before, after in members:
+                detail[base + offset] = f"{before}{sequences[index]}{after}"
 
 
 class FlowTable(ColumnTable):

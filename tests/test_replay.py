@@ -23,7 +23,7 @@ The contract under test (:mod:`repro.core.replay`):
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SRM, FixedPolicy, SRMConfig
@@ -158,6 +158,73 @@ def test_replay_windows_match_slow_path(
     manager = engine_on.trace
     assert manager is not None and manager.hit_count > 0
     assert engine_off.trace is None
+
+
+def persistent_plans(op, srm, machine, root, count):
+    """Every rank's ``op`` plan over zeroed float64 buffers of ``count``."""
+    total = machine.spec.total_tasks
+    if op == "broadcast":
+        return [srm.plan_broadcast(machine.task(r), np.zeros(count), root=root) for r in range(total)]
+    if op == "reduce":
+        out = np.zeros(count)
+        return [
+            srm.plan_reduce(machine.task(r), np.zeros(count), out if r == root else None, SUM, root=root)
+            for r in range(total)
+        ]
+    if op == "allreduce":
+        return [
+            srm.plan_allreduce(machine.task(r), np.zeros(count), np.zeros(count), SUM)
+            for r in range(total)
+        ]
+    return [srm.plan_barrier(machine.task(r)) for r in range(total)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    op=st.sampled_from(["broadcast", "reduce", "allreduce", "barrier"]),
+    nbytes=st.sampled_from([16, 512, 4096, 16384, 65536]),
+    procs=st.integers(min_value=2, max_value=3),
+    root_seed=st.integers(min_value=0, max_value=7),
+    invalidate_at=st.sampled_from([None, 2]),
+)
+@example(op="broadcast", nbytes=2048, procs=2, root_seed=0, invalidate_at=None)
+def test_replay_windows_keep_the_slow_paths_monitor_rows(op, nbytes, procs, root_seed, invalidate_at):
+    """N windows on a replay machine leave every resource timeline row for
+    row as on a slow-path twin: states exactly, times within the clock
+    tolerance of :func:`test_replay_windows_match_slow_path`.
+
+    Rounding at a later window's start can fold two instants a few ULPs
+    apart into one on either machine, so rows within that tolerance of
+    each other count as one instant holding the later state, as
+    ``record()`` keeps a same-time update."""
+    machines = []
+    for machine, srm in make_pair(procs=procs):
+        plans = persistent_plans(op, srm, machine, root_seed % (2 * procs), max(1, nbytes // 8))
+        for window in range(8):
+            if window == invalidate_at:
+                for plan in plans:
+                    plan.invalidate()
+            drive_window(machine, plans)
+        machines.append(machine)
+    assert machines[0].engine.trace.hit_count > 0
+    on, off = (machine.obs.monitor.timelines for machine in machines)
+    assert list(on) == list(off)
+
+    def instants(timeline):
+        rows = []
+        for sample in timeline.samples:
+            if rows and sample.time - rows[-1].time <= 1e-9:
+                rows[-1] = sample._replace(time=rows[-1].time)
+            else:
+                rows.append(sample)
+        return rows
+
+    for name, timeline in off.items():
+        rows, replayed = instants(timeline), instants(on[name])
+        assert len(replayed) == len(rows), f"{name}: {len(replayed)} rows, slow path {len(rows)}"
+        for index, (got, want) in enumerate(zip(replayed, rows)):
+            assert got[1:] == want[1:], f"{name} row {index}: state {got} != {want}"
+            assert got.time == pytest.approx(want.time, abs=1e-9), f"{name} row {index}"
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 3)], ids=["2x2", "4x3"])
@@ -356,6 +423,49 @@ def test_replay_follows_the_broadcast_slots_last_writer():
     assert on.engine.now == pytest.approx(off.engine.now, rel=1e-12)
 
 
+def test_replayed_allreduce_windows_follow_the_slots_last_writer():
+    """An exchange allreduce's fan-out claims the node broadcast slots that
+    a small broadcast's credit reads the last writer of: persistent
+    allreduce windows, some after a blocking broadcast and some not, leave
+    equal buffers, ledgers, counter values and flag values with replay and
+    without."""
+    total = 6
+    broadcast_before = [bool(int(c)) for c in "110100111001000000011000"]
+    sides = []
+    for compiled in (True, False):
+        machine = Machine(ClusterSpec(nodes=3, tasks_per_node=2))
+        srm = SRM(machine, config=SRMConfig(compiled_replay=compiled))
+        sources = {r: np.zeros(64) for r in range(total)}
+        outs = {r: np.zeros(64) for r in range(total)}
+        plans = [srm.plan_allreduce(machine.task(r), sources[r], outs[r], SUM) for r in range(total)]
+        assert plans[0].decision.variant == "exchange"
+        sides.append((machine, srm, plans, sources, outs))
+
+    for window, broadcast in enumerate(broadcast_before):
+        for machine, srm, plans, sources, outs in sides:
+            if broadcast:
+                data = {r: np.full(256, float(window)) if r == 0 else np.zeros(256) for r in range(total)}
+
+                def program(task, srm=srm, data=data):
+                    yield from srm.broadcast(task, data[task.rank], root=0)
+
+                machine.launch(program)
+                assert all(np.all(buffer == window) for buffer in data.values())
+            for r in range(total):
+                sources[r][:] = window + r
+            drive_window(machine, plans)
+            for r in range(total):
+                assert np.all(outs[r] == 6 * window + 15), (window, r)
+
+    (on, srm_on, _, _, outs_on), (off, srm_off, _, _, outs_off) = sides
+    assert on.engine.trace.hit_count > 0
+    for r in range(total):
+        assert outs_on[r].tobytes() == outs_off[r].tobytes()
+    assert srm_on.ctx.ledger == srm_off.ctx.ledger
+    assert [(c.name, c.value) for c in on.counters] == [(c.name, c.value) for c in off.counters]
+    assert [(f.name, f.value) for f in on.flags] == [(f.name, f.value) for f in off.flags]
+
+
 # ---------------------------------------------------------------------------
 # cache bookkeeping: counters, escape hatch, invalidation
 # ---------------------------------------------------------------------------
@@ -430,6 +540,24 @@ def test_precondition_misses_name_the_cell_kind():
         for name in summary
         for kind in ("stat", "interrupts", "counter", "ledger")
     )
+
+
+def test_a_replayed_window_processes_one_engine_event():
+    """A hit schedules only the window's end, where every member request
+    completes; the slow path processes several per request."""
+    (machine, srm), _ = make_pair()
+    total = machine.spec.total_tasks
+    buffers = {r: np.zeros(2048, dtype=np.uint8) for r in range(total)}
+    plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+    engine = machine.engine
+    events = []
+    for window in range(6):
+        buffers[0][:] = window + 1
+        hits, before = engine.trace.hit_count if engine.trace else 0, engine.events_processed
+        drive_window(machine, plans)
+        events.append((engine.trace.hit_count > hits, engine.events_processed - before))
+    assert {count for hit, count in events if hit} == {1}
+    assert all(count > total for hit, count in events if not hit), events
 
 
 def test_a_request_spawned_before_the_flush_makes_the_window_dirty():
@@ -560,6 +688,48 @@ def test_rebind_invalidates_cached_traces():
             assert np.all(fresh[r] == 100 + window), f"rank {r} missed the rebound payload"
     # The rebound windows re-recorded and then replayed again.
     assert manager._traces
+
+
+def test_a_plan_rebound_between_start_and_run_replays_onto_its_new_buffers():
+    """Starts made before ``rebind()`` run on the old buffers, and every
+    later window on the new ones: a 2x2 float64 broadcast of 256 doubles
+    runs 4 windows, then every plan is started, rebound to a fresh buffer
+    and run, then 4 more windows; every window leaves both the old and the
+    new buffers byte for byte as the slow-path twin does."""
+    sides = []
+    for machine, srm in make_pair():
+        total = machine.spec.total_tasks
+        old = {r: np.zeros(256) for r in range(total)}
+        fresh = {r: np.zeros(256) for r in range(total)}
+        plans = [srm.plan_broadcast(machine.task(r), old[r], root=0) for r in range(total)]
+        sides.append((machine, plans, old, fresh))
+
+    def same(label):
+        (_, _, old_on, fresh_on), (_, _, old_off, fresh_off) = sides
+        for r in old_on:
+            assert old_on[r].tobytes() == old_off[r].tobytes(), f"{label}: old buffer of rank {r}"
+            assert fresh_on[r].tobytes() == fresh_off[r].tobytes(), f"{label}: new buffer of rank {r}"
+
+    for window in range(4):
+        for machine, plans, old, _fresh in sides:
+            old[0][:] = window + 1
+            drive_window(machine, plans)
+        same(f"window {window}")
+    for machine, plans, old, fresh in sides:
+        old[0][:] = 50
+        requests = [plan.start() for plan in plans]
+        for rank, plan in enumerate(plans):
+            plan.rebind(fresh[rank])
+        machine.engine.run()
+        assert all(request.completed for request in requests)
+    same("the rebound window")
+    assert all(np.all(old[r] == 50) for r in old)
+    for window in range(4):
+        for machine, plans, _old, fresh in sides:
+            fresh[0][:] = 100 + window
+            drive_window(machine, plans)
+        same(f"window {window} on the new buffers")
+    assert sides[0][0].engine.trace.hit_count > 0
 
 
 # ---------------------------------------------------------------------------

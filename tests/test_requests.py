@@ -15,6 +15,9 @@ Covers the contract :mod:`repro.core.requests` promises:
 * validation is a single choke point that raises at ``start()``/plan init,
   never mid-schedule;
 * a deadlock inside ``request.wait()`` names the outstanding request;
+* a persistent start made while the engine is idle is deferred to the run
+  flush, yet its request behaves as the slow path's, and a start that
+  reserves at once first reserves the deferred ones before it;
 * property: any interleaving of ``start()``/``wait()`` across independent
   communicators produces bytes identical to the all-blocking run.
 """
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SRM, CollectiveRequest, FixedPolicy, PersistentCollective
+from repro.core import SRM, CollectiveRequest, FixedPolicy, PersistentCollective, SRMConfig
 from repro.errors import ConfigurationError, DeadlockError
 from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
@@ -201,6 +204,98 @@ def test_start_claims_windows_before_the_engine_runs():
     assert second.invocation.sequence == first.invocation.sequence + 1
     assert machine.engine.events_processed == 0
     assert not first.completed and not second.completed
+
+
+# ---------------------------------------------------------------------------
+# deferred starts
+# ---------------------------------------------------------------------------
+
+
+def _plans(op, srm, machine):
+    """Every rank's persistent ``op`` plan over 64 doubles, and its buffers."""
+    total = machine.spec.total_tasks
+    sources = [np.full(64, float(r + 1)) for r in range(total)]
+    outs = [np.zeros(64) for _ in range(total)]
+    tasks = [machine.task(r) for r in range(total)]
+    if op == "broadcast":
+        sources[0][:] = np.arange(64.0)
+        plans = [srm.plan_broadcast(task, sources[task.rank], root=0) for task in tasks]
+    elif op == "reduce":
+        plans = [
+            srm.plan_reduce(task, sources[task.rank], outs[0] if task.rank == 0 else None, SUM, root=0)
+            for task in tasks
+        ]
+    elif op == "allreduce":
+        plans = [srm.plan_allreduce(task, sources[task.rank], outs[task.rank], SUM) for task in tasks]
+    else:
+        plans = [srm.plan_barrier(task) for task in tasks]
+    return plans, sources + outs
+
+
+@pytest.mark.parametrize("op", ["broadcast", "reduce", "allreduce", "barrier"])
+def test_a_replayed_windows_requests_behave_as_the_slow_paths(op):
+    """After a replayed window, every request is completed, tests done,
+    describes and prints itself, and returns from a wait() in a program
+    launched after the window exactly as on a slow-path twin."""
+    sides = []
+    for compiled in (True, False):
+        machine = make_machine()
+        srm = SRM(machine, config=SRMConfig(compiled_replay=compiled))
+        plans, buffers = _plans(op, srm, machine)
+        for _window in range(6):
+            hits = machine.engine.trace.hit_count if machine.engine.trace else 0
+            requests = [plan.start() for plan in plans]
+            assert not any(request.test() for request in requests)
+            machine.engine.run()
+        values = {}
+
+        def program(task, requests=requests, values=values):
+            values[task.rank] = yield from requests[task.rank].wait()
+
+        machine.launch(program)
+        sides.append((machine, hits, requests, values, buffers))
+    (on, hits, replayed, values_on, buffers_on), (_off, _, slow, values_off, buffers_off) = sides
+    assert on.engine.trace.hit_count == hits + 1, "the last window did not replay"
+    for got, want in zip(replayed, slow):
+        assert (got.completed, got.test()) == (want.completed, want.test()) == (True, True)
+        assert got.describe() == want.describe()
+        assert repr(got) == repr(want)
+    assert values_on == values_off
+    for got, want in zip(buffers_on, buffers_off):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_an_ibcast_between_deferred_starts_reserves_in_started_order():
+    """A nonblocking broadcast started from outside the engine between two
+    deferred persistent starts on its context reserves after the first and
+    before the second: the ledger, every buffer and the request chain end
+    as with compiled replay off."""
+    sides = []
+    for compiled in (True, False):
+        machine = make_machine()
+        srm = SRM(machine, config=SRMConfig(compiled_replay=compiled))
+        total = machine.spec.total_tasks
+        weights = [np.zeros(512) for _ in range(total)]
+        extra = [np.zeros(512) for _ in range(total)]
+        plans, buffers = _plans("allreduce", srm, machine)
+        bcasts = [srm.plan_broadcast(machine.task(r), weights[r], root=0) for r in range(total)]
+        for window in range(4):
+            weights[0][:] = window + 1
+            extra[0][:] = 100 + window
+            requests = [plan.start() for plan in bcasts]
+            requests += [srm.ibcast(machine.task(r), extra[r], root=0) for r in range(total)]
+            requests += [plan.start() for plan in plans]
+            machine.engine.run()
+            assert all(request.completed for request in requests)
+        chain = {rank: tail.describe() for rank, tail in srm.ctx._request_tail.items()}
+        windows = [dict(request.invocation.bases) for request in requests]
+        sides.append((dict(srm.ctx.ledger), chain, windows, weights + extra + buffers))
+    (ledger_on, chain_on, windows_on, buffers_on), (ledger_off, chain_off, windows_off, buffers_off) = sides
+    assert ledger_on == ledger_off
+    assert chain_on == chain_off
+    assert windows_on == windows_off
+    for got, want in zip(buffers_on, buffers_off):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
