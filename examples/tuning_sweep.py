@@ -12,7 +12,7 @@ such questions with the simulator and cross-checks the analytical model:
 Run:  python examples/tuning_sweep.py
 """
 
-from repro.analysis import srm_broadcast_time
+from repro.analysis import srm_time
 from repro.bench import build, format_bytes, format_us, time_operation
 from repro.core import SRMConfig
 from repro.machine import ClusterSpec, CostModel
@@ -52,7 +52,7 @@ def machine_presets() -> None:
     ]:
         machine, srm = build("srm", spec, cost=cost)
         simulated = time_operation(machine, srm, "broadcast", MESSAGE, repeats=3).seconds
-        predicted = srm_broadcast_time(cost, spec, MESSAGE)
+        predicted = srm_time(cost, spec, "broadcast", MESSAGE)
         print(
             f"   {label:18s} sim {format_us(simulated):>9} us, "
             f"model {format_us(predicted):>9} us (x{predicted / simulated:.2f})"

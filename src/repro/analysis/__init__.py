@@ -13,13 +13,7 @@ from repro.analysis.model import (
     mpi_broadcast_time,
     mpi_p2p_time,
     predicted_broadcast_ratio,
-    smp_barrier_time,
-    smp_broadcast_time,
-    smp_reduce_time,
-    srm_allreduce_time,
-    srm_barrier_time,
-    srm_broadcast_time,
-    srm_reduce_time,
+    srm_time,
 )
 
 __all__ = [
@@ -27,13 +21,7 @@ __all__ = [
     "smp_reduce_analytic",
     "message_passing_reduce_analytic",
     "audit_reduce",
-    "smp_broadcast_time",
-    "smp_reduce_time",
-    "smp_barrier_time",
-    "srm_broadcast_time",
-    "srm_reduce_time",
-    "srm_allreduce_time",
-    "srm_barrier_time",
+    "srm_time",
     "mpi_p2p_time",
     "mpi_broadcast_time",
     "mpi_barrier_time",

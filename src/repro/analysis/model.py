@@ -6,34 +6,29 @@ evaluate effectiveness of this technique under different assumptions and
 parameter values such as the SMP node size, intra-SMP memory bandwidth, and
 performance of inter-node communication."
 
-The model below is a LogGP-flavoured closed form over the same
-:class:`~repro.machine.costmodel.CostModel` parameters the simulator uses.
-It deliberately ignores second-order effects (bus contention between
-simultaneous readers, interrupt stalls, daemon noise), so it *underestimates*
-the simulation slightly; the validation benchmark
-(``benchmarks/bench_model_validation.py``) records the model/simulation ratio
-across a sweep and asserts it stays within a calibrated band.  Besides
-validation, the model answers the paper's what-if questions analytically —
-see :func:`crossover_node_size` for an example (at what node size does SRM's
-shared-memory advantage saturate?).
+The SRM side of that model is the dispatch registry's cost hooks
+(:mod:`repro.core.dispatch`): one closed form per registered variant over the
+same :class:`~repro.machine.costmodel.CostModel` parameters the simulator
+uses, the one model that also selects variants and that ``calibrate``
+scores.  :func:`srm_time` predicts one call of the variant the paper's
+selection rule picks.  This
+module adds the message-passing baselines' closed forms and answers the
+paper's what-if questions with both — see :func:`crossover_node_size` (at
+what node size does SRM's shared-memory advantage saturate?) and
+:func:`predicted_broadcast_ratio`.  The validation benchmark
+(``benchmarks/bench_model_validation.py``) records the model/simulation
+ratio across a sweep and asserts it stays within a calibrated band.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.config import SRMConfig
+from repro.core.dispatch import PaperPolicy, SelectionEnv, lookup_variant, resolve_variant
 from repro.machine.costmodel import CostModel
 from repro.machine.spec import ClusterSpec
 
 __all__ = [
-    "smp_broadcast_time",
-    "smp_reduce_time",
-    "smp_barrier_time",
-    "srm_broadcast_time",
-    "srm_reduce_time",
-    "srm_allreduce_time",
-    "srm_barrier_time",
+    "srm_time",
     "mpi_p2p_time",
     "mpi_broadcast_time",
     "mpi_barrier_time",
@@ -42,166 +37,26 @@ __all__ = [
 ]
 
 
-def _put_time(cost: CostModel, nbytes: int) -> float:
-    """One counter-signalled LAPI put, origin call to target counter."""
-    return (
-        cost.rma_origin_overhead
-        + cost.net_latency
-        + nbytes / cost.net_bandwidth
-        + cost.rma_target_overhead
-        + cost.counter_update_cost
-    )
-
-
 def _inter_rounds(nodes: int) -> int:
     """Binomial rounds between node masters."""
     return (nodes - 1).bit_length()
 
 
-# ---------------------------------------------------------------------------
-# intra-node stages
-# ---------------------------------------------------------------------------
-
-
-def smp_broadcast_time(cost: CostModel, node_size: int, nbytes: int) -> float:
-    """Flat two-buffer SMP broadcast of one chunk (paper Fig. 3).
-
-    fill (copy in + set P-1 flags) then the readers' concurrent drain; the
-    drain is one copy at per-CPU speed unless the readers together exceed
-    the bus, in which case the bus divides among them.
-    """
-    if node_size <= 1:
-        return 0.0
-    fill = cost.copy_time(nbytes) + (node_size - 1) * cost.flag_set_cost
-    readers = node_size - 1
-    drain_rate = min(cost.sm_copy_bandwidth, cost.memory_bus_bandwidth / readers)
-    drain = cost.flag_poll_interval + cost.sm_copy_latency + nbytes / drain_rate
-    return fill + drain
-
-
-def smp_reduce_time(cost: CostModel, node_size: int, nbytes: int) -> float:
-    """Binomial SMP reduce of one chunk (paper Fig. 2).
-
-    One leaf copy, then one operator execution per tree level on the
-    critical path (the root combines ceil(log2 p) children serially).
-    """
-    if node_size <= 1:
-        return 0.0
-    levels = (node_size - 1).bit_length()
-    leaf_copy = cost.copy_time(nbytes) + cost.flag_set_cost
-    combines = sum(
-        cost.flag_poll_interval + cost.reduce_time(nbytes) for _ in range(levels)
+def srm_time(
+    cost: CostModel,
+    spec: ClusterSpec,
+    op: str,
+    nbytes: int,
+    config: SRMConfig | None = None,
+) -> float:
+    """Predicted latency of one SRM ``op`` of ``nbytes`` on ``spec``: the
+    cost hook of the variant the paper's selection rule runs."""
+    env = SelectionEnv(
+        op=op, nbytes=nbytes, nodes=spec.nodes, ppn=max(spec.node_sizes),
+        config=config or SRMConfig(), cost=cost,
     )
-    return leaf_copy + combines
-
-
-def smp_barrier_time(cost: CostModel, node_size: int) -> float:
-    """Flat flag barrier: check-in, master scan, reset, release."""
-    if node_size <= 1:
-        return 0.0
-    check_in = cost.flag_set_cost + cost.flag_poll_interval
-    reset = (node_size - 1) * cost.flag_set_cost
-    release = cost.flag_poll_interval
-    return check_in + reset + release
-
-
-# ---------------------------------------------------------------------------
-# integrated operations
-# ---------------------------------------------------------------------------
-
-
-def srm_broadcast_time(
-    cost: CostModel,
-    spec: ClusterSpec,
-    nbytes: int,
-    config: SRMConfig | None = None,
-) -> float:
-    """End-to-end SRM broadcast latency."""
-    config = config or SRMConfig()
-    node_size = max(spec.node_sizes)
-    rounds = _inter_rounds(spec.nodes)
-    chunks = config.chunks(nbytes)
-    chunk_bytes = chunks[0][1]
-    n_chunks = len(chunks)
-
-    if not config.is_large(nbytes):
-        # Small protocol: per chunk, `rounds` pipelined put stages plus the
-        # SMP fan-out; extra chunks cost one more slowest-stage each.
-        stage_net = _put_time(cost, chunk_bytes)
-        stage_smp = smp_broadcast_time(cost, node_size, chunk_bytes)
-        first_chunk = rounds * stage_net + stage_smp
-        steady = max(stage_net, stage_smp)
-        return first_chunk + (n_chunks - 1) * steady
-
-    # Large protocol: address exchange, then the root streams the whole
-    # message to each child (its NIC serializes over children on the top
-    # level), overlapped with per-node SMP pipelines.
-    children_of_root = min(rounds, spec.nodes - 1)
-    address = _put_time(cost, 0)
-    stream = children_of_root * nbytes / cost.net_bandwidth + cost.net_latency * rounds
-    smp_pipe = smp_broadcast_time(cost, node_size, chunk_bytes) * n_chunks
-    return address + max(stream, smp_pipe) + smp_broadcast_time(cost, node_size, chunk_bytes)
-
-
-def srm_reduce_time(
-    cost: CostModel,
-    spec: ClusterSpec,
-    nbytes: int,
-    config: SRMConfig | None = None,
-) -> float:
-    """End-to-end SRM reduce latency."""
-    config = config or SRMConfig()
-    node_size = max(spec.node_sizes)
-    rounds = _inter_rounds(spec.nodes)
-    chunks = config.chunks(nbytes)
-    chunk_bytes = chunks[0][1]
-    n_chunks = len(chunks)
-    stage_smp = smp_reduce_time(cost, node_size, chunk_bytes)
-    stage_net = _put_time(cost, chunk_bytes) + cost.reduce_time(chunk_bytes)
-    first_chunk = stage_smp + rounds * stage_net
-    steady = max(stage_net, stage_smp)
-    return first_chunk + (n_chunks - 1) * steady
-
-
-def srm_allreduce_time(
-    cost: CostModel,
-    spec: ClusterSpec,
-    nbytes: int,
-    config: SRMConfig | None = None,
-) -> float:
-    """End-to-end SRM allreduce latency."""
-    config = config or SRMConfig()
-    node_size = max(spec.node_sizes)
-    if nbytes <= config.allreduce_exchange_max:
-        rd_rounds = int(math.log2(max(1, 1 << ((spec.nodes).bit_length() - 1))))
-        exchange = rd_rounds * (_put_time(cost, nbytes) + cost.reduce_time(nbytes))
-        return (
-            smp_reduce_time(cost, node_size, nbytes)
-            + exchange
-            + smp_broadcast_time(cost, node_size, nbytes)
-        )
-    # Pipelined reduce + broadcast (Fig. 5): the stages overlap chunk-wise,
-    # so the total is one traversal plus (n_chunks - 1) slowest stages.
-    chunks = config.chunks(nbytes)
-    chunk_bytes = chunks[0][1]
-    n_chunks = len(chunks)
-    rounds = _inter_rounds(spec.nodes)
-    stages = [
-        smp_reduce_time(cost, node_size, chunk_bytes),
-        _put_time(cost, chunk_bytes) + cost.reduce_time(chunk_bytes),
-        _put_time(cost, chunk_bytes),
-        smp_broadcast_time(cost, node_size, chunk_bytes),
-    ]
-    first_chunk = stages[0] + rounds * stages[1] + rounds * stages[2] + stages[3]
-    steady = max(max(stages), 2 * rounds * chunk_bytes / cost.net_bandwidth)
-    return first_chunk + (n_chunks - 1) * steady
-
-
-def srm_barrier_time(cost: CostModel, spec: ClusterSpec) -> float:
-    """End-to-end SRM barrier latency."""
-    node_size = max(spec.node_sizes)
-    rounds = (spec.nodes - 1).bit_length()
-    return smp_barrier_time(cost, node_size) + rounds * _put_time(cost, 0)
+    entry, _overridden = resolve_variant(PaperPolicy(), env)
+    return entry.cost(env)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +105,33 @@ def mpi_barrier_time(cost: CostModel, spec: ClusterSpec) -> float:
     )
 
 
+# ---------------------------------------------------------------------------
+# what-ifs
+# ---------------------------------------------------------------------------
+
+
 def predicted_broadcast_ratio(cost: CostModel, spec: ClusterSpec, nbytes: int) -> float:
     """Analytic T_SRM / T_MPI * 100 % — the paper's Figs. 9–11 metric,
     answerable without running the simulator."""
-    return 100.0 * srm_broadcast_time(cost, spec, nbytes) / mpi_broadcast_time(cost, spec, nbytes)
+    srm = srm_time(cost, spec, "broadcast", nbytes)
+    return 100.0 * srm / mpi_broadcast_time(cost, spec, nbytes)
 
 
 def crossover_node_size(cost: CostModel, nbytes: int, max_size: int = 512) -> int:
-    """Smallest node size at which the SMP drain (bus-bound) becomes slower
-    than one network hop — the "how fat can nodes get" question of §5."""
+    """Smallest node size at which the SMP fan-out (bus-bound) becomes
+    slower than one network hop — the "how fat can nodes get" question of
+    §5: the one-chunk broadcast on one node of that size against the same
+    broadcast across two one-task nodes."""
+    small = lookup_variant("broadcast", "small").cost
+    config = SRMConfig()
+
+    def one_chunk(nodes: int, ppn: int) -> float:
+        return small(SelectionEnv(
+            op="broadcast", nbytes=nbytes, nodes=nodes, ppn=ppn, config=config, cost=cost,
+        ))
+
+    hop = one_chunk(2, 1)
     for node_size in range(2, max_size + 1):
-        if smp_broadcast_time(cost, node_size, nbytes) > _put_time(cost, nbytes):
+        if one_chunk(1, node_size) > hop:
             return node_size
     return max_size

@@ -13,15 +13,16 @@ thresholds one policy among several:
   large broadcast, exchange / pipeline / ring allreduce, gather+bcast / ring
   allgather, the §2.1 tree families, …) registers itself with a declarative
   *applicability predicate* (can this variant run structurally, given the
-  buffer capacities of the current config?) and an analytic *cost-estimate
-  hook* over the machine's :class:`~repro.machine.costmodel.CostModel`;
+  buffer capacities of the current config?) and a *cost hook*, its closed
+  form over the machine's :class:`~repro.machine.costmodel.CostModel` — the
+  hooks together are the analytic model the paper's §5 proposes;
 * :class:`SelectionPolicy` objects that pick one registered variant per
   ``(op, nbytes, nodes, ppn)`` call:
 
   - :class:`PaperPolicy` — reproduces the §2.4 ``if``-chains exactly (the
     default; byte-for-byte identical selections to the pre-dispatch code);
-  - :class:`CostModelPolicy` — picks the cheapest applicable variant by the
-    registry's analytic cost estimates;
+  - :class:`CostModelPolicy` — picks the cheapest applicable variant by
+    those closed forms;
   - :class:`TunedPolicy` — loads a *measured* decision table produced by
     ``python -m repro tune`` (see :mod:`repro.bench.tune`);
   - :class:`FixedPolicy` — forces named variants (the tuner's probe, also
@@ -100,8 +101,8 @@ class SelectionEnv:
     #: Largest per-node member count (the SMP fan-out width).
     ppn: int
     config: SRMConfig
-    #: The machine's cost model (None outside a machine, e.g. unit tests).
-    cost: "CostModel | None" = None
+    #: The machine's cost model, which the variants' cost hooks read.
+    cost: "CostModel"
 
     @property
     def total_tasks(self) -> int:
@@ -118,8 +119,8 @@ class Variant:
     #: Structural applicability: can this variant run at all for this env
     #: (buffer capacities, node counts) — *not* whether it would be fast.
     applicable: typing.Callable[[SelectionEnv], bool]
-    #: Analytic latency estimate in seconds (used by CostModelPolicy; a
-    #: coarse model is fine — only the *ordering* between variants matters).
+    #: Analytic latency estimate in seconds: the variant's closed form in
+    #: the model CostModelPolicy selects by and ``predict_terms`` breaks down.
     cost: typing.Callable[[SelectionEnv], float]
     #: Optional hook returning a config under which this variant becomes
     #: structurally applicable at ``nbytes`` (the tuner uses it to probe
@@ -189,49 +190,98 @@ def registered_ops() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# the registered variants
+# the registered variants and their cost hooks: the analytic model
 # ---------------------------------------------------------------------------
 #
-# Cost estimates use the standard postal-style decomposition: an inter-node
-# tree of depth ceil(log2 k) whose edges cost wire_time(payload), an SMP
-# fan-out of depth ~log2(ppn) in copy_time, and pipelines charging
-# (depth + chunks - 1) stage times.  They are deliberately coarse — the
-# simulator itself is the precise model; these only rank variants.
+# The paper's §5 asks for "an analytical performance model of the SRM
+# collectives"; the hooks of the broadcast, reduce, allreduce and barrier
+# variants are that model, one closed form per variant.  Each composes the
+# per-chunk stages below (a counter-signalled put, the Fig. 3 SMP broadcast,
+# the Fig. 2 SMP reduce, the flag barrier) into the variant's pipeline over
+# the chunks derive_chunks gives it.  Every byte-proportional piece goes
+# through copy_time, wire_time or reduce_time, so predict_terms attributes
+# it to a cost term, and only per-message constants (flag sets, polls, RMA
+# overheads) land in ``other``.  The model ignores second-order effects
+# (interrupt stalls, daemon noise, contention beyond the drain's bus bound):
+# the simulator is the precise model, and
+# ``benchmarks/bench_model_validation.py`` bounds the gap.  The extension
+# operations' hooks are coarser postal-style estimates that only rank their
+# variants; allgather's end in the same Fig. 3 SMP broadcast stage.
 
 
 def _log2ceil(n: int) -> int:
     return max(0, (max(1, n) - 1).bit_length())
 
 
-def _chunk_count(nbytes: int, chunk: int) -> int:
-    return max(1, math.ceil(nbytes / max(1, chunk)))
+def _put(cost: "CostModel", nbytes: float) -> float:
+    """One counter-signalled LAPI put, origin call to target counter."""
+    return (
+        cost.rma_origin_overhead + cost.wire_time(nbytes)
+        + cost.rma_target_overhead + cost.counter_update_cost
+    )
 
 
-def _smp_fanout(env: SelectionEnv, nbytes: int) -> float:
-    assert env.cost is not None
-    return _log2ceil(env.ppn) * env.cost.copy_time(nbytes)
+def _smp_broadcast(cost: "CostModel", ppn: int, nbytes: float) -> float:
+    """Flat two-buffer SMP broadcast of one chunk (Fig. 3).
+
+    The fill (copy in, set ``ppn - 1`` flags), then the readers' concurrent
+    drain: one copy at per-CPU speed unless the readers together exceed the
+    memory bus, which then divides among them.
+    """
+    if ppn <= 1:
+        return 0.0
+    readers = ppn - 1
+    contention = max(1.0, readers * cost.sm_copy_bandwidth / cost.memory_bus_bandwidth)
+    fill = cost.copy_time(nbytes) + readers * cost.flag_set_cost
+    return fill + cost.flag_poll_interval + cost.copy_time(nbytes * contention)
 
 
-def _bcast_small_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
-    depth = _log2ceil(env.nodes)
-    return depth * env.cost.wire_time(env.nbytes) + _smp_fanout(env, env.nbytes)
+def _smp_reduce(cost: "CostModel", ppn: int, nbytes: float) -> float:
+    """Binomial SMP reduce of one chunk (Fig. 2): one leaf copy, then one
+    operator pass per tree level on the critical path."""
+    if ppn <= 1:
+        return 0.0
+    leaf = cost.copy_time(nbytes) + cost.flag_set_cost
+    return leaf + _log2ceil(ppn) * (cost.flag_poll_interval + cost.reduce_time(nbytes))
 
 
-def _bcast_pipelined_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
-    chunk = env.config.pipeline_chunk
-    stages = _log2ceil(env.nodes) + _chunk_count(env.nbytes, chunk) - 1
-    return stages * env.cost.wire_time(chunk) + _smp_fanout(env, chunk)
+def _chunking(env: SelectionEnv, variant_name: str) -> tuple[int, int]:
+    """(first chunk's bytes, chunk count) of ``variant_name`` at ``env``."""
+    chunks = derive_chunks(env.config, env.op, variant_name, env.nbytes)
+    return chunks[0][1], len(chunks)
 
 
-def _bcast_large_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
-    chunk = env.config.large_chunk
-    depth = _log2ceil(env.nodes)
-    address_exchange = depth * env.cost.wire_time(0)
-    stages = depth + _chunk_count(env.nbytes, chunk) - 1
-    return address_exchange + stages * env.cost.wire_time(min(chunk, env.nbytes)) + _smp_fanout(env, chunk)
+def _broadcast_cost(variant_name: str) -> typing.Callable[[SelectionEnv], float]:
+    def shared_buffers(env: SelectionEnv) -> float:
+        # Per chunk, one put per binomial round, then the SMP fan-out; each
+        # further chunk costs one more slowest stage.
+        chunk, count = _chunking(env, variant_name)
+        net = _put(env.cost, chunk)
+        smp = _smp_broadcast(env.cost, env.ppn, chunk)
+        return _log2ceil(env.nodes) * net + smp + (count - 1) * max(net, smp)
+
+    def streamed(env: SelectionEnv) -> float:
+        # Address exchange, then the root streams the whole message to each
+        # of its children (its NIC serializes them), overlapped with the
+        # per-node SMP pipelines; the last chunk's fan-out drains after.
+        chunk, count = _chunking(env, variant_name)
+        smp = _smp_broadcast(env.cost, env.ppn, chunk)
+        stream = _log2ceil(env.nodes) * env.cost.wire_time(env.nbytes)
+        return _put(env.cost, 0) + max(stream, count * smp) + smp
+
+    return streamed if variant_name == "large" else shared_buffers
+
+
+def _reduce_cost(variant_name: str) -> typing.Callable[[SelectionEnv], float]:
+    def cost_of(env: SelectionEnv) -> float:
+        # Per chunk, the SMP reduce, then one put and one combine per
+        # binomial round; each further chunk costs one more slowest stage.
+        chunk, count = _chunking(env, variant_name)
+        smp = _smp_reduce(env.cost, env.ppn, chunk)
+        net = _put(env.cost, chunk) + env.cost.reduce_time(chunk)
+        return smp + _log2ceil(env.nodes) * net + (count - 1) * max(net, smp)
+
+    return cost_of
 
 
 def _fits_shared_buffer(env: SelectionEnv) -> bool:
@@ -248,14 +298,14 @@ def _raise_small_protocol(config: SRMConfig, nbytes: int) -> SRMConfig:
     )
 
 
-for _op in ("broadcast", "reduce"):
+for _op, _cost_of in (("broadcast", _broadcast_cost), ("reduce", _reduce_cost)):
     register_variant(
         Variant(
             op=_op,
             name="small",
             description="one chunk through the Fig. 3/Fig. 2 shared buffers",
             applicable=_fits_shared_buffer,
-            cost=_bcast_small_cost,
+            cost=_cost_of("small"),
             tune_config=_raise_small_protocol,
             requires="message fits one shared-buffer chunk",
         )
@@ -266,7 +316,7 @@ for _op in ("broadcast", "reduce"):
             name="pipelined",
             description="4 KB chunks alternating the two shared buffers (§2.2)",
             applicable=lambda env: True,
-            cost=_bcast_pipelined_cost,
+            cost=_cost_of("pipelined"),
             tune_config=lambda config, nbytes: config.evolve(
                 small_protocol_max=max(config.small_protocol_max, nbytes)
             ),
@@ -278,29 +328,57 @@ for _op in ("broadcast", "reduce"):
             name="large",
             description="streamed direct-to-user-buffer protocol (Fig. 4 right)",
             applicable=lambda env: True,
-            cost=_bcast_large_cost,
+            cost=_cost_of("large"),
         )
     )
 
 
 def _allreduce_exchange_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
-    rounds = _log2ceil(env.nodes)
-    per_round = env.cost.wire_time(env.nbytes) + env.cost.reduce_time(env.nbytes)
-    return rounds * per_round + 2 * _smp_fanout(env, env.nbytes)
+    # SMP reduce, floor(log2 k) pairwise rounds of one put and one combine,
+    # SMP broadcast.  On a non-power-of-two node count the excess masters
+    # first fold in (one put, one combine) and get the result back (one put).
+    cost, nbytes = env.cost, env.nbytes
+    exchange = _put(cost, nbytes) + cost.reduce_time(nbytes)
+    rounds = max(1, env.nodes).bit_length() - 1
+    fold = 0.0 if env.nodes & (env.nodes - 1) == 0 else exchange + _put(cost, nbytes)
+    return (
+        _smp_reduce(cost, env.ppn, nbytes) + rounds * exchange + fold
+        + _smp_broadcast(cost, env.ppn, nbytes)
+    )
 
 
 def _allreduce_pipeline_cost(env: SelectionEnv) -> float:
-    # Reduce-to-root and broadcast-from-root overlapped chunk-by-chunk.
-    return _bcast_pipelined_cost(env) + _bcast_large_cost(env)
+    # The four Fig. 5 stages overlap chunk-wise: one traversal of SMP reduce,
+    # the reduce tree, the broadcast tree and SMP broadcast, then one slowest
+    # stage per further chunk.
+    cost = env.cost
+    chunk, count = _chunking(env, "pipeline")
+    rounds = _log2ceil(env.nodes)
+    smp_reduce = _smp_reduce(cost, env.ppn, chunk)
+    net_reduce = _put(cost, chunk) + cost.reduce_time(chunk)
+    net_bcast = _put(cost, chunk)
+    smp_bcast = _smp_broadcast(cost, env.ppn, chunk)
+    # The root's NIC carries each chunk ``rounds`` times in and ``rounds``
+    # times out; only the payload occupies it, the latency pipelines.
+    # CostTerms has only ``+`` and scalar ``*``, hence ``+ -1 *``: the
+    # difference stays in the ``wire`` term.
+    root_nic = 2 * rounds * (cost.wire_time(chunk) + -1 * cost.wire_time(0))
+    first = smp_reduce + rounds * net_reduce + rounds * net_bcast + smp_bcast
+    return first + (count - 1) * max(smp_reduce, net_reduce, net_bcast, smp_bcast, root_nic)
 
 
 def _allreduce_ring_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
+    # SMP reduce, k-1 reduce-scatter steps of one segment put and one
+    # combine, k-1 allgather steps of one segment put, SMP broadcast.
+    cost = env.cost
     k = max(1, env.nodes)
     segment = env.nbytes / k
-    steps = 2 * (k - 1)
-    return steps * env.cost.wire_time(segment) + 2 * _smp_fanout(env, env.nbytes)
+    put = _put(cost, segment)
+    return (
+        _smp_reduce(cost, env.ppn, env.nbytes)
+        + (k - 1) * (put + cost.reduce_time(segment)) + (k - 1) * put
+        + _smp_broadcast(cost, env.ppn, env.nbytes)
+    )
 
 
 register_variant(
@@ -340,16 +418,18 @@ register_variant(
 
 
 def _allgather_gather_bcast_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
     depth = _log2ceil(env.nodes)
-    return 2 * depth * env.cost.wire_time(env.nbytes) + _smp_fanout(env, env.nbytes)
+    return 2 * depth * env.cost.wire_time(env.nbytes) + _smp_broadcast(
+        env.cost, env.ppn, env.nbytes
+    )
 
 
 def _allgather_ring_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
     k = max(1, env.nodes)
     segment = env.nbytes / k
-    return (k - 1) * env.cost.wire_time(segment) + _smp_fanout(env, env.nbytes)
+    return (k - 1) * env.cost.wire_time(segment) + _smp_broadcast(
+        env.cost, env.ppn, env.nbytes
+    )
 
 
 register_variant(
@@ -376,8 +456,29 @@ register_variant(
 )
 
 
+def _barrier_cost(env: SelectionEnv) -> float:
+    # The flat flag barrier inside each node (check in, the master's scan,
+    # its reset of ppn - 1 flags, the release), then one zero-byte put per
+    # dissemination round between the masters.
+    cost = env.cost
+    smp = 0.0
+    if env.ppn > 1:
+        smp = env.ppn * cost.flag_set_cost + 2 * cost.flag_poll_interval
+    return smp + _log2ceil(env.nodes) * _put(cost, 0)
+
+
+register_variant(
+    Variant(
+        op="barrier",
+        name="dissemination",
+        description="flat SMP check-in + dissemination exchange",
+        applicable=lambda env: True,
+        cost=_barrier_cost,
+    )
+)
+
+
 def _single_variant_cost(env: SelectionEnv) -> float:
-    assert env.cost is not None
     return _log2ceil(env.nodes) * env.cost.wire_time(env.nbytes)
 
 
@@ -385,7 +486,6 @@ for _op, _name, _desc in (
     ("scatter", "rma-direct", "registration puts + one direct put per block"),
     ("gather", "rma-direct", "epoch broadcast + one direct put per block"),
     ("alltoall", "rma-direct", "window barrier + size-1 direct puts per member"),
-    ("barrier", "dissemination", "flat SMP check-in + dissemination exchange"),
     ("scan", "chained", "SMP prefix chain + sequential inter-node base chain"),
 ):
     register_variant(
@@ -401,7 +501,6 @@ for _op, _name, _desc in (
 
 def _tree_cost(rounds_of: typing.Callable[[int], float]) -> typing.Callable[[SelectionEnv], float]:
     def cost(env: SelectionEnv) -> float:
-        assert env.cost is not None
         return rounds_of(env.nodes) * env.cost.wire_time(env.nbytes)
 
     return cost
@@ -448,25 +547,22 @@ def predict_terms(entry: Variant, env: SelectionEnv) -> tuple[dict[str, float], 
     Evaluates ``entry``'s cost hook against the cost model's
     :meth:`~repro.machine.costmodel.CostModel.probe` — a facade whose
     primitives return single-term :class:`~repro.machine.costmodel.CostTerms`
-    expressions instead of floats.  Because every registered hook is a
-    linear combination of those primitives, the expression algebra carries
-    each term's contribution through multiplications and sums symbolically:
-    no hook changes, and the breakdown's total equals the plain-float
-    estimate exactly (asserted over the whole registry by
-    ``tests/test_machine_costmodel.py``).
+    expressions instead of floats.  Because every registered hook builds
+    its estimate from those primitives by sums, scalar multiples and
+    ``max`` (a pipeline's slowest stage), the expression algebra carries
+    each term's contribution symbolically: no hook changes, and the
+    breakdown's total equals the plain-float estimate (asserted over the
+    whole registry by ``tests/test_machine_costmodel.py``).
 
     Returns ``(terms, total)`` in **seconds**: ``terms`` maps term names
     (:data:`~repro.machine.costmodel.COST_TERMS`, plus ``"other"`` for any
     constant contributions) to their share of the estimate.
     """
-    from repro.machine.costmodel import CostModel, CostTerms
+    from repro.machine.costmodel import CostTerms
 
-    cost = env.cost
-    if cost is None:
-        cost = CostModel.ibm_sp_colony()
     probe_env = SelectionEnv(
         op=env.op, nbytes=env.nbytes, nodes=env.nodes, ppn=env.ppn,
-        config=env.config, cost=cost.probe(),
+        config=env.config, cost=env.cost.probe(),
     )
     estimate = CostTerms.coerce(entry.cost(probe_env))
     return estimate.as_dict(), estimate.total
@@ -598,28 +694,15 @@ class PaperPolicy(SelectionPolicy):
 class CostModelPolicy(SelectionPolicy):
     """Pick the cheapest applicable variant by the registry's cost hooks.
 
-    Analytic, no measurement: queries each variant's estimate over the
+    Analytic, no measurement: evaluates each variant's closed form over the
     machine's :class:`~repro.machine.costmodel.CostModel` and takes the
-    argmin (ties break toward registration order).  A coarse forecast —
-    for measured switch points use :class:`TunedPolicy`.
+    argmin (ties break toward registration order).  For measured switch
+    points use :class:`TunedPolicy`.
     """
 
     name = "costmodel"
 
-    def __init__(self, cost: "CostModel | None" = None) -> None:
-        #: Overrides the machine's cost model when given (for what-if runs).
-        self.cost = cost
-
     def select(self, env: SelectionEnv) -> str:
-        cost = self.cost if self.cost is not None else env.cost
-        if cost is None:
-            from repro.machine.costmodel import CostModel
-
-            cost = CostModel.ibm_sp_colony()
-        env = SelectionEnv(
-            op=env.op, nbytes=env.nbytes, nodes=env.nodes, ppn=env.ppn,
-            config=env.config, cost=cost,
-        )
         candidates = [v for v in variants_for(env.op) if v.applicable(env)]
         if not candidates:
             raise ConfigurationError(

@@ -55,10 +55,11 @@ class CostTerms:
 
     :meth:`TermProbe.copy_time` and friends return ``CostTerms`` instead of
     plain floats; the arithmetic the dispatch cost hooks already perform
-    (``depth * env.cost.wire_time(n) + smp_fanout``) then propagates the
-    per-term attribution for free — scaling multiplies every term, addition
-    merges term-wise.  ``float(terms)`` (or :attr:`total`) recovers the
-    scalar estimate, so a breakdown always sums to exactly the number
+    (``rounds * env.cost.wire_time(n) + smp``, ``max`` over pipeline stages)
+    then propagates the per-term attribution for free — scaling multiplies
+    every term, addition merges term-wise, and ``max`` keeps the breakdown
+    of the slowest operand.  ``float(terms)`` (or :attr:`total`) recovers
+    the scalar estimate, so a breakdown always sums to exactly the number
     :class:`~repro.core.dispatch.CostModelPolicy` ranks variants by.
     """
 
@@ -141,10 +142,10 @@ class TermProbe:
 
     Hand one to a dispatch cost hook (``entry.cost(env)`` with
     ``env.cost = model.probe()``) and the returned estimate arrives broken
-    down per cost-model term — no hook rewrite needed, because the hooks'
-    arithmetic is linear in the probe's answers.  Everything else (constants,
-    :meth:`CostModel.eager_limit`, presets) passes straight through to the
-    wrapped model.
+    down per cost-model term — no hook rewrite needed, because the hooks are
+    built from the probe's answers by sums, scalar multiples and ``max``.
+    Everything else (constants, :meth:`CostModel.eager_limit`, presets)
+    passes straight through to the wrapped model.
     """
 
     __slots__ = ("base",)

@@ -6,14 +6,8 @@ from repro.analysis import (
     audit_reduce,
     crossover_node_size,
     message_passing_reduce_analytic,
-    smp_barrier_time,
-    smp_broadcast_time,
     smp_reduce_analytic,
-    smp_reduce_time,
-    srm_allreduce_time,
-    srm_barrier_time,
-    srm_broadcast_time,
-    srm_reduce_time,
+    srm_time,
 )
 from repro.bench import build, time_operation
 from repro.machine import ClusterSpec, CostModel
@@ -73,48 +67,61 @@ def test_audit_rejects_unknown_stack():
 
 
 def test_smp_stage_models_scale_sanely():
-    assert smp_broadcast_time(COST, 1, 1024) == 0.0
-    assert smp_broadcast_time(COST, 16, 1024) > smp_broadcast_time(COST, 4, 1024)
-    assert smp_reduce_time(COST, 16, 1024) > smp_reduce_time(COST, 4, 1024)
-    assert smp_barrier_time(COST, 1) == 0.0
-    assert smp_barrier_time(COST, 16) > smp_barrier_time(COST, 2)
+    # On one node the model is its SMP stages alone.
+    def one_node(op, tasks, nbytes=1024):
+        return srm_time(COST, ClusterSpec(nodes=1, tasks_per_node=tasks), op, nbytes)
+
+    assert one_node("broadcast", 1) == 0.0
+    assert one_node("broadcast", 16) > one_node("broadcast", 4)
+    assert one_node("reduce", 16) > one_node("reduce", 4)
+    assert one_node("barrier", 1, 0) == 0.0
+    assert one_node("barrier", 16, 0) > one_node("barrier", 2, 0)
 
 
 def test_model_grows_with_size_and_nodes():
     spec_small = ClusterSpec(nodes=4, tasks_per_node=16)
     spec_large = ClusterSpec(nodes=16, tasks_per_node=16)
-    for fn in (srm_broadcast_time, srm_reduce_time, srm_allreduce_time):
-        assert fn(COST, spec_small, 1 << 20) > fn(COST, spec_small, 1024)
-        assert fn(COST, spec_large, 1024) > fn(COST, spec_small, 1024)
-    assert srm_barrier_time(COST, spec_large) > srm_barrier_time(COST, spec_small)
+    for op in ("broadcast", "reduce", "allreduce"):
+        assert srm_time(COST, spec_small, op, 1 << 20) > srm_time(COST, spec_small, op, 1024)
+        assert srm_time(COST, spec_large, op, 1024) > srm_time(COST, spec_small, op, 1024)
+    assert srm_time(COST, spec_large, "barrier", 0) > srm_time(COST, spec_small, "barrier", 0)
 
 
-@pytest.mark.parametrize("operation,model_fn", [
-    ("broadcast", srm_broadcast_time),
-    ("reduce", srm_reduce_time),
-    ("allreduce", srm_allreduce_time),
-])
+@pytest.mark.parametrize("operation", ["broadcast", "reduce", "allreduce"])
 @pytest.mark.parametrize("nbytes", [64, 65536])
-def test_model_within_band_of_simulation(operation, model_fn, nbytes):
+def test_model_within_band_of_simulation(operation, nbytes):
     spec = ClusterSpec(nodes=4, tasks_per_node=16)
     machine, srm = build("srm", spec)
     simulated = time_operation(machine, srm, operation, nbytes, repeats=2, warmup=1).seconds
-    predicted = model_fn(COST, spec, nbytes)
+    predicted = srm_time(COST, spec, operation, nbytes)
     assert 0.4 <= predicted / simulated <= 2.0
+
+
+@pytest.mark.parametrize("nodes", [3, 6])
+@pytest.mark.parametrize("nbytes", [64, 4096, 16384])
+def test_exchange_allreduce_model_counts_the_fold(nodes, nbytes):
+    # On a non-power-of-two node count the excess masters fold in and get
+    # the result back: one put and one combine, then one put, beyond the
+    # floor(log2 k) pairwise rounds.
+    spec = ClusterSpec(nodes=nodes, tasks_per_node=4)
+    machine, srm = build("srm", spec)
+    simulated = time_operation(machine, srm, "allreduce", nbytes, repeats=2, warmup=1).seconds
+    assert 0.75 <= srm_time(COST, spec, "allreduce", nbytes) / simulated <= 1.33
 
 
 def test_barrier_model_close_to_simulation():
     spec = ClusterSpec(nodes=16, tasks_per_node=16)
     machine, srm = build("srm", spec)
     simulated = time_operation(machine, srm, "barrier", repeats=3, warmup=1).seconds
-    assert 0.5 <= srm_barrier_time(COST, spec) / simulated <= 1.5
+    assert 0.5 <= srm_time(COST, spec, "barrier", 0) / simulated <= 1.5
 
 
 def test_crossover_node_size_reasonable():
     # 16-way Colony-era nodes are well inside the shared-memory-wins regime.
-    assert crossover_node_size(COST, 1024) > 16
+    assert crossover_node_size(COST, 1024) == 20
     # Bigger messages push the crossover down (bus saturates sooner).
-    assert crossover_node_size(COST, 1 << 20) <= crossover_node_size(COST, 1024)
+    for nbytes in (16 * 1024, 64 * 1024, 1 << 20):
+        assert crossover_node_size(COST, nbytes) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FixedPolicy, SRMConfig
 from repro.errors import ConfigurationError
+from repro.machine import CostModel
 
 KB = 1024
 
@@ -128,7 +129,10 @@ def test_all_registered_families_accepted():
     for family in TREE_FAMILIES:
         policy = FixedPolicy({"inter-tree": family, "intra-reduce-tree": family})
         for op in ("inter-tree", "intra-reduce-tree"):
-            env = SelectionEnv(op=op, nbytes=0, nodes=4, ppn=2, config=SRMConfig())
+            env = SelectionEnv(
+                op=op, nbytes=0, nodes=4, ppn=2, config=SRMConfig(),
+                cost=CostModel.ibm_sp_colony(),
+            )
             assert policy.select(env) == family
 
 

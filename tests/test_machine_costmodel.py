@@ -139,9 +139,10 @@ def test_eager_time_is_zero_below_the_limit():
 
 
 def test_probe_breakdown_totals_match_plain_estimates_for_every_variant():
-    # The invariant predict_terms rests on: every registered cost hook is a
-    # linear combination of the model primitives, so evaluating it against
-    # the probe yields the same total as evaluating it against the model.
+    # The invariant predict_terms rests on: every registered cost hook is
+    # built from the model primitives by sums, scalar multiples and max, so
+    # evaluating it against the probe yields the same total as evaluating it
+    # against the model.
     from repro.core import SRMConfig
     from repro.core.dispatch import (
         SelectionEnv,
@@ -156,14 +157,63 @@ def test_probe_breakdown_totals_match_plain_estimates_for_every_variant():
     for op in registered_ops():
         for entry in variants_for(op):
             for nbytes in (0, 1, 8 * KB, 64 * KB + 1, 2**20):
-                for nodes in (1, 2, 16):
-                    env = SelectionEnv(
-                        op=op, nbytes=nbytes, nodes=nodes, ppn=16,
-                        config=config, cost=model,
-                    )
-                    terms, total = predict_terms(entry, env)
-                    assert total == pytest.approx(entry.cost(env), rel=1e-12)
-                    assert total == pytest.approx(sum(terms.values()), rel=1e-12)
-                    assert set(terms) <= set(COST_TERMS) | {"other"}
-                    checked += 1
+                # One task per node skips the SMP stages; three nodes fold
+                # the exchange allreduce's excess master.
+                for nodes in (1, 2, 3, 16):
+                    for ppn in (1, 16):
+                        env = SelectionEnv(
+                            op=op, nbytes=nbytes, nodes=nodes, ppn=ppn,
+                            config=config, cost=model,
+                        )
+                        terms, total = predict_terms(entry, env)
+                        assert total == pytest.approx(entry.cost(env), rel=1e-12)
+                        assert total == pytest.approx(sum(terms.values()), rel=1e-12)
+                        assert set(terms) <= set(COST_TERMS) | {"other"}
+                        checked += 1
     assert checked > 100
+
+
+#: Every latency and per-message overhead of the cost model: with these at
+#: zero, only byte-proportional time is left.
+_PER_MESSAGE_FIELDS = (
+    "sm_copy_latency", "flag_set_cost", "flag_poll_interval", "yield_cost",
+    "net_latency", "rma_origin_overhead", "rma_target_overhead",
+    "counter_update_cost", "interrupt_cost", "mpi_send_overhead",
+    "mpi_recv_overhead", "mpi_unexpected_overhead", "mpi_blocked_recv_wakeup",
+    "mpi_shm_wakeup", "rendezvous_control_cost",
+)
+
+
+@pytest.mark.parametrize("op", ["broadcast", "reduce", "allreduce", "barrier"])
+def test_srm_hooks_put_only_per_message_constants_in_other(op):
+    # Byte time must reach calibrate's copy, wire and reduce columns: a hook
+    # that divides bytes by a bandwidth itself would park it in ``other``.
+    from repro.core import SRMConfig
+    from repro.core.dispatch import SelectionEnv, predict_terms, variants_for
+
+    model = CostModel.ibm_sp_colony().evolve(
+        **{name: 0.0 for name in _PER_MESSAGE_FIELDS}
+    )
+    for entry in variants_for(op):
+        for nbytes in (0, 64, 4 * KB, 64 * KB, 64 * KB + 8, 2**20):
+            for nodes in (1, 3, 4, 16):
+                for ppn in (1, 16):
+                    env = SelectionEnv(
+                        op=op, nbytes=nbytes, nodes=nodes, ppn=ppn,
+                        config=SRMConfig(), cost=model,
+                    )
+                    terms, _total = predict_terms(entry, env)
+                    assert terms.get("other", 0.0) == 0.0, (entry, nbytes, nodes, ppn, terms)
+
+
+def test_every_reduce_variant_prices_its_operator_passes():
+    from repro.core import SRMConfig
+    from repro.core.dispatch import SelectionEnv, predict_terms, variants_for
+
+    env = SelectionEnv(
+        op="reduce", nbytes=64 * KB, nodes=4, ppn=16,
+        config=SRMConfig(), cost=CostModel.ibm_sp_colony(),
+    )
+    for entry in variants_for("reduce"):
+        terms, _total = predict_terms(entry, env)
+        assert terms.get("reduce", 0.0) > 0, (entry, terms)
