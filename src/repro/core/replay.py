@@ -70,13 +70,15 @@ What a trace holds
   traces);
 * the **state diff**: (pre, post) pairs for every touched cell among the
   substrate stats, every LAPI counter and shared flag the machine created
-  (:attr:`Machine.counters`, :attr:`Machine.flags`) and the sequence ledger
-  of each context in the window, snapshotted before the window reserves.
-  Integer cells replay as deltas (cumulative sequences keep advancing
-  across windows; a cursor first reserved in the window counts from 0, as
-  the ledger reads it); a cell that did not exist when the window began (a
-  last-writer record first written, a counter first created in it), a flag
-  first written in it (a slot handoff skips its poll until then) and the
+  (:attr:`Machine.counters`, :attr:`Machine.flags`), the registry's own
+  counters (the substrate counts it reads from the stats are no cells of
+  their own) and the sequence ledger of each context in the window,
+  snapshotted before the window reserves.  Integer cells replay as deltas
+  (cumulative sequences keep advancing across windows; a cursor first
+  reserved in the window counts from 0, as the ledger reads it); a cell
+  that did not exist when the window began (a last-writer record first
+  written, a LAPI or registry counter first created in it), a flag first
+  written in it (a slot handoff skips its poll until then) and the
   interrupt switch must match exactly.  Every precondition is checked
   before anything mutates — a mismatch is a clean miss and the window
   re-records;
@@ -84,7 +86,7 @@ What a trace holds
   samples in the recorder's own column format (:mod:`repro.obs.columns`),
   histogram observations (all window-relative, re-emitted shifted so
   profiles, critical paths, and wait-state classification of a replayed
-  window match the recorded one), and metric counter deltas.  A hit hands
+  window match the recorded one).  A hit hands
   every tail to its table by reference, one pending block per table; the
   rows are copied, bit-identical to an eager copy, on the first read or
   append, so a session that reads nothing between windows holds no copy of
@@ -113,7 +115,7 @@ import typing
 import numpy as np
 
 from repro.machine.memops import OP_COMBINE, OP_COPY, OP_REDUCE, compile_tape, run_kernel
-from repro.obs.metrics import Histogram, TimeWeightedHistogram, _bucket_index
+from repro.obs.metrics import Counter, Gauge, Histogram, TimeWeightedHistogram, _bucket_index
 from repro.obs.taxonomy import REQUEST
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -152,11 +154,11 @@ DIRTY_REASONS = {
 }
 
 #: What a state cell holds: a substrate stats slot, a task's arrival
-#: interrupt switch, a LAPI counter, a shared flag or a sequence-ledger key;
-#: ``monitor`` is a resource timeline's last row, which a window's first
-#: samples coalesce against.  A failed precondition counts as
-#: ``replay.misses.precondition.<kind>``.
-CELL_KINDS = ("stat", "interrupts", "counter", "flag", "ledger", "monitor")
+#: interrupt switch, a LAPI counter, a shared flag, a sequence-ledger key or
+#: a registry counter or gauge (``metric``); ``monitor`` is a resource
+#: timeline's last row, which a window's first samples coalesce against.  A
+#: failed precondition counts as ``replay.misses.precondition.<kind>``.
+CELL_KINDS = ("stat", "interrupts", "counter", "flag", "ledger", "metric", "monitor")
 
 
 def manager_for(engine: "Engine") -> "ReplayManager":
@@ -216,6 +218,9 @@ def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typin
     for ctx in contexts:
         for key in ctx.ledger:
             yield ("ledger", ctx.ledger, key)
+    for instrument in machine.obs.metrics._instruments.values():
+        if type(instrument) in (Counter, Gauge):
+            yield ("metric", instrument, "value")
 
 
 def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> dict:
@@ -265,7 +270,6 @@ class CompiledSchedule:
         duration: float,
         ops: list[tuple],
         state_entries: list[tuple],
-        metric_deltas: list[tuple],
         hist_events: list[tuple],
         span_tail: dict | None,
         span_members: list[tuple[int, int, str, str]],
@@ -282,8 +286,6 @@ class CompiledSchedule:
         self.kernel = compile_tape(ops)
         #: (cell, pre, post, is_delta) — int/int cells replay as deltas.
         self.state_entries = state_entries
-        #: (metric kind, name, help, delta) for counters and gauges.
-        self.metric_deltas = metric_deltas
         #: Span rows as :meth:`ColumnTable.tail` columns (window-relative
         #: times, ``parent`` as an offset into the tail or -1), or None.
         self.span_tail = span_tail
@@ -383,17 +385,9 @@ class CompiledSchedule:
         for cell, _pre, post in self._exact_entries:
             _cell_set(cell, post)
 
-        # 3. Metrics: counter/gauge deltas plus re-observed distributions.
+        # 3. Re-observed distributions (the counters are state cells).
         obs = machine.obs
-        registry = obs.metrics
-        if registry.enabled:
-            for kind, name, help_text, delta in self.metric_deltas:
-                instrument = (
-                    registry.counter(name, help_text)
-                    if kind == "counter"
-                    else registry.gauge(name, help_text)
-                )
-                instrument.inc(delta)
+        if obs.metrics.enabled:
             for row in self._hist_rows:
                 instrument = getattr(obs, row[0], None)
                 if instrument is None:
@@ -576,16 +570,9 @@ class _Recording:
                 table = timeline.table
                 self.monitor_marks[name] = (len(table), _opening(table, self.t0))
 
-        self.pre_metrics: dict[str, float] = {}
-        registry = obs.metrics
-        if registry.enabled:
-            for name, instrument in registry._instruments.items():
-                if instrument.kind in ("counter", "gauge"):
-                    self.pre_metrics[name] = instrument.value
-
         #: Hub attr -> tape proxy, swapped in for the recording's lifetime.
         self.tapes: dict[str, _HistogramTape] = {}
-        if registry.enabled:
+        if obs.metrics.enabled:
             for attr, instrument in list(vars(obs).items()):
                 if isinstance(instrument, (Histogram, TimeWeightedHistogram)):
                     tape = _HistogramTape(instrument, engine)
@@ -638,17 +625,6 @@ class _Recording:
                 is_delta = is_delta and (pre != 0 or cell[0] != "flag")
             state_entries.append((cell, pre, post, is_delta))
 
-        obs = machine.obs
-        registry = obs.metrics
-        metric_deltas: list[tuple] = []
-        if registry.enabled:
-            for name, instrument in registry._instruments.items():
-                if instrument.kind not in ("counter", "gauge"):
-                    continue
-                delta = instrument.value - self.pre_metrics.get(name, 0)
-                if delta:
-                    metric_deltas.append((instrument.kind, name, instrument.help, delta))
-
         hist_events: list[tuple] = []
         for attr, tape in self.tapes.items():
             if not tape.events:
@@ -659,6 +635,7 @@ class _Recording:
             hist_events.append((attr, kind, rel_times, values))
 
         # Span tail: window-relative columns with parents as tail offsets.
+        obs = machine.obs
         recorder = obs.recorder
         span_tail: dict | None = None
         span_members: list[tuple[int, int, str, str]] = []
@@ -708,7 +685,6 @@ class _Recording:
             duration=duration,
             ops=self.ops,
             state_entries=state_entries,
-            metric_deltas=metric_deltas,
             hist_events=hist_events,
             span_tail=span_tail,
             span_members=span_members,

@@ -50,7 +50,8 @@ __all__ = ["LapiEndpoint"]
 
 
 class LapiStats:
-    """Per-endpoint communication counters for audits and tests."""
+    """Per-endpoint communication counts; the metrics registry reads
+    ``puts``, ``gets`` and ``bytes_put`` (:data:`repro.obs.hub.TASK_COUNTS`)."""
 
     __slots__ = ("puts", "gets", "amsends", "rmws", "bytes_put", "bytes_got", "stalled_deliveries")
 
@@ -163,7 +164,6 @@ class LapiEndpoint:
             return
         if self.interrupts_enabled:
             self.task.stats.interrupts += 1
-            self.obs.interrupts.inc()
             yield self.engine.timeout(self.cost.interrupt_cost)
             return
         self.stats.stalled_deliveries += 1
@@ -209,8 +209,6 @@ class LapiEndpoint:
             origin_counter.increment()
         self.stats.puts += 1
         self.stats.bytes_put += nbytes
-        self.obs.puts.inc()
-        self.obs.bytes_put.inc(nbytes)
         self.obs.put_sizes.observe(nbytes)
 
         def deliver() -> ProcessGenerator:
@@ -280,7 +278,6 @@ class LapiEndpoint:
             yield self.engine.timeout(self.cost.rma_origin_overhead)
         self.stats.gets += 1
         self.stats.bytes_got += nbytes
-        self.obs.gets.inc()
 
         def deliver() -> ProcessGenerator:
             if target_task.node is self.task.node:

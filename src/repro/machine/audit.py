@@ -23,8 +23,6 @@ class AuditReport:
     """Findings of one machine audit; empty ``problems`` means clean."""
 
     problems: list[str] = field(default_factory=list)
-    #: Aggregate counters for the curious (bytes moved, messages, ...).
-    totals: dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -81,15 +79,6 @@ def audit_machine(machine: Machine, drain: bool = True) -> AuditReport:
             report.problems.append(
                 f"rank {task.rank}: interrupts left disabled after stalled deliveries"
             )
-
-    report.totals = {
-        "bytes_copied": sum(t.stats.bytes_copied for t in machine.tasks),
-        "copies": sum(t.stats.copies for t in machine.tasks),
-        "reduce_ops": sum(t.stats.reduce_ops for t in machine.tasks),
-        "puts": sum(t.lapi.stats.puts for t in machine.tasks),
-        "mpi_sends": sum(t.mpi.stats.sends for t in machine.tasks),
-        "interrupts": sum(t.stats.interrupts for t in machine.tasks),
-    }
     return report
 
 

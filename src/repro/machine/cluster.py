@@ -68,7 +68,8 @@ class Node:
 
 
 class TaskStats:
-    """Per-task audit counters (used by tests and the Fig. 2 analysis)."""
+    """Per-task substrate counts: each is kept here and nowhere else, and the
+    metrics registry reads them (:data:`repro.obs.hub.TASK_COUNTS`)."""
 
     __slots__ = ("copies", "bytes_copied", "reduce_ops", "bytes_reduced", "yields", "interrupts")
 
@@ -144,8 +145,6 @@ class Task:
             trace.record_copy(dst, src)
         self.stats.copies += 1
         self.stats.bytes_copied += nbytes
-        self.obs.copies.inc()
-        self.obs.bytes_copied.inc(nbytes)
 
     def reduce_into(
         self,
@@ -172,8 +171,6 @@ class Task:
             trace.record_reduce(dst, src, op)
         self.stats.reduce_ops += 1
         self.stats.bytes_reduced += nbytes
-        self.obs.reduce_ops.inc()
-        self.obs.bytes_reduced.inc(nbytes)
 
     def combine_into(
         self,
@@ -199,8 +196,6 @@ class Task:
             trace.record_combine(dst, a, b, op)
         self.stats.reduce_ops += 1
         self.stats.bytes_reduced += nbytes
-        self.obs.reduce_ops.inc()
-        self.obs.bytes_reduced.inc(nbytes)
 
     def compute(self, seconds: float) -> ProcessGenerator:
         """Model ``seconds`` of pure CPU work (no bus traffic)."""
@@ -272,6 +267,7 @@ class Machine:
         self.nodes = [Node(self, index) for index in range(spec.nodes)]
         self.tasks = [Task(self, rank) for rank in range(spec.total_tasks)]
         self._attach_endpoints()
+        self.obs.read_task_counts(self.tasks)
         if self.cost.daemon_interval > 0:
             self._start_daemon_noise()
 

@@ -1,4 +1,4 @@
-"""MPI substrate: point-to-point protocols, ops, datatypes, and the
+"""MPI substrate: point-to-point protocols, reduction ops, and the
 baseline (message-passing) collective implementations the paper compares
 SRM against."""
 

@@ -339,9 +339,9 @@ def collect_calibration(
         "fixed": FixedPolicy(dict(DEFAULT_FIXED_CHOICES), fallback=paper),
     }
     regret: dict[str, dict] = {}
-    per_op_nodes: dict[str, dict[tuple[str, int], dict]] = {
-        name: {} for name in policies
-    }
+    # (operation, nodes, picked, winner) -> (nbytes, regret) of each cell
+    # the cost policy mis-selects, for the headlines.
+    cost_misses: dict[tuple, list[tuple[int, float]]] = {}
     for name in SCORECARD_POLICIES:
         policy = policies[name]
         total = 0.0
@@ -366,16 +366,12 @@ def collect_calibration(
                 cell["operation"], {"regret_us": 0.0, "mis_selections": 0}
             )
             op_stats["regret_us"] += cell_regret
-            shape_stats = per_op_nodes[name].setdefault(
-                (cell["operation"], cell["nodes"]),
-                {"regret_us": 0.0, "mis_selections": 0, "sizes": []},
-            )
-            shape_stats["regret_us"] += cell_regret
             if cell_regret > _REGRET_EPSILON:
                 mis += 1
                 op_stats["mis_selections"] += 1
-                shape_stats["mis_selections"] += 1
-                shape_stats["sizes"].append(cell["nbytes"])
+                if name == "cost":
+                    key = (cell["operation"], cell["nodes"], selected, cell["best"])
+                    cost_misses.setdefault(key, []).append((cell["nbytes"], cell_regret))
                 if worst is None or cell_regret > worst["regret_us"]:
                     worst = {
                         "operation": cell["operation"],
@@ -460,7 +456,7 @@ def collect_calibration(
                 }
             )
 
-    headlines = _headlines(cells, model_error, regret, crossovers, per_op_nodes)
+    headlines = _headlines(model_error, regret, crossovers, cost_misses)
 
     identity = bench_identity(tasks_per_node=tasks_per_node)
     return {
@@ -487,13 +483,17 @@ def collect_calibration(
 
 
 def _headlines(
-    cells: list[dict],
     model_error: list[dict],
     regret: dict[str, dict],
     crossovers: list[dict],
-    per_op_nodes: dict[str, dict[tuple[str, int], dict]],
+    cost_misses: dict[tuple, list[tuple[int, float]]],
 ) -> list[str]:
-    """Regress-gate-style one-liners: the report's findings, phrased."""
+    """Regress-gate-style one-liners: the report's findings, phrased.
+
+    The cost policy's mis-selections are counted once each, on lines naming
+    the variant it picked and the race's winner, not on a model-error line
+    whose worst-drifting variant the policy may never have picked.
+    """
     from repro.bench.report import format_bytes
 
     lines: list[str] = []
@@ -506,7 +506,6 @@ def _headlines(
             for name in SCORECARD_POLICIES
         )
     )
-    cost_shapes = per_op_nodes.get("cost", {})
     for group in model_error:
         drifts = [
             (name, entry["dominant_term_drift"])
@@ -520,23 +519,19 @@ def _headlines(
             return math.inf if drift["factor"] is None else drift["factor"]
 
         variant, drift = max(drifts, key=lambda pair: _rank(pair[1]))
-        shape = cost_shapes.get((group["operation"], group["nodes"]), {})
-        mis = shape.get("mis_selections", 0)
-        shape_regret = shape.get("regret_us", 0.0)
-        sizes = shape.get("sizes", [])
         factor = "" if drift["factor"] is None else f" {drift['factor']:.1f}x"
-        line = (
+        lines.append(
             f"cost model {drift['direction']}predicts {drift['term']}{factor} "
-            f"for {group['operation']} {variant}"
+            f"for {group['operation']} {variant} on {group['nodes']} nodes"
         )
-        if mis and sizes:
-            line += f" >= {format_bytes(min(sizes))}"
-        line += f" on {group['nodes']} nodes -> "
-        if mis:
-            line += f"{mis} mis-selections, +{shape_regret:.1f}us total regret"
-        else:
-            line += "no mis-selections"
-        lines.append(line)
+    for (operation, nodes, picked, best), misses in cost_misses.items():
+        sizes = ", ".join(format_bytes(nbytes) for nbytes, _regret in misses)
+        plural = "" if len(misses) == 1 else "s"
+        lines.append(
+            f"cost policy picked {picked} over winner {best} for {operation} at "
+            f"{sizes} on {nodes} nodes -> {len(misses)} mis-selection{plural}, "
+            f"+{sum(regret_us for _nbytes, regret_us in misses):.1f}us regret"
+        )
     for check in crossovers:
         if check["agrees"] is False:
             measured = (

@@ -9,7 +9,11 @@ instruments of the ``repro.obs`` subsystem:
 * :attr:`recorder` — the :class:`~repro.obs.spans.PhaseRecorder` for nested
   phase spans and causal flow links.
 
-Hot-path instruments (substrate counters and histograms) are pre-bound as
+The substrate's counts (copies, operator passes, puts, gets, yields,
+interrupts) are the per-task stats slots (:class:`~repro.machine.cluster.TaskStats`
+and the LAPI endpoint's ``LapiStats``), each kept in that one place; the
+registry reads them through under the names of :data:`TASK_COUNTS`.  The
+other hot-path instruments (flag stores and the histograms) are pre-bound as
 attributes at construction, so instrumented code pays one attribute access
 and one add — with a null registry those calls hit shared no-op instruments
 and the simulation is bit-identical either way.
@@ -17,6 +21,7 @@ and the simulation is bit-identical either way.
 
 from __future__ import annotations
 
+import operator
 import typing
 
 from repro.obs.metrics import MetricsRegistry, NullRegistry
@@ -27,7 +32,22 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.sim.engine import Engine
 
-__all__ = ["Observability"]
+__all__ = ["Observability", "TASK_COUNTS"]
+
+#: The counts the registry reads from the per-task stats, with their help
+#: text: ``task.<slot>`` sums ``task.stats.<slot>`` over the machine's tasks,
+#: ``lapi.<slot>`` sums ``task.lapi.stats.<slot>``.
+TASK_COUNTS = {
+    "task.copies": "timed shared-memory copies",
+    "task.bytes_copied": "bytes moved by shm copies",
+    "task.reduce_ops": "operator passes executed",
+    "task.bytes_reduced": "bytes streamed through operators",
+    "task.yields": "spin waits that yielded the CPU",
+    "task.interrupts": "LAPI arrival interrupts taken",
+    "lapi.puts": "one-sided remote writes issued",
+    "lapi.gets": "one-sided remote reads issued",
+    "lapi.bytes_put": "bytes injected by puts",
+}
 
 
 class Observability:
@@ -51,15 +71,6 @@ class Observability:
 
         # Pre-bound hot-path instruments (shared no-ops when disabled).
         m = self.metrics
-        self.copies = m.counter("task.copies", "timed shared-memory copies")
-        self.bytes_copied = m.counter("task.bytes_copied", "bytes moved by shm copies")
-        self.reduce_ops = m.counter("task.reduce_ops", "operator passes executed")
-        self.bytes_reduced = m.counter("task.bytes_reduced", "bytes streamed through operators")
-        self.yields = m.counter("task.yields", "spin waits that yielded the CPU")
-        self.interrupts = m.counter("task.interrupts", "LAPI arrival interrupts taken")
-        self.puts = m.counter("lapi.puts", "one-sided remote writes issued")
-        self.gets = m.counter("lapi.gets", "one-sided remote reads issued")
-        self.bytes_put = m.counter("lapi.bytes_put", "bytes injected by puts")
         self.flag_sets = m.counter("shmem.flag_sets", "timed shared-flag stores")
         self.flag_wait_seconds = m.histogram(
             "shmem.flag_wait_seconds", "simulated seconds blocked per flag wait"
@@ -71,6 +82,20 @@ class Observability:
         self.put_window_depth = m.time_histogram(
             "bcast.put_window_depth", "in-flight streamed puts per forwarder over time"
         )
+
+    def read_task_counts(self, tasks: typing.Sequence["Task"]) -> None:
+        """Register :data:`TASK_COUNTS` as counters summed over ``tasks``."""
+        owners = {
+            "task": [task.stats for task in tasks],
+            "lapi": [task.lapi.stats for task in tasks],
+        }
+        for name, help_text in TASK_COUNTS.items():
+            layer, slot = name.split(".")
+            self.metrics.read_counter(
+                name,
+                help_text,
+                lambda stats=owners[layer], get=operator.attrgetter(slot): sum(map(get, stats)),
+            )
 
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
         """Open a named phase span for ``task`` (see :class:`PhaseRecorder`)."""

@@ -3,7 +3,9 @@
 Replaces ad-hoc counter plumbing with named instruments that any layer can
 create once and update on the hot path for the cost of an attribute add:
 
-* :class:`Counter` — monotonically increasing totals (copies, puts, bytes);
+* :class:`Counter` — monotonically increasing totals (flag stores, dispatch
+  decisions), or a :class:`ReadCounter` that reads its total from state the
+  program already counts (the per-task copy and put slots);
 * :class:`Gauge` — a sampled instantaneous value;
 * :class:`Histogram` — value distributions over power-of-two buckets
   (put sizes, wait durations);
@@ -28,6 +30,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "Counter",
+    "ReadCounter",
     "Gauge",
     "Histogram",
     "TimeWeightedHistogram",
@@ -58,6 +61,30 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
+
+
+class ReadCounter:
+    """A counter that keeps no total: ``read()`` sums the count from the
+    state that holds it whenever the registry reports the value."""
+
+    __slots__ = ("name", "help", "read")
+
+    kind = "counter"
+
+    def __init__(self, name: str, help: str, read: typing.Callable[[], int]) -> None:
+        self.name = name
+        self.help = help
+        self.read = read
+
+    @property
+    def value(self) -> int:
+        return self.read()
+
+    def to_dict(self) -> dict:
+        return {"value": self.value}
+
+    def __repr__(self) -> str:
+        return f"<ReadCounter {self.name}={self.value}>"
 
 
 class Gauge:
@@ -318,6 +345,11 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, lambda: Counter(name, help), "counter")
 
+    def read_counter(
+        self, name: str, help: str, read: typing.Callable[[], int]
+    ) -> ReadCounter:
+        return self._get_or_create(name, lambda: ReadCounter(name, help, read), "counter")
+
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, lambda: Gauge(name, help), "gauge")
 
@@ -432,6 +464,11 @@ class NullRegistry(MetricsRegistry):
 
     def counter(self, name: str, help: str = "") -> Counter:  # type: ignore[override]
         return typing.cast(Counter, _NULL)
+
+    def read_counter(  # type: ignore[override]
+        self, name: str, help: str, read: typing.Callable[[], int]
+    ) -> ReadCounter:
+        return typing.cast(ReadCounter, _NULL)
 
     def gauge(self, name: str, help: str = "") -> Gauge:  # type: ignore[override]
         return typing.cast(Gauge, _NULL)

@@ -178,7 +178,6 @@ class SharedFlag:
         spin_window = self.cost.spin_yield_threshold * self.cost.flag_poll_interval
         if waited > spin_window:
             task.stats.yields += 1
-            self.obs.yields.inc()
             return self.cost.yield_cost
         return self.cost.flag_poll_interval
 

@@ -21,6 +21,7 @@ from repro.obs.calib import (
     PAPER_SWITCH_POINTS,
     QUICK_SIZES,
     SCORECARD_POLICIES,
+    _headlines,
     collect_calibration,
     load_calibration_report,
     run_calibrate,
@@ -119,6 +120,37 @@ def test_headlines_lead_with_the_scorecard(report):
     assert report["headlines"]
     assert report["headlines"][0].startswith("policy scorecard over 2 cells:")
     assert all(name in report["headlines"][0] for name in SCORECARD_POLICIES)
+
+
+def test_cost_mis_selections_are_headlined_on_the_picked_variant():
+    """A hand-built report of the default grid's 16-node 1 MB allreduce:
+    exchange drifts most, the cost policy picked pipeline and ring won.  The
+    regret is counted once, on the line naming pipeline and ring, and the
+    exchange drift line carries none."""
+    drift = {"term": "copy", "direction": "over", "factor": 1.6}
+    model_error = [
+        {
+            "operation": "allreduce",
+            "nodes": 16,
+            "by_variant": {
+                "exchange": {"dominant_term_drift": drift},
+                "pipeline": {"dominant_term_drift": None},
+                "ring": {"dominant_term_drift": None},
+            },
+        }
+    ]
+    regret = {
+        name: {"cells": 3, "total_regret_us": 0.0, "mis_selections": 0}
+        for name in SCORECARD_POLICIES
+    }
+    regret["cost"].update(total_regret_us=5076.9, mis_selections=1)
+    cost_misses = {("allreduce", 16, "pipeline", "ring"): [(1024 * KB, 5076.9)]}
+    lines = _headlines(model_error, regret, [], cost_misses)
+    assert lines[1:] == [
+        "cost model overpredicts copy 1.6x for allreduce exchange on 16 nodes",
+        "cost policy picked pipeline over winner ring for allreduce at 1MB on 16 nodes "
+        "-> 1 mis-selection, +5076.9us regret",
+    ]
 
 
 def test_report_is_byte_identical_at_any_jobs_setting(report):

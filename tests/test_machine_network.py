@@ -1,4 +1,4 @@
-"""Unit tests for the network-transfer primitive, memops, and datatypes."""
+"""Unit tests for the network-transfer primitive, memops, and reduction ops."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError, ProtocolError
 from repro.machine import ClusterSpec, Machine, network_transfer
 from repro.machine.memops import raw_copyto
-from repro.mpi.datatypes import BYTE, DOUBLE, INT, dtype_of, element_count
 from repro.mpi.ops import SUM, by_name
 
 
@@ -101,27 +100,8 @@ def test_raw_copy_reverse_direction():
 
 
 # ---------------------------------------------------------------------------
-# datatypes / ops registry
+# ops registry
 # ---------------------------------------------------------------------------
-
-
-def test_dtype_lookup():
-    assert dtype_of("double") == DOUBLE
-    assert dtype_of("int") == INT
-    assert dtype_of("byte") == BYTE
-    assert dtype_of(np.dtype(np.float32)).itemsize == 4
-    assert dtype_of("float64") == DOUBLE  # numpy names pass through
-
-
-def test_dtype_unknown_rejected():
-    with pytest.raises(ConfigurationError):
-        dtype_of("quaternion")
-
-
-def test_element_count():
-    assert element_count(80, DOUBLE) == 10
-    with pytest.raises(ConfigurationError):
-        element_count(81, DOUBLE)
 
 
 def test_op_registry():

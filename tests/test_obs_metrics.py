@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.bench import build
+from repro.core.programs import program_for
 from repro.errors import ConfigurationError
+from repro.machine import ClusterSpec
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -195,3 +198,44 @@ def test_null_registry_is_inert():
     assert registry.time_histogram("t") is counter
     assert registry.to_dict() == {}
     assert len(registry) == 0
+
+
+def test_read_counter_reports_its_source_when_read():
+    source = {"n": 0}
+    registry = MetricsRegistry()
+    counter = registry.read_counter("c", "help text", lambda: source["n"])
+    source["n"] = 5
+    assert counter.value == 5
+    assert registry.summary() == {"c": 5}
+    assert registry.to_dict()["c"] == {"kind": "counter", "help": "help text", "value": 5}
+    assert registry.counter("c") is counter  # one instrument per name
+    assert NullRegistry().read_counter("c", "", lambda: 1).value == 0
+
+
+# ---------------------------------------------------------------------------
+# the substrate counts are the per-task stats
+# ---------------------------------------------------------------------------
+
+#: ``task.<slot>`` is kept in ``task.stats``, ``lapi.<slot>`` in ``task.lapi.stats``.
+SUBSTRATE_COUNTS = (
+    "task.copies", "task.bytes_copied", "task.reduce_ops", "task.bytes_reduced",
+    "task.yields", "task.interrupts", "lapi.puts", "lapi.gets", "lapi.bytes_put",
+)
+
+
+@pytest.mark.parametrize("stack_name", ["srm", "ibm", "mpich"])
+@pytest.mark.parametrize("operation", ["broadcast", "reduce", "allreduce", "barrier"])
+def test_registry_counts_are_the_task_slots(stack_name, operation):
+    """Every substrate count the registry reports is its per-task slot summed
+    over the machine, on every stack: the MPI baselines' point-to-point
+    copies are counted like SRM's shared-memory ones."""
+    machine, stack = build(stack_name, ClusterSpec(nodes=2, tasks_per_node=3))
+    row = program_for(operation)(machine.spec.total_tasks, nbytes=4096)
+    machine.launch(lambda task: row.call(stack, task))
+    summary = machine.obs.metrics.summary()
+    for name in SUBSTRATE_COUNTS:
+        layer, slot = name.split(".")
+        slots = [task.stats if layer == "task" else task.lapi.stats for task in machine.tasks]
+        assert summary[name] == sum(getattr(stats, slot) for stats in slots), name
+    if row.moves_data:
+        assert summary["task.copies"] > 0

@@ -45,6 +45,16 @@ def make_pair(nodes=2, procs=2):
     )
 
 
+def counter_values(machine):
+    """The registry's counters (``task.*``, ``lapi.*``, ``shmem.flag_sets``,
+    ``dispatch.*``), less replay's own, which only one twin has."""
+    return {
+        name: entry["value"]
+        for name, entry in machine.obs.metrics.to_dict().items()
+        if entry["kind"] == "counter" and not name.startswith("replay.")
+    }
+
+
 def drive_window(machine, plans):
     """One window: start every rank's plan while idle, run to quiescence."""
     requests = [plan.start() for plan in plans]
@@ -158,6 +168,11 @@ def test_replay_windows_match_slow_path(
     manager = engine_on.trace
     assert manager is not None and manager.hit_count > 0
     assert engine_off.trace is None
+    # Identical counts: a replayed window moves each counter once, as the
+    # slow path does.
+    counts = counter_values(sides[0][0])
+    assert "task.copies" in counts and "lapi.puts" in counts and "shmem.flag_sets" in counts
+    assert counts == counter_values(sides[1][0])
 
 
 def persistent_plans(op, srm, machine, root, count):
@@ -538,7 +553,7 @@ def test_precondition_misses_name_the_cell_kind():
     assert not any(
         name.startswith("replay.misses.precondition.") and name.endswith(kind)
         for name in summary
-        for kind in ("stat", "interrupts", "counter", "ledger")
+        for kind in ("stat", "interrupts", "counter", "ledger", "metric")
     )
 
 
