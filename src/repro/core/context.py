@@ -39,7 +39,7 @@ from repro.core.config import SRMConfig
 from repro.core.dispatch import Decision, Dispatcher, SelectionPolicy
 from repro.errors import ConfigurationError
 from repro.lapi.counters import LapiCounter
-from repro.machine.cluster import Machine, Node
+from repro.machine.cluster import Machine, Node, Task
 from repro.shmem.buffers import DoubleBuffer
 from repro.shmem.flags import FlagArray
 from repro.shmem.segment import SharedSegment
@@ -201,9 +201,9 @@ class _EdgeCounters:
     zero-byte ack put once the node drained this edge's write.
     """
 
-    def __init__(self, machine: Machine, parent_rank: int, child_rank: int) -> None:
-        child = machine.task(child_rank).lapi
-        parent = machine.task(parent_rank).lapi
+    def __init__(self, tasks: typing.Sequence[Task], parent_rank: int, child_rank: int) -> None:
+        child = tasks[child_rank].lapi
+        parent = tasks[parent_rank].lapi
         self.arrival = (child.counter(name=f"arr0:{child_rank}"), child.counter(name=f"arr1:{child_rank}"))
         self.free = (
             parent.counter(initial=1, name=f"free0:{parent_rank}->{child_rank}"),
@@ -234,7 +234,7 @@ class BcastPlan(_TreePlan):
     """Everything a broadcast from one root needs."""
 
     def __init__(self, ctx: "SRMContext", root: int) -> None:
-        spec = ctx.machine.spec
+        spec = ctx.spec
         self.root = root
         self.trees = group_embedding(
             spec,
@@ -256,11 +256,11 @@ class BcastPlan(_TreePlan):
             if parent_rank is None:
                 continue
             node = spec.node_of(child_rank)
-            self.edges[node] = _EdgeCounters(ctx.machine, parent_rank, child_rank)
-            self.stream_arrival[node] = ctx.machine.task(child_rank).lapi.counter(
+            self.edges[node] = _EdgeCounters(ctx.tasks, parent_rank, child_rank)
+            self.stream_arrival[node] = ctx.tasks[child_rank].lapi.counter(
                 name=f"stream:{child_rank}"
             )
-            self.address_arrival[node] = ctx.machine.task(parent_rank).lapi.counter(
+            self.address_arrival[node] = ctx.tasks[parent_rank].lapi.counter(
                 name=f"addr:{parent_rank}<-{child_rank}"
             )
         #: Large protocol: the per-call registry of each node's user buffer,
@@ -277,10 +277,10 @@ class ReducePlan(_TreePlan):
     """
 
     def __init__(self, ctx: "SRMContext", root: int) -> None:
-        machine = ctx.machine
+        tasks = ctx.tasks
         self.root = root
         self.trees = group_embedding(
-            machine.spec,
+            ctx.spec,
             ctx.members,
             root,
             inter_family=ctx.dispatcher.tree_family("inter-tree"),
@@ -295,11 +295,11 @@ class ReducePlan(_TreePlan):
             parent_rank = self.trees.inter.parent_of(child_rank)
             if parent_rank is None:
                 continue
-            parent_node = machine.task(parent_rank).node
+            parent_node = tasks[parent_rank].node
             segment = SharedSegment(parent_node, 2 * chunk + 128, name=f"stage<-{child_rank}")
             self.staging[child_rank] = (segment.allocate(chunk), segment.allocate(chunk))
-            parent_lapi = machine.task(parent_rank).lapi
-            child_lapi = machine.task(child_rank).lapi
+            parent_lapi = tasks[parent_rank].lapi
+            child_lapi = tasks[child_rank].lapi
             self.arrival[child_rank] = (
                 parent_lapi.counter(name=f"rarr0<-{child_rank}"),
                 parent_lapi.counter(name=f"rarr1<-{child_rank}"),
@@ -322,7 +322,6 @@ class AllreducePlan:
     """
 
     def __init__(self, ctx: "SRMContext") -> None:
-        machine = ctx.machine
         node_order = ctx.node_order
         k = len(node_order)
         group = 1 << (k.bit_length() - 1)
@@ -340,8 +339,8 @@ class AllreducePlan:
         self.fold_arrival: dict[int, LapiCounter] = {}
         self.fold_result_arrival: dict[int, LapiCounter] = {}
         for position, node in enumerate(node_order):
-            machine_node = machine.nodes[node]
-            lapi = machine.task(ctx.masters[node]).lapi
+            machine_node = ctx.nodes[node].node
+            lapi = ctx.tasks[ctx.masters[node]].lapi
             if position < group:
                 segment = SharedSegment(
                     machine_node,
@@ -356,8 +355,8 @@ class AllreducePlan:
             else:
                 partner = node_order[position - group]
                 self.fold_partner[node] = partner
-                partner_lapi = machine.task(ctx.masters[partner]).lapi
-                segment = SharedSegment(machine.nodes[partner], 2 * chunk + 128, name=f"fold[{node}]")
+                partner_lapi = ctx.tasks[ctx.masters[partner]].lapi
+                segment = SharedSegment(ctx.nodes[partner].node, 2 * chunk + 128, name=f"fold[{node}]")
                 self.fold_staging[node] = (segment.allocate(chunk), segment.allocate(chunk))
                 self.fold_arrival[node] = partner_lapi.counter(name=f"fold:{node}->{partner}")
                 self.fold_result_arrival[node] = lapi.counter(name=f"foldback:{partner}->{node}")
@@ -376,7 +375,7 @@ class BarrierPlan:
         #: Per node, per round: the arrival counter at that node's master.
         self.counters: dict[int, list[LapiCounter]] = {
             node: [
-                ctx.machine.task(ctx.masters[node]).lapi.counter(name=f"bar{r}:{node}")
+                ctx.tasks[ctx.masters[node]].lapi.counter(name=f"bar{r}:{node}")
                 for r in range(self.rounds)
             ]
             for node in ctx.node_order
@@ -389,6 +388,11 @@ class SRMContext:
     ``members`` restricts the context to an arbitrary task group (an MPI
     sub-communicator) — the paper's §5 open problem.  The default is the
     whole machine (MPI_COMM_WORLD).
+
+    The context keeps the machine parts it builds on (spec, cost, tasks,
+    metrics registry), never the machine: the request layer's progress
+    processes hold the context, and the machine must stay free to go when
+    its owner drops it.
     """
 
     def __init__(
@@ -398,7 +402,11 @@ class SRMContext:
         members: typing.Iterable[int] | None = None,
         policy: "SelectionPolicy | None" = None,
     ) -> None:
-        self.machine = machine
+        self.spec = machine.spec
+        self.cost = machine.cost
+        self.metrics = machine.obs.metrics
+        #: The machine's tasks, by rank (the plans' counters live on them).
+        self.tasks: typing.Sequence[Task] = machine.tasks
         self.config = config if config is not None else SRMConfig()
         if members is None:
             member_list = list(range(machine.spec.total_tasks))

@@ -879,11 +879,16 @@ class Dispatcher:
     """
 
     def __init__(self, ctx: "SRMContext", policy: SelectionPolicy | None = None) -> None:
-        self.ctx = ctx
+        # The context owns its dispatcher, which keeps the context's fixed
+        # shape rather than the context itself.
+        self._nodes = len(ctx.nodes)
+        self._ppn = max(state.size for state in ctx.nodes.values())
+        self._config = ctx.config
+        self._cost = ctx.cost
+        self._metrics = ctx.metrics
         self.policy = policy if policy is not None else PaperPolicy()
         self._cache: dict[tuple[str, int], tuple[Decision, typing.Any]] = {}
-        metrics = ctx.machine.obs.metrics
-        self._fallbacks = metrics.counter(
+        self._fallbacks = self._metrics.counter(
             "dispatch.fallbacks", "policy choices overridden as inapplicable"
         )
 
@@ -892,10 +897,10 @@ class Dispatcher:
         return SelectionEnv(
             op=op,
             nbytes=nbytes,
-            nodes=len(self.ctx.nodes),
-            ppn=max(state.size for state in self.ctx.nodes.values()),
-            config=self.ctx.config,
-            cost=self.ctx.machine.cost,
+            nodes=self._nodes,
+            ppn=self._ppn,
+            config=self._config,
+            cost=self._cost,
         )
 
     def decide(self, op: str, nbytes: int, task: typing.Any = None) -> Decision:
@@ -921,7 +926,7 @@ class Dispatcher:
             policy=self.policy.name,
             fallback=overridden is not None,
         )
-        counter = self.ctx.machine.obs.metrics.counter(
+        counter = self._metrics.counter(
             f"dispatch.{op}.{chosen}", f"calls dispatched to the {chosen} {op}"
         )
         counter.inc()

@@ -83,11 +83,10 @@ class BlockPlan:
     """Per-root counters and the per-call buffer registry for block ops."""
 
     def __init__(self, ctx: SRMContext, root: int) -> None:
-        machine = ctx.machine
-        root_lapi = machine.task(root).lapi
+        root_lapi = ctx.tasks[root].lapi
         #: Scatter: each member's arrival counter (one block expected).
         self.scatter_arrival: dict[int, LapiCounter] = {
-            rank: machine.task(rank).lapi.counter(name=f"scat:{rank}")
+            rank: ctx.tasks[rank].lapi.counter(name=f"scat:{rank}")
             for rank in ctx.members
             if rank != root
         }
@@ -275,7 +274,7 @@ class AlltoallPlan:
 
     def __init__(self, ctx: SRMContext) -> None:
         self.arrival: dict[int, LapiCounter] = {
-            rank: ctx.machine.task(rank).lapi.counter(name=f"a2a:{rank}")
+            rank: ctx.tasks[rank].lapi.counter(name=f"a2a:{rank}")
             for rank in ctx.members
         }
         self.registry: dict[int, np.ndarray] = {}
@@ -367,7 +366,6 @@ class AllgatherPlan:
     """Counters, registries, and segment geometry for the master ring."""
 
     def __init__(self, ctx: SRMContext) -> None:
-        machine = ctx.machine
         #: Segment geometry: members are sorted, so one node's members form a
         #: contiguous range of positions in the group member list.
         positions = {rank: index for index, rank in enumerate(ctx.members)}
@@ -381,11 +379,11 @@ class AllgatherPlan:
         self.member_arrival: dict[int, LapiCounter] = {}
         self.epoch_flag: dict[int, SharedFlag] = {}
         for node in ctx.node_order:
-            master_lapi = machine.task(ctx.masters[node]).lapi
+            master_lapi = ctx.tasks[ctx.masters[node]].lapi
             self.ring_arrival[node] = master_lapi.counter(name=f"agring:{node}")
             self.addr_arrival[node] = master_lapi.counter(name=f"agaddr:{node}")
             self.member_arrival[node] = master_lapi.counter(name=f"agmem:{node}")
-            self.epoch_flag[node] = SharedFlag(machine.nodes[node], name=f"agepoch[{node}]")
+            self.epoch_flag[node] = SharedFlag(ctx.nodes[node].node, name=f"agepoch[{node}]")
         #: Per-call registry of each node's master result buffer.
         self.registry: dict[int, np.ndarray] = {}
 

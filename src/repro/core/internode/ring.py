@@ -68,7 +68,6 @@ class RingAllreducePlan:
     """Per-context counters and staging for the hierarchical ring."""
 
     def __init__(self, ctx: SRMContext) -> None:
-        machine = ctx.machine
         capacity = ctx.config.shared_buffer_bytes
         self.staging: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.rs_arrival: dict[int, LapiCounter] = {}
@@ -79,8 +78,8 @@ class RingAllreducePlan:
         self.ag_arrival: dict[int, LapiCounter] = {}
         self.addr_arrival: dict[int, LapiCounter] = {}
         for node in ctx.node_order:
-            master_lapi = machine.task(ctx.masters[node]).lapi
-            segment = SharedSegment(machine.nodes[node], 2 * capacity + 128, name=f"ringar[{node}]")
+            master_lapi = ctx.tasks[ctx.masters[node]].lapi
+            segment = SharedSegment(ctx.nodes[node].node, 2 * capacity + 128, name=f"ringar[{node}]")
             self.staging[node] = (segment.allocate(capacity), segment.allocate(capacity))
             self.rs_arrival[node] = master_lapi.counter(name=f"ringrs:{node}")
             self.rs_free[node] = master_lapi.counter(initial=2, name=f"ringfree:{node}")

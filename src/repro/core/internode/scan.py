@@ -53,7 +53,6 @@ class ScanPlan:
     """Per-node prefix and base slots (handoffs) and the inter-node chain."""
 
     def __init__(self, ctx: SRMContext) -> None:
-        machine = ctx.machine
         capacity = ctx.config.shared_buffer_bytes
         #: Per node, each member's prefix slot, read by the next member (the
         #: last member's by the master, to forward the node total).
@@ -65,7 +64,7 @@ class ScanPlan:
         self.chain_free: dict[int, LapiCounter] = {}
         for node in ctx.node_order:
             state = ctx.nodes[node]
-            machine_node = machine.nodes[node]
+            machine_node = state.node
             self.prefix[node] = [
                 DoubleBuffer(machine_node, capacity, seats=1, name=f"scan[{node}][{index}]")
                 for index in range(state.size)
@@ -73,7 +72,7 @@ class ScanPlan:
             self.base[node] = DoubleBuffer(machine_node, capacity, state.size, f"scanbase[{node}]")
             segment = SharedSegment(machine_node, 2 * capacity + 128, name=f"scanchain[{node}]")
             self.chain_staging[node] = (segment.allocate(capacity), segment.allocate(capacity))
-            master_lapi = machine.task(ctx.masters[node]).lapi
+            master_lapi = ctx.tasks[ctx.masters[node]].lapi
             self.chain_arrival[node] = master_lapi.counter(name=f"scanarr:{node}")
             self.chain_free[node] = master_lapi.counter(initial=2, name=f"scanfree:{node}")
 

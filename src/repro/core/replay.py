@@ -111,6 +111,7 @@ the next ``start()`` falls back to the slow path.
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -119,7 +120,6 @@ from repro.obs.metrics import Counter, Gauge, Histogram, TimeWeightedHistogram, 
 from repro.obs.taxonomy import REQUEST
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.context import SRMContext
     from repro.core.requests import CollectiveRequest, PersistentCollective
     from repro.machine.cluster import Machine
     from repro.sim.engine import Engine
@@ -200,7 +200,7 @@ def _cell_id(cell: tuple) -> tuple:
     return (id(container), key)
 
 
-def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typing.Iterator[tuple]:
+def _cells(ledgers: typing.Iterable[dict], machine: "Machine") -> typing.Iterator[tuple]:
     """Every protocol-state scalar a window can change.
 
     Read from the registries, never from protocol fields, so the next
@@ -215,17 +215,17 @@ def _cells(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> typin
         yield ("counter", counter, "_value")
     for flag in machine.flags:
         yield ("flag", flag, "_value")
-    for ctx in contexts:
-        for key in ctx.ledger:
-            yield ("ledger", ctx.ledger, key)
+    for ledger in ledgers:
+        for key in ledger:
+            yield ("ledger", ledger, key)
     for instrument in machine.obs.metrics._instruments.values():
         if type(instrument) in (Counter, Gauge):
             yield ("metric", instrument, "value")
 
 
-def _snapshot(contexts: typing.Iterable["SRMContext"], machine: "Machine") -> dict:
+def _snapshot(ledgers: typing.Iterable[dict], machine: "Machine") -> dict:
     """``cell id -> (cell, value)`` over every protocol-state scalar."""
-    return {_cell_id(cell): (cell, _cell_get(cell)) for cell in _cells(contexts, machine)}
+    return {_cell_id(cell): (cell, _cell_get(cell)) for cell in _cells(ledgers, machine)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,7 @@ def _learn_reads(window: list["CollectiveRequest"]) -> tuple:
     by_ledger: dict[int, tuple] = {}
     for request in window:
         invocation = request._invocation
-        ledger = request.ctx.ledger
+        ledger = request.ledger
         _ledger, cursors, writers = by_ledger.setdefault(id(ledger), (ledger, {}, {}))
         cursors.update(dict.fromkeys(invocation.bases))
         writers.update(dict.fromkeys(("writer", *key) for key in invocation.writers))
@@ -522,10 +522,11 @@ def _snapshot_values(reads: tuple, snapshot: dict) -> tuple:
     return tuple(values)
 
 
-def _bind(window: list["CollectiveRequest"]) -> None:
-    """Reserve and spawn deferred starts, in started order."""
-    for request in window:
-        request._bind(request._reserve(), request._body)
+def _bind(window: list["CollectiveRequest"], starts: list[tuple]) -> None:
+    """Reserve and spawn deferred starts, in started order: ``starts``
+    holds each one's reserve and body closures."""
+    for request, (reserve, body) in zip(window, starts):
+        request._bind(reserve(), body)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +539,8 @@ class _Recording:
 
     Built before the window reserves anything, so the state diff carries
     the window's reservations; :meth:`watch` taps the member processes
-    once they exist.
+    once they exist.  It holds its machine weakly: the engine's replay hook
+    holds the recording.
     """
 
     def __init__(self, window: list, signature: tuple) -> None:
@@ -547,7 +549,7 @@ class _Recording:
         #: The full window key, set once the window's reads are known.
         self.key: tuple | None = None
         machine = window[0].task.machine
-        self.machine = machine
+        self._machine = weakref.ref(machine)
         engine = machine.engine
         self.t0 = engine.now
         self.aborted: str | None = None
@@ -555,11 +557,11 @@ class _Recording:
         #: Member index -> the request's value, in completion order.
         self.completions: dict[int, typing.Any] = {}
 
-        contexts = {id(request.ctx): request.ctx for request in window}
-        self.contexts = list(contexts.values())
-        self.pre_state = _snapshot(self.contexts, machine)
+        ledgers = {id(request.ledger): request.ledger for request in window}
+        self.ledgers = list(ledgers.values())
+        self.pre_state = _snapshot(self.ledgers, machine)
 
-        obs = machine.obs
+        obs = self.obs = machine.obs
         recorder = obs.recorder
         self.span_mark = len(recorder.spans)
         self.flow_mark = len(recorder.flows)
@@ -593,7 +595,7 @@ class _Recording:
             self.aborted = reason
 
     def restore_tapes(self) -> None:
-        obs = self.machine.obs
+        obs = self.obs
         for attr, tape in self.tapes.items():
             setattr(obs, attr, tape.real)
 
@@ -604,13 +606,15 @@ class _Recording:
             return None
         if len(self.completions) != len(self.window):
             return None
-        machine = self.machine
+        machine = self._machine()
+        if machine is None:
+            return None
         engine = machine.engine
         t0 = self.t0
         duration = engine.now - t0
 
         # State diff: join the commit-time snapshot against the armed one.
-        post_state = _snapshot(self.contexts, machine)
+        post_state = _snapshot(self.ledgers, machine)
         state_entries: list[tuple] = []
         for cell_id, (cell, post) in post_state.items():
             pre_pair = self.pre_state.get(cell_id)
@@ -705,8 +709,10 @@ class ReplayManager:
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        #: The open window: deferred starts in started order.
+        #: The open window: deferred starts in started order, and each
+        #: one's reserve and body closures, captured at its start.
         self._window: list["CollectiveRequest"] = []
+        self._starts: list[tuple] = []
         #: Its plan-set signature, built as the starts arrive: each start's
         #: plan and the generation it captured.
         self._signature: list = []
@@ -740,13 +746,14 @@ class ReplayManager:
         return self.engine._active_process is None
 
     def defer(self, plan: "PersistentCollective", request: "CollectiveRequest") -> None:
-        """Add a start, holding its plan's closures, to the open window."""
+        """Add a start, with its plan's current closures, to the open window."""
         window = self._window
         if not window and self.engine._queue:
             # Something else is already scheduled at the window's front;
             # materialization order would differ from the undeferred order.
             self._window_dirty = True
         window.append(request)
+        self._starts.append((plan._reserve, plan._body))
         signature = self._signature
         signature.append(plan)
         signature.append(plan._generation)
@@ -765,7 +772,7 @@ class ReplayManager:
         if bound < len(window):
             self._bound = len(window)
             self._window_dirty = True
-            _bind(window[bound:])
+            _bind(window[bound:], self._starts[bound:])
 
     # -- recording taps (called by the data-moving substrates) --------------
 
@@ -808,6 +815,7 @@ class ReplayManager:
         if not window:
             return
         self._window = []
+        starts, self._starts = self._starts, []
         signature = tuple(self._signature)
         self._signature = []
         bound = self._bound
@@ -829,7 +837,7 @@ class ReplayManager:
         if reason is not None:
             self.dirty_reasons[reason] += 1
             registry.counter(f"replay.dirty.{reason}", DIRTY_REASONS[reason]).inc()
-            _bind(window[bound:])
+            _bind(window[bound:], starts[bound:])
             return
         reads = self._reads.get(signature)
         key = None
@@ -858,7 +866,7 @@ class ReplayManager:
         misses.inc()
         causes[cause].inc()
         recording = _Recording(window, signature)
-        _bind(window)
+        _bind(window, starts)
         recording.watch()
         if reads is None:
             reads = self._reads[signature] = _learn_reads(window)

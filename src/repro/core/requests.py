@@ -99,19 +99,23 @@ class CollectiveRequest:
     blocking programs, keeping them byte-identical to the legacy path.
 
     A *deferred* request (a persistent start made while the engine is idle,
-    see :class:`PersistentCollective`) holds its plan's reserve and body
-    closures instead of a window until the replay manager either replays
-    its window or binds it (:meth:`_bind`).
+    see :class:`PersistentCollective`) holds no window until the replay
+    manager, which keeps its plan's reserve and body closures, either
+    replays its window or binds it (:meth:`_bind`).
+
+    The context keeps each rank's latest request (the chain's tail), so a
+    request keeps nothing that leads back to the context: it holds the
+    context's ledger, not the context, and its body only until the body
+    runs (an inline request) or not at all (a progress process holds it).
     """
 
     __slots__ = (
-        "ctx",
+        "ledger",
         "task",
         "op",
         "root",
         "sequence",
         "_invocation",
-        "_reserve",
         "_body",
         "_process",
         "_predecessor",
@@ -124,7 +128,8 @@ class CollectiveRequest:
     def __init__(
         self, ctx: SRMContext, task: "Task", op: str, root: int | None, inline: bool = False
     ) -> None:
-        self.ctx = ctx
+        #: The context's ledger (compiled replay snapshots its cursors).
+        self.ledger = ctx.ledger
         self.task = task
         self.op = op
         self.root = root
@@ -132,7 +137,6 @@ class CollectiveRequest:
         #: them in deadlock reports.
         self.sequence = ctx.ledger.reserve(("request", task.rank), 1)
         self._invocation: InvocationState | None = None
-        self._reserve: typing.Callable[[], InvocationState] | None = None
         self._body: typing.Any = None
         self._inline = inline
         self._process = None
@@ -148,27 +152,29 @@ class CollectiveRequest:
         body: typing.Callable[[InvocationState], ProcessGenerator],
     ) -> None:
         """Take the reserved window and the body over it; a process-mode
-        request starts its progress process."""
+        request starts its progress process, which holds the body."""
         invocation.sequence = self.sequence
         self._invocation = invocation
-        self._reserve = None
-        self._body = body(invocation)
-        if not self._inline:
+        if self._inline:
+            self._body = body(invocation)
+        else:
             self._process = self.task.engine.process(
-                self._run(), name=f"req:{self.op}[{self.task.rank}]#{self.sequence}"
+                self._run(body(invocation)),
+                name=f"req:{self.op}[{self.task.rank}]#{self.sequence}",
             )
 
     def _materialize(self) -> None:
         """Reserve and spawn the open window's deferred starts, this one
         among them, in started order (:meth:`ReplayManager.materialize`)."""
-        if self._reserve is not None:
-            self.task.engine.trace.materialize()
+        if self._invocation is None and not self._done:
+            trace = self.task.engine.trace
+            if trace is not None:
+                trace.materialize()
 
     def _replay_complete(self, value: typing.Any) -> None:
         """Complete this request from a compiled-schedule replay."""
         self._done = True
         self._value = value
-        self._reserve = self._body = None
         # Passed the gate: holding the predecessor would chain every
         # replayed request of this rank into one ever-growing list.
         self._predecessor = None
@@ -241,14 +247,14 @@ class CollectiveRequest:
             yield predecessor._completion_event()
         self._predecessor = None
 
-    def _run(self) -> ProcessGenerator:
+    def _run(self, body: ProcessGenerator) -> ProcessGenerator:
         """Progress-process body for nonblocking/persistent requests."""
         yield from self._gate_on_predecessor()
         # Zero-duration marker attributing this process's spans to the
         # owning request (same precedent as the DISPATCH marker).
         with self.task.phase(REQUEST, detail=self.describe()):
             pass
-        value = yield from self._body
+        value = yield from body
         self._done = True
         self._value = value
         return value
@@ -265,7 +271,8 @@ class CollectiveRequest:
             if self._done:
                 return self._value
             yield from self._gate_on_predecessor()
-            value = yield from self._body
+            body, self._body = self._body, None
+            value = yield from body
             self._done = True
             self._value = value
             if self._completion is not None:
@@ -344,8 +351,6 @@ class PersistentCollective:
             manager = manager_for(task.engine)
             if manager.accepts(self):
                 request = CollectiveRequest(ctx, task, self.op, self.root)
-                request._reserve = self._reserve
-                request._body = self._body
                 manager.defer(self, request)
                 return request
         return _start(ctx, task, (self.decision, self._reserve, self._body))

@@ -31,6 +31,7 @@ after them.
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -87,9 +88,16 @@ class SRM:
         group: typing.Iterable[int] | None = None,
         policy: "SelectionPolicy | None" = None,
     ) -> None:
-        self.machine = machine
+        # Weak: a program blocked in a collective holds this facade, and the
+        # machine must stay free to go when its owner drops it.
+        self._machine = weakref.ref(machine)
         self.config = config if config is not None else SRMConfig()
         self.ctx = SRMContext(machine, self.config, members=group, policy=policy)
+
+    @property
+    def machine(self) -> Machine | None:
+        """The machine these collectives run on (``None`` once it was freed)."""
+        return self._machine()
 
     @property
     def policy(self) -> "SelectionPolicy":

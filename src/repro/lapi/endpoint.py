@@ -24,6 +24,7 @@ cooperation rules above — those are the counters SRM's flow control uses.
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -66,10 +67,18 @@ class LapiStats:
 
 
 class LapiEndpoint:
-    """The RMA interface of one task."""
+    """The RMA interface of one task.
+
+    The task owns its endpoint: the endpoint keeps the task's rank, node and
+    stats as plain attributes and reaches its peers through the machine,
+    held weakly (once per remote operation).
+    """
 
     def __init__(self, task: "Task") -> None:
-        self.task = task
+        self._machine = weakref.ref(task.machine)
+        self.rank = task.rank
+        self.node = task.node
+        self.task_stats = task.stats
         self.engine = task.engine
         self.cost = task.cost
         self.obs = task.obs
@@ -78,12 +87,18 @@ class LapiEndpoint:
         self._call_depth = 0
         self._in_call = Gate(self.engine, open=False, name=f"lapi-call[{task.rank}]")
 
+    def _peer(self, rank: int) -> "Task":
+        """The task of ``rank`` on this endpoint's machine."""
+        return self._machine().task(rank)
+
     # -- counters -------------------------------------------------------------
 
     def counter(self, initial: int = 0, name: str | None = None) -> LapiCounter:
         """Create a counter owned by this task, registered with the machine."""
-        counter = LapiCounter(self.engine, initial, name=name or f"cntr[{self.task.rank}]")
-        self.task.machine.counters.append(counter)
+        counter = LapiCounter(self.engine, initial, name=name or f"cntr[{self.rank}]")
+        machine = self._machine()
+        if machine is not None:
+            machine.counters.append(counter)
         return counter
 
     # -- call/interrupt state ---------------------------------------------------
@@ -120,7 +135,7 @@ class LapiEndpoint:
         start = self.engine.now
         self._enter_call()
         try:
-            with self.task.phase(COUNTER_WAIT):
+            with self.obs.phase(self, COUNTER_WAIT):
                 pending = counter.event_at(value)
                 if pending is not None:
                     yield pending
@@ -140,7 +155,7 @@ class LapiEndpoint:
         start = self.engine.now
         self._enter_call()
         try:
-            with self.task.phase(COUNTER_WAIT):
+            with self.obs.phase(self, COUNTER_WAIT):
                 pending = counter.event_at(threshold)
                 if pending is not None:
                     yield pending
@@ -163,7 +178,7 @@ class LapiEndpoint:
         if self.in_lapi_call:
             return
         if self.interrupts_enabled:
-            self.task.stats.interrupts += 1
+            self.task_stats.interrupts += 1
             yield self.engine.timeout(self.cost.interrupt_cost)
             return
         self.stats.stalled_deliveries += 1
@@ -191,8 +206,7 @@ class LapiEndpoint:
             raise ProtocolError(
                 f"put size mismatch: dst {dst.nbytes} B vs src {src.nbytes} B"
             )
-        machine = self.task.machine
-        target_task = machine.task(target_rank)
+        target_task = self._peer(target_rank)
         nbytes = int(src.nbytes)
         snapshot = np.array(src, copy=True)
         trace = self.engine.trace
@@ -203,7 +217,7 @@ class LapiEndpoint:
             # a put's issue and its delivery.
             trace.record_copy(dst, src)
         issue_time = self.engine.now
-        with self.task.phase(PUT_ISSUE):
+        with self.obs.phase(self, PUT_ISSUE):
             yield self.engine.timeout(self.cost.rma_origin_overhead)
         if origin_counter is not None:
             origin_counter.increment()
@@ -218,12 +232,12 @@ class LapiEndpoint:
                 jitter = faults.put_jitter()
                 if jitter > 0.0:
                     yield self.engine.timeout(jitter)
-            if target_task.node is self.task.node:
+            if target_task.node is self.node:
                 # Intra-node put short-circuits through the memory bus.
                 if nbytes > 0:
-                    yield self.task.node.bus.transfer(nbytes)
+                    yield self.node.bus.transfer(nbytes)
             else:
-                yield from network_transfer(self.task.node, target_task.node, nbytes)
+                yield from network_transfer(self.node, target_task.node, nbytes)
                 yield from target_task.lapi._cooperate()
                 yield self.engine.timeout(self.cost.rma_target_overhead)
             raw_copyto(dst, snapshot)
@@ -232,7 +246,7 @@ class LapiEndpoint:
                 target_counter.increment()
                 self.obs.flow(
                     FLOW_PUT_COUNTER,
-                    self.task.rank,
+                    self.rank,
                     issue_time,
                     target_rank,
                     self.engine.now,
@@ -240,7 +254,7 @@ class LapiEndpoint:
                 )
                 yield self.engine.timeout(self.cost.counter_update_cost)
             if completion_counter is not None:
-                if target_task.node is not self.task.node:
+                if target_task.node is not self.node:
                     # The completion ack rides back and needs the *origin's*
                     # cooperation to be dispatched.
                     yield self.engine.timeout(self.cost.net_latency)
@@ -250,12 +264,12 @@ class LapiEndpoint:
                     FLOW_PUT_COMPLETION,
                     target_rank,
                     landed_time,
-                    self.task.rank,
+                    self.rank,
                     self.engine.now,
                     detail=completion_counter.name or "",
                 )
 
-        return self.engine.process(deliver(), name=f"put:{self.task.rank}->{target_rank}")
+        return self.engine.process(deliver(), name=f"put:{self.rank}->{target_rank}")
 
     def get(
         self,
@@ -270,26 +284,25 @@ class LapiEndpoint:
             raise ProtocolError(
                 f"get size mismatch: dst {dst.nbytes} B vs src {src.nbytes} B"
             )
-        machine = self.task.machine
-        target_task = machine.task(target_rank)
+        target_task = self._peer(target_rank)
         nbytes = int(dst.nbytes)
         issue_time = self.engine.now
-        with self.task.phase(GET_ISSUE):
+        with self.obs.phase(self, GET_ISSUE):
             yield self.engine.timeout(self.cost.rma_origin_overhead)
         self.stats.gets += 1
         self.stats.bytes_got += nbytes
 
         def deliver() -> ProcessGenerator:
-            if target_task.node is self.task.node:
+            if target_task.node is self.node:
                 if nbytes > 0:
-                    yield self.task.node.bus.transfer(nbytes)
+                    yield self.node.bus.transfer(nbytes)
             else:
                 # Request travels out (latency only) ...
                 yield self.engine.timeout(self.cost.net_latency)
                 yield from target_task.lapi._cooperate()
                 yield self.engine.timeout(self.cost.rma_target_overhead)
                 # ... data streams back.
-                yield from network_transfer(target_task.node, self.task.node, nbytes)
+                yield from network_transfer(target_task.node, self.node, nbytes)
             raw_copyto(dst, src)
             trace = self.engine.trace
             if trace is not None:
@@ -300,14 +313,14 @@ class LapiEndpoint:
                 # issue (the target is passive in one-sided reads).
                 self.obs.flow(
                     FLOW_PUT_COUNTER,
-                    self.task.rank,
+                    self.rank,
                     issue_time,
-                    self.task.rank,
+                    self.rank,
                     self.engine.now,
                     detail=completion_counter.name or "",
                 )
 
-        return self.engine.process(deliver(), name=f"get:{self.task.rank}<-{target_rank}")
+        return self.engine.process(deliver(), name=f"get:{self.rank}<-{target_rank}")
 
     def rmw_add(
         self,
@@ -317,18 +330,17 @@ class LapiEndpoint:
     ) -> ProcessGenerator:
         """Blocking remote atomic fetch-and-add on a counter owned by
         ``target_rank``; returns the pre-update value."""
-        machine = self.task.machine
-        target_task = machine.task(target_rank)
+        target_task = self._peer(target_rank)
         self.stats.rmws += 1
-        with self.task.phase(RMW):
+        with self.obs.phase(self, RMW):
             yield self.engine.timeout(self.cost.rma_origin_overhead)
-            if target_task.node is not self.task.node:
+            if target_task.node is not self.node:
                 yield self.engine.timeout(self.cost.net_latency)
                 yield from target_task.lapi._cooperate()
                 yield self.engine.timeout(self.cost.rma_target_overhead)
             old_value = counter.value
             counter.increment(amount)
-            if target_task.node is not self.task.node:
+            if target_task.node is not self.node:
                 yield self.engine.timeout(self.cost.net_latency)
                 yield from self._cooperate()
         return old_value
@@ -342,25 +354,24 @@ class LapiEndpoint:
     ) -> typing.Generator[typing.Any, typing.Any, Process]:
         """Active message: run ``handler(target_task, payload)`` at the target
         once the header (plus ``nbytes`` of payload timing) arrives."""
-        machine = self.task.machine
-        target_task = machine.task(target_rank)
+        target_task = self._peer(target_rank)
         trace = self.engine.trace
         if trace is not None:
             # Handler side effects are arbitrary Python; the op tape cannot
             # represent them, so a window containing an amsend never caches.
             trace.record_opaque("amsend handler")
-        with self.task.phase(AMSEND):
+        with self.obs.phase(self, AMSEND):
             yield self.engine.timeout(self.cost.rma_origin_overhead)
         self.stats.amsends += 1
 
         def deliver() -> ProcessGenerator:
-            if target_task.node is self.task.node:
+            if target_task.node is self.node:
                 if nbytes > 0:
-                    yield self.task.node.bus.transfer(nbytes)
+                    yield self.node.bus.transfer(nbytes)
             else:
-                yield from network_transfer(self.task.node, target_task.node, nbytes)
+                yield from network_transfer(self.node, target_task.node, nbytes)
                 yield from target_task.lapi._cooperate()
                 yield self.engine.timeout(self.cost.rma_target_overhead)
             handler(target_task, payload)
 
-        return self.engine.process(deliver(), name=f"am:{self.task.rank}->{target_rank}")
+        return self.engine.process(deliver(), name=f"am:{self.rank}->{target_rank}")

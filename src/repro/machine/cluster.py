@@ -14,11 +14,19 @@ A :class:`Machine` instantiates the cluster described by a
 
 Programs are generators taking a :class:`Task`; :meth:`Machine.launch` runs
 one program instance per rank and reports per-rank results and the makespan.
+
+Only the machine's owner holds it strongly.  Its parts (nodes, tasks, their
+endpoints and flags) keep what they read on every call (engine, cost, node,
+rank) as plain attributes and reach the machine itself through a weak
+reference, so when the owner drops the machine reference counting frees it
+at once; freeing it releases the engine (:meth:`Engine._release`), and the
+rest follows.
 """
 
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -44,13 +52,21 @@ class Node:
     def __init__(self, machine: "Machine", index: int) -> None:
         cost = machine.cost
         engine = machine.engine
-        self.machine = machine
+        self._machine = weakref.ref(machine)
+        self.engine = engine
+        self.cost = cost
+        self.obs = machine.obs
         self.index = index
         self.ranks = machine.spec.ranks_on_node(index)
         #: All intra-node copies, reductions, and NIC DMA share this bus.
         self.bus = SharedBandwidth(engine, cost.memory_bus_bandwidth, name=f"bus[{index}]")
         self.nic_out = SharedBandwidth(engine, cost.net_bandwidth, name=f"nic_out[{index}]")
         self.nic_in = SharedBandwidth(engine, cost.net_bandwidth, name=f"nic_in[{index}]")
+
+    @property
+    def machine(self) -> "Machine | None":
+        """The machine this node belongs to (``None`` once it was freed)."""
+        return self._machine()
 
     @property
     def size(self) -> int:
@@ -86,7 +102,7 @@ class Task:
     """One MPI rank: the execution context handed to simulated programs."""
 
     def __init__(self, machine: "Machine", rank: int) -> None:
-        self.machine = machine
+        self._machine = weakref.ref(machine)
         self.rank = rank
         self.node: Node = machine.nodes[machine.spec.node_of(rank)]
         self.engine: Engine = machine.engine
@@ -100,6 +116,11 @@ class Task:
         self.mpi: typing.Any = None
 
     # -- identity helpers ---------------------------------------------------
+
+    @property
+    def machine(self) -> "Machine | None":
+        """The machine this task runs on (``None`` once it was freed)."""
+        return self._machine()
 
     @property
     def local_index(self) -> int:
@@ -271,6 +292,11 @@ class Machine:
         if self.cost.daemon_interval > 0:
             self._start_daemon_noise()
 
+    def __del__(self) -> None:
+        # Only the owner holds a machine, so this runs when the owner drops
+        # it: release the engine, and reference counting frees the rest.
+        self.engine._release()
+
     def _attach_endpoints(self) -> None:
         # Imported here: the substrate modules type-reference Machine/Task.
         from repro.lapi.endpoint import LapiEndpoint
@@ -283,11 +309,12 @@ class Machine:
 
     def _start_daemon_noise(self) -> None:
         """Periodic per-node bus theft modelling AIX system daemons (§2.1)."""
+        cost, rng = self.cost, self.rng
 
         def daemon(node: Node) -> ProcessGenerator:
-            steal_bytes = self.cost.daemon_duration * self.cost.memory_bus_bandwidth
+            steal_bytes = cost.daemon_duration * cost.memory_bus_bandwidth
             while True:
-                interval = float(self.rng.exponential(self.cost.daemon_interval))
+                interval = float(rng.exponential(cost.daemon_interval))
                 yield node.bus.transfer_after(interval, steal_bytes)
 
         for node in self.nodes:
@@ -322,20 +349,21 @@ class Machine:
         selected = list(ranks) if ranks is not None else list(range(self.spec.total_tasks))
         if not selected:
             raise ConfigurationError("launch() needs at least one rank")
-        start_time = self.engine.now
+        engine = self.engine
+        start_time = engine.now
         finish_times: dict[int, float] = {}
         results: dict[int, typing.Any] = {}
 
         def wrapped(task: Task) -> ProcessGenerator:
             outcome = yield from program(task)
-            finish_times[task.rank] = self.engine.now
+            finish_times[task.rank] = engine.now
             results[task.rank] = outcome
 
         processes = [
-            self.engine.process(wrapped(self.tasks[rank]), name=f"rank{rank}")
+            engine.process(wrapped(self.tasks[rank]), name=f"rank{rank}")
             for rank in selected
         ]
-        self.engine.run(until=self.engine.all_of(processes))
+        engine.run(until=engine.all_of(processes))
         return LaunchResult(results, start_time, finish_times)
 
     def __repr__(self) -> str:

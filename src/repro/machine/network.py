@@ -36,8 +36,8 @@ def network_transfer(src_node: "Node", dst_node: "Node", nbytes: int) -> Process
         raise ProtocolError(
             f"network_transfer within node {src_node.index}; use shared memory"
         )
-    engine = src_node.machine.engine
-    cost = src_node.machine.cost
+    engine = src_node.engine
+    cost = src_node.cost
     yield engine.timeout(cost.net_latency)
     if nbytes > 0:
         yield engine.all_of(

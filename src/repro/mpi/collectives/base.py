@@ -29,6 +29,7 @@ check), naming the operation and the argument.
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -79,12 +80,20 @@ class MpiCollectives:
     tree_family = "binomial"
 
     def __init__(self, machine: Machine) -> None:
-        self.machine = machine
+        # Weak: a program blocked in a collective holds this stack, and the
+        # machine must stay free to go when its owner drops it.
+        self._machine = weakref.ref(machine)
+        self.spec = machine.spec
         self._trees: dict[int, RankTree] = {}
+
+    @property
+    def machine(self) -> Machine | None:
+        """The machine these collectives run on (``None`` once it was freed)."""
+        return self._machine()
 
     def _tree(self, root: int) -> RankTree:
         if root not in self._trees:
-            self._trees[root] = naive_rank_tree(self.machine.spec, root, self.tree_family)
+            self._trees[root] = naive_rank_tree(self.spec, root, self.tree_family)
         return self._trees[root]
 
     # ------------------------------------------------------------------

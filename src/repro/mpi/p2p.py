@@ -26,6 +26,7 @@ against ("MPI (MPCI) was configured to use shared memory", §3).
 from __future__ import annotations
 
 import typing
+import weakref
 
 import numpy as np
 
@@ -111,7 +112,13 @@ class MpiEndpoint:
     """The point-to-point interface of one task."""
 
     def __init__(self, task: "Task") -> None:
-        self.task = task
+        # The task owns its endpoint: keep what the endpoint reads, and reach
+        # peers through the machine, held weakly (once per message).
+        self._machine = weakref.ref(task.machine)
+        self.rank = task.rank
+        self.node = task.node
+        self.spec = task.spec
+        self.task_stats = task.stats
         self.engine = task.engine
         self.cost = task.cost
         self.queues = MatchQueues()
@@ -121,10 +128,14 @@ class MpiEndpoint:
         #: envelope to it (see :meth:`_deliver`).
         self._deliveries: dict[int, Process] = {}
 
+    def _peer(self, rank: int) -> "Task":
+        """The task of ``rank`` on this endpoint's machine."""
+        return self._machine().task(rank)
+
     @property
     def eager_limit(self) -> int:
         """The protocol switch point for this job's task count (§2.3)."""
-        return self.cost.eager_limit(self.task.spec.total_tasks)
+        return self.cost.eager_limit(self.spec.total_tasks)
 
     # ------------------------------------------------------------------
     # send side
@@ -132,7 +143,7 @@ class MpiEndpoint:
 
     def send(self, dest: int, buffer: np.ndarray, tag: int = 0) -> ProcessGenerator:
         """Blocking standard-mode send (protocol chosen by message size)."""
-        self.task.spec.check_rank(dest)
+        self.spec.check_rank(dest)
         self.stats.sends += 1
         self.stats.bytes_sent += buffer.nbytes
         yield self.engine.timeout(self.cost.mpi_send_overhead)
@@ -143,7 +154,7 @@ class MpiEndpoint:
 
     def isend(self, dest: int, buffer: np.ndarray, tag: int = 0) -> Process:
         """Non-blocking send; join the returned process to complete it."""
-        return self.engine.process(self.send(dest, buffer, tag), name=f"isend:{self.task.rank}->{dest}")
+        return self.engine.process(self.send(dest, buffer, tag), name=f"isend:{self.rank}->{dest}")
 
     def _deliver(
         self, dest: "MpiEndpoint", transit: ProcessGenerator, envelope: Envelope, name: str
@@ -152,7 +163,7 @@ class MpiEndpoint:
         this task's previous envelope to ``dest``: MPI's pairwise
         non-overtaking rule, which the timing alone can break (an RTS
         control message outruns an earlier, larger eager payload)."""
-        previous = self._deliveries.get(dest.task.rank)
+        previous = self._deliveries.get(dest.rank)
 
         def deliver() -> ProcessGenerator:
             yield from transit
@@ -160,25 +171,25 @@ class MpiEndpoint:
                 yield previous
             dest._arrive(envelope)
 
-        self._deliveries[dest.task.rank] = self.engine.process(deliver(), name=name)
+        self._deliveries[dest.rank] = self.engine.process(deliver(), name=name)
 
     def _eager_send(self, dest: int, buffer: np.ndarray, tag: int) -> ProcessGenerator:
-        dest_task = self.task.machine.task(dest)
+        dest_task = self._peer(dest)
         dest_endpoint: MpiEndpoint = dest_task.mpi
         nbytes = int(buffer.nbytes)
         self.stats.eager_messages += 1
         if nbytes > 0:
             yield dest_endpoint.eager_pool.acquire(nbytes)
         snapshot = np.array(_bytes_of(buffer), copy=True)
-        envelope = Envelope("eager", self.task.rank, tag, nbytes, data=snapshot)
-        if dest_task.node is self.task.node:
+        envelope = Envelope("eager", self.rank, tag, nbytes, data=snapshot)
+        if dest_task.node is self.node:
             # First of the two intra-node copies: user buffer -> bounce.
             if nbytes > 0:
-                yield self.task.node.bus.transfer_after(
+                yield self.node.bus.transfer_after(
                     self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
                 )
-                self.task.stats.copies += 1
-                self.task.stats.bytes_copied += nbytes
+                self.task_stats.copies += 1
+                self.task_stats.bytes_copied += nbytes
             else:
                 yield self.engine.timeout(self.cost.sm_copy_latency)
             yield self.engine.timeout(self.cost.flag_set_cost)
@@ -193,7 +204,7 @@ class MpiEndpoint:
             # message pipelines through the switch), so the bandwidth term is
             # paid once, not per stage.
             injection = (
-                self.task.node.nic_out.transfer(nbytes) if nbytes > 0 else None
+                self.node.nic_out.transfer(nbytes) if nbytes > 0 else None
             )
 
             def deliver_remote() -> ProcessGenerator:
@@ -212,13 +223,13 @@ class MpiEndpoint:
                 yield injection
 
     def _rendezvous_send(self, dest: int, buffer: np.ndarray, tag: int) -> ProcessGenerator:
-        dest_task = self.task.machine.task(dest)
+        dest_task = self._peer(dest)
         dest_endpoint: MpiEndpoint = dest_task.mpi
         nbytes = int(buffer.nbytes)
-        same_node = dest_task.node is self.task.node
+        same_node = dest_task.node is self.node
         self.stats.rendezvous_messages += 1
-        cts = Event(self.engine, name=f"cts:{self.task.rank}->{dest}")
-        envelope = Envelope("rts", self.task.rank, tag, nbytes, cts=cts)
+        cts = Event(self.engine, name=f"cts:{self.rank}->{dest}")
+        envelope = Envelope("rts", self.rank, tag, nbytes, cts=cts)
         # Request-to-send control message.
         yield self.engine.timeout(self.cost.rendezvous_control_cost)
         rts_delay = self.cost.flag_poll_interval if same_node else self.cost.net_latency
@@ -232,15 +243,15 @@ class MpiEndpoint:
             raise TruncationError(
                 f"rendezvous message of {nbytes} B into a {posted.buffer.nbytes} B buffer"
             )
-        status = Status(self.task.rank, tag, nbytes)
+        status = Status(self.rank, tag, nbytes)
         if same_node:
             # Copy one: user buffer -> shared bounce (charged to the sender).
             snapshot = np.array(_bytes_of(buffer), copy=True)
-            yield self.task.node.bus.transfer_after(
+            yield self.node.bus.transfer_after(
                 self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
             )
-            self.task.stats.copies += 1
-            self.task.stats.bytes_copied += nbytes
+            self.task_stats.copies += 1
+            self.task_stats.bytes_copied += nbytes
 
             def drain_local() -> ProcessGenerator:
                 # Copy two: bounce -> user buffer (the receiver's timeline
@@ -259,7 +270,7 @@ class MpiEndpoint:
         else:
             # Payload streams straight into the posted user buffer — the
             # zero-extra-copy half of rendezvous.
-            yield from network_transfer(self.task.node, dest_task.node, nbytes)
+            yield from network_transfer(self.node, dest_task.node, nbytes)
             _bytes_of(posted.buffer)[:nbytes] = _bytes_of(buffer)
             # Blocked-receiver wake-up happens off the sender's critical
             # path but before the receiver resumes.
@@ -279,12 +290,12 @@ class MpiEndpoint:
         if buffer is None:
             raise ProtocolError("recv() requires a destination buffer")
         if source is not ANY_SOURCE:
-            self.task.spec.check_rank(source)
+            self.spec.check_rank(source)
         self.stats.recvs += 1
         yield self.engine.timeout(self.cost.mpi_recv_overhead)
         envelope = self.queues.match_receive(source, tag)
         if envelope is None:
-            done = Event(self.engine, name=f"recv:{self.task.rank}")
+            done = Event(self.engine, name=f"recv:{self.rank}")
             self.queues.post(PostedRecv(source, tag, buffer, done))
             status = yield done
             return status
@@ -294,7 +305,7 @@ class MpiEndpoint:
         if envelope.kind == "eager":
             status = yield from self._drain_eager(envelope, buffer)
             return status
-        done = Event(self.engine, name=f"recv:{self.task.rank}")
+        done = Event(self.engine, name=f"recv:{self.rank}")
         posted = PostedRecv(envelope.source, envelope.tag, buffer, done)
         self._grant_cts(envelope, posted)
         status = yield done
@@ -305,7 +316,7 @@ class MpiEndpoint:
     ) -> Process:
         """Non-blocking receive; joining the process yields the Status."""
         return self.engine.process(
-            self.recv(source, tag, buffer), name=f"irecv:{self.task.rank}"
+            self.recv(source, tag, buffer), name=f"irecv:{self.rank}"
         )
 
     def sendrecv(
@@ -340,8 +351,8 @@ class MpiEndpoint:
                 # progress-engine wake-up before it can drain the message
                 # (cheaper for shared-memory arrivals: the poll loop catches
                 # those before the receiver sleeps).
-                source_task = self.task.machine.task(envelope.source)
-                same_node = source_task.node is self.task.node
+                source_task = self._peer(envelope.source)
+                same_node = source_task.node is self.node
                 yield self.engine.timeout(
                     self.cost.mpi_shm_wakeup if same_node else self.cost.mpi_blocked_recv_wakeup
                 )
@@ -366,13 +377,13 @@ class MpiEndpoint:
             )
         nbytes = envelope.nbytes
         if nbytes > 0:
-            yield self.task.node.bus.transfer_after(
+            yield self.node.bus.transfer_after(
                 self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
             )
             assert envelope.data is not None
             _bytes_of(buffer)[:nbytes] = envelope.data
-            self.task.stats.copies += 1
-            self.task.stats.bytes_copied += nbytes
+            self.task_stats.copies += 1
+            self.task_stats.bytes_copied += nbytes
             self.eager_pool.release(nbytes)
         else:
             yield self.engine.timeout(self.cost.sm_copy_latency)
@@ -384,8 +395,8 @@ class MpiEndpoint:
         The sender has been blocked in MPI_Send since the RTS went out, so
         it also pays the progress-engine wake-up when the CTS lands.
         """
-        source_task = self.task.machine.task(envelope.source)
-        same_node = source_task.node is self.task.node
+        source_task = self._peer(envelope.source)
+        same_node = source_task.node is self.node
         delay = self.cost.rendezvous_control_cost + (
             self.cost.flag_poll_interval + self.cost.mpi_shm_wakeup
             if same_node

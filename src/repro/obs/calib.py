@@ -24,11 +24,12 @@ bench grid, yielding
 * selection regret — ``measured(chosen) − measured(best-in-hindsight)`` per
   cell per policy, and
 * crossover checks of the paper's §2.4 switch points against the measured
-  optimum.
+  optimum: the bracket of sizes the grid resolves the switch to, and its
+  error in octaves against the paper's threshold.
 
 **Policy scorecards** — :func:`run_calibrate` (behind ``python -m repro
 calibrate``) compares the paper / cost-model / tuned / fixed policies on
-total regret and mis-selection counts, writes a schema-v1
+total regret and mis-selection counts, writes a schema-v2
 ``repro-calibration-report`` JSON (byte-stable, identity-fingerprinted like
 tune tables, deterministic at any ``--jobs``), and phrases the findings as
 regress-gate-style headlines.
@@ -56,7 +57,7 @@ __all__ = [
 
 #: Document marker + schema version of the ``repro calibrate`` artifact.
 CALIBRATION_KIND = "repro-calibration-report"
-CALIBRATION_SCHEMA_VERSION = 1
+CALIBRATION_SCHEMA_VERSION = 2
 
 #: The scorecard's policy line-up.  ``fixed`` is the no-switching strawman:
 #: one always-applicable variant per operation, the ablation FixedPolicy.
@@ -401,61 +402,7 @@ def collect_calibration(
             entry["trained_on_grid"] = trained_on_grid
         regret[name] = entry
 
-    # -- §2.4 crossover checks ----------------------------------------------
-    crossovers: list[dict] = []
-    for operation, switch, threshold, below, above in PAPER_SWITCH_POINTS:
-        if operation not in operations:
-            continue
-        for nodes in nodes_axis:
-            group = {
-                cell["nbytes"]: cell for cell in cells
-                if cell["operation"] == operation and cell["nodes"] == nodes
-            }
-            if not group:
-                continue
-            comparable = sorted(
-                nbytes for nbytes, cell in group.items()
-                if cell["variants"].get(below, {}).get("measured_us") is not None
-                and cell["variants"].get(above, {}).get("measured_us") is not None
-            )
-            if not comparable:
-                continue
-            spanned = comparable[0] <= threshold < comparable[-1]
-            paper_first_above = next(
-                (nbytes for nbytes in comparable if nbytes > threshold), None
-            )
-            measured_switch = next(
-                (
-                    nbytes for nbytes in comparable
-                    if group[nbytes]["variants"][above]["measured_us"]
-                    < group[nbytes]["variants"][below]["measured_us"]
-                ),
-                None,
-            )
-            agrees: bool | None = None
-            error_octaves: float | None = None
-            if spanned:
-                agrees = measured_switch == paper_first_above
-                if measured_switch is not None and paper_first_above is not None:
-                    error_octaves = round(
-                        math.log2(measured_switch / paper_first_above), 3
-                    )
-            crossovers.append(
-                {
-                    "operation": operation,
-                    "nodes": nodes,
-                    "switch": switch,
-                    "paper_bytes": threshold,
-                    "below": below,
-                    "above": above,
-                    "spanned": spanned,
-                    "paper_first_above": paper_first_above,
-                    "measured_switch": measured_switch,
-                    "agrees": agrees,
-                    "error_octaves": error_octaves,
-                }
-            )
-
+    crossovers = _crossover_checks(cells, operations, nodes_axis)
     headlines = _headlines(model_error, regret, crossovers, cost_misses)
 
     identity = bench_identity(tasks_per_node=tasks_per_node)
@@ -480,6 +427,79 @@ def collect_calibration(
         "crossovers": crossovers,
         "headlines": headlines,
     }
+
+
+def _crossover_checks(
+    cells: list[dict], operations: typing.Collection[str], nodes_axis: typing.Sequence[int]
+) -> list[dict]:
+    """The §2.4 crossover checks: per paper switch point and node count,
+    the bracket of sizes the grid resolves the measured switch to, its
+    error in octaves against the paper's threshold, and whether the paper's
+    switch lies inside it (``None`` when the grid does not span it)."""
+    crossovers: list[dict] = []
+    for operation, switch, threshold, below, above in PAPER_SWITCH_POINTS:
+        if operation not in operations:
+            continue
+        for nodes in nodes_axis:
+            group = {
+                cell["nbytes"]: cell for cell in cells
+                if cell["operation"] == operation and cell["nodes"] == nodes
+            }
+            if not group:
+                continue
+            comparable = sorted(
+                nbytes for nbytes, cell in group.items()
+                if cell["variants"].get(below, {}).get("measured_us") is not None
+                and cell["variants"].get(above, {}).get("measured_us") is not None
+            )
+            if not comparable:
+                continue
+            spanned = comparable[0] <= threshold < comparable[-1]
+            paper_first_above = next(
+                (nbytes for nbytes in comparable if nbytes > threshold), None
+            )
+            # The grid resolves the switch to a bracket: it lies above the
+            # last size where ``below`` still wins (exclusive) and at or
+            # below the first where ``above`` wins (inclusive); ``None`` is
+            # an open end.
+            first_above = next(
+                (
+                    index for index, nbytes in enumerate(comparable)
+                    if group[nbytes]["variants"][above]["measured_us"]
+                    < group[nbytes]["variants"][below]["measured_us"]
+                ),
+                len(comparable),
+            )
+            bracket = [
+                comparable[first_above - 1] if first_above else None,
+                comparable[first_above] if first_above < len(comparable) else None,
+            ]
+            # The paper switches just above its threshold: each end's
+            # distance from it, in octaves.
+            error_octaves = [
+                None if end is None else round(math.log2(end / threshold), 3)
+                for end in bracket
+            ]
+            agrees: bool | None = None
+            if spanned:
+                low, high = bracket
+                agrees = low is not None and high is not None and low <= threshold < high
+            crossovers.append(
+                {
+                    "operation": operation,
+                    "nodes": nodes,
+                    "switch": switch,
+                    "paper_bytes": threshold,
+                    "below": below,
+                    "above": above,
+                    "spanned": spanned,
+                    "paper_first_above": paper_first_above,
+                    "measured_bracket": bracket,
+                    "agrees": agrees,
+                    "error_octaves": error_octaves,
+                }
+            )
+    return crossovers
 
 
 def _headlines(
@@ -534,26 +554,42 @@ def _headlines(
         )
     for check in crossovers:
         if check["agrees"] is False:
-            measured = (
-                "never inside the grid"
-                if check["measured_switch"] is None
-                else f"at {format_bytes(check['measured_switch'])}"
-            )
+            low, high = check["measured_bracket"]
+            if high is None:
+                measured = f"never inside the grid (above {format_bytes(low)})"
+            elif low is None:
+                measured = f"at or below {format_bytes(high)}"
+            else:
+                measured = f"in ({format_bytes(low)}, {format_bytes(high)}]"
             # The paper's thresholds are inclusive-below: a threshold-sized
-            # message still runs the old variant, so the paper's first
-            # switched grid size sits one step above the threshold.
-            line = (
+            # message still runs the old variant.
+            lines.append(
                 f"measured {check['operation']} {check['below']}->{check['above']} "
-                f"crossover {measured} vs paper's first {check['above']} size "
-                f"{format_bytes(check['paper_first_above'])} "
-                f"(switches above {format_bytes(check['paper_bytes'])}, "
-                f"{check['switch']}) on {check['nodes']} nodes"
+                f"crossover {measured} vs paper's switch above "
+                f"{format_bytes(check['paper_bytes'])} ({check['switch']}) on "
+                f"{check['nodes']} nodes, {_octave_error(*check['error_octaves'])}"
             )
-            octaves = check["error_octaves"]
-            if octaves is not None and octaves:
-                line += f", {abs(octaves):.1f} octaves {'early' if octaves < 0 else 'late'}"
-            lines.append(line)
     return lines
+
+
+def _octave_error(low: float | None, high: float | None) -> str:
+    """A crossover bracket's error in octaves, phrased: ``low`` (exclusive)
+    to ``high`` (inclusive) from the paper's threshold, ``None`` unbounded.
+    Only a bracket that misses the paper's switch is phrased."""
+
+    def octaves(value: float) -> str:
+        return f"{value:.1f}".removesuffix(".0")
+
+    def unit(value: float) -> str:
+        return "octave" if value == 1 else "octaves"
+
+    if high is not None and high <= 0:
+        if low is None:
+            return f"{octaves(abs(high))} or more octaves early"
+        return f"{octaves(abs(high))} to {octaves(abs(low))} {unit(abs(low))} early"
+    if high is None:
+        return f"more than {octaves(low)} {unit(low)} late"
+    return f"{octaves(low)} to {octaves(high)} {unit(high)} late"
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +599,7 @@ def _headlines(
 
 def validate_calibration_report(document: typing.Mapping[str, typing.Any]) -> None:
     """Raise :class:`ConfigurationError` unless ``document`` is a
-    structurally valid schema-v1 calibration report (CI gates on this)."""
+    structurally valid schema-v2 calibration report (CI gates on this)."""
     if document.get("kind") != CALIBRATION_KIND:
         raise ConfigurationError(
             f"not a {CALIBRATION_KIND} document (kind={document.get('kind')!r})"

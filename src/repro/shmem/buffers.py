@@ -49,7 +49,7 @@ class DoubleBuffer:
         if buffer_bytes < 1:
             raise ProtocolError(f"buffer size must be >= 1 B, got {buffer_bytes}")
         self.node = node
-        self.engine = node.machine.engine
+        self.engine = node.engine
         self.buffer_bytes = buffer_bytes
         self.name = name
         self.generations = generations

@@ -74,14 +74,16 @@ class SharedFlag:
         kind: str | None = None,
     ) -> None:
         self.node = node
-        self.engine = node.machine.engine
-        self.cost = node.machine.cost
-        self.obs = node.machine.obs
+        self.engine = node.engine
+        self.cost = node.cost
+        self.obs = node.obs
         self.name = name
         self.kind = kind
         self._value = int(initial)
         self._waiters: list[tuple[Predicate, Event, int | None]] = []
-        node.machine.flags.append(self)
+        machine = node.machine
+        if machine is not None:
+            machine.flags.append(self)
 
     @property
     def value(self) -> int:
@@ -199,8 +201,9 @@ class FlagArray:
         if count < 1:
             raise ProtocolError(f"FlagArray needs >= 1 flag, got {count}")
         self.node = node
-        self.engine = node.machine.engine
-        self.cost = node.machine.cost
+        self.engine = node.engine
+        self.cost = node.cost
+        self.obs = node.obs
         self.name = name
         self.kind = kind
         self.flags = [
@@ -230,7 +233,7 @@ class FlagArray:
             indices = [i for i in range(len(self.flags)) if i != skip]
         with task.phase(FLAG_SET):
             yield task.engine.timeout(self.cost.flag_set_cost * len(indices))
-        self.node.machine.obs.flag_sets.inc(len(indices))
+        self.obs.flag_sets.inc(len(indices))
         for index in indices:
             self.flags[index].store(value, writer_rank=task.rank)
 
@@ -255,4 +258,4 @@ class FlagArray:
                 yield Chain(self.engine.all_of(pending), lambda: detection_delay(task, start))
             else:
                 yield self.engine.timeout(detection_delay(task, start))
-        self.node.machine.obs.flag_wait_seconds.observe(self.engine.now - start)
+        self.obs.flag_wait_seconds.observe(self.engine.now - start)

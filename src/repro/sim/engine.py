@@ -140,6 +140,24 @@ class Engine:
             f"{reason}; {len(blocked)} process(es) blocked forever:\n{detail}"
         )
 
+    def _release(self) -> None:
+        """Let go of everything scheduled here: the engine's owner (a
+        :class:`~repro.machine.cluster.Machine`) is gone, so nothing runs
+        on it again.
+
+        Detaches the verifier, fault, monitor and replay hooks, closes every
+        live process where it is suspended, and empties the queue, dropping
+        each queued event's callbacks.  Those are the engine's only
+        references into what runs on it, so afterwards reference counting
+        frees the machine's parts.
+        """
+        self.verifier = self.faults = self.monitor = self.trace = None
+        for process in self.blocked_processes():
+            process._abandon()
+        for _when, _sequence, event in self._queue:
+            event._abandon()
+        self._queue.clear()
+
     def all_of(self, events: typing.Iterable[Event]) -> AllOf:
         """Event firing when all of ``events`` have succeeded."""
         return AllOf(self, events)

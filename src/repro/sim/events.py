@@ -153,6 +153,15 @@ class Event:
         if self._ok is False and not self._defused:
             raise self._value
 
+    def _abandon(self) -> None:
+        """Drop the callbacks: nothing will ever process this event.
+
+        Called when its engine is released (:meth:`Engine._release`); a
+        callback is what ties a waiting process or condition to the event.
+        """
+        self._cb0 = None
+        self._cbs = None
+
     def add_callback(self, callback: typing.Callable[["Event"], None]) -> None:
         """Attach ``callback`` to run when the event is processed.
 
@@ -230,6 +239,10 @@ class Chain(Event):
             source._defused = True
             self.fail(typing.cast(BaseException, source._value))
 
+    def _abandon(self) -> None:
+        super()._abandon()
+        self.source._abandon()
+
     def __repr__(self) -> str:
         if not self.source._processed:
             return repr(self.source)
@@ -260,6 +273,11 @@ class _Condition(Event):
 
     def _check_initial(self) -> None:
         raise NotImplementedError
+
+    def _abandon(self) -> None:
+        super()._abandon()
+        for event in self.events:
+            event._abandon()
 
     def _observe(self, event: Event) -> None:
         raise NotImplementedError

@@ -67,6 +67,18 @@ class Process(Event):
         """The event this process is currently blocked on, if any."""
         return self._waiting_on
 
+    def _abandon(self) -> None:
+        """Close the generator where it is suspended: the engine was
+        released, so it will never resume.  Its ``finally`` blocks and
+        ``with`` exits run now, as they would when the generator is freed;
+        the events it waited on drop their callbacks, and it drops its own.
+        """
+        super()._abandon()
+        target, self._waiting_on = self._waiting_on, None
+        if target is not None:
+            target._abandon()
+        self._generator.close()
+
     def _resume(self, event: Event) -> None:
         """Advance the generator by one step with ``event``'s outcome."""
         self._waiting_on = None

@@ -181,11 +181,13 @@ def _launch_windows(
         yield from first.wait()
         yield from second.wait()
 
+    engine = machine.engine
+
     def program(task) -> typing.Any:
         if fault_plan is not None:
             stall = fault_plan.master_stall()
             if stall > 0.0:
-                yield machine.engine.timeout(stall)
+                yield engine.timeout(stall)
         if cell.overlap != "none":
             yield from overlapped(task)
             return

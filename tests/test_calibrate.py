@@ -21,6 +21,7 @@ from repro.obs.calib import (
     PAPER_SWITCH_POINTS,
     QUICK_SIZES,
     SCORECARD_POLICIES,
+    _crossover_checks,
     _headlines,
     collect_calibration,
     load_calibration_report,
@@ -151,6 +152,84 @@ def test_cost_mis_selections_are_headlined_on_the_picked_variant():
         "cost policy picked pipeline over winner ring for allreduce at 1MB on 16 nodes "
         "-> 1 mis-selection, +5076.9us regret",
     ]
+
+
+def test_crossovers_report_the_bracket_the_grid_resolves():
+    """Hand-built reduce cells on the default grid's sizes.  The measured
+    switch is only known to lie above the last size where ``below`` still
+    wins and at or below the first where ``above`` wins; the error is that
+    bracket against the paper's threshold, not the distance between the
+    measured switch and the paper's first switched grid size."""
+    sizes = (8, 512, 8 * KB, 64 * KB, 1024 * KB)
+
+    def cell(nodes, nbytes, small, pipelined, large):
+        measured = {"small": small, "pipelined": pipelined, "large": large}
+        return {
+            "operation": "reduce",
+            "nodes": nodes,
+            "nbytes": nbytes,
+            "variants": {name: {"measured_us": us} for name, us in measured.items()},
+        }
+
+    cells = [
+        # 4 nodes: small wins up to 512 B, pipelined from 8 KB.
+        *(cell(4, n, 1.0, 2.0, 3.0) for n in sizes[:2]),
+        *(cell(4, n, 3.0, 1.0, 2.0) for n in sizes[2:]),
+        # 1 node: large beats pipelined from 8 KB.
+        *(cell(1, n, 1.0, 2.0, 3.0) for n in sizes[:2]),
+        *(cell(1, n, 3.0, 2.0, 1.0) for n in sizes[2:]),
+    ]
+    checks = {
+        (check["nodes"], check["switch"]): check
+        for check in _crossover_checks(cells, ("reduce",), [1, 4])
+    }
+    early = checks[(4, "pipeline_min")]
+    assert early["measured_bracket"] == [512, 8 * KB]
+    assert early["error_octaves"] == [-4.0, 0.0]
+    assert early["agrees"] is False
+    assert checks[(1, "small_protocol_max")]["error_octaves"] == [-7.0, -3.0]
+    # 4 nodes, pipelined->large: pipelined wins everywhere, so the switch
+    # lies beyond the grid, more than 4 octaves above 64 KB.
+    late = checks[(4, "small_protocol_max")]
+    assert late["measured_bracket"] == [1024 * KB, None]
+    assert late["error_octaves"] == [4.0, None]
+    # 1 node, small->pipelined: the switch lies inside (512 B, 8 KB] and
+    # the paper's (just above 8 KB) does not, so it disagrees.
+    assert checks[(1, "pipeline_min")]["agrees"] is False
+
+    regret = {
+        name: {"cells": 10, "total_regret_us": 0.0, "mis_selections": 0}
+        for name in SCORECARD_POLICIES
+    }
+    lines = _headlines([], regret, [early, checks[(1, "small_protocol_max")], late], {})
+    assert lines[1:] == [
+        "measured reduce small->pipelined crossover in (512B, 8KB] vs paper's switch "
+        "above 8KB (pipeline_min) on 4 nodes, 0 to 4 octaves early",
+        "measured reduce pipelined->large crossover in (512B, 8KB] vs paper's switch "
+        "above 64KB (small_protocol_max) on 1 nodes, 3 to 7 octaves early",
+        "measured reduce pipelined->large crossover never inside the grid (above 1MB) "
+        "vs paper's switch above 64KB (small_protocol_max) on 4 nodes, more than 4 "
+        "octaves late",
+    ]
+
+
+def test_a_crossover_inside_the_papers_bracket_agrees():
+    cells = [
+        {
+            "operation": "allreduce",
+            "nodes": 2,
+            "nbytes": nbytes,
+            "variants": {
+                "exchange": {"measured_us": 1.0 if nbytes <= 16 * KB else 2.0},
+                "pipeline": {"measured_us": 1.5},
+            },
+        }
+        for nbytes in (8 * KB, 16 * KB, 32 * KB)
+    ]
+    (check,) = _crossover_checks(cells, ("allreduce",), [2])
+    assert check["measured_bracket"] == [16 * KB, 32 * KB]
+    assert check["error_octaves"] == [0.0, 1.0]
+    assert check["agrees"] is True
 
 
 def test_report_is_byte_identical_at_any_jobs_setting(report):
