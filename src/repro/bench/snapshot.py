@@ -36,8 +36,7 @@ from repro.bench.runner import OPERATIONS, build, looped_program, operation_body
 from repro.bench.sweeps import MB, full_grid, message_sizes, processor_configs
 from repro.errors import ConfigurationError
 from repro.machine import ClusterSpec
-from repro.obs.critical import critical_path
-from repro.obs.waits import classify_waits
+from repro.obs.diff import capture_profile
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -130,19 +129,11 @@ def capture_cell(
         "microseconds": result.elapsed / repeats * 1e6,
         "metrics": machine.obs.metrics.summary(),
     }
-    if machine.obs.recorder.spans:
-        path = critical_path(
-            machine.obs.recorder, start=result.start_time, end=result.end_time
-        )
-        cell["critical_path"] = path.to_dict()
-        waits = classify_waits(
-            machine, start=result.start_time, end=result.end_time, critical=path
-        )
-        cell["wait_states"] = waits.summary_us()
-    else:
-        # A machine that recorded no spans at all still gates on latency.
-        cell["critical_path"] = None
-        cell["wait_states"] = {}
+    # The telemetry of bench, regress and `profile --diff` alike: None and {}
+    # when no span was recorded, and such a cell still gates on latency.
+    profile = capture_profile(machine, result.start_time, result.end_time)
+    cell["critical_path"] = profile["critical_path"]
+    cell["wait_states"] = profile["wait_states"]
     return cell
 
 

@@ -135,10 +135,13 @@ class LapiEndpoint:
         start = self.engine.now
         self._enter_call()
         try:
-            with self.obs.phase(self, COUNTER_WAIT):
+            ends, row = self.obs.recorder.leaf(self.rank, COUNTER_WAIT)
+            try:
                 pending = counter.event_at(value)
                 if pending is not None:
                     yield pending
+            finally:
+                ends[row] = self.engine.now
             counter.consume(value)
         finally:
             self._exit_call()
@@ -155,10 +158,13 @@ class LapiEndpoint:
         start = self.engine.now
         self._enter_call()
         try:
-            with self.obs.phase(self, COUNTER_WAIT):
+            ends, row = self.obs.recorder.leaf(self.rank, COUNTER_WAIT)
+            try:
                 pending = counter.event_at(threshold)
                 if pending is not None:
                     yield pending
+            finally:
+                ends[row] = self.engine.now
         finally:
             self._exit_call()
         self.obs.counter_wait_seconds.observe(self.engine.now - start)
@@ -217,8 +223,11 @@ class LapiEndpoint:
             # a put's issue and its delivery.
             trace.record_copy(dst, src)
         issue_time = self.engine.now
-        with self.obs.phase(self, PUT_ISSUE):
+        ends, row = self.obs.recorder.leaf(self.rank, PUT_ISSUE)
+        try:
             yield self.engine.timeout(self.cost.rma_origin_overhead)
+        finally:
+            ends[row] = self.engine.now
         if origin_counter is not None:
             origin_counter.increment()
         self.stats.puts += 1
@@ -287,8 +296,11 @@ class LapiEndpoint:
         target_task = self._peer(target_rank)
         nbytes = int(dst.nbytes)
         issue_time = self.engine.now
-        with self.obs.phase(self, GET_ISSUE):
+        ends, row = self.obs.recorder.leaf(self.rank, GET_ISSUE)
+        try:
             yield self.engine.timeout(self.cost.rma_origin_overhead)
+        finally:
+            ends[row] = self.engine.now
         self.stats.gets += 1
         self.stats.bytes_got += nbytes
 
@@ -332,7 +344,8 @@ class LapiEndpoint:
         ``target_rank``; returns the pre-update value."""
         target_task = self._peer(target_rank)
         self.stats.rmws += 1
-        with self.obs.phase(self, RMW):
+        ends, row = self.obs.recorder.leaf(self.rank, RMW)
+        try:
             yield self.engine.timeout(self.cost.rma_origin_overhead)
             if target_task.node is not self.node:
                 yield self.engine.timeout(self.cost.net_latency)
@@ -343,6 +356,8 @@ class LapiEndpoint:
             if target_task.node is not self.node:
                 yield self.engine.timeout(self.cost.net_latency)
                 yield from self._cooperate()
+        finally:
+            ends[row] = self.engine.now
         return old_value
 
     def amsend(
@@ -360,8 +375,11 @@ class LapiEndpoint:
             # Handler side effects are arbitrary Python; the op tape cannot
             # represent them, so a window containing an amsend never caches.
             trace.record_opaque("amsend handler")
-        with self.obs.phase(self, AMSEND):
+        ends, row = self.obs.recorder.leaf(self.rank, AMSEND)
+        try:
             yield self.engine.timeout(self.cost.rma_origin_overhead)
+        finally:
+            ends[row] = self.engine.now
         self.stats.amsends += 1
 
         def deliver() -> ProcessGenerator:

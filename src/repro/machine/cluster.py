@@ -156,10 +156,13 @@ class Task:
                 f"copy size mismatch: dst {dst.nbytes} B vs src {src.nbytes} B"
             )
         nbytes = dst.nbytes
-        with self.phase(SHM_COPY):
+        ends, row = self.obs.recorder.leaf(self.rank, SHM_COPY)
+        try:
             yield self.node.bus.transfer_after(
                 self.cost.sm_copy_latency, nbytes, max_rate=self.cost.sm_copy_bandwidth
             )
+        finally:
+            ends[row] = self.engine.now
         raw_copyto(dst, src)
         trace = self.engine.trace
         if trace is not None:
@@ -182,10 +185,13 @@ class Task:
                 f"reduce size mismatch: dst {dst.nbytes} B vs src {src.nbytes} B"
             )
         nbytes = dst.nbytes
-        with self.phase(REDUCE_APPLY):
+        ends, row = self.obs.recorder.leaf(self.rank, REDUCE_APPLY)
+        try:
             yield self.node.bus.transfer_after(
                 self.cost.sm_copy_latency, nbytes, max_rate=self.cost.reduce_op_bandwidth
             )
+        finally:
+            ends[row] = self.engine.now
         op(dst, src)
         trace = self.engine.trace
         if trace is not None:
@@ -207,10 +213,13 @@ class Task:
                 f"combine size mismatch: {dst.nbytes}/{a.nbytes}/{b.nbytes} B"
             )
         nbytes = dst.nbytes
-        with self.phase(REDUCE_APPLY):
+        ends, row = self.obs.recorder.leaf(self.rank, REDUCE_APPLY)
+        try:
             yield self.node.bus.transfer_after(
                 self.cost.sm_copy_latency, nbytes, max_rate=self.cost.reduce_op_bandwidth
             )
+        finally:
+            ends[row] = self.engine.now
         op.combine_into(dst, a, b)
         trace = self.engine.trace
         if trace is not None:

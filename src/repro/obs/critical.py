@@ -26,10 +26,11 @@ a sample of it.
 from __future__ import annotations
 
 import bisect
-import typing
 from dataclasses import dataclass
 
-from repro.obs.spans import FlowLink, PhaseRecorder, PhaseSpan
+import numpy as np
+
+from repro.obs.spans import PhaseRecorder, SpanTable
 from repro.obs.taxonomy import PUT_FLIGHT, UNTRACKED, WAIT_PHASES
 
 __all__ = ["CriticalPath", "Segment", "critical_path"]
@@ -102,59 +103,39 @@ class CriticalPath:
         )
 
 
-class _RankIndex:
-    """Per-rank span lookup: innermost latest-starting span covering t."""
+def _lanes(
+    spans: SpanTable, start: float, end: float
+) -> tuple[dict[int, tuple[list, list, list, list]], int]:
+    """The closed spans overlapping ``(start, end)``, per rank.
 
-    def __init__(self, spans: list[PhaseSpan]) -> None:
-        #: Sorted by start time; ties broken by depth (deeper last).
-        self.spans = sorted(spans, key=lambda s: (s.start, s.depth))
-        self.starts = [span.start for span in self.spans]
-
-    def covering(self, t: float) -> PhaseSpan | None:
-        """The span with ``start < t <= end`` maximizing (start, depth)."""
-        # Spans are sorted by start; walk left from the first start >= t.
-        hi = bisect.bisect_left(self.starts, t)
-        best: PhaseSpan | None = None
-        for i in range(hi - 1, -1, -1):
-            span = self.spans[i]
-            if span.end is not None and span.end >= t:
-                best = span
-                break
-        return best
-
-    def previous_end(self, t: float) -> float | None:
-        """The latest span end strictly before ``t`` (for gap hopping)."""
-        best: float | None = None
-        for span in self.spans:
-            if span.start >= t:
-                break
-            end = span.end
-            if end is not None and end < t and (best is None or end > best):
-                best = end
-        return best
-
-
-class _FlowIndex:
-    """Per-destination-rank flow lookup, sorted by arrival time."""
-
-    def __init__(self, flows: list[FlowLink]) -> None:
-        self._by_dst: dict[int, list[FlowLink]] = {}
-        for link in sorted(flows, key=lambda f: f.dst_ts):
-            self._by_dst.setdefault(link.dst_rank, []).append(link)
-
-    def releasing(self, rank: int, not_before: float, not_after: float) -> FlowLink | None:
-        """The latest link into ``rank`` arriving in ``[not_before, not_after)``."""
-        links = self._by_dst.get(rank)
-        if not links:
-            return None
-        # Latest arrival strictly before the cursor keeps the walk moving.
-        for link in reversed(links):
-            if link.dst_ts >= not_after:
-                continue
-            if link.dst_ts < not_before:
-                break
-            return link
-        return None
+    Each rank's spans are sorted by (start, depth, row), and come as four
+    lists: starts, ends, the running maximum of the ends, and names.  Also
+    returns the rank of the span that ends last (the first such row), or 0
+    when the window holds none.
+    """
+    starts = np.frombuffer(spans.start, dtype="d")
+    ends = np.frombuffer(spans.end, dtype="d")
+    rows = np.flatnonzero((ends == ends) & (ends > start) & (starts < end))
+    if not len(rows):
+        return {}, 0
+    ranks = np.frombuffer(spans.rank, dtype="i")[rows]
+    window_starts, window_ends = starts[rows], ends[rows]
+    depths = np.frombuffer(spans.depth, dtype="i")[rows]
+    last = int(ranks[np.argmax(window_ends)])
+    order = np.lexsort((rows, depths, window_starts, ranks))
+    sorted_ranks = ranks[order]
+    sorted_ends = window_ends[order]
+    cuts = (np.flatnonzero(sorted_ranks[1:] != sorted_ranks[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(order)]
+    starts_list = window_starts[order].tolist()
+    ends_list = sorted_ends.tolist()
+    names = spans.name
+    names_list = [names[row] for row in rows[order].tolist()]
+    lanes = {}
+    for rank, lo, hi in zip(sorted_ranks[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        tops = np.maximum.accumulate(sorted_ends[lo:hi]).tolist()
+        lanes[rank] = (starts_list[lo:hi], ends_list[lo:hi], tops, names_list[lo:hi])
+    return lanes, last
 
 
 def critical_path(
@@ -167,34 +148,30 @@ def critical_path(
 
     ``start`` / ``end`` default to the extent of the recorded spans.  Raises
     ``ValueError`` when nothing usable was recorded.
+
+    The walk reads the recorder's columns: on each rank, the span covering
+    an instant is found by bisecting that rank's starts, and the releasing
+    link by bisecting its arrivals (:meth:`FlowTable.arrivals`).
     """
-    spans = [span for span in recorder.spans if span.end is not None]
-    if start is None:
-        if not spans:
+    spans = recorder.spans
+    spans.materialize()
+    if start is None or end is None:
+        ends = np.frombuffer(spans.end, dtype="d")
+        closed = ends == ends  # NaN, while open, is unequal to itself
+        if not closed.any():
             raise ValueError("no closed phase spans recorded")
-        start = min(span.start for span in spans)
-    if end is None:
-        if not spans:
-            raise ValueError("no closed phase spans recorded")
-        end = max(span.end for span in spans if span.end is not None)
+        if start is None:
+            start = float(np.frombuffer(spans.start, dtype="d")[closed].min())
+        if end is None:
+            end = float(ends[closed].max())
     if end < start:
         raise ValueError(f"critical_path window is inverted: [{start}, {end}]")
 
-    window = [
-        span for span in spans if span.end is not None and span.end > start and span.start < end
-    ]
-    grouped: dict[int, list[PhaseSpan]] = {}
-    for span in window:
-        grouped.setdefault(span.rank, []).append(span)
-    by_rank = {rank: _RankIndex(rank_spans) for rank, rank_spans in grouped.items()}
-    flows = _FlowIndex(recorder.flows)
-
     # Start on the rank whose annotated activity ends last.
-    if window:
-        last = max(window, key=lambda s: typing.cast(float, s.end))
-        rank = last.rank
-    else:
-        rank = 0
+    lanes, rank = _lanes(spans, start, end)
+    flows = recorder.flows
+    arrivals = flows.arrivals()
+    src_ranks, src_times = flows.src_rank, flows.src_ts
 
     segments: list[Segment] = []
 
@@ -207,30 +184,44 @@ def critical_path(
     steps = 0
     while t > start + epsilon and steps < max_steps:
         steps += 1
-        index = by_rank.get(rank)
-        span = index.covering(t) if index is not None else None
-
-        if span is None:
-            previous = index.previous_end(t) if index is not None else None
-            floor = max(previous, start) if previous is not None else start
+        lane = lanes.get(rank)
+        if lane is None:
+            attribute(rank, start, t, UNTRACKED)
+            t = start
+            continue
+        starts, ends, tops, names = lane
+        # The innermost latest-starting span with start < t <= end: the
+        # last of the spans starting before t whose end reaches t.
+        index = bisect.bisect_left(starts, t) - 1
+        if index < 0 or tops[index] < t:
+            # Nothing covers t: skip back to the latest end before it.
+            floor = max(tops[index], start) if index >= 0 else start
             attribute(rank, floor, t, UNTRACKED)
             t = floor
             continue
+        while ends[index] < t:
+            index -= 1
 
-        span_start = max(span.start, start)
-        if span.name in WAIT_PHASES:
-            link = flows.releasing(rank, span_start, t)
-            if link is not None and link.src_ts < t - epsilon:
-                arrival = min(max(link.dst_ts, span_start), t)
-                # Detection tail: from the cause's arrival to the cursor.
-                attribute(rank, arrival, t, span.name)
-                # Transit: from the cause's issue to its arrival.
-                if arrival > link.src_ts:
-                    attribute(link.src_rank, link.src_ts, arrival, PUT_FLIGHT)
-                rank = link.src_rank
-                t = min(link.src_ts, t)
-                continue
-        attribute(rank, span_start, t, span.name)
+        span_start = max(starts[index], start)
+        name = names[index]
+        if name in WAIT_PHASES and rank in arrivals:
+            # The latest link into this rank arriving in [span_start, t).
+            times, rows = arrivals[rank]
+            link = bisect.bisect_left(times, t) - 1
+            if link >= 0 and times[link] >= span_start:
+                row = rows[link]
+                src_rank, src_ts = src_ranks[row], src_times[row]
+                if src_ts < t - epsilon:
+                    arrival = min(max(times[link], span_start), t)
+                    # Detection tail: from the cause's arrival to the cursor.
+                    attribute(rank, arrival, t, name)
+                    # Transit: from the cause's issue to its arrival.
+                    if arrival > src_ts:
+                        attribute(src_rank, src_ts, arrival, PUT_FLIGHT)
+                    rank = src_rank
+                    t = min(src_ts, t)
+                    continue
+        attribute(rank, span_start, t, name)
         t = span_start
 
     if t > start + epsilon:  # pragma: no cover - max_steps safety valve

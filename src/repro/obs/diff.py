@@ -184,18 +184,25 @@ def capture_profile(
     """A profile summary of one live machine's ``[start, end]`` window.
 
     The same shape as a benchmark snapshot cell's telemetry fields, so the
-    result can be diffed against committed cells or other live captures.
+    result can be diffed against committed cells or other live captures
+    (:func:`repro.bench.snapshot.capture_cell` takes its telemetry from
+    here).  A machine that recorded no span gets ``None`` and ``{}`` without
+    running either analysis.
     """
-    recorder = machine.obs.recorder
-    path = critical_path(recorder, start=start, end=end) if recorder.spans else None
-    waits = classify_waits(machine, start=start, end=end, critical=path)
-    return {
+    profile = {
         "microseconds": (
             microseconds if microseconds is not None else (end - start) * 1e6
         ),
-        "critical_path": path.to_dict() if path is not None else None,
-        "wait_states": waits.summary_us(),
+        "critical_path": None,
+        "wait_states": {},
     }
+    recorder = machine.obs.recorder
+    if recorder.spans:
+        path = critical_path(recorder, start=start, end=end)
+        waits = classify_waits(machine, start=start, end=end, critical=path)
+        profile["critical_path"] = path.to_dict()
+        profile["wait_states"] = waits.summary_us()
+    return profile
 
 
 def _phase_map(profile: dict) -> dict[str, float]:

@@ -98,8 +98,7 @@ class Observability:
             )
 
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
-        """Open a named phase span for ``task`` (see :class:`PhaseRecorder`);
-        only its ``rank`` is read, so a task's endpoint serves as well."""
+        """Open a named phase span for ``task`` (see :class:`PhaseRecorder`)."""
         return self.recorder.phase(task, name, detail)
 
     def flow(

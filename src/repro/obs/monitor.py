@@ -140,26 +140,37 @@ class ResourceTimeline:
         self,
         start: float,
         end: float,
-        predicate: typing.Callable[[ResourceSample], bool],
+        occupancy: int = 0,
+        queued: int = 0,
+        saturated: bool = False,
     ) -> float:
-        """Total seconds in ``[start, end]`` whose sample satisfies ``predicate``.
+        """Total seconds in ``[start, end]`` whose sample has at least
+        ``occupancy`` active and ``queued`` waiting, and is saturated when
+        ``saturated`` is set.
 
         Time before the first sample counts as not matching (the resource
-        did not exist / was idle).
+        did not exist / was idle).  The walk reads the sample columns.
         """
         table = self.table
-        table.materialize()
+        if table._pending:
+            table.materialize()
         times = table.time
         count = len(times)
         if end <= start or not count:
             return 0.0
+        occupancies, queues, saturations = table.occupancy, table.queued, table.saturated
         total = 0.0
         index = max(0, bisect.bisect_right(times, start) - 1)
         while index < count:
             seg_start = max(times[index], start)
             seg_end = times[index + 1] if index + 1 < count else end
             seg_end = min(seg_end, end)
-            if seg_end > seg_start and predicate(table[index]):
+            if (
+                seg_end > seg_start
+                and occupancies[index] >= occupancy
+                and queues[index] >= queued
+                and (saturations[index] or not saturated)
+            ):
                 total += seg_end - seg_start
             if seg_end >= end:
                 break
@@ -168,13 +179,11 @@ class ResourceTimeline:
 
     def contended_seconds(self, start: float, end: float) -> float:
         """Seconds in the window with >= 2 sharers on a saturated resource."""
-        return self.seconds_matching(
-            start, end, lambda s: s.occupancy >= 2 and s.saturated
-        )
+        return self.seconds_matching(start, end, occupancy=2, saturated=True)
 
     def queued_seconds(self, start: float, end: float) -> float:
         """Seconds in the window with at least one request queued."""
-        return self.seconds_matching(start, end, lambda s: s.queued >= 1)
+        return self.seconds_matching(start, end, queued=1)
 
     def max_occupancy(self) -> int:
         self.table.materialize()

@@ -3,10 +3,13 @@
 A :class:`PhaseRecorder` hangs off the machine's observability hub and is fed
 by every layer of the stack:
 
-* protocols and substrates open **phases** with ``with task.phase(name):``
-  around ``yield from`` blocks — entry and exit read the engine clock, so a
+* protocols open **phases** with ``with task.phase(name):`` around
+  ``yield from`` blocks — entry and exit read the engine clock, so a
   span's extent is exactly the simulated time the block covered, including
-  all suspensions inside it.  Phases nest per *simulated process*: a
+  all suspensions inside it.  The substrate operations, which open no span
+  inside theirs, record **leaf** spans through :meth:`PhaseRecorder.leaf`:
+  the same row, written when the operation starts, and its end stored when
+  the operation resumes.  Phases nest per *simulated process*: a
   pipelined chunk phase contains the flag waits and copies it performs, and
   concurrent helper processes of the same rank (put deliveries, large-message
   forwarders, the Fig. 5 stage processes) get their own span stacks and
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import typing
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +180,26 @@ class FlowTable(ColumnTable):
     def _record(self, index: int, values: tuple) -> FlowLink:
         return FlowLink(*values)
 
+    def arrivals(self) -> dict[int, tuple[list[float], list[int]]]:
+        """Per destination rank: its links' arrival times, ascending, and the
+        rows holding them.  The sort is stable, so links arriving at the same
+        time keep the order they were recorded in."""
+        self.materialize()
+        if not self.dst_ts:
+            return {}
+        ranks = np.frombuffer(self.dst_rank, dtype="i")
+        times = np.frombuffer(self.dst_ts, dtype="d")
+        order = np.lexsort((times, ranks))
+        sorted_ranks = ranks[order]
+        cuts = (np.flatnonzero(sorted_ranks[1:] != sorted_ranks[:-1]) + 1).tolist()
+        bounds = [0, *cuts, len(order)]
+        sorted_times = times[order].tolist()
+        rows = order.tolist()
+        return {
+            rank: (sorted_times[lo:hi], rows[lo:hi])
+            for rank, lo, hi in zip(sorted_ranks[bounds[:-1]].tolist(), bounds, bounds[1:])
+        }
+
 
 class _Lane:
     """One process's open spans and export track on one rank."""
@@ -206,25 +230,9 @@ class _PhaseContext:
     def __enter__(self) -> None:
         recorder = self._recorder
         lane = recorder._lane(self._rank)
-        stack = lane.open
-        spans = recorder.spans
-        if spans._pending:
-            spans.materialize()
-        index = len(spans.start)
-        spans.rank.append(self._rank)
-        spans.name.append(self._name)
-        spans.start.append(recorder.engine.now)
-        spans.end.append(NAN)
-        spans.depth.append(len(stack))
-        spans.parent.append(stack[-1] if stack else -1)
-        spans.track.append(lane.track)
-        spans.detail.append(self._detail)
-        stack.append(index)
-        # The close writes into the table the span opened in, even after a
-        # clear() swapped in a new one.
-        self._ends = spans.end
-        self._index = index
-        self._open = stack
+        self._ends, self._index = recorder._open_row(lane, self._rank, self._name, self._detail)
+        self._open = lane.open
+        self._open.append(self._index)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         index = self._index
@@ -250,6 +258,10 @@ class _NullContext:
 
 
 _NULL_CONTEXT = _NullContext()
+
+#: What a disabled recorder's :meth:`PhaseRecorder.leaf` returns: its close
+#: writes into a throwaway slot.
+_NO_LEAF = (array("d", [NAN]), 0)
 
 
 class PhaseRecorder:
@@ -294,11 +306,55 @@ class PhaseRecorder:
             track += 1
         return track
 
+    def _open_row(self, lane: _Lane, rank: int, name: str, detail: str) -> tuple:
+        """Append an open span of ``lane``'s process; returns the end column
+        it must close into and its row.
+
+        The close writes into the table the span opened in, even after a
+        clear() swapped in a new one.
+        """
+        stack = lane.open
+        spans = self.spans
+        if spans._pending:
+            spans.materialize()
+        ends = spans.end
+        row = len(ends)
+        spans.rank.append(rank)
+        spans.name.append(name)
+        spans.start.append(self.engine.now)
+        ends.append(NAN)
+        spans.depth.append(len(stack))
+        spans.parent.append(stack[-1] if stack else -1)
+        spans.track.append(lane.track)
+        spans.detail.append(detail)
+        return ends, row
+
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
         """A context manager recording one phase of ``task``."""
         if not self.enabled:
             return _NULL_CONTEXT
         return _PhaseContext(self, task.rank, name, detail)
+
+    def leaf(self, rank: int, name: str) -> tuple:
+        """Open a leaf span of ``rank``: one that opens no span inside it.
+
+        Writes the same row ``with phase(...)`` would, but pushes nothing on
+        the process's stack.  Returns ``(ends, row)``; the caller closes the
+        span with ``ends[row] = engine.now`` in a ``finally`` block, so an
+        operation that raises or whose process is closed ends its span the
+        way a ``with`` block would::
+
+            ends, row = recorder.leaf(task.rank, FLAG_SET)
+            try:
+                yield engine.timeout(cost)
+            finally:
+                ends[row] = engine.now
+
+        A disabled recorder returns a shared one-slot sink.
+        """
+        if not self.enabled:
+            return _NO_LEAF
+        return self._open_row(self._lane(rank), rank, name, "")
 
     def flow(
         self,

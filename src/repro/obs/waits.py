@@ -36,6 +36,8 @@ import bisect
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.taxonomy import (
     WAIT_BANDWIDTH_CONTENTION,
     WAIT_DETECTION_ONLY,
@@ -50,7 +52,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Machine
     from repro.obs.critical import CriticalPath
     from repro.obs.monitor import ResourceMonitor, ResourceTimeline
-    from repro.obs.spans import FlowLink
 
 __all__ = ["WaitInterval", "WaitReport", "classify_waits"]
 
@@ -167,38 +168,13 @@ class WaitReport:
         )
 
 
-class _FlowsByRank:
-    """Per-destination-rank flow lookup, sorted by arrival time."""
-
-    def __init__(self, flows: list["FlowLink"]) -> None:
-        self._links: dict[int, list["FlowLink"]] = {}
-        self._times: dict[int, list[float]] = {}
-        for link in sorted(flows, key=lambda f: f.dst_ts):
-            self._links.setdefault(link.dst_rank, []).append(link)
-        for rank, links in self._links.items():
-            self._times[rank] = [link.dst_ts for link in links]
-
-    def releasing(self, rank: int, start: float, end: float) -> "FlowLink | None":
-        """The latest link into ``rank`` arriving within ``[start, end]``."""
-        times = self._times.get(rank)
-        if not times:
-            return None
-        index = bisect.bisect_right(times, end) - 1
-        if index < 0 or times[index] < start:
-            return None
-        return self._links[rank][index]
-
-
-def _node_bandwidth(
-    monitor: "ResourceMonitor", nodes: typing.Iterable[int]
-) -> list["ResourceTimeline"]:
-    """The bandwidth timelines touching the given node indices."""
+def _node_bandwidth(monitor: "ResourceMonitor", node: int) -> list["ResourceTimeline"]:
+    """The bandwidth timelines of one node: its bus and its two NIC links."""
     timelines = []
-    for node in dict.fromkeys(nodes):  # stable de-dup
-        for name in (f"bus[{node}]", f"nic_in[{node}]", f"nic_out[{node}]"):
-            timeline = monitor.get(name)
-            if timeline is not None:
-                timelines.append(timeline)
+    for name in (f"bus[{node}]", f"nic_in[{node}]", f"nic_out[{node}]"):
+        timeline = monitor.get(name)
+        if timeline is not None:
+            timelines.append(timeline)
     return timelines
 
 
@@ -236,15 +212,33 @@ def classify_waits(
     ``start`` / ``end`` default to the extent of the recorded spans (use the
     launch window for per-call attribution).  ``critical`` marks intervals
     that lie on the critical path when given.
+
+    The spans, flows and samples are read as columns: the wait spans are
+    selected with masks, each wait's context comes from the ``parent`` and
+    ``name`` columns, and its releasing link from a bisection of its rank's
+    arrivals (:meth:`FlowTable.arrivals`).
     """
     recorder = machine.obs.recorder
     monitor = machine.obs.monitor
-    spans = [span for span in recorder.spans if span.end is not None]
+    spans = recorder.spans
+    spans.materialize()
+    starts = np.frombuffer(spans.start, dtype="d")
+    ends = np.frombuffer(spans.end, dtype="d")
+    closed = ends == ends  # NaN, while open, is unequal to itself
     if start is None:
-        start = min((span.start for span in spans), default=0.0)
+        start = float(starts[closed].min()) if closed.any() else 0.0
     if end is None:
-        end = max((typing.cast(float, span.end) for span in spans), default=0.0)
+        end = float(ends[closed].max()) if closed.any() else 0.0
     eps = 1e-12 * max(1.0, abs(end))
+
+    names = spans.name
+    waiting = np.fromiter(map(WAIT_PHASES.__contains__, names), dtype=bool, count=len(names))
+    rows = np.flatnonzero(closed & waiting & (ends > start + eps) & (starts < end - eps))
+    ranks = np.frombuffer(spans.rank, dtype="i")[rows].tolist()
+    blocked_starts = starts[rows].tolist()
+    blocked_ends = ends[rows].tolist()
+    rows = rows.tolist()
+    parents = spans.parent
 
     # Critical-path wait segments per (rank, phase) for overlap marking.
     critical_segments: dict[tuple[int, str], list[tuple[float, float]]] = {}
@@ -255,46 +249,53 @@ def classify_waits(
                     (segment.rank, segment.phase), []
                 ).append((segment.start, segment.end))
 
-    flows = _FlowsByRank(recorder.flows)
+    flows = recorder.flows
+    arrivals = flows.arrivals()
+    kinds, src_ranks, src_times = flows.kind, flows.src_rank, flows.src_ts
     cost = machine.cost
     detection_bound = cost.flag_poll_interval + cost.yield_cost + eps
     node_of = machine.spec.node_of
+    if monitor is not None:
+        fifos = monitor.by_kind("fifo")
+        bandwidth = [_node_bandwidth(monitor, node) for node in range(machine.spec.nodes)]
 
     intervals: list[WaitInterval] = []
-    for span in spans:
-        if span.name not in WAIT_PHASES:
-            continue
-        if span.end <= start + eps or span.start >= end - eps:
-            continue
-        s = max(span.start, start)
-        e = min(typing.cast(float, span.end), end)
+    for row, rank, span_start, span_end in zip(rows, ranks, blocked_starts, blocked_ends):
+        s = max(span_start, start)
+        e = min(span_end, end)
         if e - s <= 0:
             continue
-        rank = span.rank
+        name = names[row]
         context = "-"
-        parent = span.parent
+        parent = parents[row]
         while parent >= 0:
-            parent_span = recorder.spans[parent]
-            if parent_span.name not in WAIT_PHASES:
-                context = parent_span.name
+            if names[parent] not in WAIT_PHASES:
+                context = names[parent]
                 break
-            parent = parent_span.parent
+            parent = parents[parent]
 
         state = WAIT_UNATTRIBUTED
         resource: str | None = None
-        link = flows.releasing(rank, s - eps, e + eps)
-        if link is not None:
-            arrival = min(link.dst_ts, e)
-            issue_lag = max(0.0, min(link.src_ts, arrival) - s)
-            transit = max(0.0, arrival - max(link.src_ts, s))
+        # The latest link into this rank arriving within [s - eps, e + eps].
+        times, links = arrivals.get(rank, ((), ()))
+        index = bisect.bisect_right(times, e + eps) - 1
+        link = links[index] if index >= 0 and times[index] >= s - eps else -1
+        if link >= 0:
+            src_rank, src_ts = src_ranks[link], src_times[link]
+            arrival = min(times[index], e)
+            issue_lag = max(0.0, min(src_ts, arrival) - s)
+            transit = max(0.0, arrival - max(src_ts, s))
             if issue_lag <= eps and transit <= eps:
                 state = WAIT_DETECTION_ONLY
             elif transit > issue_lag:
                 state = WAIT_LATE_RELEASE
                 if monitor is not None:
-                    flight_start = max(link.src_ts, s)
-                    candidates = _node_bandwidth(
-                        monitor, (node_of(link.src_rank), node_of(rank))
+                    flight_start = max(src_ts, s)
+                    source, sink = node_of(src_rank), node_of(rank)
+                    candidates = (
+                        bandwidth[source]
+                        if source == sink
+                        else bandwidth[source] + bandwidth[sink]
                     )
                     best, overlap = _most_contended(candidates, flight_start, arrival)
                     if (
@@ -310,21 +311,18 @@ def classify_waits(
             if blocked <= detection_bound:
                 state = WAIT_DETECTION_ONLY
             elif monitor is not None:
-                fifo_best, fifo_overlap = _most_queued(
-                    monitor.by_kind("fifo"), s, e
-                )
+                fifo_best, fifo_overlap = _most_queued(fifos, s, e)
                 if fifo_best is not None and fifo_overlap >= contention_threshold * blocked:
                     state = WAIT_RESOURCE_QUEUEING
                     resource = fifo_best.name
                 else:
-                    candidates = _node_bandwidth(monitor, (node_of(rank),))
-                    best, overlap = _most_contended(candidates, s, e)
+                    best, overlap = _most_contended(bandwidth[node_of(rank)], s, e)
                     if best is not None and overlap >= contention_threshold * blocked:
                         state = WAIT_BANDWIDTH_CONTENTION
                         resource = best.name
 
         on_critical = False
-        for seg_start, seg_end in critical_segments.get((rank, span.name), ()):
+        for seg_start, seg_end in critical_segments.get((rank, name), ()):
             if min(seg_end, e) - max(seg_start, s) > eps:
                 on_critical = True
                 break
@@ -334,12 +332,12 @@ def classify_waits(
                 rank=rank,
                 start=s,
                 end=e,
-                phase=span.name,
+                phase=name,
                 context=context,
                 state=state,
                 resource=resource,
                 on_critical_path=on_critical,
-                link_kind=link.kind if link is not None else None,
+                link_kind=kinds[link] if link >= 0 else None,
             )
         )
 

@@ -99,8 +99,11 @@ class SharedFlag:
                 f"task {task.rank} on node {task.node.index} cannot touch flag "
                 f"on node {self.node.index}: flags are node-local shared memory"
             )
-        with task.phase(FLAG_SET):
+        ends, row = self.obs.recorder.leaf(task.rank, FLAG_SET)
+        try:
             yield self.engine.timeout(self.cost.flag_set_cost)
+        finally:
+            ends[row] = self.engine.now
         self.obs.flag_sets.inc()
         self.store(value, writer_rank=task.rank)
 
@@ -159,12 +162,15 @@ class SharedFlag:
                 f"task {task.rank} cannot spin on a flag of node {self.node.index}"
             )
         start = self.engine.now
-        with task.phase(FLAG_WAIT):
+        ends, row = self.obs.recorder.leaf(task.rank, FLAG_WAIT)
+        try:
             pending = self._event_when(predicate, waiter_rank=task.rank)
             if pending is None:
                 yield self.engine.timeout(self._detection_delay(task, start))
             else:
                 yield Chain(pending, lambda: self._detection_delay(task, start))
+        finally:
+            ends[row] = self.engine.now
         self.obs.flag_wait_seconds.observe(self.engine.now - start)
         if not predicate(self._value):  # pragma: no cover - single-writer protocols
             raise ProtocolError(f"flag {self.name!r} changed under a waiter")
@@ -231,8 +237,11 @@ class FlagArray:
         """
         if indices is None:
             indices = [i for i in range(len(self.flags)) if i != skip]
-        with task.phase(FLAG_SET):
+        ends, row = self.obs.recorder.leaf(task.rank, FLAG_SET)
+        try:
             yield task.engine.timeout(self.cost.flag_set_cost * len(indices))
+        finally:
+            ends[row] = self.engine.now
         self.obs.flag_sets.inc(len(indices))
         for index in indices:
             self.flags[index].store(value, writer_rank=task.rank)
@@ -244,7 +253,8 @@ class FlagArray:
         delay total once the last flag satisfies the predicate.
         """
         start = self.engine.now
-        with task.phase(FLAG_WAIT):
+        ends, row = self.obs.recorder.leaf(task.rank, FLAG_WAIT)
+        try:
             pending = [
                 event
                 for index, flag in enumerate(self.flags)
@@ -258,4 +268,6 @@ class FlagArray:
                 yield Chain(self.engine.all_of(pending), lambda: detection_delay(task, start))
             else:
                 yield self.engine.timeout(detection_delay(task, start))
+        finally:
+            ends[row] = self.engine.now
         self.obs.flag_wait_seconds.observe(self.engine.now - start)

@@ -1,6 +1,7 @@
 """Tests for benchmark telemetry snapshots (capture, schema, determinism)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.bench.snapshot import (
     SNAPSHOT_KIND,
     capture_cell,
     cell_key,
+    cell_seed,
     collect_snapshot,
     load_snapshot,
     write_snapshot,
@@ -69,6 +71,38 @@ def test_capture_cell_baseline_stack_records_substrate_only():
 def test_capture_cell_rejects_unknown_operation():
     with pytest.raises(ConfigurationError):
         capture_cell("srm", "transmogrify", 64, nodes=1, tasks_per_node=2)
+
+
+SEED = Path(__file__).resolve().parent.parent / "BENCH_seed.json"
+
+#: One-node cells whose capture, critical path and wait states included,
+#: must equal the committed baseline byte for byte.
+PINNED_CELLS = [
+    *(
+        ("srm", operation, nbytes)
+        for operation in ("broadcast", "reduce", "allreduce")
+        for nbytes in (8192, 65536)
+    ),
+    ("srm", "barrier", 0),
+    ("ibm", "allreduce", 65536),
+    ("mpich", "allreduce", 65536),
+]
+
+
+@pytest.fixture(scope="module")
+def seed_cells():
+    return {cell_key(cell): cell for cell in load_snapshot(SEED)["cells"]}
+
+
+@pytest.mark.parametrize("stack,operation,nbytes", PINNED_CELLS)
+def test_capture_cell_matches_seed_bytes(seed_cells, stack, operation, nbytes):
+    reference = seed_cells[(operation, stack, nbytes, 1)]
+    cell = capture_cell(
+        stack, operation, nbytes, nodes=1, tasks_per_node=16,
+        seed=cell_seed(operation, stack, nbytes, 1),
+    )
+    assert reference["critical_path"] is not None
+    assert json.dumps(cell, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
 # -- snapshot document ------------------------------------------------------

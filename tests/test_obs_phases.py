@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.bench import build
+from repro.bench.runner import looped_program, operation_body
 from repro.bench.trace import trace_call
 from repro.cli import main
 from repro.core import SRM, SRMConfig
@@ -15,7 +16,13 @@ from repro.machine import ClusterSpec, Machine
 from repro.mpi.ops import SUM
 from repro.obs.critical import critical_path
 from repro.obs.export import chrome_trace, metrics_dump, write_json
-from repro.obs.taxonomy import FLOW_FLAG_WAKEUP, FLOW_PUT_COUNTER
+from repro.obs.taxonomy import (
+    FLOW_FLAG_WAKEUP,
+    FLOW_PUT_COUNTER,
+    PUT_FLIGHT,
+    UNTRACKED,
+    WAIT_PHASES,
+)
 
 
 def run_allreduce(nodes=2, tasks=2, nbytes=4096):
@@ -122,6 +129,106 @@ def test_clear_with_an_open_span_keeps_it_out_of_the_new_table():
     assert [(s.name, s.end) for s in old] == [("outer", 2.0)]
 
 
+def _leaf(recorder, engine, rank, name, seconds):
+    """A hand-written leaf: one recorder call, one store on resume."""
+    ends, row = recorder.leaf(rank, name)
+    try:
+        yield engine.timeout(seconds)
+    finally:
+        ends[row] = engine.now
+
+
+def _span_columns(leaf):
+    """The span columns of one program that records its probe spans through
+    the leaf path (``leaf``) or through ``with task.phase(...)``."""
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=2))
+    engine, recorder = machine.engine, machine.obs.recorder
+
+    def probe(task, seconds):
+        if leaf:
+            yield from _leaf(recorder, engine, task.rank, "probe", seconds)
+        else:
+            with task.phase("probe"):
+                yield engine.timeout(seconds)
+
+    def helper(task):
+        yield from probe(task, 3.0)
+
+    def program(task):
+        with task.phase("outer", detail="d"):
+            yield from probe(task, 1.0)
+            # A concurrent helper process records on its own track.
+            engine.process(helper(task))
+            with task.phase("after"):
+                yield from probe(task, 1.0)
+        yield from probe(task, 0.5)
+
+    machine.launch(program)
+    engine.run()  # the helpers outlive the programs
+    spans = recorder.spans
+    return {field: list(getattr(spans, field)) for field, _code in spans.FIELDS}
+
+
+def test_leaf_writes_the_row_a_with_phase_writes():
+    leaf, phase = _span_columns(leaf=True), _span_columns(leaf=False)
+    assert leaf == phase
+    # Row order is opening order; depth, parent and track are the nesting's.
+    fields = ("rank", "name", "start", "end", "depth", "parent", "track")
+    assert list(zip(*(leaf[field] for field in fields))) == [
+        (0, "outer", 0.0, 2.0, 0, -1, 0),
+        (0, "probe", 0.0, 1.0, 1, 0, 0),
+        (1, "outer", 0.0, 2.0, 0, -1, 0),
+        (1, "probe", 0.0, 1.0, 1, 2, 0),
+        (0, "after", 1.0, 2.0, 1, 0, 0),
+        (0, "probe", 1.0, 2.0, 2, 4, 0),
+        (1, "after", 1.0, 2.0, 1, 2, 0),
+        (1, "probe", 1.0, 2.0, 2, 6, 0),
+        (0, "probe", 1.0, 4.0, 0, -1, 1),
+        (1, "probe", 1.0, 4.0, 0, -1, 1),
+        (0, "probe", 2.0, 2.5, 0, -1, 0),
+        (1, "probe", 2.0, 2.5, 0, -1, 0),
+    ]
+
+
+def test_leaf_open_across_clear_closes_into_the_old_table():
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=1))
+    engine, recorder = machine.engine, machine.obs.recorder
+    engine.process(_leaf(recorder, engine, 0, "flag-wait", 2.0))
+    engine.run(until=0.5)
+    old = recorder.spans
+    recorder.clear()
+    engine.run()
+    assert len(recorder.spans) == 0
+    assert [(s.name, s.start, s.end) for s in old] == [("flag-wait", 0.0, 2.0)]
+
+
+def test_leaf_closes_when_its_operation_raises():
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=1))
+    engine, recorder = machine.engine, machine.obs.recorder
+
+    def failing():
+        ends, row = recorder.leaf(0, "counter-wait")
+        try:
+            yield engine.timeout(1.5)
+            raise RuntimeError("operation failed")
+        finally:
+            ends[row] = engine.now
+
+    process = engine.process(failing())
+    with pytest.raises(RuntimeError, match="operation failed"):
+        engine.run(until=process)
+    (span,) = recorder.spans
+    assert (span.start, span.end, span.depth) == (0.0, 1.5, 0)
+
+
+def test_disabled_recorder_records_no_leaf():
+    machine = Machine(ClusterSpec(nodes=1, tasks_per_node=1), observe=False)
+    engine, recorder = machine.engine, machine.obs.recorder
+    engine.process(_leaf(recorder, engine, 0, "flag-set", 1.0))
+    engine.run()
+    assert len(recorder.spans) == 0 and engine.now == 1.0
+
+
 # -- flow links -------------------------------------------------------------
 
 
@@ -186,6 +293,64 @@ def test_critical_path_without_spans_raises():
     machine, _stack = build("srm", ClusterSpec(nodes=1, tasks_per_node=2))
     with pytest.raises(ValueError):
         critical_path(machine.obs.recorder)
+
+
+def _reference_walk(recorder, start, end):
+    """The walk over ``PhaseSpan`` and ``FlowLink`` objects, one linear scan
+    per step: the reference the column walker must match exactly."""
+    spans = [s for s in recorder.spans if s.end is not None and s.end > start and s.start < end]
+    by_rank = {}
+    for span in sorted(spans, key=lambda s: (s.start, s.depth)):
+        by_rank.setdefault(span.rank, []).append(span)
+    links = sorted(recorder.flows, key=lambda f: f.dst_ts)
+    rank = max(spans, key=lambda s: s.end).rank if spans else 0
+    segments, t = [], end
+    epsilon = 1e-15 * max(1.0, abs(end))
+
+    def attribute(seg_rank, seg_start, seg_end, phase):
+        if seg_end > seg_start:
+            segments.append((seg_rank, seg_start, seg_end, phase))
+
+    while t > start + epsilon:
+        before = [s for s in by_rank.get(rank, []) if s.start < t]
+        covering = [s for s in before if s.end >= t]
+        if not covering:
+            floor = max(max((s.end for s in before), default=start), start)
+            attribute(rank, floor, t, UNTRACKED)
+            t = floor
+            continue
+        span = covering[-1]
+        span_start = max(span.start, start)
+        if span.name in WAIT_PHASES:
+            arrived = [f for f in links if f.dst_rank == rank and span_start <= f.dst_ts < t]
+            if arrived and arrived[-1].src_ts < t - epsilon:
+                link = arrived[-1]
+                arrival = min(max(link.dst_ts, span_start), t)
+                attribute(rank, arrival, t, span.name)
+                if arrival > link.src_ts:
+                    attribute(link.src_rank, link.src_ts, arrival, PUT_FLIGHT)
+                rank, t = link.src_rank, min(link.src_ts, t)
+                continue
+        attribute(rank, span_start, t, span.name)
+        t = span_start
+    return segments[::-1]
+
+
+@pytest.mark.parametrize(
+    "stack_name,operation", [("srm", "broadcast"), ("srm", "allreduce"), ("ibm", "allreduce")]
+)
+def test_critical_path_matches_the_object_walk_on_every_window(stack_name, operation):
+    # The MPI stack records substrate spans only, so its walk crosses gaps.
+    machine, stack = build(stack_name, ClusterSpec(nodes=2, tasks_per_node=4))
+    body = operation_body(machine, stack, operation, 65536)
+    result = machine.launch(looped_program(body, 2))
+    recorder = machine.obs.recorder
+    first, last = result.start_time, result.end_time
+    for lo, hi in ((0.0, 1.0), (0.0, 0.5), (0.3, 0.7), (0.5, 1.0), (0.42, 0.43)):
+        start, end = first + lo * (last - first), first + hi * (last - first)
+        path = critical_path(recorder, start=start, end=end)
+        expected = _reference_walk(recorder, start, end)
+        assert [(s.rank, s.start, s.end, s.phase) for s in path.segments] == expected
 
 
 # -- exports ----------------------------------------------------------------
